@@ -6,8 +6,10 @@ The package splits into value types and engines:
 * :mod:`boundedpd.vm` - the budgeted strategy machine.
 * :mod:`boundedpd.dsl` - the strategy language and compiler.
 * :mod:`boundedpd.library` - built-in strategies.
-* :mod:`boundedpd.match` - two-player fixed-horizon matches.
-* :mod:`boundedpd.population` - the opting-out population game.
+* :mod:`boundedpd.match` - the pair-tick kernel every engine plays
+  through, and two-player fixed-horizon matches.
+* :mod:`boundedpd.population` - the opting-out population game, whose
+  pair tick adds the instantaneous-rematch peek to the kernel.
 * :mod:`boundedpd.analysis` - security levels, competitive ratios, and
   brute-force best responses.
 * :mod:`boundedpd.cli` - command-line front end.
@@ -27,7 +29,7 @@ from .game import (
 )
 from .vm import Observation, StrategyProgram, VmState, compare_cost, reset, tick
 from .dsl import (
-    DslError, StrategySource, compile, decompile, parse, print_source, roundtrip,
+    DslError, StrategySource, compile, decompile, parse, print_source,
 )
 from .library import get as get_strategy
 from .match import MatchTrace, deviation_gain, run_match
@@ -40,7 +42,6 @@ __all__ = [
     "dominance_check", "payoff", "validate_config", "validate_table",
     "Observation", "StrategyProgram", "VmState", "compare_cost", "reset", "tick",
     "DslError", "StrategySource", "compile", "decompile", "parse", "print_source",
-    "roundtrip",
     "get_strategy",
     "MatchTrace", "deviation_gain", "run_match",
     "OpdTrace", "expected_rematch_delay", "rematch", "run_population",

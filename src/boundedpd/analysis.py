@@ -39,8 +39,8 @@ from typing import Iterator, Union
 
 from . import dsl, library
 from .game import Action, GameConfig, Mode, PayoffTable
-from .match import MatchTrace, run_match
-from .population import Seat, play_pair_tick, run_population
+from .match import MatchTrace, Seat, run_match
+from .population import play_pair_tick, run_population
 from .vm import StrategyProgram
 from .game import counter_width_for
 
@@ -683,7 +683,8 @@ def competitive_ratio(
     model, and their ratio. Undefined (None) when the benchmark is not
     positive."""
     sl = security_level(program, models, config, table, trials=trials, seed=seed)
-    worst_model = next(m for m in models if m.describe() == sl.model)
+    # By position: two models may share a name.
+    worst_model = models[min(range(len(models)), key=lambda i: float(sl.rows[i].mean))]
     if isinstance(worst_model, FixedOpponentModel):
         opponent = _resolve(worst_model.opponent, config)
         br = best_response(opponent, config, table, size_bound=size_bound)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import analysis, dsl, library
 from .game import (
-    ConfigError, GameConfig, Mode, PayoffTable, TABLE_PRESETS,
+    ConfigError, GameConfig, Mode, PayoffTable, TABLE_PRESETS, config_header,
     parse_config_text, table_from_mapping,
 )
 from .match import run_match, trace_to_csv as match_csv
@@ -89,16 +89,6 @@ def _write(out_dir: str | None, filename: str, content: str) -> None:
     (directory / filename).write_text(content, encoding="utf-8")
 
 
-def _meta_line(config: GameConfig, table: PayoffTable, extra: str = "") -> str:
-    import hashlib
-    from .game import dump_config_text
-
-    digest = hashlib.sha256(
-        (dump_config_text(table, config) + extra).encode("utf-8")
-    ).hexdigest()
-    return f"# config_sha256={digest} seed={config.seed}\n"
-
-
 def _add_common(parser: argparse.ArgumentParser, default_n: int) -> None:
     parser.add_argument("--N", type=int, default=default_n, help="horizon in clock ticks")
     parser.add_argument("--k", type=int, default=2, help="per-tick compare budget in XOR units")
@@ -149,7 +139,7 @@ def cmd_population(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     _write(args.out, "population.csv", population_csv(trace, config, table, extra_meta=spec_text))
     _write(args.out, "summary.csv",
-           _meta_line(config, table, spec_text) + summary_to_csv(trace))
+           config_header(table, config, spec_text) + "\n" + summary_to_csv(trace))
     for s in trace.summaries:
         print(f"{s.pid} {s.label} payoff={s.total} opt_outs={s.opt_outs} "
               f"unpaired_ticks={s.unpaired_ticks}")
@@ -234,7 +224,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if len(horizons) == 1:
             print(report.to_text(), end="")
             _write(args.out, "report.csv",
-                   _meta_line(config, table) + report.to_csv())
+                   config_header(table, config) + "\n" + report.to_csv())
 
     if len(horizons) > 1:
         lines = ["N,security_level,h,competitive_ratio"]
@@ -243,7 +233,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             lines.append(f"{n},{float(report.security_level):.6f},{float(report.h):.6f},{cr}")
         sweep_csv = "\n".join(lines) + "\n"
         print(sweep_csv, end="")
-        _write(args.out, "sweep.csv", _meta_line(rows[-1][1], table) + sweep_csv)
+        _write(args.out, "sweep.csv", config_header(table, rows[-1][1]) + "\n" + sweep_csv)
     return 0
 
 

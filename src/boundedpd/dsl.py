@@ -256,6 +256,7 @@ def parse(text: str) -> StrategySource:
     counters: dict[str, int] = {}
     rules: list[Rule] = []
     labels: set[str] = set()
+    goto_labels: list[_Token] = []
 
     for lineno in range(header_line + 1, len(lines) + 1):
         tokens = _tokenize_line(lines[lineno - 1], lineno)
@@ -269,15 +270,14 @@ def parse(text: str) -> StrategySource:
                 raise DslError("counter declarations must precede rules", first.line, first.col)
             decls.append(_parse_decl(parser, counters))
         else:
-            rules.append(_parse_rule(parser, counters, labels))
+            rules.append(_parse_rule(parser, counters, labels, goto_labels))
 
     if not rules:
         raise DslError("strategy has no rules", len(lines) or 1, 1)
 
-    for rule in rules:
-        for stmt in rule.stmts:
-            if isinstance(stmt, Goto) and stmt.label not in labels:
-                raise DslError(f"goto to unknown label {stmt.label!r}", 1, 1)
+    for token in goto_labels:
+        if token.text not in labels:
+            raise DslError(f"goto to unknown label {token.text!r}", token.line, token.col)
 
     return StrategySource(name_token.text, tuple(decls), tuple(rules))
 
@@ -304,7 +304,9 @@ def _parse_decl(parser: _LineParser, counters: dict[str, int]) -> Decl:
     return Decl(name_token.text, width)
 
 
-def _parse_rule(parser: _LineParser, counters: dict[str, int], labels: set[str]) -> Rule:
+def _parse_rule(
+    parser: _LineParser, counters: dict[str, int], labels: set[str], goto_labels: list[_Token]
+) -> Rule:
     label: str | None = None
     first = parser.peek()
     second = parser.peek(1)
@@ -334,7 +336,7 @@ def _parse_rule(parser: _LineParser, counters: dict[str, int], labels: set[str])
     else:
         raise DslError(f"expected 'if' or 'always', got {head.text!r}", head.line, head.col)
 
-    stmts = _parse_stmts(parser, counters)
+    stmts = _parse_stmts(parser, counters, goto_labels)
     return Rule(label, guard, stmts)
 
 
@@ -391,7 +393,12 @@ def _parse_term(parser: _LineParser, counters: dict[str, int]) -> Term:
     return Term(field, op, value)
 
 
-def _parse_stmts(parser: _LineParser, counters: dict[str, int]) -> tuple[Stmt, ...]:
+def _parse_stmts(
+    parser: _LineParser, counters: dict[str, int], goto_labels: list[_Token]
+) -> tuple[Stmt, ...]:
+    """Parse a rule's statements; each goto's label token is appended to
+    ``goto_labels`` so that unknown labels can be reported where they are
+    written once every label is known."""
     stmts: list[Stmt] = []
     played = False
     while not parser.at_end():
@@ -416,6 +423,7 @@ def _parse_stmts(parser: _LineParser, counters: dict[str, int]) -> tuple[Stmt, .
             if not _is_name(label_token.text) or label_token.text in KEYWORDS:
                 raise DslError("expected label name", label_token.line, label_token.col)
             stmts.append(Goto(label_token.text))
+            goto_labels.append(label_token)
             if not parser.at_end():
                 extra = parser.peek()
                 raise DslError("goto must be the last statement of a rule",
@@ -446,11 +454,6 @@ def print_source(source: StrategySource) -> str:
     lines.extend(decl.render() for decl in source.decls)
     lines.extend(rule.render() for rule in source.rules)
     return "\n".join(lines) + "\n"
-
-
-def roundtrip(source: StrategySource) -> str:
-    """Pretty-print a source tree to its canonical text form."""
-    return print_source(source)
 
 
 # ---------------------------------------------------------------------------

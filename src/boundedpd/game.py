@@ -14,6 +14,7 @@ Two game modes exist:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,9 +46,6 @@ class IllegalActionError(ValueError):
     """An action was played that the current mode does not allow."""
 
 
-Rational = Fraction
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or integer literals into an exact rational."""
     text = text.strip()
@@ -55,10 +53,6 @@ def parse_rational(text: str) -> Fraction:
         num, _, den = text.partition("/")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def bit_width(value: int) -> int:
@@ -413,7 +407,7 @@ def load_config_file(path: str | Path, base_table: PayoffTable | None = None,
 
 def dump_config_text(table: PayoffTable, config: GameConfig) -> str:
     """Canonical key=value rendering, used for output headers and hashing."""
-    lines = [f"{key}={format_rational(value)}" for key, value in table.as_mapping().items()]
+    lines = [f"{key}={value}" for key, value in table.as_mapping().items()]
     lines += [
         f"N={config.N}",
         f"mode={config.mode.value}",
@@ -424,3 +418,16 @@ def dump_config_text(table: PayoffTable, config: GameConfig) -> str:
         f"instantaneous_rematch={'true' if config.instantaneous_rematch else 'false'}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def config_header(table: PayoffTable, config: GameConfig, extra_meta: str = "") -> str:
+    """The ``# config_sha256=... seed=...`` line that opens every CSV.
+
+    The digest covers the canonical config text plus ``extra_meta`` (the
+    strategy sources or the population spec), so identical inputs give an
+    identical header.
+    """
+    digest = hashlib.sha256(
+        (dump_config_text(table, config) + extra_meta).encode("utf-8")
+    ).hexdigest()
+    return f"# config_sha256={digest} seed={config.seed}"

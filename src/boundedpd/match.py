@@ -1,20 +1,26 @@
-"""Two-player fixed-horizon match engine.
+"""The pair-tick kernel and the two-player fixed-horizon match engine.
 
-Runs one match: two programs, N clock ticks, payoffs from the table. Both
-machines tick against the same observation snapshot (the completed actions
-of the previous tick), so moves are effectively simultaneous. A program
+A ``Seat`` is one player's side of a pairing. Every engine plays a tick of
+a pairing in two steps: ``seat_move`` ticks each machine against the
+completed actions of the previous tick (so moves are simultaneous), and
+``settle`` pays the action pair and commits it to both seats. A program
 fault, including playing O in a mode that forbids it, turns the offender
 into a perpetual waiter from that tick on.
+
+``match_step`` is the two steps back to back: a fixed-horizon match is the
+opting-out game without the opt-out. ``population.play_pair_tick`` puts
+the instantaneous-rematch peek between them, since only the opting-out
+game has it. ``run_match`` plays N ticks of ``match_step``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .game import (
-    Action, GameConfig, Mode, PayoffTable, dump_config_text, payoff, validate_table,
+    Action, GameConfig, Mode, PayoffOutcome, PayoffTable, config_header, payoff,
+    validate_table,
 )
 from .vm import Observation, StrategyProgram, VmState, reset, tick
 
@@ -43,78 +49,78 @@ class MatchTrace:
         return (self.total1, self.total2)
 
 
+@dataclass
+class Seat:
+    """A player's view of its current pairing."""
+
+    program: StrategyProgram
+    vm: VmState
+    last_own: Action | None = None
+    last_opp: Action | None = None
+    last_pay: Fraction | None = None
+
+    @staticmethod
+    def fresh(program: StrategyProgram) -> "Seat":
+        return Seat(program=program, vm=reset(program))
+
+    def new_pairing(self) -> None:
+        """Forget the previous partner; the machine itself keeps running."""
+        self.last_own = None
+        self.last_opp = None
+        self.last_pay = None
+
+
 @dataclass(frozen=True)
-class MatchState:
-    """One pair mid-match: histories line up with the tick index."""
-
-    tick_index: int
-    vm1: VmState
-    vm2: VmState
-    history: tuple[tuple[Action, Action], ...]
-    total1: Fraction
-    total2: Fraction
-    last_pay1: Fraction | None = None
-    last_pay2: Fraction | None = None
+class PairOutcome:
+    a1: Action
+    a2: Action
+    pay1: Fraction
+    pay2: Fraction
+    split: bool
+    cost1: int
+    cost2: int
 
 
-def new_match(p1: StrategyProgram, p2: StrategyProgram) -> MatchState:
-    return MatchState(0, reset(p1), reset(p2), (), Fraction(0), Fraction(0))
+def seat_move(seat: Seat, config: GameConfig) -> tuple[VmState, Action]:
+    """Tick the seat's machine against its view of the previous tick.
 
-
-def _observation(state: MatchState, me: int, horizon: int) -> Observation:
-    if not state.history:
-        return Observation(horizon_N=horizon)
-    own, opp = state.history[-1]
-    if me == 2:
-        own, opp = opp, own
-    return Observation(
-        opponent_last_action=opp,
-        own_last_action=own,
-        last_payoff=state.last_pay1 if me == 1 else state.last_pay2,
-        horizon_N=horizon,
+    Nothing is committed to the seat. O is the only action outside a mode's
+    set (FTPD lacks it); playing it there is a program fault: the player
+    waits from here on and this tick's move is already a wait.
+    """
+    obs = Observation(
+        opponent_last_action=seat.last_opp,
+        own_last_action=seat.last_own,
+        last_payoff=seat.last_pay,
+        horizon_N=config.N,
     )
+    vm, action = tick(seat.vm, seat.program, obs, config.k)
+    if action is Action.O and config.mode is not Mode.OPD:
+        vm = replace(vm, faulted=True, fault_reason="played O outside OPD mode")
+        action = Action.W
+    return vm, action
 
 
-def match_step(
-    state: MatchState,
-    p1: StrategyProgram,
-    p2: StrategyProgram,
-    config: GameConfig,
-    table: PayoffTable,
-) -> tuple[MatchState, TickRecord]:
+def settle(
+    seat1: Seat, vm1: VmState, a1: Action,
+    seat2: Seat, vm2: VmState, a2: Action,
+    config: GameConfig, table: PayoffTable, asymmetric_split: bool = False,
+) -> PayoffOutcome:
+    """Pay the tick's action pair and commit it, with each seat's new
+    machine state, to both seats."""
+    outcome = payoff(a1, a2, table, config.mode, asymmetric_split)
+    seat1.vm, seat1.last_own, seat1.last_opp, seat1.last_pay = vm1, a1, a2, outcome.p1
+    seat2.vm, seat2.last_own, seat2.last_opp, seat2.last_pay = vm2, a2, a1, outcome.p2
+    return outcome
+
+
+def match_step(seat1: Seat, seat2: Seat, config: GameConfig, table: PayoffTable) -> PairOutcome:
     """Advance one tick; both players observe, then both move."""
-    obs1 = _observation(state, 1, config.N)
-    obs2 = _observation(state, 2, config.N)
-    vm1, a1 = tick(state.vm1, p1, obs1, config.k)
-    vm2, a2 = tick(state.vm2, p2, obs2, config.k)
-
-    # An action outside the mode's set is a program fault: the player waits
-    # from here on and this tick's move is already a wait.
-    if a1 is Action.O and config.mode is not Mode.OPD:
-        vm1 = replace(vm1, faulted=True, fault_reason="played O outside OPD mode")
-        a1 = Action.W
-    if a2 is Action.O and config.mode is not Mode.OPD:
-        vm2 = replace(vm2, faulted=True, fault_reason="played O outside OPD mode")
-        a2 = Action.W
-
-    outcome = payoff(a1, a2, table, config.mode)
-    new_state = MatchState(
-        tick_index=state.tick_index + 1,
-        vm1=vm1,
-        vm2=vm2,
-        history=state.history + ((a1, a2),),
-        total1=state.total1 + outcome.p1,
-        total2=state.total2 + outcome.p2,
-        last_pay1=outcome.p1,
-        last_pay2=outcome.p2,
-    )
-    record = TickRecord(
-        tick=new_state.tick_index,
-        a1=a1, a2=a2,
-        pay1=outcome.p1, pay2=outcome.p2,
-        cost1=vm1.tick_cost, cost2=vm2.tick_cost,
-    )
-    return new_state, record
+    vm1, a1 = seat_move(seat1, config)
+    vm2, a2 = seat_move(seat2, config)
+    outcome = settle(seat1, vm1, a1, seat2, vm2, a2, config, table)
+    return PairOutcome(a1, a2, outcome.p1, outcome.p2, outcome.split,
+                       vm1.tick_cost, vm2.tick_cost)
 
 
 def run_match(
@@ -131,17 +137,21 @@ def run_match(
     if violations:
         raise ValueError("invalid payoff table: " + ", ".join(violations))
 
-    state = new_match(p1, p2)
+    seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
+    total1 = total2 = Fraction(0)
     records = []
-    for _ in range(config.N):
-        state, record = match_step(state, p1, p2, config, table)
-        records.append(record)
+    for index in range(1, config.N + 1):
+        out = match_step(seat1, seat2, config, table)
+        total1 += out.pay1
+        total2 += out.pay2
+        records.append(TickRecord(index, out.a1, out.a2, out.pay1, out.pay2,
+                                  out.cost1, out.cost2))
     return MatchTrace(
         records=tuple(records),
-        total1=state.total1,
-        total2=state.total2,
-        fault1=state.vm1.fault_reason,
-        fault2=state.vm2.fault_reason,
+        total1=total1,
+        total2=total2,
+        fault1=seat1.vm.fault_reason,
+        fault2=seat2.vm.fault_reason,
     )
 
 
@@ -163,11 +173,8 @@ def trace_to_csv(
     trace: MatchTrace, config: GameConfig, table: PayoffTable, extra_meta: str = ""
 ) -> str:
     """CSV export with a reproducibility header naming config hash and seed."""
-    digest = hashlib.sha256(
-        (dump_config_text(table, config) + extra_meta).encode("utf-8")
-    ).hexdigest()
     lines = [
-        f"# config_sha256={digest} seed={config.seed}",
+        config_header(table, config, extra_meta),
         "tick,a1,a2,pay1,pay2,cost1,cost2",
     ]
     for rec in trace.records:

@@ -16,67 +16,30 @@ replaces its move this very tick. The peek runs on a scratch copy of the
 machine and commits only when it produces an O, so non-opting strategies
 are unaffected.
 
+A pairing's tick, ``play_pair_tick``, is the pair-tick kernel of
+:mod:`boundedpd.match` with the peek between its two steps; the peek lives
+here because only the opting-out game has it. The draw model of
+:mod:`boundedpd.analysis` plays through the same function.
+
 Determinism: the random source is consumed only at rematch events, on a
 pool sorted by player id, so a fixed seed reproduces a run exactly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .game import (
-    Action, GameConfig, Mode, PayoffTable, dump_config_text, payoff, validate_table,
-)
-from .vm import Observation, StrategyProgram, VmState, reset, tick
+from .game import Action, GameConfig, Mode, PayoffTable, config_header, validate_table
+from .match import PairOutcome, Seat, seat_move, settle
+from .vm import Observation, StrategyProgram, VmState, tick
 
 
 # ---------------------------------------------------------------------------
-# One seat of a pairing (shared with the analysis layer's focal simulations)
+# One tick of a pairing
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Seat:
-    """A player's view of its current pairing."""
-
-    program: StrategyProgram
-    vm: VmState
-    last_own: Action | None = None
-    last_opp: Action | None = None
-    last_pay: Fraction | None = None
-
-    @staticmethod
-    def fresh(program: StrategyProgram) -> "Seat":
-        return Seat(program=program, vm=reset(program))
-
-    def observation(self, horizon: int) -> Observation:
-        return Observation(
-            opponent_last_action=self.last_opp,
-            own_last_action=self.last_own,
-            last_payoff=self.last_pay,
-            horizon_N=horizon,
-        )
-
-    def new_pairing(self) -> None:
-        """Forget the previous partner; the machine itself keeps running."""
-        self.last_own = None
-        self.last_opp = None
-        self.last_pay = None
-
-
-@dataclass(frozen=True)
-class PairOutcome:
-    a1: Action
-    a2: Action
-    pay1: Fraction
-    pay2: Fraction
-    split: bool
-    cost1: int
-    cost2: int
-
 
 def play_pair_tick(
     seat1: Seat,
@@ -85,43 +48,41 @@ def play_pair_tick(
     table: PayoffTable,
     asymmetric_split: bool = False,
 ) -> PairOutcome:
-    """One simultaneous tick of a pairing, with payoffs applied to the seats."""
-    obs1 = seat1.observation(config.N)
-    obs2 = seat2.observation(config.N)
-    vm1, a1 = tick(seat1.vm, seat1.program, obs1, config.k)
-    vm2, a2 = tick(seat2.vm, seat2.program, obs2, config.k)
+    """One simultaneous tick of a pairing, with payoffs applied to the seats.
+
+    The shared kernel's two steps, with the instantaneous-rematch peek
+    between them. Outside OPD there is no O to react with, so no peek.
+    """
+    vm1, a1 = seat_move(seat1, config)
+    vm2, a2 = seat_move(seat2, config)
     cost1, cost2 = vm1.tick_cost, vm2.tick_cost
-
-    if config.instantaneous_rematch:
-        # Same-round reaction to a waiting partner: peek, commit only on O.
-        if a2 is Action.W and a1 in (Action.C, Action.D):
-            peek_obs = Observation(
-                opponent_last_action=Action.W,
-                own_last_action=a1,
-                last_payoff=seat1.last_pay,
-                horizon_N=config.N,
-            )
-            peek_vm, peek_action = tick(vm1, seat1.program, peek_obs, config.k)
-            if peek_action is Action.O:
-                vm1, a1 = peek_vm, Action.O
-                cost1 += peek_vm.tick_cost
-        elif a1 is Action.W and a2 in (Action.C, Action.D):
-            peek_obs = Observation(
-                opponent_last_action=Action.W,
-                own_last_action=a2,
-                last_payoff=seat2.last_pay,
-                horizon_N=config.N,
-            )
-            peek_vm, peek_action = tick(vm2, seat2.program, peek_obs, config.k)
-            if peek_action is Action.O:
-                vm2, a2 = peek_vm, Action.O
-                cost2 += peek_vm.tick_cost
-
-    outcome = payoff(a1, a2, table, Mode.OPD, asymmetric_split)
-    seat1.vm, seat2.vm = vm1, vm2
-    seat1.last_own, seat1.last_opp, seat1.last_pay = a1, a2, outcome.p1
-    seat2.last_own, seat2.last_opp, seat2.last_pay = a2, a1, outcome.p2
+    if config.instantaneous_rematch and config.mode is Mode.OPD:
+        if a2 is Action.W:
+            vm1, a1, cost1 = _peek_at_wait(seat1, vm1, a1, cost1, config)
+        elif a1 is Action.W:
+            vm2, a2, cost2 = _peek_at_wait(seat2, vm2, a2, cost2, config)
+    outcome = settle(seat1, vm1, a1, seat2, vm2, a2, config, table, asymmetric_split)
     return PairOutcome(a1, a2, outcome.p1, outcome.p2, outcome.split, cost1, cost2)
+
+
+def _peek_at_wait(
+    seat: Seat, vm: VmState, action: Action, cost: int, config: GameConfig
+) -> tuple[VmState, Action, int]:
+    """Same-round reaction to a waiting partner: a seat that completed a C
+    or D ticks its machine once more against the wait, and the result
+    replaces its move only when it is an O."""
+    if action is not Action.C and action is not Action.D:
+        return vm, action, cost
+    obs = Observation(
+        opponent_last_action=Action.W,
+        own_last_action=action,
+        last_payoff=seat.last_pay,
+        horizon_N=config.N,
+    )
+    peek_vm, peek_action = tick(vm, seat.program, obs, config.k)
+    if peek_action is Action.O:
+        return peek_vm, Action.O, cost + peek_vm.tick_cost
+    return vm, action, cost
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +337,8 @@ def parse_population_spec(
 def trace_to_csv(
     trace: OpdTrace, config: GameConfig, table: PayoffTable, extra_meta: str = ""
 ) -> str:
-    digest = hashlib.sha256(
-        (dump_config_text(table, config) + extra_meta).encode("utf-8")
-    ).hexdigest()
     lines = [
-        f"# config_sha256={digest} seed={config.seed}",
+        config_header(table, config, extra_meta),
         "tick,event,player,partner,action,payoff",
     ]
     for event in trace.events:

@@ -267,6 +267,18 @@ class TestCompetitiveRatio:
         assert "undefined" in report.to_text()
 
 
+    def test_benchmark_searched_against_the_worst_of_same_named_models(self):
+        # GRIM earns 3 against AllC and -4 against AllD; the benchmark must
+        # come from AllD, where nothing beats waiting (h = 0), not from the
+        # first model carrying the shared name, where h = 6.
+        config = GameConfig(N=3, k=2)
+        models = [FixedOpponentModel("AllC", name="pal"), FixedOpponentModel("AllD", name="pal")]
+        report = competitive_ratio(get("GRIM", config), models, config, INTRO_TABLE,
+                                   size_bound=6)
+        assert report.security_level == -4
+        assert report.h == 0
+
+
 class TestTheoremFiveAtTheInvariantEdge:
     def test_nothing_beats_grim_at_n_six(self):
         # The largest horizon the desk-scale invariant covers; N=5 runs in

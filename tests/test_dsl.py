@@ -13,7 +13,6 @@ from boundedpd.dsl import (
     compile as compile_source,
     parse,
     print_source,
-    roundtrip,
     try_parse,
 )
 from boundedpd.game import Action, GameConfig, counter_width_for
@@ -63,6 +62,11 @@ class TestParse:
     def test_unknown_goto_label(self):
         with pytest.raises(DslError):
             parse("strategy X\nalways play C goto nowhere")
+
+    def test_unknown_goto_label_is_reported_at_the_label(self):
+        with pytest.raises(DslError) as err:
+            parse("strategy x\nalways play C\nalways goto nowhere\n")
+        assert str(err.value) == "3:13: goto to unknown label 'nowhere'"
 
     def test_goto_must_be_last(self):
         with pytest.raises(DslError) as err:
@@ -122,9 +126,9 @@ class TestRoundtrip:
     @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES])
     def test_builtins_reach_print_fixpoint(self, name):
         src = parse(source_text(name, CFG))
-        printed = roundtrip(src)
+        printed = print_source(src)
         assert parse(printed) == src
-        assert roundtrip(parse(printed)) == printed
+        assert print_source(parse(printed)) == printed
 
     def test_whitespace_and_comments_normalize(self):
         messy = "strategy   X\n\n  always    play C   # noise\n"

@@ -1,6 +1,7 @@
 """Fixed-horizon match engine tests."""
 
 import random as random_module
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from boundedpd.analysis import unprovoked_defection_tick
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import get
-from boundedpd.match import deviation_gain, run_match, trace_to_csv
-from boundedpd.vm import StrategyProgram, emit, halt, jump
+from boundedpd.match import TickRecord, deviation_gain, run_match, trace_to_csv
+from boundedpd.vm import (
+    CmpOp, Observation, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
+)
 
 from test_vm import random_program
 
@@ -66,6 +69,75 @@ class TestRunMatch:
         config = cfg(6)
         trace = run_match(get("GRIM", config), get("AllC", config), config, INTRO_TABLE)
         assert all(r.cost1 == 2 and r.cost2 == 0 for r in trace.records)
+
+
+def reference_match(p1, p2, config, table):
+    """The match semantics written out plainly against ``vm.tick``: each
+    player sees the previous tick's actions and its own payoff, both tick,
+    and an O (never legal in FTPD) faults the player into a waiter."""
+    programs, vms = (p1, p2), [reset(p1), reset(p2)]
+    last = None  # (a1, a2, pay1, pay2) of the previous tick
+    records, totals = [], [Fraction(0), Fraction(0)]
+    for index in range(1, config.N + 1):
+        actions = []
+        for me in (0, 1):
+            if last is None:
+                obs = Observation(horizon_N=config.N)
+            else:
+                obs = Observation(opponent_last_action=last[1 - me], own_last_action=last[me],
+                                  last_payoff=last[2 + me], horizon_N=config.N)
+            vm, action = tick(vms[me], programs[me], obs, config.k)
+            if action is Action.O:
+                vm = replace(vm, faulted=True, fault_reason="played O outside OPD mode")
+                action = W
+            vms[me] = vm
+            actions.append(action)
+        pay1, pay2 = payoff(actions[0], actions[1], table).pair()
+        totals[0] += pay1
+        totals[1] += pay2
+        records.append(TickRecord(index, actions[0], actions[1], pay1, pay2,
+                                  vms[0].tick_cost, vms[1].tick_cost))
+        last = (actions[0], actions[1], pay1, pay2)
+    return tuple(records), tuple(totals), (vms[0].fault_reason, vms[1].fault_reason)
+
+
+def pay_reader() -> StrategyProgram:
+    """Cooperate after a tick that paid at least zero, else defect: the
+    seats' payoff observations steer this program. Its 16-bit compare
+    finishes within one tick only when k >= 16."""
+    return StrategyProgram("PayReader", (
+        compare(Operand.obs("pay"), CmpOp.GE, Operand.const(0), 4),
+        emit(C), halt(), jump(0),
+        emit(D), halt(), jump(0),
+    ))
+
+
+class TestAgainstTheReference:
+    @staticmethod
+    def assert_same_as_reference(p1, p2, config):
+        trace = run_match(p1, p2, config, INTRO_TABLE)
+        records, totals, faults = reference_match(p1, p2, config, INTRO_TABLE)
+        assert trace.records == records
+        assert trace.totals == totals
+        assert (trace.fault1, trace.fault2) == faults
+
+    @given(st.integers(0, 10**9), st.integers(1, 40), st.integers(2, 20), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_program_pairs_match_the_plain_loop(self, seed, n, k, instantaneous):
+        # Instantaneous rematch belongs to the opting-out game: a match
+        # must not peek even when the flag is set. Reactive partners make
+        # the observations matter; random programs alone mostly ignore them.
+        rng = random_module.Random(seed)
+        config = GameConfig(N=n, k=k, instantaneous_rematch=instantaneous)
+        partners = [get("TFT", config), get("GRIM", config), pay_reader()]
+        pick = lambda: random_program(rng) if rng.randrange(3) else rng.choice(partners)
+        self.assert_same_as_reference(pick(), pick(), config)
+
+    @pytest.mark.parametrize("name", ["TFT", "GRIM", "AllC", "AllD"])
+    def test_payoff_observations_match_the_plain_loop(self, name):
+        config = GameConfig(N=12, k=16)
+        self.assert_same_as_reference(pay_reader(), get(name, config), config)
+        self.assert_same_as_reference(get(name, config), pay_reader(), config)
 
 
 class TestDeviationGain:

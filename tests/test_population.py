@@ -7,11 +7,13 @@ import pytest
 
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode
 from boundedpd.library import get
+from boundedpd.match import Seat
 from boundedpd.population import (
     PlayEvent,
     RematchEvent,
     expected_rematch_delay,
     parse_population_spec,
+    play_pair_tick,
     rematch,
     run_population,
     summary_to_csv,
@@ -222,6 +224,23 @@ class TestInstantaneousMode:
                                         initial_pairing=[(0, 1), (2, 3)])
             total_stay += stay_trace.summaries[0].total
         assert total_oft > total_stay
+
+    def test_the_second_seat_peeks_too(self):
+        config = opd_config(6, instantaneous=True)
+        trace = run_population(roster(config, "AllW", "OFT"), config, INTRO_TABLE,
+                               initial_pairing=[(0, 1)])
+        first = next(e for e in trace.events if isinstance(e, PlayEvent) and e.pid == 1)
+        assert (first.tick, first.action, first.split) == (1, O, True)
+
+    def test_no_peek_outside_opd(self):
+        # FTPD has no O to react with: OFT keeps its C on tick 1, and its
+        # opt-out on tick 2 is a fault.
+        config = GameConfig(N=3, instantaneous_rematch=True)
+        oft, waiter = Seat.fresh(get("OFT", config)), Seat.fresh(get("AllW", config))
+        outcomes = [play_pair_tick(oft, waiter, config, INTRO_TABLE) for _ in range(3)]
+        assert [o.a1 for o in outcomes] == [C, W, W]
+        assert not any(o.split for o in outcomes)
+        assert oft.vm.fault_reason == "played O outside OPD mode"
 
     def test_double_wait_pairs_do_not_peek(self):
         config = opd_config(5, instantaneous=True)
