@@ -25,12 +25,15 @@ one needed to count to N. Term order inside multi-term guards only adds
 compare cost without adding reachable behavior at desk-scale budgets (a
 two-term guard needs at least 4 XOR units to finish, so at k=2 such a rule
 can never fire), which is why single-term guards are the canonical form.
-Programs are deduplicated by their canonical source text and ties between
-equal payoffs go to the lexicographically smallest source.
+The enumeration yields each canonical source once, already within the size
+bound, so nothing is filtered after compiling (a test checks both over a
+grid of horizons and bounds). Ties between equal payoffs go to the
+lexicographically smallest source.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, replace
@@ -164,26 +167,24 @@ class DrawModel:
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
-        coop = _resolve(self.cooperative, config)
-        hostile = _resolve(self.hostile, config)
-        forced = None if self.first_draw is None else _resolve(self.first_draw, config)
+        # Named partners are compiled once here, not once per trial.
+        resolved = replace(
+            self,
+            cooperative=_resolve(self.cooperative, config),
+            hostile=_resolve(self.hostile, config),
+            first_draw=None if self.first_draw is None else _resolve(self.first_draw, config),
+        )
         values = [
-            float(self.run_trial(program, config, table, _derive_seed(seed, i),
-                                 _programs=(coop, hostile, forced)))
+            float(resolved.run_trial(program, config, table, _derive_seed(seed, i)))
             for i in range(trials)
         ]
         return _estimate(self.describe(), values)
 
     def run_trial(self, program: StrategyProgram, config: GameConfig,
-                  table: PayoffTable, trial_seed: int,
-                  _programs: tuple[StrategyProgram, StrategyProgram, StrategyProgram | None] | None = None,
-                  ) -> Fraction:
-        if _programs is None:
-            coop = _resolve(self.cooperative, config)
-            hostile = _resolve(self.hostile, config)
-            forced = None if self.first_draw is None else _resolve(self.first_draw, config)
-        else:
-            coop, hostile, forced = _programs
+                  table: PayoffTable, trial_seed: int) -> Fraction:
+        coop = _resolve(self.cooperative, config)
+        hostile = _resolve(self.hostile, config)
+        forced = None if self.first_draw is None else _resolve(self.first_draw, config)
         rng = random.Random(trial_seed)
         q = float(self.q)
 
@@ -283,6 +284,9 @@ class BoundTooLargeError(ValueError):
 
 _MAX_SIZE_BOUND = 12
 _MAX_CANDIDATES = 3_000_000
+#: Trials per candidate in the screen, and candidates kept from it.
+_SCREEN_TRIALS = 3
+_FINALISTS = 10
 
 
 def _rule_compiled_size(guard_terms: int, stmt_count: int, has_goto: bool, is_last: bool) -> int:
@@ -456,17 +460,12 @@ def enumerate_candidates(
 
     Deterministic order. Canonical means: unconditional rules only in last
     position, a declared counter is both incremented and tested somewhere,
-    the second state is goto-reachable, and no self-gotos.
+    the second state is goto-reachable, and no self-gotos. Each source is
+    distinct and fits the bound by construction, so every one is compiled
+    and yielded.
     """
-    seen: set[str] = set()
     for source in _iter_sources(config, size_bound, mode):
-        text = dsl.print_source(source)
-        if text in seen:
-            continue
-        seen.add(text)
-        program = dsl.compile(source, config)
-        if len(program.instructions) <= size_bound:
-            yield program
+        yield dsl.compile(source, config)
 
 
 def estimate_search_size(
@@ -507,62 +506,43 @@ def best_response(
     table: PayoffTable,
     size_bound: int = 8,
     trials: int = 100,
-    screen_trials: int = 3,
-    finalists: int = 10,
     seed: int = 0,
 ) -> BestResponseResult:
     """Exhaustive argmax over the canonical program space.
 
-    Against a fixed program the evaluation is exact. Against a population
-    model, candidates are screened on a few shared seeds and the finalists
-    re-evaluated on the full trial count; ties break to the smallest
-    canonical source.
+    A program opponent is the model ``FixedOpponentModel(opponent)``. Every
+    candidate is scored by the model's ``evaluate`` on a few shared seeds
+    and the best few are kept. An exact model (a fixed opponent) needs no
+    more: its leader is the answer. A sampled model's finalists are scored
+    again on the full trial count, so the result can miss a candidate the
+    short screen ranked too low. Ties break to the smallest canonical
+    source.
     """
     estimate = estimate_search_size(config, size_bound, limit=_MAX_CANDIDATES)
     if size_bound > _MAX_SIZE_BOUND or estimate > _MAX_CANDIDATES:
         raise BoundTooLargeError(estimate, _MAX_CANDIDATES)
+    model = FixedOpponentModel(opponent) if isinstance(opponent, StrategyProgram) else opponent
 
-    fixed = isinstance(opponent, StrategyProgram)
-    searched = 0
+    def rank(scored: tuple[ModelEstimate, StrategyProgram]) -> tuple:
+        est, candidate = scored
+        return (-est.mean, candidate.source)
 
-    if fixed:
-        best: tuple[Fraction, str, StrategyProgram] | None = None
-        for candidate in enumerate_candidates(config, size_bound):
-            searched += 1
-            if config.mode is Mode.FTPD:
-                value = run_match(candidate, opponent, config, table).total1
-            else:
-                trace = run_population(
-                    [("cand", candidate), ("opp", opponent)], config, table,
-                    initial_pairing=[(0, 1)],
-                )
-                value = trace.summaries[0].total
-            key = (value, candidate.source or "")
-            if best is None or value > best[0] or (value == best[0] and key[1] < best[1]):
-                best = (value, key[1], candidate)
-        if best is None:
-            raise RuntimeError("empty candidate space")
-        return BestResponseResult(best[2], best[0], best[1], searched, exact=True)
-
-    # Model opponent: racing evaluation on shared seeds.
-    scored: list[tuple[float, str, StrategyProgram]] = []
-    for candidate in enumerate_candidates(config, size_bound):
-        searched += 1
-        est = opponent.evaluate(candidate, config, table, trials=screen_trials, seed=seed)
-        scored.append((float(est.mean), candidate.source or "", candidate))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    best_final: tuple[float, str, StrategyProgram] | None = None
-    for _, source, candidate in scored[:finalists]:
-        est = opponent.evaluate(candidate, config, table, trials=trials, seed=seed)
-        value = float(est.mean)
-        if (
-            best_final is None
-            or value > best_final[0]
-            or (value == best_final[0] and source < best_final[1])
-        ):
-            best_final = (value, source, candidate)
-    assert best_final is not None
-    return BestResponseResult(best_final[2], best_final[0], best_final[1], searched, exact=False)
+    screened = (
+        (model.evaluate(candidate, config, table, trials=_SCREEN_TRIALS, seed=seed), candidate)
+        for candidate in enumerate_candidates(config, size_bound)
+    )
+    finalists = heapq.nsmallest(_FINALISTS, screened, key=rank)
+    if not finalists:
+        raise RuntimeError("empty candidate space")
+    best, program = finalists[0]
+    if not best.exact:
+        best, program = min(
+            ((model.evaluate(candidate, config, table, trials=trials, seed=seed), candidate)
+             for _, candidate in finalists),
+            key=rank,
+        )
+    # The enumeration yields one program per source the estimate counted.
+    return BestResponseResult(program, best.mean, program.source, estimate, best.exact)
 
 
 @dataclass(frozen=True)
@@ -624,7 +604,6 @@ class AnalysisReport:
     strategy: str
     security_level: Fraction | float
     security_model: str
-    mu: Fraction | float
     h: Fraction | float
     h_source: str
     competitive_ratio: float | None
@@ -645,7 +624,6 @@ class AnalysisReport:
                     f"(95% CI {lo:.3f}..{hi:.3f}, n={row.trials})"
                 )
         lines.append(f"security level: {float(self.security_level):.3f} (model {self.security_model})")
-        lines.append(f"expected payoff mu: {float(self.mu):.3f}")
         lines.append(f"maximizing benchmark h: {float(self.h):.3f} ({self.h_source.splitlines()[0]}...)")
         if self.competitive_ratio is None:
             lines.append("competitive ratio: undefined (h <= 0)")
@@ -661,7 +639,6 @@ class AnalysisReport:
         for row in self.rows:
             lines.append(f"mean[{row.model}],{float(row.mean)},{row.se}")
         lines.append(f"security_level,{float(self.security_level)},")
-        lines.append(f"mu,{float(self.mu)},")
         lines.append(f"h,{float(self.h)},")
         cr = "" if self.competitive_ratio is None else self.competitive_ratio
         lines.append(f"competitive_ratio,{cr},")
@@ -685,12 +662,8 @@ def competitive_ratio(
     sl = security_level(program, models, config, table, trials=trials, seed=seed)
     # By position: two models may share a name.
     worst_model = models[min(range(len(models)), key=lambda i: float(sl.rows[i].mean))]
-    if isinstance(worst_model, FixedOpponentModel):
-        opponent = _resolve(worst_model.opponent, config)
-        br = best_response(opponent, config, table, size_bound=size_bound)
-    else:
-        br = best_response(worst_model, config, table, size_bound=size_bound,
-                           trials=trials, seed=seed)
+    br = best_response(worst_model, config, table, size_bound=size_bound,
+                       trials=trials, seed=seed)
     h = br.payoff
     cr = float(sl.value) / float(h) if float(h) > 0 else None
     baseline = float(table.R * config.N)
@@ -698,7 +671,6 @@ def competitive_ratio(
         strategy=program.name,
         security_level=sl.value,
         security_model=sl.model,
-        mu=sl.value,
         h=h,
         h_source=br.source,
         competitive_ratio=cr,

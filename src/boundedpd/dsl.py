@@ -31,7 +31,7 @@ false whatever the operator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .game import Action, GameConfig, bit_width
 from . import vm
@@ -74,9 +74,15 @@ class ConstInt:
 
 @dataclass(frozen=True)
 class HorizonMinus:
-    """The compare constant ``N - offset``, resolved at compile time."""
+    """The compare constant ``N - offset``, resolved at compile time.
+
+    ``line`` and ``col`` locate the ``N`` token for diagnostics; they take
+    no part in equality, so a parsed value equals a built one.
+    """
 
     offset: int = 0
+    line: int = field(default=1, compare=False)
+    col: int = field(default=1, compare=False)
 
     def render(self) -> str:
         return "N" if self.offset == 0 else f"N-{self.offset}"
@@ -374,7 +380,7 @@ def _parse_term(parser: _LineParser, counters: dict[str, int]) -> Term:
             if not offset_token.text.isdigit():
                 raise DslError("expected integer after 'N-'", offset_token.line, offset_token.col)
             offset = int(offset_token.text)
-        value = HorizonMinus(offset)
+        value = HorizonMinus(offset, value_token.line, value_token.col)
     else:
         raise DslError(f"expected action, integer, or N, got {value_token.text!r}",
                        value_token.line, value_token.col)
@@ -490,7 +496,7 @@ def _resolve_value(value: Value, config: GameConfig) -> Operand:
         return Operand.const(value.value)
     resolved = config.N - value.offset
     if resolved < 0:
-        raise DslError(f"N-{value.offset} is negative at N={config.N}")
+        raise DslError(f"N-{value.offset} is negative at N={config.N}", value.line, value.col)
     return Operand.const(resolved)
 
 

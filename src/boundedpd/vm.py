@@ -182,9 +182,6 @@ class Observation:
     horizon_N: int = 1
 
 
-EMPTY_OBSERVATION = Observation()
-
-
 @dataclass(frozen=True)
 class Pending:
     """A compare caught mid-flight: operand values are latched at start."""

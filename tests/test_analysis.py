@@ -131,6 +131,40 @@ class TestBestResponse:
         count = sum(1 for _ in enumerate_candidates(config, 7))
         assert estimate_search_size(config, 7) == count
 
+    @pytest.mark.parametrize("mode", [Mode.FTPD, Mode.OPD])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 12])
+    def test_enumeration_needs_no_filter(self, n, mode):
+        # Every generated source is distinct and compiles within the bound,
+        # so the enumeration neither deduplicates nor re-checks sizes.
+        config = GameConfig(N=n, mode=mode, k=2)
+        for bound in list(range(1, 7)) + ([7] if n in (3, 9) else []):
+            texts = set()
+            count = 0
+            for program in enumerate_candidates(config, bound):
+                assert len(program.instructions) <= bound, program.source
+                texts.add(program.source)
+                count += 1
+            assert len(texts) == count == estimate_search_size(config, bound)
+
+    @pytest.mark.parametrize("config", [GameConfig(N=4, k=2), opd(4)])
+    def test_a_program_opponent_is_its_fixed_opponent_model(self, config):
+        opponent = get("TFT", config)
+        direct = best_response(opponent, config, INTRO_TABLE, size_bound=6)
+        modelled = best_response(FixedOpponentModel(opponent), config, INTRO_TABLE,
+                                 size_bound=6)
+        assert direct == modelled
+        assert direct.exact
+
+    def test_draw_model_search_is_pinned(self):
+        # Recorded before the fixed-opponent and model searches were merged.
+        config = opd(20)
+        result = best_response(DrawModel(q=Fraction(1, 2)), config, INTRO_TABLE,
+                               size_bound=6, trials=40, seed=3)
+        assert result.payoff == 17.0
+        assert result.source == "strategy cand\nif opp != C then play O\nalways play C\n"
+        assert result.searched == 716
+        assert result.exact is False
+
 
 class TestEquilibriumCheck:
     def test_grim_pair_is_a_cooperative_equilibrium(self):

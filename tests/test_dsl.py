@@ -184,6 +184,16 @@ class TestCompile:
         with pytest.raises(DslError):
             compile_source(parse(text), GameConfig(N=5, k=2))
 
+    def test_negative_horizon_constant_is_reported_at_the_n(self):
+        text = ("strategy x\ncounter n: 3 bits\n"
+                "if n >= N-20 then play D inc n\nalways play C inc n\n")
+        source = parse(text)
+        # The position takes no part in equality.
+        assert source.rules[0].guard[0].value == HorizonMinus(20)
+        with pytest.raises(DslError) as err:
+            compile_source(source, GameConfig(N=5))
+        assert str(err.value) == "3:9: N-20 is negative at N=5"
+
     def test_unreachable_rule_diagnostic(self):
         text = "strategy X\nalways play C\nif opp == D then play D"
         diagnostics: list[str] = []
