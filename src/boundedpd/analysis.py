@@ -421,6 +421,9 @@ def _iter_sources(
             return True
         return any(c.incs for c in combos) and any(c.tests_counter for c in combos)
 
+    def labeled(combo: _StateCombo, label: str) -> tuple[dsl.Rule, ...]:
+        return (replace(combo.rules[0], label=label),) + combo.rules[1:]
+
     for with_counter in (False, True):
         decls = (dsl.Decl("n", width),) if with_counter else ()
 
@@ -437,18 +440,18 @@ def _iter_sources(
         to_s0 = _rule_infos(actions, action_terms, counter_terms, with_counter, "s0")
         combos1 = _state_combos(to_s0, size_bound - 4)  # s0 takes 4 at minimum
         min_size1 = min((c.size for c in combos1), default=0)
+        rules1 = [labeled(combo1, "s1") for combo1 in combos1]
         for combo0 in _state_combos(to_s1, size_bound - min_size1):
             if not combo0.gotos:
                 continue
             budget1 = size_bound - combo0.size
-            for combo1 in combos1:
+            rules0 = labeled(combo0, "s0")
+            for combo1, tail in zip(combos1, rules1):
                 if combo1.size > budget1:
                     continue
                 if not counter_ok(with_counter, combo0, combo1):
                     continue
-                labeled0 = (replace(combo0.rules[0], label="s0"),) + combo0.rules[1:]
-                labeled1 = (replace(combo1.rules[0], label="s1"),) + combo1.rules[1:]
-                yield dsl.StrategySource("cand", decls, labeled0 + labeled1)
+                yield dsl.StrategySource("cand", decls, rules0 + tail)
 
 
 def enumerate_candidates(

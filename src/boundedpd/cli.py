@@ -51,17 +51,11 @@ def _load_table(spec: str | None) -> PayoffTable:
         raise CliError(f"{spec}: {exc}") from exc
 
 
-def _build_config(args: argparse.Namespace, mode: Mode) -> GameConfig:
+def _build_config(**fields) -> GameConfig:
+    """The one way a subcommand builds its config: an out-of-range field
+    is a usage error (exit 2), not a crash."""
     try:
-        return GameConfig(
-            N=args.N,
-            mode=mode,
-            t=getattr(args, "t", 1),
-            K=getattr(args, "K", 1),
-            k=args.k,
-            instantaneous_rematch=getattr(args, "instantaneous_rematch", False),
-            seed=args.seed,
-        )
+        return GameConfig(**fields)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -100,7 +94,7 @@ def _add_common(parser: argparse.ArgumentParser, default_n: int) -> None:
 
 def cmd_match(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
-    config = _build_config(args, Mode.FTPD)
+    config = _build_config(N=args.N, k=args.k, seed=args.seed)
     p1 = _resolve_strategy(args.strategy1, config)
     p2 = _resolve_strategy(args.strategy2, config)
     try:
@@ -120,8 +114,8 @@ def cmd_population(args: argparse.Namespace) -> int:
         raise CliError(f"population spec file {args.popspec!r} not found")
     spec_text = spec_path.read_text(encoding="utf-8")
     # K is determined by the roster size.
-    probe = GameConfig(N=args.N, mode=Mode.OPD, t=args.t, K=1, k=args.k,
-                       instantaneous_rematch=args.instantaneous_rematch, seed=args.seed)
+    probe = _build_config(N=args.N, mode=Mode.OPD, t=args.t, k=args.k,
+                          instantaneous_rematch=args.instantaneous_rematch, seed=args.seed)
     try:
         roster = parse_population_spec(spec_text, probe, base_dir=spec_path.parent)
     except (PopulationSpecError, dsl.DslError) as exc:
@@ -149,6 +143,8 @@ def cmd_population(args: argparse.Namespace) -> int:
 def _delay_to_schedule(r: Fraction) -> tuple[bool, int]:
     """Map an expected rematch delay r to engine settings: instantaneous for
     r=0, otherwise the period t with (t-1)/2 = r."""
+    if r < 0:
+        raise CliError("--r must be at least 0")
     if r == 0:
         return True, 1
     t = 2 * r + 1
@@ -213,8 +209,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     rows = []
     for n in horizons:
-        config = GameConfig(N=n, mode=mode, t=t, K=1, k=args.k,
-                            instantaneous_rematch=instantaneous, seed=args.seed)
+        config = _build_config(N=n, mode=mode, t=t, k=args.k,
+                               instantaneous_rematch=instantaneous, seed=args.seed)
         program = _resolve_strategy(args.strategy, config)
         report = analysis.competitive_ratio(
             program, models, config, table,
@@ -238,7 +234,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_list_strategies(args: argparse.Namespace) -> int:
-    config = GameConfig(N=args.N, k=args.k)
+    config = _build_config(N=args.N, k=args.k)
     for entry in library.catalog(config).values():
         modes = "+".join(m.value for m in entry.modes)
         print(f"{entry.name}\tworst tick cost {entry.documented_cost}\t{modes}")

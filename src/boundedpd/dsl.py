@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .game import Action, GameConfig, bit_width
 from . import vm
-from .vm import CmpOp, Instruction, Operand, StrategyProgram
+from .vm import OBS_FIELDS, CmpOp, Instruction, Operand, StrategyProgram
 
 #: Declared counters may not exceed this width.
 WIDTH_CAP = 32
@@ -45,8 +45,6 @@ KEYWORDS = {
     "play", "inc", "goto", "and", "opp", "own", "N",
     "C", "D", "W", "O",
 }
-
-OBS_FIELD_NAMES = ("opp", "own")
 
 _ACTIONS = {"C": Action.C, "D": Action.D, "W": Action.W, "O": Action.O}
 _CMP_OPS = {"==": CmpOp.EQ, "!=": CmpOp.NE, "<": CmpOp.LT, ">=": CmpOp.GE}
@@ -357,7 +355,7 @@ def _parse_guard(parser: _LineParser, counters: dict[str, int]) -> tuple[Term, .
 def _parse_term(parser: _LineParser, counters: dict[str, int]) -> Term:
     field_token = parser.next()
     field = field_token.text
-    if field not in OBS_FIELD_NAMES and field not in counters:
+    if field not in OBS_FIELDS and field not in counters:
         raise DslError(f"unknown field {field!r}", field_token.line, field_token.col)
 
     op_token = parser.next()
@@ -385,7 +383,7 @@ def _parse_term(parser: _LineParser, counters: dict[str, int]) -> Term:
         raise DslError(f"expected action, integer, or N, got {value_token.text!r}",
                        value_token.line, value_token.col)
 
-    if field in OBS_FIELD_NAMES:
+    if field in OBS_FIELDS:
         if not isinstance(value, ConstAction):
             raise DslError("observation fields compare against actions only",
                            value_token.line, value_token.col)
@@ -501,7 +499,7 @@ def _resolve_value(value: Value, config: GameConfig) -> Operand:
 
 
 def _term_width(term: Term, widths: dict[str, int], config: GameConfig) -> int:
-    if term.field in OBS_FIELD_NAMES:
+    if term.field in OBS_FIELDS:
         return 2
     counter_width = widths[term.field]
     value = term.value
@@ -578,7 +576,7 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
             on_false = rule_start + rule_sizes[si][ri] if ri < len(state.rules) - 1 else epilogue
             for term in rule.guard:
                 scan_cost += _term_width(term, counter_widths, config)
-                if term.field in OBS_FIELD_NAMES:
+                if term.field in OBS_FIELDS:
                     lhs = Operand.obs(term.field)
                 else:
                     lhs = Operand.reg(counter_index[term.field])

@@ -3,9 +3,9 @@
 A ``Seat`` is one player's side of a pairing. Every engine plays a tick of
 a pairing in two steps: ``seat_move`` ticks each machine against the
 completed actions of the previous tick (so moves are simultaneous), and
-``settle`` pays the action pair and commits it to both seats. A program
-fault, including playing O in a mode that forbids it, turns the offender
-into a perpetual waiter from that tick on.
+``settle`` pays the action pair, commits it to both seats and returns the
+tick's ``PairOutcome``. A program fault, including playing O in a mode that
+forbids it, turns the offender into a perpetual waiter from that tick on.
 
 ``match_step`` is the two steps back to back: a fixed-horizon match is the
 opting-out game without the opt-out. ``population.play_pair_tick`` puts
@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .game import (
-    Action, GameConfig, Mode, PayoffOutcome, PayoffTable, config_header, payoff,
-    validate_table,
+    Action, GameConfig, Mode, PayoffTable, config_header, payoff, validate_table,
 )
 from .vm import Observation, StrategyProgram, VmState, reset, tick
 
@@ -57,7 +56,6 @@ class Seat:
     vm: VmState
     last_own: Action | None = None
     last_opp: Action | None = None
-    last_pay: Fraction | None = None
 
     @staticmethod
     def fresh(program: StrategyProgram) -> "Seat":
@@ -67,7 +65,6 @@ class Seat:
         """Forget the previous partner; the machine itself keeps running."""
         self.last_own = None
         self.last_opp = None
-        self.last_pay = None
 
 
 @dataclass(frozen=True)
@@ -88,12 +85,7 @@ def seat_move(seat: Seat, config: GameConfig) -> tuple[VmState, Action]:
     set (FTPD lacks it); playing it there is a program fault: the player
     waits from here on and this tick's move is already a wait.
     """
-    obs = Observation(
-        opponent_last_action=seat.last_opp,
-        own_last_action=seat.last_own,
-        last_payoff=seat.last_pay,
-        horizon_N=config.N,
-    )
+    obs = Observation(opponent_last_action=seat.last_opp, own_last_action=seat.last_own)
     vm, action = tick(seat.vm, seat.program, obs, config.k)
     if action is Action.O and config.mode is not Mode.OPD:
         vm = replace(vm, faulted=True, fault_reason="played O outside OPD mode")
@@ -102,25 +94,24 @@ def seat_move(seat: Seat, config: GameConfig) -> tuple[VmState, Action]:
 
 
 def settle(
-    seat1: Seat, vm1: VmState, a1: Action,
-    seat2: Seat, vm2: VmState, a2: Action,
+    seat1: Seat, vm1: VmState, a1: Action, cost1: int,
+    seat2: Seat, vm2: VmState, a2: Action, cost2: int,
     config: GameConfig, table: PayoffTable, asymmetric_split: bool = False,
-) -> PayoffOutcome:
+) -> PairOutcome:
     """Pay the tick's action pair and commit it, with each seat's new
-    machine state, to both seats."""
+    machine state, to both seats; ``cost1``/``cost2`` are the XOR units
+    each seat spent on the tick."""
     outcome = payoff(a1, a2, table, config.mode, asymmetric_split)
-    seat1.vm, seat1.last_own, seat1.last_opp, seat1.last_pay = vm1, a1, a2, outcome.p1
-    seat2.vm, seat2.last_own, seat2.last_opp, seat2.last_pay = vm2, a2, a1, outcome.p2
-    return outcome
+    seat1.vm, seat1.last_own, seat1.last_opp = vm1, a1, a2
+    seat2.vm, seat2.last_own, seat2.last_opp = vm2, a2, a1
+    return PairOutcome(a1, a2, outcome.p1, outcome.p2, outcome.split, cost1, cost2)
 
 
 def match_step(seat1: Seat, seat2: Seat, config: GameConfig, table: PayoffTable) -> PairOutcome:
     """Advance one tick; both players observe, then both move."""
     vm1, a1 = seat_move(seat1, config)
     vm2, a2 = seat_move(seat2, config)
-    outcome = settle(seat1, vm1, a1, seat2, vm2, a2, config, table)
-    return PairOutcome(a1, a2, outcome.p1, outcome.p2, outcome.split,
-                       vm1.tick_cost, vm2.tick_cost)
+    return settle(seat1, vm1, a1, vm1.tick_cost, seat2, vm2, a2, vm2.tick_cost, config, table)
 
 
 def run_match(

@@ -61,8 +61,7 @@ def play_pair_tick(
             vm1, a1, cost1 = _peek_at_wait(seat1, vm1, a1, cost1, config)
         elif a1 is Action.W:
             vm2, a2, cost2 = _peek_at_wait(seat2, vm2, a2, cost2, config)
-    outcome = settle(seat1, vm1, a1, seat2, vm2, a2, config, table, asymmetric_split)
-    return PairOutcome(a1, a2, outcome.p1, outcome.p2, outcome.split, cost1, cost2)
+    return settle(seat1, vm1, a1, cost1, seat2, vm2, a2, cost2, config, table, asymmetric_split)
 
 
 def _peek_at_wait(
@@ -73,12 +72,7 @@ def _peek_at_wait(
     replaces its move only when it is an O."""
     if action is not Action.C and action is not Action.D:
         return vm, action, cost
-    obs = Observation(
-        opponent_last_action=Action.W,
-        own_last_action=action,
-        last_payoff=seat.last_pay,
-        horizon_N=config.N,
-    )
+    obs = Observation(opponent_last_action=Action.W, own_last_action=action)
     peek_vm, peek_action = tick(vm, seat.program, obs, config.k)
     if peek_action is Action.O:
         return peek_vm, Action.O, cost + peek_vm.tick_cost

@@ -8,6 +8,12 @@ budget suspends: the tick's action is W, and the compare resumes next tick
 with a fresh budget (progress is kept, operand values are latched at the
 moment the compare started).
 
+The instruction set is what :func:`boundedpd.dsl.compile` emits: EMIT,
+COMPARE, INCREMENT, JUMP and HALT. A compare's operands are constants,
+counter registers and the two observations, the player's own and the
+opponent's action on the previous tick. The horizon N is not an input; the
+compiler turns it into a constant.
+
 Control flow model:
 
 * Execution proceeds instruction by instruction from the current pc.
@@ -30,16 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .game import Action, bit_width, counter_width_for
+from .game import Action, bit_width
 
 #: Action encoding used in registers and compare operands.
 ACTION_CODE = {Action.C: 0, Action.D: 1, Action.W: 2, Action.O: 3}
-
-#: Width charged when a compare touches the payoff observation. Payoffs are
-#: rationals, so this is a documented convention rather than a storage size.
-PAYOFF_OPERAND_WIDTH = 16
 
 #: Bookkeeping steps allowed per tick before the program is declared faulty
 #: (guards against zero-cost jump loops in hand-written programs).
@@ -50,8 +51,6 @@ class Opcode(Enum):
     EMIT = "EMIT"
     COMPARE = "COMPARE"
     INCREMENT = "INCREMENT"
-    LOAD_CONST = "LOAD_CONST"
-    LOAD_OBS = "LOAD_OBS"
     JUMP = "JUMP"
     HALT = "HALT"
 
@@ -70,7 +69,7 @@ class OperandKind(Enum):
     OBS = "obs"
 
 
-OBS_FIELDS = ("opp", "own", "pay", "horizon")
+OBS_FIELDS = ("opp", "own")
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,7 @@ class Instruction:
     op: CmpOp | None = None               # COMPARE
     rhs: Operand | None = None            # COMPARE
     on_false: int | None = None           # COMPARE jump target
-    reg: int | None = None                # INCREMENT / LOAD_*
-    value: int | None = None              # LOAD_CONST
-    field: str | None = None              # LOAD_OBS
+    reg: int | None = None                # INCREMENT
     target: int | None = None             # JUMP
 
 
@@ -121,16 +118,6 @@ def compare(lhs: Operand, op: CmpOp, rhs: Operand, on_false: int) -> Instruction
 
 def increment(reg: int) -> Instruction:
     return Instruction(Opcode.INCREMENT, reg=reg)
-
-
-def load_const(reg: int, value: int) -> Instruction:
-    return Instruction(Opcode.LOAD_CONST, reg=reg, value=value)
-
-
-def load_obs(reg: int, field: str) -> Instruction:
-    if field == "pay":
-        raise ValueError("the payoff observation cannot be loaded into an integer register")
-    return Instruction(Opcode.LOAD_OBS, reg=reg, field=field)
 
 
 def jump(target: int) -> Instruction:
@@ -168,18 +155,17 @@ class StrategyProgram:
 
 @dataclass(frozen=True)
 class Observation:
-    """What a player can see at the start of a tick.
+    """What a player can see at the start of a tick: the two actions of the
+    previous tick of its current pairing, None before the first.
 
-    There is deliberately no tick index: a player who wants to know the time
-    must count, and counting costs compares. The horizon N is an input to
-    the game and is always visible. The previous round's payoff is visible
-    at zero cost.
+    There is deliberately no tick index and no payoff: a player who wants
+    to know the time must count, and counting costs compares; a tick's
+    payoff is a function of the two actions it already sees. The horizon N
+    reaches a program only as a constant compiled into it.
     """
 
     opponent_last_action: Action | None = None
     own_last_action: Action | None = None
-    last_payoff: Fraction | None = None
-    horizon_N: int = 1
 
 
 @dataclass(frozen=True)
@@ -245,26 +231,19 @@ def validate_program(program: StrategyProgram) -> list[str]:
                     check_reg(idx, operand.value)  # type: ignore[arg-type]
         elif ins.opcode is Opcode.JUMP:
             check_target(idx, ins.target, "jump")
-        elif ins.opcode in (Opcode.INCREMENT, Opcode.LOAD_CONST, Opcode.LOAD_OBS):
+        elif ins.opcode is Opcode.INCREMENT:
             check_reg(idx, ins.reg)
         elif ins.opcode is Opcode.EMIT and ins.action is None:
             problems.append(f"instruction {idx}: EMIT without an action")
     return problems
 
 
-def _operand_width(operand: Operand, program: StrategyProgram, obs: Observation) -> int:
+def _operand_width(operand: Operand, program: StrategyProgram) -> int:
     if operand.kind is OperandKind.CONST_INT:
         return bit_width(operand.value)  # type: ignore[arg-type]
-    if operand.kind is OperandKind.CONST_ACTION:
-        return 2
     if operand.kind is OperandKind.REG:
         return program.reg_widths[operand.value]  # type: ignore[index]
-    field = operand.value
-    if field in ("opp", "own"):
-        return 2
-    if field == "horizon":
-        return counter_width_for(obs.horizon_N)
-    return PAYOFF_OPERAND_WIDTH
+    return 2  # an action: a constant or an observation
 
 
 def _operand_value(operand: Operand, regs: tuple[int, ...], obs: Observation) -> object:
@@ -274,16 +253,8 @@ def _operand_value(operand: Operand, regs: tuple[int, ...], obs: Observation) ->
         return ACTION_CODE[operand.value]  # type: ignore[index]
     if operand.kind is OperandKind.REG:
         return regs[operand.value]  # type: ignore[index]
-    field = operand.value
-    if field == "opp":
-        a = obs.opponent_last_action
-        return None if a is None else ACTION_CODE[a]
-    if field == "own":
-        a = obs.own_last_action
-        return None if a is None else ACTION_CODE[a]
-    if field == "pay":
-        return obs.last_payoff
-    return obs.horizon_N
+    a = obs.opponent_last_action if operand.value == "opp" else obs.own_last_action
+    return None if a is None else ACTION_CODE[a]
 
 
 def _evaluate(op: CmpOp, lhs: object, rhs: object) -> bool:
@@ -370,8 +341,8 @@ def tick(
         if opcode is Opcode.COMPARE:
             try:
                 width = compare_cost(max(
-                    _operand_width(ins.lhs, program, obs),
-                    _operand_width(ins.rhs, program, obs),
+                    _operand_width(ins.lhs, program),
+                    _operand_width(ins.rhs, program),
                 ))
                 lhs_value = _operand_value(ins.lhs, tuple(regs), obs)
                 rhs_value = _operand_value(ins.rhs, tuple(regs), obs)
@@ -407,25 +378,6 @@ def tick(
                 return _fault(state, regs, spent, f"register {reg} out of range")
             mask = (1 << program.reg_widths[reg]) - 1
             regs[reg] = (regs[reg] + 1) & mask
-            pc += 1
-            continue
-
-        if opcode is Opcode.LOAD_CONST:
-            reg = ins.reg
-            if reg is None or not (0 <= reg < len(regs)):
-                return _fault(state, regs, spent, f"register {reg} out of range")
-            mask = (1 << program.reg_widths[reg]) - 1
-            regs[reg] = int(ins.value or 0) & mask
-            pc += 1
-            continue
-
-        if opcode is Opcode.LOAD_OBS:
-            reg = ins.reg
-            if reg is None or not (0 <= reg < len(regs)):
-                return _fault(state, regs, spent, f"register {reg} out of range")
-            raw = _operand_value(Operand.obs(ins.field or "opp"), tuple(regs), obs)
-            mask = (1 << program.reg_widths[reg]) - 1
-            regs[reg] = (0 if raw is None else int(raw)) & mask
             pc += 1
             continue
 

@@ -147,6 +147,31 @@ class TestAnalyze:
         assert code == 2 and "population models" in err
 
 
+class TestOutOfRangeConfig:
+    """A config outside the game's ranges is a usage error in every
+    subcommand: exit 2 and one ``boundedpd:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "OFT", "--q", "0.5", "--r", "-1"], "--r must be at least 0"),
+        (["analyze", "OFT", "--q", "0.5", "--N", "0"], "N must be at least 1"),
+        (["analyze", "OFT", "--q", "0.5", "--k", "1"], "budget k must be at least 2"),
+        (["list-strategies", "--N", "0"], "N must be at least 1"),
+    ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N"])
+    def test_rejected_with_usage_code(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("boundedpd: ") and message in err
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--N", "0"], "N must be at least 1"),
+        (["--t", "0"], "rematch period t must be at least 1"),
+    ], ids=["N", "t"])
+    def test_population_rejected_with_usage_code(self, tmp_path, flag, message):
+        spec = tmp_path / "pop.txt"
+        spec.write_text("2 x GRIM\n")
+        self.test_rejected_with_usage_code(["population", str(spec)] + flag, message)
+
+
 class TestListStrategies:
     def test_catalog_listing(self):
         code, out, _ = run_cli(["list-strategies", "--N", "1000"])

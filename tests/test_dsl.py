@@ -215,7 +215,7 @@ class TestCompile:
         state = reset(program)
         actions = []
         for _ in range(4):
-            state, action = tick(state, program, Observation(horizon_N=10), 2)
+            state, action = tick(state, program, Observation(), 2)
             actions.append(action.value)
         assert "".join(actions) == "CDCD"
 
@@ -232,7 +232,7 @@ class TestCompile:
         state = reset(program)
         seq = []
         for opp in (None, Action.D, Action.C, Action.C):
-            state, action = tick(state, program, Observation(opponent_last_action=opp, horizon_N=10), 2)
+            state, action = tick(state, program, Observation(opponent_last_action=opp), 2)
             seq.append(action.value)
         assert "".join(seq) == "CWDD"
 
@@ -263,9 +263,9 @@ class TestDecompile:
     def test_debug_trace_lists_pc_cost_action(self):
         from boundedpd.vm import Observation, debug_trace, format_debug_trace
         program = compile_source(parse(GRIM_TEXT), CFG)
-        obs = [Observation(horizon_N=10),
-               Observation(opponent_last_action=Action.W, horizon_N=10),
-               Observation(opponent_last_action=Action.C, horizon_N=10)]
+        obs = [Observation(),
+               Observation(opponent_last_action=Action.W),
+               Observation(opponent_last_action=Action.C)]
         records = debug_trace(program, obs, 2)
         assert [r.action.value for r in records] == ["C", "D", "D"]
         assert records[0].cost == 2 and records[2].cost == 0

@@ -31,10 +31,8 @@ def measured_worst_cost(name: str, config: GameConfig) -> int:
         mine, theirs = reset(program), reset(partner)
         my_last = their_last = None
         for _ in range(config.N):
-            obs_mine = Observation(opponent_last_action=their_last,
-                                   own_last_action=my_last, horizon_N=config.N)
-            obs_theirs = Observation(opponent_last_action=my_last,
-                                     own_last_action=their_last, horizon_N=config.N)
+            obs_mine = Observation(opponent_last_action=their_last, own_last_action=my_last)
+            obs_theirs = Observation(opponent_last_action=my_last, own_last_action=their_last)
             mine, my_action = tick(mine, program, obs_mine, config.k)
             theirs, their_action = tick(theirs, partner, obs_theirs, config.k)
             my_last, their_last = my_action, their_action

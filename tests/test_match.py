@@ -73,19 +73,18 @@ class TestRunMatch:
 
 def reference_match(p1, p2, config, table):
     """The match semantics written out plainly against ``vm.tick``: each
-    player sees the previous tick's actions and its own payoff, both tick,
-    and an O (never legal in FTPD) faults the player into a waiter."""
+    player sees the previous tick's actions, both tick, and an O (never
+    legal in FTPD) faults the player into a waiter."""
     programs, vms = (p1, p2), [reset(p1), reset(p2)]
-    last = None  # (a1, a2, pay1, pay2) of the previous tick
+    last = None  # (a1, a2) of the previous tick
     records, totals = [], [Fraction(0), Fraction(0)]
     for index in range(1, config.N + 1):
         actions = []
         for me in (0, 1):
             if last is None:
-                obs = Observation(horizon_N=config.N)
+                obs = Observation()
             else:
-                obs = Observation(opponent_last_action=last[1 - me], own_last_action=last[me],
-                                  last_payoff=last[2 + me], horizon_N=config.N)
+                obs = Observation(opponent_last_action=last[1 - me], own_last_action=last[me])
             vm, action = tick(vms[me], programs[me], obs, config.k)
             if action is Action.O:
                 vm = replace(vm, faulted=True, fault_reason="played O outside OPD mode")
@@ -97,18 +96,20 @@ def reference_match(p1, p2, config, table):
         totals[1] += pay2
         records.append(TickRecord(index, actions[0], actions[1], pay1, pay2,
                                   vms[0].tick_cost, vms[1].tick_cost))
-        last = (actions[0], actions[1], pay1, pay2)
+        last = (actions[0], actions[1])
     return tuple(records), tuple(totals), (vms[0].fault_reason, vms[1].fault_reason)
 
 
-def pay_reader() -> StrategyProgram:
-    """Cooperate after a tick that paid at least zero, else defect: the
-    seats' payoff observations steer this program. Its 16-bit compare
-    finishes within one tick only when k >= 16."""
-    return StrategyProgram("PayReader", (
-        compare(Operand.obs("pay"), CmpOp.GE, Operand.const(0), 4),
-        emit(C), halt(), jump(0),
+def retaliator() -> StrategyProgram:
+    """Defect on the tick after being exploited (own C, partner not C),
+    else cooperate. It reads both observations unevenly, so swapping a
+    seat's own and opp changes its play. Its two compares fit in one tick
+    only when k >= 4."""
+    return StrategyProgram("Retaliator", (
+        compare(Operand.obs("own"), CmpOp.EQ, Operand.action(C), 5),
+        compare(Operand.obs("opp"), CmpOp.NE, Operand.action(C), 5),
         emit(D), halt(), jump(0),
+        emit(C), halt(), jump(0),
     ))
 
 
@@ -125,19 +126,20 @@ class TestAgainstTheReference:
     @settings(max_examples=150, deadline=None)
     def test_random_program_pairs_match_the_plain_loop(self, seed, n, k, instantaneous):
         # Instantaneous rematch belongs to the opting-out game: a match
-        # must not peek even when the flag is set. Reactive partners make
-        # the observations matter; random programs alone mostly ignore them.
+        # must not peek even when the flag is set. A third of the seats go
+        # to reactive partners whose play depends on what they see.
         rng = random_module.Random(seed)
         config = GameConfig(N=n, k=k, instantaneous_rematch=instantaneous)
-        partners = [get("TFT", config), get("GRIM", config), pay_reader()]
+        partners = [get("TFT", config), get("GRIM", config), retaliator()]
         pick = lambda: random_program(rng) if rng.randrange(3) else rng.choice(partners)
         self.assert_same_as_reference(pick(), pick(), config)
 
     @pytest.mark.parametrize("name", ["TFT", "GRIM", "AllC", "AllD"])
-    def test_payoff_observations_match_the_plain_loop(self, name):
-        config = GameConfig(N=12, k=16)
-        self.assert_same_as_reference(pay_reader(), get(name, config), config)
-        self.assert_same_as_reference(get(name, config), pay_reader(), config)
+    def test_both_observations_match_the_plain_loop(self, name):
+        for k in (2, 4):
+            config = GameConfig(N=12, k=k)
+            self.assert_same_as_reference(retaliator(), get(name, config), config)
+            self.assert_same_as_reference(get(name, config), retaliator(), config)
 
 
 class TestDeviationGain:

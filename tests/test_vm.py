@@ -1,7 +1,5 @@
 """Budget accounting, suspension, and fault behavior of the strategy VM."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,8 +16,6 @@ from boundedpd.vm import (
     halt,
     increment,
     jump,
-    load_const,
-    load_obs,
     reset,
     tick,
     validate_program,
@@ -29,9 +25,8 @@ C, D, W, O = Action.C, Action.D, Action.W, Action.O
 CFG = GameConfig(N=10, k=2)
 
 
-def obs(opp=None, own=None, pay=None, horizon=10) -> Observation:
-    return Observation(opponent_last_action=opp, own_last_action=own,
-                       last_payoff=pay, horizon_N=horizon)
+def obs(opp=None, own=None) -> Observation:
+    return Observation(opponent_last_action=opp, own_last_action=own)
 
 
 def run_actions(program: StrategyProgram, observations, k=2):
@@ -105,7 +100,7 @@ class TestSuspension:
         state = reset(cd)
         actions = []
         for _ in range(16):
-            state, action = tick(state, cd, obs(horizon=16), config.k)
+            state, action = tick(state, cd, obs(), config.k)
             actions.append(action)
         assert actions == [C] * 14 + [W, D]
 
@@ -215,33 +210,6 @@ class TestRegisters:
             values.append(state.regs[0])
         assert values == [1, 2, 3, 0, 1]
 
-    def test_load_const_masks(self):
-        program = StrategyProgram("load", (load_const(0, 255), halt()), reg_widths=(3,))
-        state, _ = tick(reset(program), program, obs(), 2)
-        assert state.regs[0] == 7
-
-    def test_load_obs_action_code(self):
-        program = StrategyProgram("watch", (load_obs(0, "opp"), halt()), reg_widths=(2,))
-        state, _ = tick(reset(program), program, obs(opp=D), 2)
-        assert state.regs[0] == 1
-
-    def test_payoff_observable_in_compare(self):
-        program = StrategyProgram(
-            "paywatch",
-            (
-                compare(Operand.obs("pay"), CmpOp.LT, Operand.const(0), on_false=3),
-                emit(D),
-                halt(),
-                emit(C),
-                halt(),
-                jump(0),
-            ),
-        )
-        state, action = tick(reset(program), program, obs(pay=Fraction(-2)), 20)
-        assert action is D
-        state, action = tick(reset(program), program, obs(pay=Fraction(1)), 20)
-        assert action is C
-
 
 class TestNoneComparisons:
     def test_any_comparison_with_missing_observation_is_false(self):
@@ -265,32 +233,45 @@ class TestNoneComparisons:
 # ---------------------------------------------------------------------------
 
 ACTIONS = (C, D, W, O)
-OBS_FIELDS = ("opp", "own", "horizon")
+OBS_FIELDS = ("opp", "own")
+#: Emitted actions, C and D twice as likely: O faults an FTPD player into a
+#: waiter and W passes, so an even draw would leave few programs playing.
+EMITS = (C, C, D, D, W, O)
+#: Kinds of instruction by weight: the compiler's set, EMIT and COMPARE
+#: the most common as in compiled rules.
+KINDS = ("emit",) * 3 + ("compare",) * 3 + ("increment", "jump") + ("halt",) * 2
+
+
+def random_operand(rng, n_regs: int) -> Operand:
+    which = rng.randrange(4 if n_regs else 3)
+    if which == 0:
+        return Operand.const(rng.randrange(64))
+    if which == 1:
+        return Operand.action(ACTIONS[rng.randrange(4)])
+    if which == 2:
+        return Operand.obs(OBS_FIELDS[rng.randrange(2)])
+    return Operand.reg(rng.randrange(n_regs))
 
 
 def random_instruction(rng, size: int, n_regs: int):
-    kind = rng.randrange(7)
-    if kind == 0:
-        return emit(ACTIONS[rng.randrange(4)])
-    if kind == 1:
-        def operand():
-            which = rng.randrange(4 if n_regs else 3)
-            if which == 0:
-                return Operand.const(rng.randrange(64))
-            if which == 1:
-                return Operand.action(ACTIONS[rng.randrange(4)])
-            if which == 2:
-                return Operand.obs(OBS_FIELDS[rng.randrange(3)])
-            return Operand.reg(rng.randrange(n_regs))
-        ops = (CmpOp.EQ, CmpOp.NE, CmpOp.LT, CmpOp.GE)
-        return compare(operand(), ops[rng.randrange(4)], operand(), rng.randrange(size + 1))
-    if kind == 2 and n_regs:
+    """One instruction of the compiler's set. Three compares in four test
+    an observation against an action a player can see (O ends a pairing,
+    so it is never observed), as compiled guards do, so that random
+    programs react to their partner; the rest mix any operands."""
+    kind = KINDS[rng.randrange(len(KINDS))]
+    if kind == "emit":
+        return emit(EMITS[rng.randrange(len(EMITS))])
+    if kind == "compare":
+        target = rng.randrange(size + 1)
+        if rng.randrange(4):
+            op = (CmpOp.EQ, CmpOp.NE)[rng.randrange(2)]
+            return compare(Operand.obs(OBS_FIELDS[rng.randrange(2)]), op,
+                           Operand.action(ACTIONS[rng.randrange(3)]), target)
+        op = (CmpOp.EQ, CmpOp.NE, CmpOp.LT, CmpOp.GE)[rng.randrange(4)]
+        return compare(random_operand(rng, n_regs), op, random_operand(rng, n_regs), target)
+    if kind == "increment" and n_regs:
         return increment(rng.randrange(n_regs))
-    if kind == 3 and n_regs:
-        return load_const(rng.randrange(n_regs), rng.randrange(64))
-    if kind == 4 and n_regs:
-        return load_obs(rng.randrange(n_regs), OBS_FIELDS[rng.randrange(3)])
-    if kind == 5:
+    if kind == "jump":
         return jump(rng.randrange(size + 1))
     return halt()
 
@@ -308,8 +289,6 @@ def random_observation(rng) -> Observation:
     return Observation(
         opponent_last_action=maybe(ACTIONS[rng.randrange(4)]),
         own_last_action=maybe(ACTIONS[rng.randrange(4)]),
-        last_payoff=maybe(Fraction(rng.randrange(-4, 5))),
-        horizon_N=1 + rng.randrange(1000),
     )
 
 
