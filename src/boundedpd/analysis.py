@@ -83,11 +83,11 @@ def unprovoked_defection_tick(trace: MatchTrace, player: int = 1) -> int | None:
     go non-C only in response to provocation.
     """
     provoked = False
-    for rec in trace.records:
+    for index, rec in enumerate(trace.records, start=1):
         own = rec.a1 if player == 1 else rec.a2
         opp = rec.a2 if player == 1 else rec.a1
         if not provoked and own in (Action.W, Action.D):
-            return rec.tick
+            return index
         if opp is not Action.C:
             provoked = True
     return None

@@ -60,6 +60,14 @@ def _build_config(**fields) -> GameConfig:
         raise CliError(str(exc)) from exc
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    """A ``--q``/``--r`` value: an integer, decimal or ratio such as 1/3."""
+    try:
+        return Fraction(text).limit_denominator(10**6)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{flag} expects a number, got {text!r}") from None
+
+
 def _resolve_strategy(spec: str, config: GameConfig) -> StrategyProgram:
     if spec in library.BUILTIN_NAMES:
         try:
@@ -158,20 +166,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.oft_constant:
         if args.q is None:
             raise CliError("--oft-constant needs --q")
-        q = Fraction(args.q).limit_denominator(10**6)
+        q = _fraction("--q", args.q)
         if q <= 0:
             raise CliError("q must be positive")
-        r = Fraction(args.r if args.r is not None else 0).limit_denominator(10**6)
+        r = _fraction("--r", args.r) if args.r is not None else Fraction(0)
         print(analysis.oft_constant(q, r, table))
         return 0
 
     if args.strategy is None:
         raise CliError("analyze needs a strategy (or --oft-constant)")
+    for flag, value in (("--trials", args.trials), ("--size-bound", args.size_bound)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1")
 
     models: list[analysis.PopulationModel] = []
     mode = Mode.FTPD
     if args.q is not None:
-        q = Fraction(args.q).limit_denominator(10**6)
+        q = _fraction("--q", args.q)
         if not 0 < q <= 1:
             raise CliError("q must be in (0, 1]")
         mode = Mode.OPD
@@ -195,7 +206,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     instantaneous, t = True, 1
     if args.r is not None:
-        instantaneous, t = _delay_to_schedule(Fraction(args.r).limit_denominator(10**6))
+        instantaneous, t = _delay_to_schedule(_fraction("--r", args.r))
 
     horizons = [args.N]
     if args.sweep_N:

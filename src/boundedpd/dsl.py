@@ -23,8 +23,8 @@ on, which is how a strategy switches phase without spending compares on a
 flag: the program counter itself is the memory.
 
 ``N`` in a compare value is the game horizon, resolved to a constant when
-the source is compiled against a config. Observation fields compared
-against a move that does not exist yet (the first tick of a pairing) are
+the source is compiled against a config. A compare of ``opp`` or ``own``
+against a move that does not exist yet (the first tick of a pairing) is
 false whatever the operator.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .game import Action, GameConfig, bit_width
+from .game import Action, GameConfig
 from . import vm
 from .vm import OBS_FIELDS, CmpOp, Instruction, Operand, StrategyProgram
 
@@ -498,20 +498,6 @@ def _resolve_value(value: Value, config: GameConfig) -> Operand:
     return Operand.const(resolved)
 
 
-def _term_width(term: Term, widths: dict[str, int], config: GameConfig) -> int:
-    if term.field in OBS_FIELDS:
-        return 2
-    counter_width = widths[term.field]
-    value = term.value
-    if isinstance(value, ConstInt):
-        other = bit_width(value.value)
-    elif isinstance(value, HorizonMinus):
-        other = bit_width(max(config.N - value.offset, 0))
-    else:
-        other = 2
-    return max(counter_width, other)
-
-
 def compile(  # noqa: A001 - deliberate: this is the module's compile entry point
     source: StrategySource,
     config: GameConfig,
@@ -525,7 +511,7 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
     Unreachable rules (after an unconditional rule in the same state) are
     reported through ``diagnostics`` when a list is supplied.
     """
-    counter_widths = {decl.name: decl.width for decl in source.decls}
+    reg_widths = tuple(decl.width for decl in source.decls)
     counter_index = {decl.name: i for i, decl in enumerate(source.decls)}
     states = _split_states(source.rules)
     state_index = {state.label: i for i, state in enumerate(states) if state.label is not None}
@@ -575,14 +561,13 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
             rule_starts.append(rule_start)
             on_false = rule_start + rule_sizes[si][ri] if ri < len(state.rules) - 1 else epilogue
             for term in rule.guard:
-                scan_cost += _term_width(term, counter_widths, config)
                 if term.field in OBS_FIELDS:
                     lhs = Operand.obs(term.field)
                 else:
                     lhs = Operand.reg(counter_index[term.field])
-                instructions.append(
-                    vm.compare(lhs, term.op, _resolve_value(term.value, config), on_false)
-                )
+                guard = vm.compare(lhs, term.op, _resolve_value(term.value, config), on_false)
+                scan_cost += vm.compare_width(guard, reg_widths)
+                instructions.append(guard)
             goto_stmt: Goto | None = None
             for stmt in rule.stmts:
                 if isinstance(stmt, Play):
@@ -607,7 +592,7 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
     program = StrategyProgram(
         name=source.name,
         instructions=tuple(instructions),
-        reg_widths=tuple(decl.width for decl in source.decls),
+        reg_widths=reg_widths,
         reg_names=tuple(decl.name for decl in source.decls),
         worst_tick_cost=worst,
         source=print_source(source),

@@ -21,23 +21,14 @@ from fractions import Fraction
 from .game import (
     Action, GameConfig, Mode, PayoffTable, config_header, payoff, validate_table,
 )
-from .vm import Observation, StrategyProgram, VmState, reset, tick
-
-
-@dataclass(frozen=True)
-class TickRecord:
-    tick: int
-    a1: Action
-    a2: Action
-    pay1: Fraction
-    pay2: Fraction
-    cost1: int
-    cost2: int
+from .vm import StrategyProgram, VmState, reset, tick
 
 
 @dataclass(frozen=True)
 class MatchTrace:
-    records: tuple[TickRecord, ...]
+    """A played match: tick i's outcome is ``records[i - 1]``."""
+
+    records: tuple[PairOutcome, ...]
     total1: Fraction
     total2: Fraction
     fault1: str | None = None
@@ -85,10 +76,9 @@ def seat_move(seat: Seat, config: GameConfig) -> tuple[VmState, Action]:
     set (FTPD lacks it); playing it there is a program fault: the player
     waits from here on and this tick's move is already a wait.
     """
-    obs = Observation(opponent_last_action=seat.last_opp, own_last_action=seat.last_own)
-    vm, action = tick(seat.vm, seat.program, obs, config.k)
+    vm, action = tick(seat.vm, seat.program, seat.last_opp, seat.last_own, config.k)
     if action is Action.O and config.mode is not Mode.OPD:
-        vm = replace(vm, faulted=True, fault_reason="played O outside OPD mode")
+        vm = replace(vm, fault_reason="played O outside OPD mode")
         action = Action.W
     return vm, action
 
@@ -129,18 +119,11 @@ def run_match(
         raise ValueError("invalid payoff table: " + ", ".join(violations))
 
     seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
-    total1 = total2 = Fraction(0)
-    records = []
-    for index in range(1, config.N + 1):
-        out = match_step(seat1, seat2, config, table)
-        total1 += out.pay1
-        total2 += out.pay2
-        records.append(TickRecord(index, out.a1, out.a2, out.pay1, out.pay2,
-                                  out.cost1, out.cost2))
+    records = tuple(match_step(seat1, seat2, config, table) for _ in range(config.N))
     return MatchTrace(
-        records=tuple(records),
-        total1=total1,
-        total2=total2,
+        records=records,
+        total1=sum((out.pay1 for out in records), Fraction(0)),
+        total2=sum((out.pay2 for out in records), Fraction(0)),
         fault1=seat1.vm.fault_reason,
         fault2=seat2.vm.fault_reason,
     )
@@ -168,9 +151,9 @@ def trace_to_csv(
         config_header(table, config, extra_meta),
         "tick,a1,a2,pay1,pay2,cost1,cost2",
     ]
-    for rec in trace.records:
+    for index, rec in enumerate(trace.records, start=1):
         lines.append(
-            f"{rec.tick},{rec.a1.value},{rec.a2.value},"
+            f"{index},{rec.a1.value},{rec.a2.value},"
             f"{rec.pay1},{rec.pay2},{rec.cost1},{rec.cost2}"
         )
     return "\n".join(lines) + "\n"

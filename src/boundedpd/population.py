@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .game import Action, GameConfig, Mode, PayoffTable, config_header, validate_table
 from .match import PairOutcome, Seat, seat_move, settle
-from .vm import Observation, StrategyProgram, VmState, tick
+from .vm import StrategyProgram, VmState, tick
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,7 @@ def _peek_at_wait(
     replaces its move only when it is an O."""
     if action is not Action.C and action is not Action.D:
         return vm, action, cost
-    obs = Observation(opponent_last_action=Action.W, own_last_action=action)
-    peek_vm, peek_action = tick(vm, seat.program, obs, config.k)
+    peek_vm, peek_action = tick(vm, seat.program, Action.W, action, config.k)
     if peek_action is Action.O:
         return peek_vm, Action.O, cost + peek_vm.tick_cost
     return vm, action, cost
@@ -87,7 +86,6 @@ def _peek_at_wait(
 class PlayerSlot:
     pid: int
     label: str
-    program: StrategyProgram
     seat: Seat
     total: Fraction = Fraction(0)
     partner: int | None = None
@@ -250,7 +248,7 @@ def run_population(
         raise ValueError("population size must be even and at least 2")
 
     players = [
-        PlayerSlot(pid=i, label=label, program=program, seat=Seat.fresh(program))
+        PlayerSlot(pid=i, label=label, seat=Seat.fresh(program))
         for i, (label, program) in enumerate(programs)
     ]
     state = PopulationState(players=players, rng=random.Random(config.seed))

@@ -11,8 +11,10 @@ moment the compare started).
 The instruction set is what :func:`boundedpd.dsl.compile` emits: EMIT,
 COMPARE, INCREMENT, JUMP and HALT. A compare's operands are constants,
 counter registers and the two observations, the player's own and the
-opponent's action on the previous tick. The horizon N is not an input; the
-compiler turns it into a constant.
+opponent's action on the previous tick: ``tick`` takes exactly those two
+beside the ``VmState``, which stores no flag it can derive. The horizon N
+is not an input; the compiler turns it into a constant. ``compare_width``
+is the one width rule, summed by the compiler and charged by ``tick``.
 
 Control flow model:
 
@@ -154,21 +156,6 @@ class StrategyProgram:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """What a player can see at the start of a tick: the two actions of the
-    previous tick of its current pairing, None before the first.
-
-    There is deliberately no tick index and no payoff: a player who wants
-    to know the time must count, and counting costs compares; a tick's
-    payoff is a function of the two actions it already sees. The horizon N
-    reaches a program only as a constant compiled into it.
-    """
-
-    opponent_last_action: Action | None = None
-    own_last_action: Action | None = None
-
-
-@dataclass(frozen=True)
 class Pending:
     """A compare caught mid-flight: operand values are latched at start."""
 
@@ -184,11 +171,18 @@ class VmState:
     pc: int = 0
     regs: tuple[int, ...] = ()
     pending: Pending | None = None
-    faulted: bool = False
     fault_reason: str | None = None
     finished: bool = False
     tick_cost: int = 0        # XOR units spent during the most recent tick
-    suspended: bool = False   # most recent tick ended inside a compare
+
+    @property
+    def faulted(self) -> bool:
+        return self.fault_reason is not None
+
+    @property
+    def suspended(self) -> bool:
+        """The most recent tick ended inside a compare."""
+        return self.pending is not None
 
 
 def compare_cost(width_bits: int) -> int:
@@ -201,10 +195,6 @@ def compare_cost(width_bits: int) -> int:
 def reset(program: StrategyProgram) -> VmState:
     """Fresh state: entry pc, zeroed registers, nothing pending."""
     return VmState(pc=0, regs=(0,) * program.register_count)
-
-
-class ProgramValidationError(ValueError):
-    pass
 
 
 def validate_program(program: StrategyProgram) -> list[str]:
@@ -238,22 +228,31 @@ def validate_program(program: StrategyProgram) -> list[str]:
     return problems
 
 
-def _operand_width(operand: Operand, program: StrategyProgram) -> int:
+def _operand_width(operand: Operand, reg_widths: tuple[int, ...]) -> int:
     if operand.kind is OperandKind.CONST_INT:
         return bit_width(operand.value)  # type: ignore[arg-type]
     if operand.kind is OperandKind.REG:
-        return program.reg_widths[operand.value]  # type: ignore[index]
+        return reg_widths[operand.value]  # type: ignore[index]
     return 2  # an action: a constant or an observation
 
 
-def _operand_value(operand: Operand, regs: tuple[int, ...], obs: Observation) -> object:
+def compare_width(ins: Instruction, reg_widths: tuple[int, ...]) -> int:
+    """XOR units a COMPARE costs: one per bit of its wider operand. The
+    compiler sums these for ``worst_tick_cost``; ``tick`` charges them."""
+    return compare_cost(max(_operand_width(ins.lhs, reg_widths),  # type: ignore[arg-type]
+                            _operand_width(ins.rhs, reg_widths)))  # type: ignore[arg-type]
+
+
+def _operand_value(
+    operand: Operand, regs: list[int], opp: Action | None, own: Action | None
+) -> object:
     if operand.kind is OperandKind.CONST_INT:
         return operand.value
     if operand.kind is OperandKind.CONST_ACTION:
         return ACTION_CODE[operand.value]  # type: ignore[index]
     if operand.kind is OperandKind.REG:
         return regs[operand.value]  # type: ignore[index]
-    a = obs.opponent_last_action if operand.value == "opp" else obs.own_last_action
+    a = opp if operand.value == "opp" else own
     return None if a is None else ACTION_CODE[a]
 
 
@@ -272,66 +271,51 @@ def _evaluate(op: CmpOp, lhs: object, rhs: object) -> bool:
 
 
 def _fault(state: VmState, regs: list[int], cost: int, reason: str) -> tuple[VmState, Action]:
-    new = VmState(state.pc, tuple(regs), None, True, reason, False, cost, False)
-    return new, Action.W
+    return VmState(state.pc, tuple(regs), None, reason, False, cost), Action.W
 
 
 def tick(
-    state: VmState, program: StrategyProgram, obs: Observation, k: int
+    state: VmState, program: StrategyProgram,
+    opp: Action | None, own: Action | None, k: int,
 ) -> tuple[VmState, Action]:
     """Advance the program by one clock tick; returns the action taken.
 
-    Deterministic in (state, program, obs, k). Never raises for program
-    misbehavior: faults are folded into the returned state.
+    ``opp`` and ``own`` are the opponent's and the player's own action on
+    the previous tick of the pairing, None before its first tick: all a
+    program observes. A suspended compare resumes where it stopped, with
+    the operand values it latched.
+
+    Deterministic in (state, program, opp, own, k). Never raises for
+    program misbehavior: faults are folded into the returned state.
     """
     if k < 2:
         raise ValueError("budget k must be at least 2 (one action compare must fit in a tick)")
 
-    if state.faulted or state.finished:
-        done = VmState(state.pc, state.regs, None, state.faulted,
-                       state.fault_reason, state.finished, 0, False)
-        return done, Action.W
+    if state.fault_reason is not None or state.finished:
+        return VmState(state.pc, state.regs, None, state.fault_reason, state.finished, 0), Action.W
 
     budget = k
-    spent = 0
     emitted: Action | None = None
     regs = list(state.regs)
     pc = state.pc
     size = len(program.instructions)
-
-    # Resume a suspended compare before anything else.
-    if state.pending is not None:
-        pend = state.pending
-        remaining = pend.width - pend.units_done
-        if remaining > budget:
-            still = Pending(pend.index, pend.units_done + budget, pend.width,
-                            pend.lhs_value, pend.rhs_value)
-            new = VmState(state.pc, state.regs, still, False, None, False, budget, True)
-            return new, Action.W
-        budget -= remaining
-        spent += remaining
-        ins = program.instructions[pend.index]
-        result = _evaluate(ins.op, pend.lhs_value, pend.rhs_value)
-        pc = pend.index + 1 if result else ins.on_false  # type: ignore[assignment]
-        if pc is None or not (0 <= pc <= size):
-            return _fault(state, regs, spent, f"compare target {pc} out of range")
-
-    steps = 0
+    resume = state.pending  # its compare sits at pc
+    # Resuming a compare is not a step: the step limit counts from the
+    # instruction after it.
+    steps = 0 if resume is None else -1
     while True:
         steps += 1
         if steps > MAX_STEPS_PER_TICK:
-            return _fault(state, regs, spent, "per-tick step limit exceeded")
+            return _fault(state, regs, k - budget, "per-tick step limit exceeded")
         if pc >= size or pc < 0:
             # Ran past the end: the program is over for good.
-            new = VmState(pc, tuple(regs), None, False, None, True, spent, False)
-            return new, emitted if emitted is not None else Action.W
+            return VmState(pc, tuple(regs), None, None, True, k - budget), emitted or Action.W
 
         ins = program.instructions[pc]
         opcode = ins.opcode
 
         if opcode is Opcode.HALT:
-            new = VmState(pc + 1, tuple(regs), None, False, None, False, spent, False)
-            return new, emitted if emitted is not None else Action.W
+            return VmState(pc + 1, tuple(regs), None, None, False, k - budget), emitted or Action.W
 
         if opcode is Opcode.EMIT:
             emitted = ins.action
@@ -339,49 +323,49 @@ def tick(
             continue
 
         if opcode is Opcode.COMPARE:
-            try:
-                width = compare_cost(max(
-                    _operand_width(ins.lhs, program),
-                    _operand_width(ins.rhs, program),
-                ))
-                lhs_value = _operand_value(ins.lhs, tuple(regs), obs)
-                rhs_value = _operand_value(ins.rhs, tuple(regs), obs)
-            except (IndexError, TypeError, KeyError):
-                return _fault(state, regs, spent, f"bad compare operand at {pc}")
-            if width > budget:
+            if resume is not None:
+                done, width = resume.units_done, resume.width
+                lhs_value, rhs_value = resume.lhs_value, resume.rhs_value
+                resume = None
+            else:
+                done = 0
+                try:
+                    width = compare_width(ins, program.reg_widths)
+                    lhs_value = _operand_value(ins.lhs, regs, opp, own)  # type: ignore[arg-type]
+                    rhs_value = _operand_value(ins.rhs, regs, opp, own)  # type: ignore[arg-type]
+                except (IndexError, TypeError, KeyError):
+                    return _fault(state, regs, k - budget, f"bad compare operand at {pc}")
+            if width - done > budget:
                 # Not enough budget left this tick: latch and suspend.
-                pend = Pending(pc, budget, width, lhs_value, rhs_value)
-                spent += budget
-                new = VmState(pc, tuple(regs), pend, False, None, False, spent, True)
-                return new, Action.W
-            budget -= width
-            spent += width
-            if _evaluate(ins.op, lhs_value, rhs_value):
+                pending = Pending(pc, done + budget, width, lhs_value, rhs_value)
+                return VmState(pc, tuple(regs), pending, None, False, k), Action.W
+            budget -= width - done
+            if _evaluate(ins.op, lhs_value, rhs_value):  # type: ignore[arg-type]
                 pc += 1
             else:
                 target = ins.on_false
                 if target is None or not (0 <= target <= size):
-                    return _fault(state, regs, spent, f"compare target {target} out of range")
+                    return _fault(state, regs, k - budget, f"compare target {target} out of range")
                 pc = target
             continue
 
         if opcode is Opcode.JUMP:
             target = ins.target
             if target is None or not (0 <= target <= size):
-                return _fault(state, regs, spent, f"jump target {target} out of range")
+                return _fault(state, regs, k - budget, f"jump target {target} out of range")
             pc = target
             continue
 
         if opcode is Opcode.INCREMENT:
             reg = ins.reg
             if reg is None or not (0 <= reg < len(regs)):
-                return _fault(state, regs, spent, f"register {reg} out of range")
+                return _fault(state, regs, k - budget, f"register {reg} out of range")
             mask = (1 << program.reg_widths[reg]) - 1
             regs[reg] = (regs[reg] + 1) & mask
             pc += 1
             continue
 
-        return _fault(state, regs, spent, f"unknown opcode at {pc}")
+        return _fault(state, regs, k - budget, f"unknown opcode at {pc}")
 
 @dataclass(frozen=True)
 class DebugRecord:
@@ -393,14 +377,15 @@ class DebugRecord:
 
 
 def debug_trace(
-    program: StrategyProgram, observations: list[Observation], k: int
+    program: StrategyProgram, observations: list[tuple[Action | None, Action | None]], k: int
 ) -> list[DebugRecord]:
-    """Per-tick (pc, cost, action) listing for inspecting a program's timing."""
+    """Per-tick (pc, cost, action) listing for inspecting a program's
+    timing, fed one ``(opp, own)`` pair per tick."""
     state = reset(program)
     records = []
-    for index, obs in enumerate(observations, start=1):
+    for index, (opp, own) in enumerate(observations, start=1):
         pc_before = state.pc
-        state, action = tick(state, program, obs, k)
+        state, action = tick(state, program, opp, own, k)
         records.append(DebugRecord(index, pc_before, state.tick_cost, action, state.suspended))
     return records
 

@@ -190,7 +190,7 @@ def test_criterion_8_budget_law():
         k = rng.randint(2, 8)
         state = reset(program)
         for _ in range(30):
-            state, action = tick(state, program, random_observation(rng), k)
+            state, action = tick(state, program, *random_observation(rng), k)
             checked += 1
             if state.tick_cost > k:
                 ok = False

@@ -156,7 +156,20 @@ class TestOutOfRangeConfig:
         (["analyze", "OFT", "--q", "0.5", "--N", "0"], "N must be at least 1"),
         (["analyze", "OFT", "--q", "0.5", "--k", "1"], "budget k must be at least 2"),
         (["list-strategies", "--N", "0"], "N must be at least 1"),
-    ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N"])
+        (["analyze", "OFT", "--q", "abc"], "--q expects a number, got 'abc'"),
+        (["analyze", "OFT", "--q", "1/0"], "--q expects a number, got '1/0'"),
+        (["analyze", "OFT", "--q", "0.5", "--r", "x"], "--r expects a number, got 'x'"),
+        (["analyze", "--oft-constant", "--q", "abc"], "--q expects a number"),
+        (["analyze", "OFT", "--q", "0.5", "--trials", "0"], "--trials must be at least 1"),
+        (["analyze", "OFT", "--q", "0.5", "--trials", "-3"], "--trials must be at least 1"),
+        (["analyze", "OFT", "--q", "0.5", "--size-bound", "0"],
+         "--size-bound must be at least 1"),
+        (["analyze", "OFT", "--gamma", "all-AllD", "--size-bound", "-1"],
+         "--size-bound must be at least 1"),
+    ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N",
+            "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
+            "oft-constant-q-word", "analyze-trials-0", "analyze-trials-negative",
+            "analyze-size-bound-0", "analyze-gamma-size-bound-negative"])
     def test_rejected_with_usage_code(self, argv, message):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""

@@ -17,7 +17,7 @@ from boundedpd.dsl import (
 )
 from boundedpd.game import Action, GameConfig, counter_width_for
 from boundedpd.library import BUILTIN_NAMES, source_text
-from boundedpd.vm import Opcode, reset, tick, Observation
+from boundedpd.vm import Opcode, reset, tick
 
 CFG = GameConfig(N=10, k=2)
 
@@ -215,7 +215,7 @@ class TestCompile:
         state = reset(program)
         actions = []
         for _ in range(4):
-            state, action = tick(state, program, Observation(), 2)
+            state, action = tick(state, program, None, None, 2)
             actions.append(action.value)
         assert "".join(actions) == "CDCD"
 
@@ -232,7 +232,7 @@ class TestCompile:
         state = reset(program)
         seq = []
         for opp in (None, Action.D, Action.C, Action.C):
-            state, action = tick(state, program, Observation(opponent_last_action=opp), 2)
+            state, action = tick(state, program, opp, None, 2)
             seq.append(action.value)
         assert "".join(seq) == "CWDD"
 
@@ -261,11 +261,9 @@ class TestDecompile:
             decompile(bare)
 
     def test_debug_trace_lists_pc_cost_action(self):
-        from boundedpd.vm import Observation, debug_trace, format_debug_trace
+        from boundedpd.vm import debug_trace, format_debug_trace
         program = compile_source(parse(GRIM_TEXT), CFG)
-        obs = [Observation(),
-               Observation(opponent_last_action=Action.W),
-               Observation(opponent_last_action=Action.C)]
+        obs = [(None, None), (Action.W, None), (Action.C, None)]
         records = debug_trace(program, obs, 2)
         assert [r.action.value for r in records] == ["C", "D", "D"]
         assert records[0].cost == 2 and records[2].cost == 0

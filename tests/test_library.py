@@ -14,7 +14,7 @@ from boundedpd.library import (
 )
 from boundedpd.match import run_match
 from boundedpd.population import run_population
-from boundedpd.vm import Observation, reset, tick
+from boundedpd.vm import reset, tick
 
 from test_vm import random_program
 
@@ -31,10 +31,8 @@ def measured_worst_cost(name: str, config: GameConfig) -> int:
         mine, theirs = reset(program), reset(partner)
         my_last = their_last = None
         for _ in range(config.N):
-            obs_mine = Observation(opponent_last_action=their_last, own_last_action=my_last)
-            obs_theirs = Observation(opponent_last_action=my_last, own_last_action=their_last)
-            mine, my_action = tick(mine, program, obs_mine, config.k)
-            theirs, their_action = tick(theirs, partner, obs_theirs, config.k)
+            mine, my_action = tick(mine, program, their_last, my_last, config.k)
+            theirs, their_action = tick(theirs, partner, my_last, their_last, config.k)
             my_last, their_last = my_action, their_action
             worst = max(worst, mine.tick_cost)
     return worst

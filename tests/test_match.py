@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from boundedpd.analysis import unprovoked_defection_tick
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import get
-from boundedpd.match import TickRecord, deviation_gain, run_match, trace_to_csv
+from boundedpd.match import PairOutcome, deviation_gain, run_match, trace_to_csv
 from boundedpd.vm import (
-    CmpOp, Observation, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
+    CmpOp, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
 )
 
 from test_vm import random_program
@@ -78,24 +78,21 @@ def reference_match(p1, p2, config, table):
     programs, vms = (p1, p2), [reset(p1), reset(p2)]
     last = None  # (a1, a2) of the previous tick
     records, totals = [], [Fraction(0), Fraction(0)]
-    for index in range(1, config.N + 1):
+    for _ in range(config.N):
         actions = []
         for me in (0, 1):
-            if last is None:
-                obs = Observation()
-            else:
-                obs = Observation(opponent_last_action=last[1 - me], own_last_action=last[me])
-            vm, action = tick(vms[me], programs[me], obs, config.k)
+            opp, own = (None, None) if last is None else (last[1 - me], last[me])
+            vm, action = tick(vms[me], programs[me], opp, own, config.k)
             if action is Action.O:
-                vm = replace(vm, faulted=True, fault_reason="played O outside OPD mode")
+                vm = replace(vm, fault_reason="played O outside OPD mode")
                 action = W
             vms[me] = vm
             actions.append(action)
         pay1, pay2 = payoff(actions[0], actions[1], table).pair()
         totals[0] += pay1
         totals[1] += pay2
-        records.append(TickRecord(index, actions[0], actions[1], pay1, pay2,
-                                  vms[0].tick_cost, vms[1].tick_cost))
+        records.append(PairOutcome(actions[0], actions[1], pay1, pay2, False,
+                                   vms[0].tick_cost, vms[1].tick_cost))
         last = (actions[0], actions[1])
     return tuple(records), tuple(totals), (vms[0].fault_reason, vms[1].fault_reason)
 

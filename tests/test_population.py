@@ -1,6 +1,7 @@
 """Opting-out population engine tests."""
 
 import random as random_module
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,25 @@ class TestRunPopulation:
         config = GameConfig(N=5, mode=Mode.FTPD)
         with pytest.raises(ValueError):
             run_population(roster(config, "AllC", "AllC"), config, INTRO_TABLE)
+
+    @pytest.mark.parametrize("oft_seat", [0, 1])
+    def test_asymmetric_split_pays_the_abandoned_partner_q_hat(self, oft_seat):
+        # OFT is exploited on tick 1 and opts out on tick 2: the opter is
+        # paid Q and the abandoned defector Q_hat, whichever seat each holds.
+        config = opd_config(2)
+        table = replace(INTRO_TABLE, Q_hat=Fraction(-1, 2))
+        names = ["AllD", "AllD"]
+        names[oft_seat] = "OFT"
+        trace = run_population(roster(config, *names), config, table,
+                               initial_pairing=[(0, 1)], asymmetric_split=True)
+        split = {e.pid: e for e in trace.events if isinstance(e, PlayEvent) and e.split}
+        assert set(split) == {0, 1} and all(e.tick == 2 for e in split.values())
+        opter, abandoned = split[oft_seat], split[1 - oft_seat]
+        assert (opter.action, opter.pay) == (O, table.Q)
+        assert (abandoned.action, abandoned.pay) == (D, table.Q_hat)
+        totals = trace.totals()
+        assert totals[oft_seat] == table.S + table.Q
+        assert totals[1 - oft_seat] == table.T + table.Q_hat
 
     def test_rule3_split_pays_q_and_pools_the_pair(self):
         # Every split tick pays Q to both members, and neither member plays

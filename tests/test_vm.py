@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from boundedpd.game import Action, GameConfig, counter_width_for
 from boundedpd.library import get
 from boundedpd.vm import (
+    MAX_STEPS_PER_TICK,
     CmpOp,
-    Observation,
     Operand,
     StrategyProgram,
     compare,
@@ -25,15 +25,12 @@ C, D, W, O = Action.C, Action.D, Action.W, Action.O
 CFG = GameConfig(N=10, k=2)
 
 
-def obs(opp=None, own=None) -> Observation:
-    return Observation(opponent_last_action=opp, own_last_action=own)
-
-
 def run_actions(program: StrategyProgram, observations, k=2):
+    """Tick a fresh program once per ``(opp, own)`` pair."""
     state = reset(program)
     actions = []
-    for ob in observations:
-        state, action = tick(state, program, ob, k)
+    for opp, own in observations:
+        state, action = tick(state, program, opp, own, k)
         actions.append(action)
     return state, actions
 
@@ -64,31 +61,31 @@ class TestReset:
         assert reset(grim) == reset(grim)
 
     def test_grim_opens_with_c(self):
-        _, actions = run_actions(get("GRIM", CFG), [obs()])
+        _, actions = run_actions(get("GRIM", CFG), [(None, None)])
         assert actions == [C]
 
     def test_alld_opens_with_d(self):
-        _, actions = run_actions(get("AllD", CFG), [obs()])
+        _, actions = run_actions(get("AllD", CFG), [(None, None)])
         assert actions == [D]
 
 
 class TestGrimBehavior:
     def test_cooperates_within_tick_at_minimum_budget(self):
         grim = get("GRIM", CFG)
-        state, action = tick(reset(grim), grim, obs(opp=C), 2)
+        state, action = tick(reset(grim), grim, C, None, 2)
         assert action is C
         assert state.tick_cost == 2
         assert not state.suspended
 
     def test_wait_triggers_permanent_defection(self):
         grim = get("GRIM", CFG)
-        _, actions = run_actions(grim, [obs(), obs(opp=W), obs(opp=C), obs(opp=C)])
+        _, actions = run_actions(grim, [(None, None), (W, None), (C, None), (C, None)])
         assert actions == [C, D, D, D]
 
     def test_triggered_state_costs_nothing(self):
         grim = get("GRIM", CFG)
-        state, _ = tick(reset(grim), grim, obs(opp=D), 2)
-        state, action = tick(state, grim, obs(opp=C), 2)
+        state, _ = tick(reset(grim), grim, D, None, 2)
+        state, action = tick(state, grim, C, None, 2)
         assert action is D and state.tick_cost == 0
 
 
@@ -100,7 +97,7 @@ class TestSuspension:
         state = reset(cd)
         actions = []
         for _ in range(16):
-            state, action = tick(state, cd, obs(), config.k)
+            state, action = tick(state, cd, None, None, config.k)
             actions.append(action)
         assert actions == [C] * 14 + [W, D]
 
@@ -117,9 +114,9 @@ class TestSuspension:
             reg_widths=(5,),
         )
         state = reset(program)
-        state, a1 = tick(state, program, obs(), 3)
+        state, a1 = tick(state, program, None, None, 3)
         assert a1 is W and state.suspended and state.tick_cost == 3
-        state, a2 = tick(state, program, obs(), 3)
+        state, a2 = tick(state, program, None, None, 3)
         assert a2 is D and not state.suspended and state.tick_cost == 2
 
     def test_emit_before_suspension_is_not_kept(self):
@@ -134,7 +131,7 @@ class TestSuspension:
             ),
             reg_widths=(6,),
         )
-        state, action = tick(reset(program), program, obs(), 2)
+        state, action = tick(reset(program), program, None, None, 2)
         assert action is W and state.suspended
 
     def test_operands_latch_at_compare_start(self):
@@ -156,7 +153,7 @@ class TestSuspension:
         state = reset(program)
         history = []
         for _ in range(8):
-            state, action = tick(state, program, obs(), 2)
+            state, action = tick(state, program, None, None, 2)
             history.append(action)
         # reg values seen by the compare: 1, 2, 3... threshold 2 reached on
         # the second full evaluation.
@@ -169,22 +166,43 @@ class TestSuspension:
 class TestFaults:
     def test_jump_out_of_range_faults_forever(self):
         program = StrategyProgram("bad", (jump(99),))
-        state, action = tick(reset(program), program, obs(), 2)
+        state, action = tick(reset(program), program, None, None, 2)
         assert action is W and state.faulted
-        state, action = tick(state, program, obs(), 2)
+        state, action = tick(state, program, None, None, 2)
         assert action is W
 
     def test_zero_cost_loop_hits_step_cap(self):
         program = StrategyProgram("spin", (jump(1), jump(0)))
-        state, action = tick(reset(program), program, obs(), 2)
+        state, action = tick(reset(program), program, None, None, 2)
         assert action is W and state.faulted
         assert "step limit" in (state.fault_reason or "")
 
+    def test_resuming_a_compare_is_not_a_step(self):
+        # The 6-bit compare finishes on the third tick at k=2; the loop after
+        # it then runs MAX_STEPS_PER_TICK steps, one increment in three,
+        # before the fault. Counting the resume as a step would drop one.
+        program = StrategyProgram(
+            "spin-after-resume",
+            (
+                compare(Operand.reg(0), CmpOp.GE, Operand.const(0), on_false=4),
+                increment(1),
+                emit(C),
+                jump(1),
+                halt(),
+            ),
+            reg_widths=(6, 16),
+        )
+        state = reset(program)
+        for _ in range(3):
+            state, action = tick(state, program, None, None, 2)
+        assert action is W and "step limit" in (state.fault_reason or "")
+        assert state.regs == (0, -(-MAX_STEPS_PER_TICK // 3)) and state.tick_cost == 2
+
     def test_running_off_the_end_finishes(self):
         program = StrategyProgram("fall", (emit(C),))
-        state, action = tick(reset(program), program, obs(), 2)
+        state, action = tick(reset(program), program, None, None, 2)
         assert action is C and state.finished
-        state, action = tick(state, program, obs(), 2)
+        state, action = tick(state, program, None, None, 2)
         assert action is W
 
     def test_static_validation_flags_bad_targets(self):
@@ -195,7 +213,7 @@ class TestFaults:
     def test_budget_below_two_rejected(self):
         program = get("AllC", CFG)
         with pytest.raises(ValueError):
-            tick(reset(program), program, obs(), 1)
+            tick(reset(program), program, None, None, 1)
 
 
 class TestRegisters:
@@ -206,7 +224,7 @@ class TestRegisters:
         state = reset(program)
         values = []
         for _ in range(5):
-            state, _ = tick(state, program, obs(), 2)
+            state, _ = tick(state, program, None, None, 2)
             values.append(state.regs[0])
         assert values == [1, 2, 3, 0, 1]
 
@@ -224,7 +242,7 @@ class TestNoneComparisons:
                     halt(),
                 ),
             )
-            _, action = tick(reset(program), program, obs(opp=None), 4)
+            _, action = tick(reset(program), program, None, None, 4)
             assert action is C, f"opp {op.value} C should be false on the first tick"
 
 
@@ -284,12 +302,10 @@ def random_program(rng) -> StrategyProgram:
     return StrategyProgram("fuzz", instructions, reg_widths=widths)
 
 
-def random_observation(rng) -> Observation:
+def random_observation(rng) -> tuple[Action | None, Action | None]:
+    """A random ``(opp, own)`` pair; each is None half the time."""
     maybe = lambda value: value if rng.randrange(2) else None
-    return Observation(
-        opponent_last_action=maybe(ACTIONS[rng.randrange(4)]),
-        own_last_action=maybe(ACTIONS[rng.randrange(4)]),
-    )
+    return (maybe(ACTIONS[rng.randrange(4)]), maybe(ACTIONS[rng.randrange(4)]))
 
 
 @given(st.integers(0, 10**9), st.integers(2, 8), st.integers(1, 30))
@@ -300,7 +316,7 @@ def test_budget_law_and_wait_on_suspension(seed, k, ticks):
     program = random_program(rng)
     state = reset(program)
     for _ in range(ticks):
-        state, action = tick(state, program, random_observation(rng), k)
+        state, action = tick(state, program, *random_observation(rng), k)
         assert state.tick_cost <= k
         if state.suspended:
             assert action is W
@@ -317,11 +333,36 @@ def test_determinism(seed, k, ticks):
     def run():
         state = reset(program)
         out = []
-        for ob in observations:
-            state, action = tick(state, program, ob, k)
+        for opp, own in observations:
+            state, action = tick(state, program, opp, own, k)
             out.append(action)
         return out, state
 
     first, second = run(), run()
     assert first[0] == second[0]
     assert first[1] == second[1]
+
+
+def test_random_program_traces_are_pinned():
+    """Every state field and action of 2000 random programs over 30 ticks
+    each (k 2-8), hashed. The digest was recorded before ``tick`` took its
+    current shape; the sample holds 1324 suspensions, 1148 resumes and 190
+    step-limit faults, 26 of them in a tick that resumed a compare."""
+    import hashlib
+    import random as random_module
+    rng = random_module.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        program = random_program(rng)
+        k = rng.randint(2, 8)
+        state = reset(program)
+        for _ in range(30):
+            state, action = tick(state, program, *random_observation(rng), k)
+            p = state.pending
+            pending = None if p is None else (
+                p.index, p.units_done, p.width, p.lhs_value, p.rhs_value)
+            row = (state.pc, state.regs, pending, state.faulted, state.fault_reason,
+                   state.finished, state.tick_cost, state.suspended, action.value)
+            digest.update(repr(row).encode())
+    assert digest.hexdigest() == (
+        "4f2301dfd18408178798676ccaf46ec4b7cd64bd68b02ef508e31f0a20346731")
