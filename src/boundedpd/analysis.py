@@ -5,10 +5,14 @@ of candidate populations. The true minimum ranges over every population
 there could be, which is not computable, so everything here is certified
 relative to a finite, caller-supplied candidate set and the reports say so.
 
-Three population models are provided:
+Three population models are provided. The first two are partner
+schedules for one focal seat, played through one loop (``_play_focal``):
+each tick goes through the population engine's pair tick, and a rematch
+event after a split takes the schedule's next partner.
 
 * :class:`FixedOpponentModel` - a single deterministic partner for the
-  whole game; evaluated exactly.
+  whole game, re-paired with the focal player after every split as a pool
+  of two would be; evaluated exactly.
 * :class:`DrawModel` - the focal player faces partners drawn independently
   at every rematch: cooperative with probability q, hostile otherwise.
   This realizes the "probability at least q of meeting a cooperative
@@ -36,16 +40,16 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from . import dsl, library
-from .game import Action, GameConfig, Mode, PayoffTable
+from .game import Action, GameConfig, Mode, PayoffTable, counter_width_for, require_valid_table
 from .match import MatchTrace, Seat, run_match
 from .population import play_pair_tick, run_population
 from .vm import StrategyProgram
-from .game import counter_width_for
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -111,6 +115,8 @@ class ModelEstimate:
 
 def _estimate(name: str, values: list[float]) -> ModelEstimate:
     n = len(values)
+    if n < 1:
+        raise ValueError("trials must be at least 1")
     mean = sum(values) / n
     if n > 1:
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
@@ -118,6 +124,27 @@ def _estimate(name: str, values: list[float]) -> ModelEstimate:
     else:
         se = 0.0
     return ModelEstimate(name, mean, se, n, exact=False)
+
+
+def _play_focal(program: StrategyProgram, partner: Seat, next_partner: Callable[[], Seat],
+                config: GameConfig, table: PayoffTable) -> Fraction:
+    """The focal player's total over N ticks in seat 1, starting against
+    ``partner``. After a split the focal player idles until the next rematch
+    event, where ``next_partner()`` supplies the new partner and both seats
+    forget their last actions (the machines keep running)."""
+    focal = Seat.fresh(program)
+    total = Fraction(0)
+    for now in range(1, config.N + 1):
+        if partner is not None:
+            outcome = play_pair_tick(focal, partner, config, table)
+            total += outcome.pay1
+            if outcome.split:
+                partner = None
+        if partner is None and (config.instantaneous_rematch or now % config.t == 0):
+            partner = next_partner()
+            focal.new_pairing()
+            partner.new_pairing()
+    return total
 
 
 @dataclass(frozen=True)
@@ -135,13 +162,10 @@ class FixedOpponentModel:
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 1, seed: int = 0) -> ModelEstimate:
-        opponent = _resolve(self.opponent, config)
-        if config.mode is Mode.FTPD:
-            total = run_match(program, opponent, config, table).total1
-        else:
-            trace = run_population([("S", program), ("opp", opponent)], config, table,
-                                   initial_pairing=[(0, 1)])
-            total = trace.summaries[0].total
+        require_valid_table(table, config.mode)
+        # A pool of two re-pairs the same two seats after every split.
+        opponent = Seat.fresh(_resolve(self.opponent, config))
+        total = _play_focal(program, opponent, lambda: opponent, config, table)
         return ModelEstimate(self.describe(), total, 0.0, 1, exact=True)
 
 
@@ -162,11 +186,17 @@ class DrawModel:
     first_draw: Union[str, StrategyProgram, None] = None
     name: str = ""
 
+    def __post_init__(self) -> None:
+        # As run_trial draws it: a float, which also compares fastest.
+        if not 0 < float(self.q) <= 1:
+            raise ValueError(f"q must be in (0, 1], got {self.q}")
+
     def describe(self) -> str:
         return self.name or f"draw(q={self.q})"
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
+        require_valid_table(table, config.mode)
         # Named partners are compiled once here, not once per trial.
         resolved = replace(
             self,
@@ -184,28 +214,14 @@ class DrawModel:
                   table: PayoffTable, trial_seed: int) -> Fraction:
         coop = _resolve(self.cooperative, config)
         hostile = _resolve(self.hostile, config)
-        forced = None if self.first_draw is None else _resolve(self.first_draw, config)
         rng = random.Random(trial_seed)
         q = float(self.q)
 
         def draw() -> Seat:
-            pick = coop if rng.random() < q else hostile
-            return Seat.fresh(pick)
+            return Seat.fresh(coop if rng.random() < q else hostile)
 
-        focal = Seat.fresh(program)
-        partner = Seat.fresh(forced) if forced is not None else draw()
-        focal.new_pairing()
-        total = Fraction(0)
-        for now in range(1, config.N + 1):
-            if partner is not None:
-                outcome = play_pair_tick(focal, partner, config, table)
-                total += outcome.pay1
-                if outcome.split:
-                    partner = None
-            if partner is None and (config.instantaneous_rematch or now % config.t == 0):
-                partner = draw()
-                focal.new_pairing()
-        return total
+        first = draw() if self.first_draw is None else Seat.fresh(_resolve(self.first_draw, config))
+        return _play_focal(program, first, draw, config, table)
 
 
 @dataclass(frozen=True)
@@ -384,11 +400,18 @@ def _state_combos(infos: list[_RuleInfo], budget: int) -> list[_StateCombo]:
     return combos
 
 
-def _iter_sources(
-    config: GameConfig, size_bound: int, mode: Mode | None = None
-) -> Iterator[dsl.StrategySource]:
-    """Generate canonical candidate sources whose compiled size fits the
-    bound. Deterministic order; each distinct source appears once."""
+def _counter_ok(decls: tuple, incs: bool, tests: bool) -> bool:
+    """A declared counter must be both incremented and tested."""
+    return not decls or (incs and tests)
+
+
+def _combos_by_counter(
+    config: GameConfig, size_bound: int, mode: Mode | None
+) -> Iterator[tuple[tuple, list[_StateCombo], list[_StateCombo], list[_StateCombo]]]:
+    """Per counter declaration (none, then one): the single-state programs (no
+    gotos: a self-goto only restates the loop), then the combos of states s0
+    and s1 that two-state programs pair up. s1 must be reachable, so every
+    s0 combo holds a goto; both lists are empty when no s1 fits the bound."""
     mode = mode or config.mode
     actions = (Action.C, Action.D, Action.W) + ((Action.O,) if mode is Mode.OPD else ())
     width = counter_width_for(config.N)
@@ -416,42 +439,43 @@ def _iter_sources(
         for value in values
     ]
 
-    def counter_ok(with_counter: bool, *combos: _StateCombo) -> bool:
-        if not with_counter:
-            return True
-        return any(c.incs for c in combos) and any(c.tests_counter for c in combos)
+    def combos(decls: tuple, goto_target: str | None, budget: int) -> list[_StateCombo]:
+        infos = _rule_infos(actions, action_terms, counter_terms, bool(decls), goto_target)
+        return _state_combos(infos, budget)
+
+    for decls in ((), (dsl.Decl("n", width),)):
+        singles = [c for c in combos(decls, None, size_bound)
+                   if _counter_ok(decls, c.incs, c.tests_counter)]
+        combos1 = combos(decls, "s0", size_bound - 4)  # s0 takes 4 at minimum
+        combos0 = []
+        if combos1:
+            budget0 = size_bound - min(c.size for c in combos1)
+            combos0 = [c for c in combos(decls, "s1", budget0) if c.gotos]
+        yield decls, singles, combos0, combos1
+
+
+def _iter_sources(
+    config: GameConfig, size_bound: int, mode: Mode | None = None
+) -> Iterator[dsl.StrategySource]:
+    """Generate canonical candidate sources whose compiled size fits the
+    bound. Deterministic order; each distinct source appears once."""
 
     def labeled(combo: _StateCombo, label: str) -> tuple[dsl.Rule, ...]:
         return (replace(combo.rules[0], label=label),) + combo.rules[1:]
 
-    for with_counter in (False, True):
-        decls = (dsl.Decl("n", width),) if with_counter else ()
-
-        # Single state: no gotos (a self-goto only restates the loop).
-        plain = _rule_infos(actions, action_terms, counter_terms, with_counter, None)
-        for combo in _state_combos(plain, size_bound):
-            if not counter_ok(with_counter, combo):
-                continue
+    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound, mode):
+        for combo in singles:
             yield dsl.StrategySource("cand", decls, combo.rules)
-
-        # Two states: entry s0 and s1, each able to hand off to the other;
-        # s1 must actually be reachable from s0.
-        to_s1 = _rule_infos(actions, action_terms, counter_terms, with_counter, "s1")
-        to_s0 = _rule_infos(actions, action_terms, counter_terms, with_counter, "s0")
-        combos1 = _state_combos(to_s0, size_bound - 4)  # s0 takes 4 at minimum
-        min_size1 = min((c.size for c in combos1), default=0)
         rules1 = [labeled(combo1, "s1") for combo1 in combos1]
-        for combo0 in _state_combos(to_s1, size_bound - min_size1):
-            if not combo0.gotos:
-                continue
+        for combo0 in combos0:
             budget1 = size_bound - combo0.size
             rules0 = labeled(combo0, "s0")
             for combo1, tail in zip(combos1, rules1):
-                if combo1.size > budget1:
-                    continue
-                if not counter_ok(with_counter, combo0, combo1):
-                    continue
-                yield dsl.StrategySource("cand", decls, rules0 + tail)
+                if combo1.size <= budget1 and _counter_ok(
+                    decls, combo0.incs or combo1.incs,
+                    combo0.tests_counter or combo1.tests_counter,
+                ):
+                    yield dsl.StrategySource("cand", decls, rules0 + tail)
 
 
 def enumerate_candidates(
@@ -475,18 +499,23 @@ def estimate_search_size(
     config: GameConfig,
     size_bound: int,
     mode: Mode | None = None,
-    limit: int | None = None,
 ) -> int:
-    """Size of the candidate space, counted without compiling anything.
+    """Size of the candidate space, counted without building a source.
 
-    With ``limit`` set, counting stops just past the limit, so refusals on
-    oversized bounds stay cheap.
+    Whether two states pair up depends only on each one's size and counter
+    use, so the two-state programs are counted bucket by bucket.
     """
     count = 0
-    for _ in _iter_sources(config, size_bound, mode):
-        count += 1
-        if limit is not None and count > limit:
-            return count
+    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound, mode):
+        count += len(singles)
+        buckets0 = Counter((c.size, c.incs, c.tests_counter) for c in combos0)
+        buckets1 = Counter((c.size, c.incs, c.tests_counter) for c in combos1)
+        for (size0, incs0, tests0), n0 in buckets0.items():
+            for (size1, incs1, tests1), n1 in buckets1.items():
+                if size0 + size1 <= size_bound and _counter_ok(
+                    decls, incs0 or incs1, tests0 or tests1
+                ):
+                    count += n0 * n1
     return count
 
 
@@ -521,7 +550,10 @@ def best_response(
     short screen ranked too low. Ties break to the smallest canonical
     source.
     """
-    estimate = estimate_search_size(config, size_bound, limit=_MAX_CANDIDATES)
+    for name, value in (("size_bound", size_bound), ("trials", trials)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    estimate = estimate_search_size(config, size_bound)
     if size_bound > _MAX_SIZE_BOUND or estimate > _MAX_CANDIDATES:
         raise BoundTooLargeError(estimate, _MAX_CANDIDATES)
     model = FixedOpponentModel(opponent) if isinstance(opponent, StrategyProgram) else opponent
@@ -579,23 +611,16 @@ def equilibrium_check(
     Also reports whether the pair is a cooperative equilibrium, i.e. its
     own play pays R*N to both players.
     """
-    base = run_match(sigma1, sigma2, config, table)
-    cooperative = (
-        base.total1 == table.R * config.N and base.total2 == table.R * config.N
-    )
-    br1 = best_response(sigma2, config, table, size_bound=size_bound)
-    if br1.payoff > base.total1:
-        return EquilibriumVerdict(
-            False, cooperative, (base.total1, base.total2),
-            deviation_player=1, deviation_source=br1.source, deviation_payoff=br1.payoff,
-        )
-    br2 = best_response(sigma1, config, table, size_bound=size_bound)
-    if br2.payoff > base.total2:
-        return EquilibriumVerdict(
-            False, cooperative, (base.total1, base.total2),
-            deviation_player=2, deviation_source=br2.source, deviation_payoff=br2.payoff,
-        )
-    return EquilibriumVerdict(True, cooperative, (base.total1, base.total2))
+    totals = run_match(sigma1, sigma2, config, table).totals
+    cooperative = totals == (table.R * config.N,) * 2
+    for player, opponent in ((1, sigma2), (2, sigma1)):
+        br = best_response(opponent, config, table, size_bound=size_bound)
+        if br.payoff > totals[player - 1]:
+            return EquilibriumVerdict(
+                False, cooperative, totals,
+                deviation_player=player, deviation_source=br.source, deviation_payoff=br.payoff,
+            )
+    return EquilibriumVerdict(True, cooperative, totals)
 
 
 # ---------------------------------------------------------------------------

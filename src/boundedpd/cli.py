@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import analysis, dsl, library
 from .game import (
-    ConfigError, GameConfig, Mode, PayoffTable, TABLE_PRESETS, config_header,
+    ConfigError, GameConfig, Mode, PayoffTable, TABLE_KEYS, TABLE_PRESETS, config_header,
     parse_config_text, table_from_mapping,
 )
 from .match import run_match, trace_to_csv as match_csv
@@ -46,9 +46,14 @@ def _load_table(spec: str | None) -> PayoffTable:
         raise CliError(f"no table preset or file named {spec!r}")
     try:
         raw = parse_config_text(path.read_text(encoding="utf-8"))
-        return table_from_mapping(raw)
+        table = table_from_mapping(raw)
     except ConfigError as exc:
         raise CliError(f"{spec}: {exc}") from exc
+    extra = [key for key in raw if key not in TABLE_KEYS]  # run parameters come from flags
+    if extra:
+        raise CliError(f"{spec}: not payoff table keys: {', '.join(extra)} "
+                       f"(a table file takes {','.join(TABLE_KEYS)})")
+    return table
 
 
 def _build_config(**fields) -> GameConfig:

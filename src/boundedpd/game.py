@@ -15,7 +15,7 @@ Two game modes exist:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -77,6 +77,10 @@ def cb_bound_bits(n: int) -> int:
     return (n - 1).bit_length()
 
 
+#: The payoff table's fields, in config-file order.
+TABLE_KEYS = ("T", "R", "P", "S", "H", "Q", "Q_hat")
+
+
 @dataclass(frozen=True)
 class PayoffTable:
     """Payoffs for every action pair.
@@ -96,14 +100,11 @@ class PayoffTable:
     Q_hat: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        for name in ("T", "R", "P", "S", "H", "Q", "Q_hat"):
+        for name in TABLE_KEYS:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def as_mapping(self) -> dict[str, Fraction]:
-        return {
-            "T": self.T, "R": self.R, "P": self.P, "S": self.S,
-            "H": self.H, "Q": self.Q, "Q_hat": self.Q_hat,
-        }
+        return {name: getattr(self, name) for name in TABLE_KEYS}
 
 
 #: The table from the information-trading example: sending a useful packet
@@ -121,28 +122,7 @@ TABLE_PRESETS: dict[str, PayoffTable] = {
 }
 
 
-@dataclass(frozen=True)
-class PayoffOutcome:
-    p1: Fraction
-    p2: Fraction
-    split: bool = False
-
-    def pair(self) -> tuple[Fraction, Fraction]:
-        return (self.p1, self.p2)
-
-
-def _pd_cells(table: PayoffTable) -> dict[tuple[Action, Action], PayoffOutcome]:
-    # Memoized on the instance: hashing a table costs more than the lookup.
-    cells = table.__dict__.get("_cells")
-    if cells is None:
-        cells = {
-            (Action.C, Action.C): PayoffOutcome(table.R, table.R),
-            (Action.C, Action.D): PayoffOutcome(table.S, table.T),
-            (Action.D, Action.C): PayoffOutcome(table.T, table.S),
-            (Action.D, Action.D): PayoffOutcome(table.P, table.P),
-        }
-        object.__setattr__(table, "_cells", cells)
-    return cells
+_ZERO = Fraction(0)
 
 
 def payoff(
@@ -151,8 +131,8 @@ def payoff(
     table: PayoffTable,
     mode: Mode = Mode.FTPD,
     asymmetric_split: bool = False,
-) -> PayoffOutcome:
-    """Resolve one simultaneous action pair.
+) -> tuple[Fraction, Fraction, bool]:
+    """Resolve one simultaneous action pair into ``(pay1, pay2, split)``.
 
     In OPD mode any pair containing O yields Q to both and signals a split.
     With ``asymmetric_split`` enabled, a unilateral opt-out pays Q to the
@@ -163,18 +143,17 @@ def payoff(
         raise IllegalActionError(f"action pair ({a.value},{b.value}) illegal in {mode.value}")
 
     if a is Action.O or b is Action.O:
-        if asymmetric_split and (a is Action.O) != (b is Action.O):
+        if asymmetric_split and a is not b:
             if a is Action.O:
-                return PayoffOutcome(table.Q, table.Q_hat, split=True)
-            return PayoffOutcome(table.Q_hat, table.Q, split=True)
-        return PayoffOutcome(table.Q, table.Q, split=True)
+                return table.Q, table.Q_hat, True
+            return table.Q_hat, table.Q, True
+        return table.Q, table.Q, True
 
-    if a is Action.W and b is Action.W:
-        return PayoffOutcome(table.H, table.H)
     if a is Action.W or b is Action.W:
-        return PayoffOutcome(Fraction(0), Fraction(0))
-
-    return _pd_cells(table)[(a, b)]
+        return (table.H, table.H, False) if a is b else (_ZERO, _ZERO, False)
+    if a is Action.C:
+        return (table.R, table.R, False) if b is Action.C else (table.S, table.T, False)
+    return (table.T, table.S, False) if b is Action.C else (table.P, table.P, False)
 
 
 # Regimes add the parameter constraints of the opting-out reduction results
@@ -222,6 +201,13 @@ def validate_table(table: PayoffTable, mode: Mode = Mode.FTPD, regime: str | Non
     return violations
 
 
+def require_valid_table(table: PayoffTable, mode: Mode) -> None:
+    """Raise ``ValueError`` naming every ordering constraint the table breaks."""
+    violations = validate_table(table, mode)
+    if violations:
+        raise ValueError("invalid payoff table: " + ", ".join(violations))
+
+
 @dataclass(frozen=True)
 class Dominance:
     dominated: Action
@@ -241,7 +227,7 @@ def dominance_check(
     """
     actions = legal_actions(mode)
     rows = {
-        a: [payoff(a, b, table, mode, asymmetric_split).p1 for b in actions]
+        a: [payoff(a, b, table, mode, asymmetric_split)[0] for b in actions]
         for a in actions
     }
     records: list[Dominance] = []
@@ -317,12 +303,8 @@ def validate_config(config: GameConfig) -> list[str]:
 # Plain-text key=value config files
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = (
-    "T", "R", "P", "S", "H", "Q", "Q_hat",
-    "N", "mode", "t", "K", "k", "seed", "instantaneous_rematch",
-)
+CONFIG_KEYS = TABLE_KEYS + ("N", "mode", "t", "K", "k", "seed", "instantaneous_rematch")
 
-_TABLE_KEYS = ("T", "R", "P", "S", "H", "Q", "Q_hat")
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -358,7 +340,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def table_from_mapping(raw: dict[str, str], base: PayoffTable | None = None) -> PayoffTable:
     values = dict((base or INTRO_TABLE).as_mapping())
-    for key in _TABLE_KEYS:
+    for key in TABLE_KEYS:
         if key in raw:
             try:
                 values[key] = parse_rational(raw[key])
@@ -368,12 +350,7 @@ def table_from_mapping(raw: dict[str, str], base: PayoffTable | None = None) -> 
 
 
 def config_from_mapping(raw: dict[str, str], base: GameConfig | None = None) -> GameConfig:
-    base = base or GameConfig(N=10)
-    kwargs: dict = {
-        "N": base.N, "mode": base.mode, "t": base.t, "K": base.K,
-        "k": base.k, "instantaneous_rematch": base.instantaneous_rematch,
-        "seed": base.seed,
-    }
+    kwargs: dict = {}
     for key in ("N", "t", "K", "k", "seed"):
         if key in raw:
             try:
@@ -394,7 +371,7 @@ def config_from_mapping(raw: dict[str, str], base: GameConfig | None = None) -> 
         else:
             raise ConfigError(f"bad boolean {raw['instantaneous_rematch']!r}")
     try:
-        return GameConfig(**kwargs)
+        return replace(base or GameConfig(N=10), **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

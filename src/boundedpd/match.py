@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .game import (
-    Action, GameConfig, Mode, PayoffTable, config_header, payoff, validate_table,
+    Action, GameConfig, Mode, PayoffTable, config_header, payoff, require_valid_table,
 )
 from .vm import StrategyProgram, VmState, reset, tick
 
@@ -91,10 +91,10 @@ def settle(
     """Pay the tick's action pair and commit it, with each seat's new
     machine state, to both seats; ``cost1``/``cost2`` are the XOR units
     each seat spent on the tick."""
-    outcome = payoff(a1, a2, table, config.mode, asymmetric_split)
+    pay1, pay2, split = payoff(a1, a2, table, config.mode, asymmetric_split)
     seat1.vm, seat1.last_own, seat1.last_opp = vm1, a1, a2
     seat2.vm, seat2.last_own, seat2.last_opp = vm2, a2, a1
-    return PairOutcome(a1, a2, outcome.p1, outcome.p2, outcome.split, cost1, cost2)
+    return PairOutcome(a1, a2, pay1, pay2, split, cost1, cost2)
 
 
 def match_step(seat1: Seat, seat2: Seat, config: GameConfig, table: PayoffTable) -> PairOutcome:
@@ -114,9 +114,7 @@ def run_match(
     or a non-FTPD config (population games belong to the other engine)."""
     if config.mode is not Mode.FTPD:
         raise ValueError("run_match runs FTPD games; use run_population for OPD")
-    violations = validate_table(table, config.mode)
-    if violations:
-        raise ValueError("invalid payoff table: " + ", ".join(violations))
+    require_valid_table(table, config.mode)
 
     seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
     records = tuple(match_step(seat1, seat2, config, table) for _ in range(config.N))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .game import Action, GameConfig, Mode, PayoffTable, config_header, validate_table
+from .game import Action, GameConfig, Mode, PayoffTable, config_header, require_valid_table
 from .match import PairOutcome, Seat, seat_move, settle
 from .vm import StrategyProgram, VmState, tick
 
@@ -118,7 +118,6 @@ class PlayEvent:
     partner: int
     action: Action
     pay: Fraction
-    cost: int
     split: bool
 
 
@@ -209,10 +208,8 @@ def population_step(
                 pb.opt_outs += 1
             pa.partner = pb.partner = None
             pa.pool_entry_tick = pb.pool_entry_tick = state.tick
-        events.append(PlayEvent(state.tick, a, b, outcome.a1, outcome.pay1,
-                                outcome.cost1, outcome.split))
-        events.append(PlayEvent(state.tick, b, a, outcome.a2, outcome.pay2,
-                                outcome.cost2, outcome.split))
+        events.append(PlayEvent(state.tick, a, b, outcome.a1, outcome.pay1, outcome.split))
+        events.append(PlayEvent(state.tick, b, a, outcome.a2, outcome.pay2, outcome.split))
 
     for player in state.players:
         if player.partner is None and player.pool_entry_tick != state.tick:
@@ -241,9 +238,7 @@ def run_population(
     """
     if config.mode is not Mode.OPD:
         raise ValueError("run_population runs OPD games; use run_match for FTPD")
-    violations = validate_table(table, config.mode)
-    if violations:
-        raise ValueError("invalid payoff table: " + ", ".join(violations))
+    require_valid_table(table, config.mode)
     if len(programs) < 2 or len(programs) % 2:
         raise ValueError("population size must be even and at least 2")
 

@@ -1,5 +1,7 @@
 """Security level, best response, equilibrium, and ratio analysis tests."""
 
+import hashlib
+import random as random_module
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,13 @@ from boundedpd.analysis import (
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, STRICT_TABLE
 from boundedpd.library import BUILTIN_NAMES, get
 from boundedpd.match import run_match
+from boundedpd.population import run_population
+
+from test_match import retaliator
+from test_vm import random_program
+
+#: A valid table whose split and double-wait payoffs are not zero.
+SPLIT_TABLE = PayoffTable(T=3, R=2, P=1, S=-1, H=Fraction(-1, 3), Q=Fraction(1, 2), Q_hat=-1)
 
 
 def opd(n, q_seed=0, instantaneous=True, t=1):
@@ -124,7 +133,16 @@ class TestBestResponse:
         config = GameConfig(N=4, k=2)
         with pytest.raises(BoundTooLargeError) as err:
             best_response(get("GRIM", config), config, INTRO_TABLE, size_bound=13)
-        assert err.value.estimate > 0
+        assert err.value.estimate == 18_707_323
+
+    @pytest.mark.parametrize("size_bound, trials, name", [(0, 100, "size_bound"),
+                                                          (6, 0, "trials")])
+    def test_counts_below_one_are_refused_by_name(self, size_bound, trials, name):
+        config = opd(5)
+        for opponent in (get("GRIM", config), DrawModel(q=Fraction(1, 2))):
+            with pytest.raises(ValueError, match=name):
+                best_response(opponent, config, INTRO_TABLE, size_bound=size_bound,
+                              trials=trials)
 
     def test_estimate_matches_enumeration(self):
         config = GameConfig(N=3, k=2)
@@ -192,7 +210,85 @@ class TestEquilibriumCheck:
         assert verdict.is_nash and not verdict.cooperative
 
 
+class TestFixedOpponentModel:
+    @given(st.integers(0, 10**9), st.sampled_from([Mode.FTPD, Mode.OPD]),
+           st.integers(1, 30), st.integers(1, 3), st.booleans(),
+           st.sampled_from([INTRO_TABLE, SPLIT_TABLE]))
+    @settings(max_examples=100, deadline=None)
+    def test_the_mean_is_the_engines_total(self, seed, mode, n, t, instantaneous, table):
+        # The engines are the reference: in FTPD the match, in OPD a pool of
+        # two that re-pairs the same seats after every split. A split that
+        # changes the total needs an opting player and a reactive partner,
+        # so each example plays many pairs from a mixed pool.
+        rng = random_module.Random(seed)
+        config = GameConfig(N=n, mode=mode, t=t, k=rng.choice([2, 4]),
+                            instantaneous_rematch=instantaneous)
+        pool = [get(name, config) for name in ("OFT", "GRIM", "TFT", "AllC", "AllD", "AllW")]
+        pool += [retaliator()] + [random_program(rng) for _ in range(6)]
+        for _ in range(12):
+            a, b = rng.choice(pool), rng.choice(pool)
+            if mode is Mode.FTPD:
+                expected = run_match(a, b, config, table).total1
+            else:
+                trace = run_population([("a", a), ("b", b)], config, table,
+                                       initial_pairing=[(0, 1)])
+                expected = trace.summaries[0].total
+            estimate = FixedOpponentModel(b).evaluate(a, config, table)
+            assert estimate.mean == expected and estimate.exact
+
+    def test_an_invalid_table_is_refused(self):
+        config = GameConfig(N=5, k=2)
+        with pytest.raises(ValueError, match="T > R"):
+            FixedOpponentModel("AllD").evaluate(get("GRIM", config), config,
+                                                PayoffTable(T=1, R=1, P=-1, S=-2))
+
+
 class TestDrawModel:
+    def test_estimates_are_pinned(self):
+        # sha256 over (mean, se) on a seeded grid of periods, rematch
+        # modes, tables, models and players; recorded before the draw and
+        # fixed-opponent models shared one focal-player loop.
+        rng = random_module.Random(20261018)
+        models = (
+            DrawModel(q=Fraction(1, 4)),
+            DrawModel(q=Fraction(1, 2), first_draw="AllW"),
+            DrawModel(q=Fraction(3, 4), cooperative="OFT", hostile="TFT"),
+            DrawModel(q=1, hostile="AllW"),
+        )
+        digest = hashlib.sha256()
+        for t in (1, 2, 3):
+            for instantaneous in (True, False):
+                config = GameConfig(N=rng.randint(10, 30), mode=Mode.OPD, t=t,
+                                    instantaneous_rematch=instantaneous)
+                players = [get(name, config) for name in ("OFT", "GRIM", "TFT", "AllC")]
+                players += [retaliator(), random_program(rng), random_program(rng)]
+                for table in (INTRO_TABLE, SPLIT_TABLE):
+                    for model in models:
+                        for program in players:
+                            est = model.evaluate(program, config, table, trials=8,
+                                                 seed=rng.randrange(1000))
+                            digest.update(repr((float(est.mean), est.se)).encode())
+        assert digest.hexdigest() == (
+            "8cd5e805c9f5520742173b2bb489cd4014b18de5781f1b4a879b3a23cbbc0a45"
+        )
+
+    @pytest.mark.parametrize("q", [0, -Fraction(1, 2), Fraction(3, 2), 2])
+    def test_q_outside_the_unit_interval_is_refused(self, q):
+        with pytest.raises(ValueError, match="q must be in"):
+            DrawModel(q=q)
+
+    def test_zero_trials_are_refused(self):
+        config = opd(5)
+        with pytest.raises(ValueError, match="trials"):
+            DrawModel(q=Fraction(1, 2)).evaluate(get("OFT", config), config, INTRO_TABLE,
+                                                 trials=0)
+
+    def test_an_invalid_table_is_refused(self):
+        config = opd(5)
+        with pytest.raises(ValueError, match="invalid payoff table"):
+            DrawModel(q=Fraction(1, 2)).evaluate(get("OFT", config), config,
+                                                 PayoffTable(T=1, R=1, P=-1, S=-2))
+
     def test_seeded_evaluation_is_reproducible(self):
         config = opd(50)
         oft = get("OFT", config)
@@ -260,6 +356,12 @@ class TestPopulationMixModel:
         assert est.trials == 30 and not est.exact
         a = model.evaluate(get("OFT", config), config, INTRO_TABLE, trials=30, seed=2)
         assert a.mean == est.mean
+
+    def test_zero_trials_are_refused(self):
+        config = GameConfig(N=5, mode=Mode.OPD)
+        with pytest.raises(ValueError, match="trials"):
+            PopulationMixModel(others=("GRIM",)).evaluate(get("OFT", config), config,
+                                                          INTRO_TABLE, trials=0)
 
 
 class TestUnprovokedDefection:

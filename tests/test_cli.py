@@ -47,6 +47,15 @@ class TestMatch:
         written = (tmp_path / "run" / "match.csv").read_text()
         assert written.splitlines()[1] == "tick,a1,a2,pay1,pay2,cost1,cost2"
 
+    def test_table_file_with_run_parameters_is_refused(self, tmp_path):
+        # The run parameters come from the flags; a table file naming N or
+        # mode would otherwise be silently ignored.
+        table = tmp_path / "t.cfg"
+        table.write_text("T=2\nR=1\nP=-1\nS=-2\nN=50\nmode=OPD\n")
+        code, out, err = run_cli(["match", "GRIM", "GRIM", "--table", str(table)])
+        assert code == 2 and out == ""
+        assert "N, mode" in err and "T,R,P,S,H,Q,Q_hat" in err
+
     def test_bad_config_rejected(self):
         code, _, err = run_cli(["match", "GRIM", "GRIM", "--N", "0"])
         assert code == 2 and "N must be" in err

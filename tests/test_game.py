@@ -60,31 +60,30 @@ def random_valid_tables() -> st.SearchStrategy[PayoffTable]:
 class TestPayoff:
     def test_intro_example_defect_vs_cooperate(self):
         out = payoff(D, C, INTRO_TABLE)
-        assert out.pair() == (Fraction(2), Fraction(-2))
+        assert out == (Fraction(2), Fraction(-2), False)
 
     def test_wait_against_mover_pays_nothing(self):
         for other in (C, D):
-            assert payoff(W, other, INTRO_TABLE).pair() == (0, 0)
-            assert payoff(other, W, INTRO_TABLE).pair() == (0, 0)
+            assert payoff(W, other, INTRO_TABLE) == (0, 0, False)
+            assert payoff(other, W, INTRO_TABLE) == (0, 0, False)
 
     def test_double_wait_pays_h(self):
         table = PayoffTable(T=2, R=1, P=-1, S=-2, H=Fraction(-1, 100))
         out = payoff(W, W, table)
-        assert out.pair() == (Fraction(-1, 100), Fraction(-1, 100))
+        assert out == (Fraction(-1, 100), Fraction(-1, 100), False)
 
     def test_opt_out_pays_q_to_both_and_splits(self):
         out = payoff(O, D, INTRO_TABLE, Mode.OPD)
-        assert out.pair() == (0, 0)
-        assert out.split
+        assert out == (0, 0, True)
 
     def test_opt_out_asymmetric_split(self):
         table = PayoffTable(T=2, R=1, P=-1, S=-2, Q=0, Q_hat=Fraction(-1, 2))
         out = payoff(O, C, table, Mode.OPD, asymmetric_split=True)
-        assert out.pair() == (0, Fraction(-1, 2))
+        assert out == (0, Fraction(-1, 2), True)
         out = payoff(C, O, table, Mode.OPD, asymmetric_split=True)
-        assert out.pair() == (Fraction(-1, 2), 0)
+        assert out == (Fraction(-1, 2), 0, True)
         out = payoff(O, O, table, Mode.OPD, asymmetric_split=True)
-        assert out.pair() == (0, 0)
+        assert out == (0, 0, True)
 
     def test_opt_out_illegal_outside_opd(self):
         with pytest.raises(IllegalActionError):
@@ -95,13 +94,12 @@ class TestPayoff:
     def test_swap_symmetry(self, table, a, b):
         left = payoff(a, b, table, Mode.OPD)
         right = payoff(b, a, table, Mode.OPD)
-        assert (left.p1, left.p2) == (right.p2, right.p1)
-        assert left.split == right.split
+        assert left == (right[1], right[0], right[2])
 
     def test_plain_cells(self):
-        assert payoff(C, C, INTRO_TABLE).pair() == (1, 1)
-        assert payoff(C, D, INTRO_TABLE).pair() == (-2, 2)
-        assert payoff(D, D, INTRO_TABLE).pair() == (-1, -1)
+        assert payoff(C, C, INTRO_TABLE) == (1, 1, False)
+        assert payoff(C, D, INTRO_TABLE) == (-2, 2, False)
+        assert payoff(D, D, INTRO_TABLE) == (-1, -1, False)
 
 
 class TestValidateTable:

@@ -88,7 +88,7 @@ def reference_match(p1, p2, config, table):
                 action = W
             vms[me] = vm
             actions.append(action)
-        pay1, pay2 = payoff(actions[0], actions[1], table).pair()
+        pay1, pay2, _split = payoff(actions[0], actions[1], table)
         totals[0] += pay1
         totals[1] += pay2
         records.append(PairOutcome(actions[0], actions[1], pay1, pay2, False,
@@ -171,7 +171,7 @@ class TestConservation:
         fold1 = sum((r.pay1 for r in trace.records), Fraction(0))
         fold2 = sum((r.pay2 for r in trace.records), Fraction(0))
         assert (fold1, fold2) == trace.totals
-        recomputed = [payoff(r.a1, r.a2, INTRO_TABLE).pair() for r in trace.records]
+        recomputed = [payoff(r.a1, r.a2, INTRO_TABLE) for r in trace.records]
         assert fold1 == sum((p[0] for p in recomputed), Fraction(0))
         assert fold2 == sum((p[1] for p in recomputed), Fraction(0))
 
