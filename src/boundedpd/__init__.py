@@ -5,7 +5,7 @@ The package splits into value types and engines:
 * :mod:`boundedpd.game` - actions, payoff tables, configs, dominance.
 * :mod:`boundedpd.vm` - the budgeted strategy machine.
 * :mod:`boundedpd.dsl` - the strategy language and compiler.
-* :mod:`boundedpd.library` - built-in strategies.
+* :mod:`boundedpd.library` - built-in strategies and the strategy resolver.
 * :mod:`boundedpd.match` - the pair-tick kernel every engine plays
   through, and two-player fixed-horizon matches.
 * :mod:`boundedpd.population` - the opting-out population game, whose

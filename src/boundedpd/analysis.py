@@ -45,8 +45,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
-from . import dsl, library
+from . import dsl
 from .game import Action, GameConfig, Mode, PayoffTable, counter_width_for, require_valid_table
+from .library import resolve
 from .match import MatchTrace, Seat, run_match
 from .population import play_pair_tick, run_population
 from .vm import StrategyProgram
@@ -54,12 +55,6 @@ from .vm import StrategyProgram
 
 def _derive_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + index * 7_919 + 12_345) & 0x7FFFFFFF
-
-
-def _resolve(program_or_name: Union[str, StrategyProgram], config: GameConfig) -> StrategyProgram:
-    if isinstance(program_or_name, str):
-        return library.get(program_or_name, config)
-    return program_or_name
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +159,7 @@ class FixedOpponentModel:
                  trials: int = 1, seed: int = 0) -> ModelEstimate:
         require_valid_table(table, config.mode)
         # A pool of two re-pairs the same two seats after every split.
-        opponent = Seat.fresh(_resolve(self.opponent, config))
+        opponent = Seat.fresh(resolve(self.opponent, config))
         total = _play_focal(program, opponent, lambda: opponent, config, table)
         return ModelEstimate(self.describe(), total, 0.0, 1, exact=True)
 
@@ -200,9 +195,9 @@ class DrawModel:
         # Named partners are compiled once here, not once per trial.
         resolved = replace(
             self,
-            cooperative=_resolve(self.cooperative, config),
-            hostile=_resolve(self.hostile, config),
-            first_draw=None if self.first_draw is None else _resolve(self.first_draw, config),
+            cooperative=resolve(self.cooperative, config),
+            hostile=resolve(self.hostile, config),
+            first_draw=None if self.first_draw is None else resolve(self.first_draw, config),
         )
         values = [
             float(resolved.run_trial(program, config, table, _derive_seed(seed, i)))
@@ -212,15 +207,15 @@ class DrawModel:
 
     def run_trial(self, program: StrategyProgram, config: GameConfig,
                   table: PayoffTable, trial_seed: int) -> Fraction:
-        coop = _resolve(self.cooperative, config)
-        hostile = _resolve(self.hostile, config)
+        coop = resolve(self.cooperative, config)
+        hostile = resolve(self.hostile, config)
         rng = random.Random(trial_seed)
         q = float(self.q)
 
         def draw() -> Seat:
             return Seat.fresh(coop if rng.random() < q else hostile)
 
-        first = draw() if self.first_draw is None else Seat.fresh(_resolve(self.first_draw, config))
+        first = draw() if self.first_draw is None else Seat.fresh(resolve(self.first_draw, config))
         return _play_focal(program, first, draw, config, table)
 
 
@@ -240,9 +235,8 @@ class PopulationMixModel:
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 50, seed: int = 0) -> ModelEstimate:
-        roster = [("S", program)] + [
-            (o if isinstance(o, str) else o.name, _resolve(o, config)) for o in self.others
-        ]
+        others = [resolve(o, config) for o in self.others]
+        roster = [("S", program)] + [(o.name, o) for o in others]
         values = []
         for i in range(trials):
             cfg = replace(config, seed=_derive_seed(seed, i))
@@ -406,14 +400,13 @@ def _counter_ok(decls: tuple, incs: bool, tests: bool) -> bool:
 
 
 def _combos_by_counter(
-    config: GameConfig, size_bound: int, mode: Mode | None
+    config: GameConfig, size_bound: int
 ) -> Iterator[tuple[tuple, list[_StateCombo], list[_StateCombo], list[_StateCombo]]]:
     """Per counter declaration (none, then one): the single-state programs (no
     gotos: a self-goto only restates the loop), then the combos of states s0
     and s1 that two-state programs pair up. s1 must be reachable, so every
     s0 combo holds a goto; both lists are empty when no s1 fits the bound."""
-    mode = mode or config.mode
-    actions = (Action.C, Action.D, Action.W) + ((Action.O,) if mode is Mode.OPD else ())
+    actions = (Action.C, Action.D, Action.W) + ((Action.O,) if config.mode is Mode.OPD else ())
     width = counter_width_for(config.N)
 
     # Compare thresholds: exhaustive at desk scale. At large horizons the
@@ -454,16 +447,14 @@ def _combos_by_counter(
         yield decls, singles, combos0, combos1
 
 
-def _iter_sources(
-    config: GameConfig, size_bound: int, mode: Mode | None = None
-) -> Iterator[dsl.StrategySource]:
+def _iter_sources(config: GameConfig, size_bound: int) -> Iterator[dsl.StrategySource]:
     """Generate canonical candidate sources whose compiled size fits the
     bound. Deterministic order; each distinct source appears once."""
 
     def labeled(combo: _StateCombo, label: str) -> tuple[dsl.Rule, ...]:
         return (replace(combo.rules[0], label=label),) + combo.rules[1:]
 
-    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound, mode):
+    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound):
         for combo in singles:
             yield dsl.StrategySource("cand", decls, combo.rules)
         rules1 = [labeled(combo1, "s1") for combo1 in combos1]
@@ -478,11 +469,7 @@ def _iter_sources(
                     yield dsl.StrategySource("cand", decls, rules0 + tail)
 
 
-def enumerate_candidates(
-    config: GameConfig,
-    size_bound: int,
-    mode: Mode | None = None,
-) -> Iterator[StrategyProgram]:
+def enumerate_candidates(config: GameConfig, size_bound: int) -> Iterator[StrategyProgram]:
     """Yield every canonical candidate program within the compiled size bound.
 
     Deterministic order. Canonical means: unconditional rules only in last
@@ -491,22 +478,18 @@ def enumerate_candidates(
     distinct and fits the bound by construction, so every one is compiled
     and yielded.
     """
-    for source in _iter_sources(config, size_bound, mode):
+    for source in _iter_sources(config, size_bound):
         yield dsl.compile(source, config)
 
 
-def estimate_search_size(
-    config: GameConfig,
-    size_bound: int,
-    mode: Mode | None = None,
-) -> int:
+def estimate_search_size(config: GameConfig, size_bound: int) -> int:
     """Size of the candidate space, counted without building a source.
 
     Whether two states pair up depends only on each one's size and counter
     use, so the two-state programs are counted bucket by bucket.
     """
     count = 0
-    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound, mode):
+    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound):
         count += len(singles)
         buckets0 = Counter((c.size, c.incs, c.tests_counter) for c in combos0)
         buckets1 = Counter((c.size, c.incs, c.tests_counter) for c in combos1)
@@ -550,10 +533,11 @@ def best_response(
     short screen ranked too low. Ties break to the smallest canonical
     source.
     """
-    for name, value in (("size_bound", size_bound), ("trials", trials)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     estimate = estimate_search_size(config, size_bound)
+    if estimate == 0:
+        raise ValueError(f"size_bound {size_bound} admits no candidate program")
     if size_bound > _MAX_SIZE_BOUND or estimate > _MAX_CANDIDATES:
         raise BoundTooLargeError(estimate, _MAX_CANDIDATES)
     model = FixedOpponentModel(opponent) if isinstance(opponent, StrategyProgram) else opponent
@@ -567,8 +551,6 @@ def best_response(
         for candidate in enumerate_candidates(config, size_bound)
     )
     finalists = heapq.nsmallest(_FINALISTS, screened, key=rank)
-    if not finalists:
-        raise RuntimeError("empty candidate space")
     best, program = finalists[0]
     if not best.exact:
         best, program = min(

@@ -7,8 +7,11 @@ Subcommands:
 * ``analyze``: security level / competitive ratio reports and sweeps.
 * ``list-strategies``: show the built-in catalog.
 
-Exit status 0 on success, 2 on configuration or parse problems. Strategy
-file diagnostics are printed to stderr as ``file:line:col: message``.
+Exit status 0 on success, 2 on a usage problem: a bad flag, or any
+``ValueError`` the package raises for a bad argument (out-of-range config,
+invalid payoff table, unknown strategy, oversized search). ``main`` is the
+one place that turns these into a ``boundedpd: ...`` line on stderr.
+Strategy file diagnostics read ``file:line:col: message``.
 """
 
 from __future__ import annotations
@@ -19,17 +22,15 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis, dsl, library
+from . import analysis, library
 from .game import (
     ConfigError, GameConfig, Mode, PayoffTable, TABLE_KEYS, TABLE_PRESETS, config_header,
     parse_config_text, table_from_mapping,
 )
 from .match import run_match, trace_to_csv as match_csv
 from .population import (
-    PopulationSpecError, parse_population_spec, run_population,
-    summary_to_csv, trace_to_csv as population_csv,
+    parse_population_spec, run_population, summary_to_csv, trace_to_csv as population_csv,
 )
-from .vm import StrategyProgram
 
 
 class CliError(Exception):
@@ -42,7 +43,7 @@ def _load_table(spec: str | None) -> PayoffTable:
     if spec in TABLE_PRESETS:
         return TABLE_PRESETS[spec]
     path = Path(spec)
-    if not path.exists():
+    if not path.is_file():
         raise CliError(f"no table preset or file named {spec!r}")
     try:
         raw = parse_config_text(path.read_text(encoding="utf-8"))
@@ -56,36 +57,12 @@ def _load_table(spec: str | None) -> PayoffTable:
     return table
 
 
-def _build_config(**fields) -> GameConfig:
-    """The one way a subcommand builds its config: an out-of-range field
-    is a usage error (exit 2), not a crash."""
-    try:
-        return GameConfig(**fields)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _fraction(flag: str, text: str) -> Fraction:
     """A ``--q``/``--r`` value: an integer, decimal or ratio such as 1/3."""
     try:
         return Fraction(text).limit_denominator(10**6)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"{flag} expects a number, got {text!r}") from None
-
-
-def _resolve_strategy(spec: str, config: GameConfig) -> StrategyProgram:
-    if spec in library.BUILTIN_NAMES:
-        try:
-            return library.get(spec, config)
-        except ValueError as exc:
-            raise CliError(f"{spec}: {exc}") from exc
-    path = Path(spec)
-    if not path.exists():
-        raise CliError(f"no builtin or strategy file named {spec!r}")
-    try:
-        return dsl.compile(dsl.parse(path.read_text(encoding="utf-8")), config)
-    except dsl.DslError as exc:
-        raise CliError(exc.with_file(str(path))) from exc
 
 
 def _write(out_dir: str | None, filename: str, content: str) -> None:
@@ -107,13 +84,10 @@ def _add_common(parser: argparse.ArgumentParser, default_n: int) -> None:
 
 def cmd_match(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
-    config = _build_config(N=args.N, k=args.k, seed=args.seed)
-    p1 = _resolve_strategy(args.strategy1, config)
-    p2 = _resolve_strategy(args.strategy2, config)
-    try:
-        trace = run_match(p1, p2, config, table)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    config = GameConfig(N=args.N, k=args.k, seed=args.seed)
+    p1 = library.resolve(args.strategy1, config)
+    p2 = library.resolve(args.strategy2, config)
+    trace = run_match(p1, p2, config, table)
     _write(args.out, "match.csv", match_csv(trace, config, table,
                                             extra_meta=f"{p1.source}{p2.source}"))
     print(f"{trace.total1} {trace.total2}")
@@ -123,15 +97,15 @@ def cmd_match(args: argparse.Namespace) -> int:
 def cmd_population(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
     spec_path = Path(args.popspec)
-    if not spec_path.exists():
+    if not spec_path.is_file():
         raise CliError(f"population spec file {args.popspec!r} not found")
     spec_text = spec_path.read_text(encoding="utf-8")
     # K is determined by the roster size.
-    probe = _build_config(N=args.N, mode=Mode.OPD, t=args.t, k=args.k,
-                          instantaneous_rematch=args.instantaneous_rematch, seed=args.seed)
+    probe = GameConfig(N=args.N, mode=Mode.OPD, t=args.t, k=args.k,
+                       instantaneous_rematch=args.instantaneous_rematch, seed=args.seed)
     try:
         roster = parse_population_spec(spec_text, probe, base_dir=spec_path.parent)
-    except (PopulationSpecError, dsl.DslError) as exc:
+    except ValueError as exc:
         raise CliError(f"{args.popspec}: {exc}") from exc
     if len(roster) % 2:
         raise CliError(f"population has {len(roster)} players; the count must be even")
@@ -139,11 +113,7 @@ def cmd_population(args: argparse.Namespace) -> int:
         raise CliError(f"--K {args.K} asks for {args.K * 2} players but the "
                        f"spec provides {len(roster)}")
     config = replace(probe, K=len(roster) // 2)
-    try:
-        trace = run_population(roster, config, table,
-                               unpaired_pay_qhat=args.unpaired_qhat)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    trace = run_population(roster, config, table, unpaired_pay_qhat=args.unpaired_qhat)
     _write(args.out, "population.csv", population_csv(trace, config, table, extra_meta=spec_text))
     _write(args.out, "summary.csv",
            config_header(table, config, spec_text) + "\n" + summary_to_csv(trace))
@@ -172,8 +142,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.q is None:
             raise CliError("--oft-constant needs --q")
         q = _fraction("--q", args.q)
-        if q <= 0:
-            raise CliError("q must be positive")
         r = _fraction("--r", args.r) if args.r is not None else Fraction(0)
         print(analysis.oft_constant(q, r, table))
         return 0
@@ -187,11 +155,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     models: list[analysis.PopulationModel] = []
     mode = Mode.FTPD
     if args.q is not None:
-        q = _fraction("--q", args.q)
-        if not 0 < q <= 1:
-            raise CliError("q must be in (0, 1]")
         mode = Mode.OPD
-        models.append(analysis.DrawModel(q=q))
+        models.append(analysis.DrawModel(q=_fraction("--q", args.q)))
     if args.mode is not None:
         try:
             mode = Mode(args.mode.upper())
@@ -225,9 +190,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     rows = []
     for n in horizons:
-        config = _build_config(N=n, mode=mode, t=t, k=args.k,
-                               instantaneous_rematch=instantaneous, seed=args.seed)
-        program = _resolve_strategy(args.strategy, config)
+        config = GameConfig(N=n, mode=mode, t=t, k=args.k,
+                            instantaneous_rematch=instantaneous, seed=args.seed)
+        program = library.resolve(args.strategy, config)
         report = analysis.competitive_ratio(
             program, models, config, table,
             trials=args.trials, size_bound=args.size_bound, seed=args.seed,
@@ -250,10 +215,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_list_strategies(args: argparse.Namespace) -> int:
-    config = _build_config(N=args.N, k=args.k)
-    for entry in library.catalog(config).values():
-        modes = "+".join(m.value for m in entry.modes)
-        print(f"{entry.name}\tworst tick cost {entry.documented_cost}\t{modes}")
+    for name, program in library.catalog(GameConfig(N=args.N, k=args.k)).items():
+        modes = "+".join(m.value for m in library.modes(program))
+        print(f"{name}\tworst tick cost {program.worst_tick_cost}\t{modes}")
     return 0
 
 
@@ -315,10 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"boundedpd: {exc}", file=sys.stderr)
-        return 2
-    except analysis.BoundTooLargeError as exc:
+    except (CliError, ValueError) as exc:
         print(f"boundedpd: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Built-in strategies shipped as DSL sources.
+"""Built-in strategies shipped as DSL sources, and the strategy resolver.
 
 Six fixed strategies live as ``.pdstrat`` assets next to this module. The
 seventh, CountingDefector, is generated per horizon: it cooperates through
@@ -10,36 +10,27 @@ This makes the defector the best case allowed by the cost model: even
 granted perfect timing of the check, the compare itself costs a wait, the
 partner's trigger fires, and the total comes out at (N-2) rewards plus one
 punishment instead of N rewards.
+
+:func:`resolve` is the one step from a strategy reference to a program: a
+program passes through, a builtin name is compiled by :func:`get`, and
+anything else is a ``.pdstrat`` file. A player is its compiled program, so
+the catalog keeps nothing beside it: a builtin's worst tick cost is the
+compiler's ``worst_tick_cost`` and its game modes come from
+:func:`modes`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl
-from .game import GameConfig, Mode, counter_width_for
+from .game import Action, GameConfig, Mode, counter_width_for
 from .vm import StrategyProgram
 
 _ASSET_DIR = Path(__file__).parent / "assets"
 
 #: Names accepted by :func:`get`, in listing order.
 BUILTIN_NAMES = ("GRIM", "OFT", "TFT", "AllC", "AllD", "AllW", "CountingDefector")
-
-#: Worst-case XOR units a single tick may demand, as documented per entry.
-#: CountingDefector's cost depends on the horizon; see :func:`documented_cost`.
-_FIXED_COSTS = {"GRIM": 2, "OFT": 2, "TFT": 2, "AllC": 0, "AllD": 0, "AllW": 0}
-
-#: Which game modes an entry is meant for. OFT plays O, so it needs OPD.
-INTENDED_MODES = {
-    "GRIM": (Mode.FTPD, Mode.OPD),
-    "OFT": (Mode.OPD,),
-    "TFT": (Mode.FTPD, Mode.OPD),
-    "AllC": (Mode.FTPD, Mode.OPD),
-    "AllD": (Mode.FTPD, Mode.OPD),
-    "AllW": (Mode.FTPD, Mode.OPD),
-    "CountingDefector": (Mode.FTPD, Mode.OPD),
-}
 
 
 class UnknownStrategyError(KeyError):
@@ -72,40 +63,38 @@ def source_text(name: str, config: GameConfig) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def documented_cost(name: str, config: GameConfig) -> int:
-    if name == "CountingDefector":
-        return counter_width_for(config.N)
-    try:
-        return _FIXED_COSTS[name]
-    except KeyError:
-        raise UnknownStrategyError(name) from None
-
-
 def get(name: str, config: GameConfig) -> StrategyProgram:
     """Compile a builtin for the given config. Unknown names raise."""
     return dsl.compile(dsl.parse(source_text(name, config)), config)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    source: str
-    documented_cost: int
-    modes: tuple[Mode, ...]
-    program: StrategyProgram
+def resolve(spec: str | StrategyProgram, config: GameConfig,
+            base_dir: str | Path = ".") -> StrategyProgram:
+    """The program a strategy reference names: a program as it is, a
+    builtin by name, or else a ``.pdstrat`` path relative to ``base_dir``.
+    A missing file or a file that does not compile is a ``ValueError``;
+    a compile error names the file and the position in it."""
+    if isinstance(spec, StrategyProgram):
+        return spec
+    if spec in BUILTIN_NAMES:
+        return get(spec, config)
+    path = Path(base_dir) / spec
+    if not path.is_file():
+        raise ValueError(f"no builtin or strategy file named {spec!r}")
+    try:
+        return dsl.compile(dsl.parse(path.read_text(encoding="utf-8")), config)
+    except dsl.DslError as exc:
+        raise ValueError(exc.with_file(str(path))) from exc
 
 
-def catalog(config: GameConfig) -> dict[str, CatalogEntry]:
+def modes(program: StrategyProgram) -> tuple[Mode, ...]:
+    """The game modes a program fits: OPD alone if it can play O."""
+    if any(ins.action is Action.O for ins in program.instructions):
+        return (Mode.OPD,)
+    return (Mode.FTPD, Mode.OPD)
+
+
+def catalog(config: GameConfig) -> dict[str, StrategyProgram]:
     """All builtins compiled for ``config``, keyed by name."""
-    entries = {}
-    for name in BUILTIN_NAMES:
-        if name == "CountingDefector" and config.N < 3:
-            continue
-        entries[name] = CatalogEntry(
-            name=name,
-            source=source_text(name, config),
-            documented_cost=documented_cost(name, config),
-            modes=INTENDED_MODES[name],
-            program=get(name, config),
-        )
-    return entries
+    return {name: get(name, config) for name in BUILTIN_NAMES
+            if name != "CountingDefector" or config.N >= 3}

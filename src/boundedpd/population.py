@@ -33,6 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .game import Action, GameConfig, Mode, PayoffTable, config_header, require_valid_table
+from .library import resolve
 from .match import PairOutcome, Seat, seat_move, settle
 from .vm import StrategyProgram, VmState, tick
 
@@ -91,7 +92,6 @@ class PlayerSlot:
     partner: int | None = None
     opt_outs: int = 0
     unpaired_ticks: int = 0
-    pool_entry_tick: int | None = None
 
 
 @dataclass
@@ -179,7 +179,6 @@ def _apply_rematch(state: PopulationState, events: list[Event]) -> None:
     for a, b in pairs:
         pa, pb = state.players[a], state.players[b]
         pa.partner, pb.partner = b, a
-        pa.pool_entry_tick = pb.pool_entry_tick = None
         pa.seat.new_pairing()
         pb.seat.new_pairing()
     events.append(RematchEvent(state.tick, pairs, leftover))
@@ -196,6 +195,14 @@ def population_step(
     state.tick += 1
     events: list[Event] = []
 
+    # Only players unpaired as the tick starts idle through it: a pair that
+    # splits this tick has played it.
+    for player in state.players:
+        if player.partner is None:
+            player.unpaired_ticks += 1
+            if unpaired_pay_qhat:
+                player.total += table.Q_hat
+
     for a, b in state.pairs():
         pa, pb = state.players[a], state.players[b]
         outcome = play_pair_tick(pa.seat, pb.seat, config, table, asymmetric_split)
@@ -207,15 +214,8 @@ def population_step(
             if outcome.a2 is Action.O:
                 pb.opt_outs += 1
             pa.partner = pb.partner = None
-            pa.pool_entry_tick = pb.pool_entry_tick = state.tick
         events.append(PlayEvent(state.tick, a, b, outcome.a1, outcome.pay1, outcome.split))
         events.append(PlayEvent(state.tick, b, a, outcome.a2, outcome.pay2, outcome.split))
-
-    for player in state.players:
-        if player.partner is None and player.pool_entry_tick != state.tick:
-            player.unpaired_ticks += 1
-            if unpaired_pay_qhat:
-                player.total += table.Q_hat
 
     if config.instantaneous_rematch or state.tick % config.t == 0:
         _apply_rematch(state, events)
@@ -282,11 +282,10 @@ def parse_population_spec(
 ) -> list[tuple[str, StrategyProgram]]:
     """Parse ``count x strategy`` lines into per-player (label, program).
 
-    A strategy is a builtin name or a path to a ``.pdstrat`` file, resolved
-    relative to ``base_dir``.
+    A strategy is whatever :func:`boundedpd.library.resolve` takes, with
+    file paths relative to ``base_dir``; each player is labeled with its
+    program's name. Errors name the spec line.
     """
-    from . import dsl, library
-
     result: list[tuple[str, StrategyProgram]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -303,19 +302,11 @@ def parse_population_spec(
             raise PopulationSpecError(f"line {lineno}: bad count {parts[0]!r}") from None
         if count < 1:
             raise PopulationSpecError(f"line {lineno}: count must be positive")
-        name = parts[2]
-        if name in library.BUILTIN_NAMES:
-            program = library.get(name, config)
-            label = name
-        else:
-            path = Path(base_dir) / name
-            if not path.exists():
-                raise PopulationSpecError(
-                    f"line {lineno}: no builtin or file named {name!r}"
-                )
-            program = dsl.compile(dsl.parse(path.read_text(encoding="utf-8")), config)
-            label = program.name
-        result.extend((label, program) for _ in range(count))
+        try:
+            program = resolve(parts[2], config, base_dir)
+        except ValueError as exc:
+            raise PopulationSpecError(f"line {lineno}: {exc}") from exc
+        result.extend((program.name, program) for _ in range(count))
     if not result:
         raise PopulationSpecError("population spec is empty")
     return result

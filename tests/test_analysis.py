@@ -144,6 +144,14 @@ class TestBestResponse:
                 best_response(opponent, config, INTRO_TABLE, size_bound=size_bound,
                               trials=trials)
 
+    def test_a_bound_below_the_smallest_program_is_refused(self):
+        # The smallest candidate, "always play C", compiles to 3 instructions.
+        config = opd(8)
+        assert estimate_search_size(config, 2) == 0 < estimate_search_size(config, 3)
+        for opponent in (get("GRIM", config), DrawModel(q=Fraction(1, 2))):
+            with pytest.raises(ValueError, match="size_bound 2 admits no candidate program"):
+                best_response(opponent, config, INTRO_TABLE, size_bound=2)
+
     def test_estimate_matches_enumeration(self):
         config = GameConfig(N=3, k=2)
         count = sum(1 for _ in enumerate_candidates(config, 7))

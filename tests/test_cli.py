@@ -56,6 +56,12 @@ class TestMatch:
         assert code == 2 and out == ""
         assert "N, mode" in err and "T,R,P,S,H,Q,Q_hat" in err
 
+    def test_a_directory_is_no_table_or_spec_file(self, tmp_path):
+        for argv in (["match", "GRIM", "GRIM", "--table", str(tmp_path)],
+                     ["population", str(tmp_path)]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (2, "") and str(tmp_path) in err
+
     def test_bad_config_rejected(self):
         code, _, err = run_cli(["match", "GRIM", "GRIM", "--N", "0"])
         assert code == 2 and "N must be" in err
@@ -100,6 +106,16 @@ class TestPopulation:
             assert code == 0
             outputs.append((out_dir / "population.csv").read_bytes())
         assert all(blob == outputs[0] for blob in outputs)
+
+    def test_a_broken_strategy_file_is_named_in_the_diagnostic(self, tmp_path):
+        (tmp_path / "bad2.pdstrat").write_text("strategy Bad\nalways play C\n"
+                                               "if opp == D then play Z\n")
+        spec = tmp_path / "pop.txt"
+        spec.write_text("1 x bad2.pdstrat\n1 x GRIM\n")
+        code, out, err = run_cli(["population", str(spec), "--N", "5"])
+        assert (code, out) == (2, "")
+        assert err == (f"boundedpd: {spec}: line 1: {tmp_path / 'bad2.pdstrat'}:3:23: "
+                       "expected action, got 'Z'\n")
 
     def test_odd_roster_is_a_usage_error(self, tmp_path):
         spec = tmp_path / "odd.txt"
@@ -175,10 +191,13 @@ class TestOutOfRangeConfig:
          "--size-bound must be at least 1"),
         (["analyze", "OFT", "--gamma", "all-AllD", "--size-bound", "-1"],
          "--size-bound must be at least 1"),
+        (["analyze", "GRIM", "--gamma", "all-AllD", "--N", "8", "--size-bound", "2"],
+         "size_bound 2 admits no candidate program"),
     ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N",
             "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
             "oft-constant-q-word", "analyze-trials-0", "analyze-trials-negative",
-            "analyze-size-bound-0", "analyze-gamma-size-bound-negative"])
+            "analyze-size-bound-0", "analyze-gamma-size-bound-negative",
+            "analyze-size-bound-below-every-program"])
     def test_rejected_with_usage_code(self, argv, message):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
@@ -202,6 +221,25 @@ class TestListStrategies:
         assert any(line.startswith("GRIM\tworst tick cost 2") for line in lines)
         assert any(line.startswith("CountingDefector\tworst tick cost 10") for line in lines)
         assert any("OPD" in line and line.startswith("OFT") for line in lines)
+
+    #: Listings at N = 2 (no CountingDefector) and N = 1000 (a 10-bit counter).
+    @pytest.mark.parametrize("n, expected", [
+        ("2", "GRIM\tworst tick cost 2\tFTPD+OPD\n"
+              "OFT\tworst tick cost 2\tOPD\n"
+              "TFT\tworst tick cost 2\tFTPD+OPD\n"
+              "AllC\tworst tick cost 0\tFTPD+OPD\n"
+              "AllD\tworst tick cost 0\tFTPD+OPD\n"
+              "AllW\tworst tick cost 0\tFTPD+OPD\n"),
+        ("1000", "GRIM\tworst tick cost 2\tFTPD+OPD\n"
+                 "OFT\tworst tick cost 2\tOPD\n"
+                 "TFT\tworst tick cost 2\tFTPD+OPD\n"
+                 "AllC\tworst tick cost 0\tFTPD+OPD\n"
+                 "AllD\tworst tick cost 0\tFTPD+OPD\n"
+                 "AllW\tworst tick cost 0\tFTPD+OPD\n"
+                 "CountingDefector\tworst tick cost 10\tFTPD+OPD\n"),
+    ])
+    def test_listing_is_pinned(self, n, expected):
+        assert run_cli(["list-strategies", "--N", n]) == (0, expected, "")
 
 
 class TestFlagSurface:

@@ -1,16 +1,20 @@
-"""Catalog integrity: every builtin compiles and costs what it claims."""
+"""Catalog integrity: every builtin compiles and costs what it claims;
+the resolver turns every kind of strategy reference into a program."""
 
 import random as random_module
+import re
 
 import pytest
 
-from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode
+from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, counter_width_for
 from boundedpd.library import (
     BUILTIN_NAMES,
     UnknownStrategyError,
     catalog,
     counting_defector_source,
     get,
+    modes,
+    resolve,
 )
 from boundedpd.match import run_match
 from boundedpd.population import run_population
@@ -20,6 +24,11 @@ from test_vm import random_program
 
 C, D, W, O = Action.C, Action.D, Action.W, Action.O
 CFG = GameConfig(N=16, k=4)
+
+#: Worst tick costs as README's table documents them; CountingDefector's is
+#: the width of the horizon counter.
+DOCUMENTED_COSTS = {"GRIM": 2, "OFT": 2, "TFT": 2, "AllC": 0, "AllD": 0, "AllW": 0,
+                    "CountingDefector": counter_width_for(CFG.N)}
 
 
 def measured_worst_cost(name: str, config: GameConfig) -> int:
@@ -40,19 +49,25 @@ def measured_worst_cost(name: str, config: GameConfig) -> int:
 
 class TestCatalog:
     def test_every_entry_compiles(self):
-        entries = catalog(CFG)
-        assert set(entries) == set(BUILTIN_NAMES)
-        for entry in entries.values():
-            assert len(entry.program.instructions) > 0
+        programs = catalog(CFG)
+        assert set(programs) == set(BUILTIN_NAMES)
+        for program in programs.values():
+            assert len(program.instructions) > 0
 
     @pytest.mark.parametrize("name", list(BUILTIN_NAMES))
     def test_documented_cost_matches_compiler_and_measurement(self, name):
-        entry = catalog(CFG)[name]
-        assert entry.program.worst_tick_cost == entry.documented_cost
-        assert measured_worst_cost(name, CFG) <= entry.documented_cost
+        program = catalog(CFG)[name]
+        assert program.worst_tick_cost == DOCUMENTED_COSTS[name]
+        assert measured_worst_cost(name, CFG) <= DOCUMENTED_COSTS[name]
         if name in ("GRIM", "OFT", "TFT"):
             # The single action compare is actually exercised.
             assert measured_worst_cost(name, CFG) == 2
+
+    def test_only_an_opting_out_program_is_opd_only(self):
+        assert {name: modes(program) for name, program in catalog(CFG).items()} == {
+            name: (Mode.OPD,) if name == "OFT" else (Mode.FTPD, Mode.OPD)
+            for name in BUILTIN_NAMES
+        }
 
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownStrategyError):
@@ -110,3 +125,28 @@ class TestBehaviorContracts:
                               config, INTRO_TABLE)
             actions = "".join(r.a1.value for r in trace.records)
             assert actions == "C" * (n - 2) + "WD"
+
+
+class TestResolve:
+    def test_a_program_comes_back_unchanged(self):
+        program = random_program(random_module.Random(3))
+        assert resolve(program, CFG) is program
+
+    def test_a_builtin_name_is_the_builtin(self):
+        assert resolve("GRIM", CFG) == get("GRIM", CFG)
+
+    def test_a_file_resolves_under_base_dir(self, tmp_path):
+        (tmp_path / "mine.pdstrat").write_text("strategy Mine\nalways play D\n")
+        program = resolve("mine.pdstrat", CFG, base_dir=tmp_path)
+        assert program.name == "Mine"
+        assert resolve(str(tmp_path / "mine.pdstrat"), CFG) == program
+
+    def test_a_missing_file_is_refused_by_name(self, tmp_path):
+        with pytest.raises(ValueError, match="no builtin or strategy file named 'Sneaky'"):
+            resolve("Sneaky", CFG, base_dir=tmp_path)
+
+    def test_a_compile_error_names_the_file_and_position(self, tmp_path):
+        (tmp_path / "bad.pdstrat").write_text("strategy Bad\nif opp == then play C\n")
+        path = re.escape(str(tmp_path / "bad.pdstrat"))
+        with pytest.raises(ValueError, match=rf"^{path}:2:\d+: "):
+            resolve("bad.pdstrat", CFG, base_dir=tmp_path)

@@ -294,6 +294,14 @@ class TestDeterminismAndSpec:
             with pytest.raises(ValueError):
                 parse_population_spec(bad, config, base_dir=tmp_path)
 
+    def test_a_broken_strategy_file_is_reported_at_its_own_position(self, tmp_path):
+        bad = tmp_path / "bad.pdstrat"
+        bad.write_text("strategy Bad\nalways play C\nif opp == D then play Z\n")
+        with pytest.raises(ValueError) as err:
+            parse_population_spec("1 x GRIM\n1 x bad.pdstrat\n", opd_config(10),
+                                  base_dir=tmp_path)
+        assert str(err.value) == f"line 2: {bad}:3:23: expected action, got 'Z'"
+
     def test_summary_csv_shape(self):
         config = opd_config(4)
         trace = run_population(roster(config, "GRIM", "GRIM"), config, INTRO_TABLE)
