@@ -8,7 +8,8 @@ relative to a finite, caller-supplied candidate set and the reports say so.
 Three population models are provided. The first two are partner
 schedules for one focal seat, played through one loop (``_play_focal``):
 each tick goes through the population engine's pair tick, and a rematch
-event after a split takes the schedule's next partner.
+event after a split takes the schedule's next partner. The draw model's
+exact evaluation runs that loop over every draw at once.
 
 * :class:`FixedOpponentModel` - a single deterministic partner for the
   whole game, re-paired with the focal player after every split as a pool
@@ -17,7 +18,10 @@ event after a split takes the schedule's next partner.
   at every rematch: cooperative with probability q, hostile otherwise.
   This realizes the "probability at least q of meeting a cooperative
   player at any stage" premise directly; a full population cannot, because
-  settled pairs leave the pool and skew later draws.
+  settled pairs leave the pool and skew later draws. The draws form a
+  finite chance tree, so it is evaluated exactly, by carrying the
+  probability of each joint state of focal player and partner tick by
+  tick; past a cap on those states it falls back to sampling games.
 * :class:`PopulationMixModel` - a full 2K population run; the focal player
   is id 0.
 
@@ -50,7 +54,7 @@ from .game import Action, GameConfig, Mode, PayoffTable, counter_width_for, requ
 from .library import resolve
 from .match import MatchTrace, Seat, run_match
 from .population import play_pair_tick, run_population
-from .vm import StrategyProgram
+from .vm import StrategyProgram, VmState, reset
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -173,6 +177,14 @@ class DrawModel:
     probability q, otherwise the hostile one. ``first_draw`` pins the very
     first partner, which is how "play against a known cooperative partner"
     comparisons are set up.
+
+    ``evaluate`` is exact: it carries the probability of every joint state
+    of focal player and partner tick by tick. ``q`` is taken at its exact
+    value, so a float q brings its full binary expansion into every
+    probability and is slow: OFT at N=2000 takes about 70 times as long
+    with 0.3 as with ``Fraction(3, 10)``. ``sample`` is the Monte-Carlo
+    estimate over ``run_trial`` games; ``evaluate`` falls back to it when
+    the joint states outgrow ``_MAX_EXACT_STATES``.
     """
 
     q: Fraction | float
@@ -191,6 +203,73 @@ class DrawModel:
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
+        """The exact mean of ``_play_focal`` over the partner draws.
+
+        A joint state is the focal machine and its view of the last tick,
+        then the partner's index, machine and view, or no partner. Each
+        tick every paired state plays one pair tick, and at a rematch event
+        every unpaired state branches into a fresh partner per draw; equal
+        states merge their probabilities. ``trials`` and ``seed`` are used
+        only by the sampled fallback.
+        """
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        require_valid_table(table, config.mode)
+        q = Fraction(self.q)
+        partners = [resolve(self.cooperative, config), resolve(self.hostile, config)]
+        draws = [(index, weight) for index, weight in ((0, q), (1, 1 - q)) if weight]
+        first = draws
+        if self.first_draw is not None:
+            partners.append(resolve(self.first_draw, config))
+            first = [(2, Fraction(1))]
+        fresh = [reset(partner) for partner in partners]
+        start = reset(program)
+        states = {(start, None, None, i, fresh[i], None, None): w for i, w in first}
+        focal, partner = Seat.fresh(program), Seat.fresh(program)
+        # A pair tick is a function of the joint state: each distinct one
+        # is played once, as (focal payoff, state after or None on a split,
+        # focal machine after).
+        steps: dict[tuple, tuple[Fraction, tuple | None, VmState]] = {}
+        total = Fraction(0)
+        for now in range(1, config.N + 1):
+            event = config.instantaneous_rematch or now % config.t == 0
+            after: dict[tuple, Fraction] = {}
+            for key, mass in states.items():
+                vm, index = key[0], key[3]
+                if index is not None:
+                    step = steps.get(key)
+                    if step is None:
+                        focal.vm, focal.last_own, focal.last_opp = key[:3]
+                        partner.program = partners[index]
+                        partner.vm, partner.last_own, partner.last_opp = key[4:]
+                        outcome = play_pair_tick(focal, partner, config, table)
+                        paired = None if outcome.split else (
+                            focal.vm, focal.last_own, focal.last_opp, index,
+                            partner.vm, partner.last_own, partner.last_opp)
+                        step = steps[key] = (outcome.pay1, paired, focal.vm)
+                    pay, paired, vm = step
+                    if pay:
+                        total += mass * pay
+                    if paired is not None:
+                        after[paired] = after.get(paired, 0) + mass
+                        continue
+                # Unpaired: what the focal seat saw last is forgotten at the
+                # next pairing, so it is not part of the state.
+                if event:
+                    for i, weight in draws:
+                        key = (vm, None, None, i, fresh[i], None, None)
+                        after[key] = after.get(key, 0) + mass * weight
+                else:
+                    key = (vm, None, None, None, None, None, None)
+                    after[key] = after.get(key, 0) + mass
+            states = after
+            if len(states) > _MAX_EXACT_STATES:
+                return self.sample(program, config, table, trials, seed)
+        return ModelEstimate(self.describe(), total, 0.0, 1, exact=True)
+
+    def sample(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
+               trials: int = 200, seed: int = 0) -> ModelEstimate:
+        """Monte-Carlo estimate: the mean of ``trials`` seeded games."""
         require_valid_table(table, config.mode)
         # Named partners are compiled once here, not once per trial.
         resolved = replace(
@@ -268,7 +347,8 @@ def security_level(
 ) -> SecurityLevelResult:
     """Minimum over the candidate populations of the strategy's mean payoff.
 
-    Exact for deterministic models, Monte-Carlo otherwise; the per-model
+    Exact for the fixed-opponent and draw models, Monte-Carlo for a
+    population mix (or a draw model past its state cap); the per-model
     rows keep their standard errors so reports can print intervals.
     """
     if not models:
@@ -294,6 +374,12 @@ class BoundTooLargeError(ValueError):
 
 _MAX_SIZE_BOUND = 12
 _MAX_CANDIDATES = 3_000_000
+#: Joint states past which ``DrawModel.evaluate`` samples instead. Real
+#: inputs stay at a handful; a program that counts its opt-outs grows the
+#: states with the horizon (to about N/2), and the exact cost with its
+#: square. A tick over this many new states costs about as much as a tick
+#: of the default 200-300 sampled games.
+_MAX_EXACT_STATES = 256
 #: Trials per candidate in the screen, and candidates kept from it.
 _SCREEN_TRIALS = 3
 _FINALISTS = 10
@@ -527,11 +613,11 @@ def best_response(
 
     A program opponent is the model ``FixedOpponentModel(opponent)``. Every
     candidate is scored by the model's ``evaluate`` on a few shared seeds
-    and the best few are kept. An exact model (a fixed opponent) needs no
-    more: its leader is the answer. A sampled model's finalists are scored
-    again on the full trial count, so the result can miss a candidate the
-    short screen ranked too low. Ties break to the smallest canonical
-    source.
+    and the best few are kept. An exact model (a fixed opponent, a draw
+    model) needs no more: its leader is the answer. A sampled model's
+    finalists are scored again on the full trial count, so the result can
+    miss a candidate the short screen ranked too low. Ties break to the
+    smallest canonical source.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -626,7 +712,9 @@ class AnalysisReport:
         lines = [f"strategy: {self.strategy}"]
         for row in self.rows:
             if row.exact:
-                lines.append(f"  model {row.model}: mean {row.mean} (exact)")
+                mean = Fraction(row.mean)
+                shown = mean if mean.denominator == 1 else f"{float(mean):.3f}"
+                lines.append(f"  model {row.model}: mean {shown} (exact)")
             else:
                 lo, hi = row.interval()
                 lines.append(

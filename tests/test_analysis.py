@@ -1,12 +1,14 @@
 """Security level, best response, equilibrium, and ratio analysis tests."""
 
 import hashlib
+import math
 import random as random_module
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boundedpd import analysis, dsl
 from boundedpd.analysis import (
     BoundTooLargeError,
     DrawModel,
@@ -20,10 +22,11 @@ from boundedpd.analysis import (
     oft_constant,
     security_level,
     unprovoked_defection_tick,
+    _play_focal,
 )
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, STRICT_TABLE
-from boundedpd.library import BUILTIN_NAMES, get
-from boundedpd.match import run_match
+from boundedpd.library import BUILTIN_NAMES, get, resolve
+from boundedpd.match import Seat, run_match
 from boundedpd.population import run_population
 
 from test_match import retaliator
@@ -36,6 +39,40 @@ SPLIT_TABLE = PayoffTable(T=3, R=2, P=1, S=-1, H=Fraction(-1, 3), Q=Fraction(1, 
 def opd(n, q_seed=0, instantaneous=True, t=1):
     return GameConfig(N=n, mode=Mode.OPD, t=t, K=1, k=2,
                       instantaneous_rematch=instantaneous, seed=q_seed)
+
+
+class _MoreDraws(Exception):
+    pass
+
+
+def draw_sequence_mean(model, program, config, table):
+    """The draw model's mean by brute force: every sequence of partner
+    draws is played through ``_play_focal`` and weighted by its probability.
+    A game that asks for one draw more than its sequence holds is replayed
+    once per way of extending it."""
+    partners = {True: resolve(model.cooperative, config), False: resolve(model.hostile, config)}
+    weights = {True: Fraction(model.q), False: 1 - Fraction(model.q)}
+    total = Fraction(0)
+    sequences = [()]
+    while sequences:
+        sequence = sequences.pop()
+        draws = iter(sequence)
+
+        def next_partner():
+            cooperative = next(draws, None)
+            if cooperative is None:
+                raise _MoreDraws
+            return Seat.fresh(partners[cooperative])
+
+        try:
+            first = (next_partner() if model.first_draw is None
+                     else Seat.fresh(resolve(model.first_draw, config)))
+            payoff = _play_focal(program, first, next_partner, config, table)
+        except _MoreDraws:
+            sequences += [sequence + (c,) for c in (True, False) if weights[c]]
+            continue
+        total += math.prod(weights[c] for c in sequence) * payoff
+    return total
 
 
 class TestOftConstant:
@@ -182,14 +219,16 @@ class TestBestResponse:
         assert direct.exact
 
     def test_draw_model_search_is_pinned(self):
-        # Recorded before the fixed-opponent and model searches were merged.
+        # The draw model is exact, so its leader is the answer: the same
+        # source the sampled search found, at its exact mean.
         config = opd(20)
-        result = best_response(DrawModel(q=Fraction(1, 2)), config, INTRO_TABLE,
-                               size_bound=6, trials=40, seed=3)
-        assert result.payoff == 17.0
+        model = DrawModel(q=Fraction(1, 2))
+        result = best_response(model, config, INTRO_TABLE, size_bound=6, trials=40, seed=3)
+        assert result.payoff == Fraction(4097, 256)
         assert result.source == "strategy cand\nif opp != C then play O\nalways play C\n"
         assert result.searched == 716
-        assert result.exact is False
+        assert result.exact is True
+        assert draw_sequence_mean(model, result.program, config, INTRO_TABLE) == result.payoff
 
 
 class TestEquilibriumCheck:
@@ -253,9 +292,9 @@ class TestFixedOpponentModel:
 
 class TestDrawModel:
     def test_estimates_are_pinned(self):
-        # sha256 over (mean, se) on a seeded grid of periods, rematch
-        # modes, tables, models and players; recorded before the draw and
-        # fixed-opponent models shared one focal-player loop.
+        # sha256 over the sampled (mean, se) on a seeded grid of periods,
+        # rematch modes, tables, models and players; recorded before the
+        # draw and fixed-opponent models shared one focal-player loop.
         rng = random_module.Random(20261018)
         models = (
             DrawModel(q=Fraction(1, 4)),
@@ -273,12 +312,68 @@ class TestDrawModel:
                 for table in (INTRO_TABLE, SPLIT_TABLE):
                     for model in models:
                         for program in players:
-                            est = model.evaluate(program, config, table, trials=8,
-                                                 seed=rng.randrange(1000))
+                            est = model.sample(program, config, table, trials=8,
+                                               seed=rng.randrange(1000))
                             digest.update(repr((float(est.mean), est.se)).encode())
         assert digest.hexdigest() == (
             "8cd5e805c9f5520742173b2bb489cd4014b18de5781f1b4a879b3a23cbbc0a45"
         )
+
+    @pytest.mark.parametrize("table", [INTRO_TABLE, SPLIT_TABLE])
+    @pytest.mark.parametrize("instantaneous", [True, False])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_the_mean_is_the_sum_over_draw_sequences(self, t, instantaneous, table):
+        # The brute-force sum over every partner-draw sequence is the
+        # reference. Players and partners come from the catalog, a reactive
+        # retaliator and random programs.
+        rng = random_module.Random(t * 10 + 2 * instantaneous + (table is SPLIT_TABLE))
+        for q in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            for pinned in (False, True):
+                config = GameConfig(N=rng.randint(3, 9), mode=Mode.OPD, t=t,
+                                    k=rng.randint(2, 4), instantaneous_rematch=instantaneous)
+                pool = [get(name, config) for name in BUILTIN_NAMES]
+                pool += [retaliator()] + [random_program(rng) for _ in range(3)]
+                model = DrawModel(q=q, cooperative=rng.choice(pool), hostile=rng.choice(pool),
+                                  first_draw=rng.choice(pool) if pinned else None)
+                for program in rng.sample(pool, 2):
+                    est = model.evaluate(program, config, table)
+                    assert est.exact and est.se == 0 and est.trials == 1
+                    assert est.mean == draw_sequence_mean(model, program, config, table)
+
+    @pytest.mark.parametrize("name", ["OFT", "GRIM"])
+    def test_the_exact_mean_lies_in_the_sampled_interval(self, name):
+        config = opd(200)
+        program = get(name, config)
+        model = DrawModel(q=Fraction(1, 2))
+        exact = model.evaluate(program, config, INTRO_TABLE)
+        sampled = model.sample(program, config, INTRO_TABLE, trials=1000, seed=17)
+        assert not sampled.exact
+        assert abs(float(exact.mean) - sampled.mean) <= 2.576 * sampled.se
+
+    def test_too_many_joint_states_fall_back_to_sampling(self, monkeypatch):
+        # A counter of opt-outs keeps the focal machines apart, so the joint
+        # states grow with the horizon.
+        config = opd(30)
+        counter = dsl.compile(dsl.parse(
+            "strategy opt_counter\ncounter n: 5 bits\n"
+            "if opp == D then play O inc n\nalways play C\n"), config)
+        model = DrawModel(q=Fraction(1, 2))
+        assert model.evaluate(counter, config, INTRO_TABLE, trials=20, seed=4).exact
+        monkeypatch.setattr(analysis, "_MAX_EXACT_STATES", 3)
+        est = model.evaluate(counter, config, INTRO_TABLE, trials=20, seed=4)
+        assert not est.exact
+        assert est == model.sample(counter, config, INTRO_TABLE, trials=20, seed=4)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_oft_meets_the_security_bound_exactly(self, t, q):
+        # N*R - (1/q)((r+1)R - S) with the expected rematch delay
+        # r = (t-1)/2: periodic rematches for t > 1, instantaneous at t = 1.
+        for n in (50, 100, 200, 300, 400, 500):
+            config = opd(n, instantaneous=t == 1, t=t)
+            est = DrawModel(q=q).evaluate(get("OFT", config), config, INTRO_TABLE)
+            bound = n * INTRO_TABLE.R - oft_constant(q, Fraction(t - 1, 2), INTRO_TABLE)
+            assert est.exact and est.mean >= bound, (n, est.mean, bound)
 
     @pytest.mark.parametrize("q", [0, -Fraction(1, 2), Fraction(3, 2), 2])
     def test_q_outside_the_unit_interval_is_refused(self, q):
@@ -312,7 +407,7 @@ class TestDrawModel:
         assert est.mean == 40.0
 
     def test_known_cooperative_partner_beats_a_blind_draw(self):
-        # Paired seeds; the first-partner draw is the only difference.
+        # The first-partner draw is the only difference.
         config = opd(60)
         oft = get("OFT", config)
         blind = DrawModel(q=Fraction(1, 2))
@@ -388,16 +483,21 @@ class TestUnprovokedDefection:
 
 class TestCompetitiveRatio:
     def test_report_fields_and_ratio_bounds(self):
+        # The draw model's row is exact; the population mix's is sampled.
         config = opd(60)
         oft = get("OFT", config)
-        report = competitive_ratio(oft, [DrawModel(q=Fraction(1, 2))], config,
-                                   INTRO_TABLE, trials=120, size_bound=6, seed=1)
+        models = [DrawModel(q=Fraction(1, 2)), PopulationMixModel(others=("GRIM",))]
+        report = competitive_ratio(oft, models, config, INTRO_TABLE, trials=20,
+                                   size_bound=6, seed=1)
+        assert report.security_model == "draw(q=1/2)"
         assert report.competitive_ratio is not None
         assert 0 < report.competitive_ratio <= 1.0
         assert float(report.h) >= float(report.security_level)
         assert report.best_response_gap >= 0
         text = report.to_text()
-        assert "security level" in text and "95% CI" in text
+        assert "security level" in text
+        assert f"model draw(q=1/2): mean {float(report.rows[0].mean):.3f} (exact)\n" in text
+        assert "model mix(GRIM): mean 60.000 (95% CI 60.000..60.000, n=20)\n" in text
         csv = report.to_csv()
         assert csv.splitlines()[0] == "quantity,value,se"
 
