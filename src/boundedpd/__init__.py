@@ -27,7 +27,7 @@ from .game import (
     validate_config,
     validate_table,
 )
-from .vm import StrategyProgram, VmState, compare_cost, reset, tick
+from .vm import StrategyProgram, VmState, reset, tick
 from .dsl import (
     DslError, StrategySource, compile, decompile, parse, print_source,
 )
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Action", "GameConfig", "INTRO_TABLE", "Mode", "PayoffTable", "STRICT_TABLE",
     "dominance_check", "payoff", "validate_config", "validate_table",
-    "StrategyProgram", "VmState", "compare_cost", "reset", "tick",
+    "StrategyProgram", "VmState", "reset", "tick",
     "DslError", "StrategySource", "compile", "decompile", "parse", "print_source",
     "get_strategy",
     "MatchTrace", "deviation_gain", "run_match",

@@ -33,10 +33,13 @@ one needed to count to N. Term order inside multi-term guards only adds
 compare cost without adding reachable behavior at desk-scale budgets (a
 two-term guard needs at least 4 XOR units to finish, so at k=2 such a rule
 can never fire), which is why single-term guards are the canonical form.
-The enumeration yields each canonical source once, already within the size
-bound, so nothing is filtered after compiling (a test checks both over a
-grid of horizons and bounds). Ties between equal payoffs go to the
-lexicographically smallest source.
+Rules play the mode's ``legal_actions``; past N=8 counters compare against
+a thinned set of values (``_counter_thresholds``). Sizes are the
+compiler's own (``dsl.rule_size``), so the enumeration yields each
+canonical source once, already within the size bound, and nothing is
+filtered after compiling (a test checks both over a grid of horizons and
+bounds). The exact candidate count is the only limit on a search. Ties
+between equal payoffs go to the lexicographically smallest source.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ from fractions import Fraction
 from typing import Callable, Iterator, Union
 
 from . import dsl
-from .game import Action, GameConfig, Mode, PayoffTable, counter_width_for, require_valid_table
+from .game import (
+    Action, GameConfig, PayoffTable, counter_width_for, legal_actions, require_valid_table,
+)
 from .library import resolve
 from .match import MatchTrace, Seat, run_match
 from .population import play_pair_tick, run_population
@@ -365,14 +370,15 @@ def security_level(
 class BoundTooLargeError(ValueError):
     def __init__(self, estimate: int, limit: int):
         super().__init__(
-            f"search space of roughly {estimate} programs exceeds the limit of {limit}; "
+            f"search space of {estimate} programs exceeds the limit of {limit}; "
             "lower the size bound"
         )
         self.estimate = estimate
         self.limit = limit
 
 
-_MAX_SIZE_BOUND = 12
+#: Candidates past which ``best_response`` refuses a search; at bound 13
+#: even N=1 FTPD counts 4 468 735, so every bound above 12 is refused.
 _MAX_CANDIDATES = 3_000_000
 #: Joint states past which ``DrawModel.evaluate`` samples instead. Real
 #: inputs stay at a handful; a program that counts its opt-outs grows the
@@ -385,37 +391,28 @@ _SCREEN_TRIALS = 3
 _FINALISTS = 10
 
 
-def _rule_compiled_size(guard_terms: int, stmt_count: int, has_goto: bool, is_last: bool) -> int:
-    size = guard_terms + stmt_count
-    if has_goto:
-        size += 2
-    elif not is_last:
-        size += 1
-    return size
-
-
 @dataclass(frozen=True)
-class _RuleInfo:
-    rule: dsl.Rule
-    size_nonlast: int
-    size_last: int
-    has_goto: bool
+class _StateCombo:
+    rules: tuple[dsl.Rule, ...]
+    size: int            # compiled size including the state epilogue
+    gotos: bool
     incs: bool
     tests_counter: bool
 
 
-def _rule_infos(
+def _one_rule_states(
     actions: tuple[Action, ...],
     action_terms: list[dsl.Term],
     counter_terms: list[dsl.Term],
     with_counter: bool,
     goto_target: str | None,
-) -> list[_RuleInfo]:
+) -> list[_StateCombo]:
+    """Every rule of the canonical space, each as a state of its own."""
     guards: list[tuple[dsl.Term, ...]] = [()]
     guards += [(t,) for t in action_terms]
     if with_counter:
         guards += [(t,) for t in counter_terms]
-    infos: list[_RuleInfo] = []
+    states: list[_StateCombo] = []
     for guard in guards:
         for play in (None,) + actions:
             for inc in ((False, True) if with_counter else (False,)):
@@ -429,55 +426,53 @@ def _rule_infos(
                         stmts.append(dsl.Goto(target))
                     if not stmts:
                         continue
-                    plain = len(stmts) - (1 if target else 0)
-                    infos.append(_RuleInfo(
-                        rule=dsl.Rule(None, guard, tuple(stmts)),
-                        size_nonlast=_rule_compiled_size(len(guard), plain, bool(target), False),
-                        size_last=_rule_compiled_size(len(guard), plain, bool(target), True),
-                        has_goto=bool(target),
-                        incs=inc,
-                        tests_counter=bool(guard) and guard[0].field == "n",
+                    rule = dsl.Rule(None, guard, tuple(stmts))
+                    states.append(_StateCombo(
+                        (rule,), dsl.rule_size(rule, last=True) + dsl.EPILOGUE_SIZE,
+                        bool(target), inc, bool(guard) and guard[0].field == "n",
                     ))
-    return infos
+    return states
 
 
-@dataclass(frozen=True)
-class _StateCombo:
-    rules: tuple[dsl.Rule, ...]
-    size: int            # compiled size including the 2-instruction epilogue
-    gotos: bool
-    incs: bool
-    tests_counter: bool
-
-
-def _state_combos(infos: list[_RuleInfo], budget: int) -> list[_StateCombo]:
+def _state_combos(singles: list[_StateCombo], budget: int) -> list[_StateCombo]:
     """Rule sequences for one state fitting the budget: one rule, or a
     guarded rule followed by one more (unconditional rules anywhere else
-    would make the rest of the state dead)."""
-    combos: list[_StateCombo] = []
-    for info in infos:
-        size = info.size_last + 2
-        if size <= budget:
-            combos.append(_StateCombo(
-                (info.rule,), size, info.has_goto, info.incs, info.tests_counter,
-            ))
-    min_last = min((i.size_last for i in infos), default=0)
-    for first in infos:
-        if not first.rule.guard:
+    would make the rest of the state dead). A rule ahead of another adds
+    its size as a non-last rule to the other's one-rule state."""
+    combos = [c for c in singles if c.size <= budget]
+    smallest = min((c.size for c in singles), default=0)
+    for first in singles:
+        if not first.rules[0].guard:
             continue
-        base = first.size_nonlast + 2
-        if base + min_last > budget:
+        base = dsl.rule_size(first.rules[0], last=False)
+        if base + smallest > budget:
             continue
-        for second in infos:
-            size = base + second.size_last
+        for second in singles:
+            size = base + second.size
             if size <= budget:
                 combos.append(_StateCombo(
-                    (first.rule, second.rule), size,
-                    first.has_goto or second.has_goto,
-                    first.incs or second.incs,
-                    first.tests_counter or second.tests_counter,
+                    first.rules + second.rules, size, first.gotos or second.gotos,
+                    first.incs or second.incs, first.tests_counter or second.tests_counter,
                 ))
     return combos
+
+
+def _counter_thresholds(n: int) -> list[dsl.Value]:
+    """Counter compare values at horizon ``n``: all of them up to N=8, then
+    only the early ticks and the horizon boundary, since against a
+    once-per-tick counter a later defection threshold dominates an
+    intermediate one (T > R). ``test_thinned_thresholds_lose_no_payoff``
+    checks that no catalog opponent's best response pays less for it."""
+    if n <= 8:
+        width = counter_width_for(n)
+        return [dsl.ConstInt(v) for v in range(0, min(n, (1 << width) - 1) + 1)]
+    values: list[dsl.Value] = [dsl.ConstInt(v) for v in range(0, 4)]
+    values += [dsl.HorizonMinus(2), dsl.HorizonMinus(1), dsl.HorizonMinus(0)]
+    return values
+
+
+#: The smallest s0, ``always goto s1``; s1 gets the rest of the bound.
+_MIN_S0_SIZE = dsl.rule_size(dsl.Rule(None, (), (dsl.Goto("s1"),)), last=True) + dsl.EPILOGUE_SIZE
 
 
 def _counter_ok(decls: tuple, incs: bool, tests: bool) -> bool:
@@ -492,20 +487,8 @@ def _combos_by_counter(
     gotos: a self-goto only restates the loop), then the combos of states s0
     and s1 that two-state programs pair up. s1 must be reachable, so every
     s0 combo holds a goto; both lists are empty when no s1 fits the bound."""
-    actions = (Action.C, Action.D, Action.W) + ((Action.O,) if config.mode is Mode.OPD else ())
+    actions = legal_actions(config.mode)
     width = counter_width_for(config.N)
-
-    # Compare thresholds: exhaustive at desk scale. At large horizons the
-    # alphabet thins to the early ticks and the horizon boundary; against a
-    # once-per-tick counter, an intermediate defection threshold is
-    # dominated by a later one (T > R), so nothing of value is lost.
-    values: list[dsl.Value]
-    if config.N <= 8:
-        values = [dsl.ConstInt(v) for v in range(0, min(config.N, (1 << width) - 1) + 1)]
-    else:
-        values = [dsl.ConstInt(v) for v in range(0, 4)]
-        values += [dsl.HorizonMinus(2), dsl.HorizonMinus(1), dsl.HorizonMinus(0)]
-
     action_terms = [
         dsl.Term(field, op, dsl.ConstAction(a))
         for field in ("opp", "own")
@@ -515,17 +498,17 @@ def _combos_by_counter(
     counter_terms = [
         dsl.Term("n", op, value)
         for op in (dsl.CmpOp.EQ, dsl.CmpOp.NE, dsl.CmpOp.LT, dsl.CmpOp.GE)
-        for value in values
+        for value in _counter_thresholds(config.N)
     ]
 
     def combos(decls: tuple, goto_target: str | None, budget: int) -> list[_StateCombo]:
-        infos = _rule_infos(actions, action_terms, counter_terms, bool(decls), goto_target)
-        return _state_combos(infos, budget)
+        singles = _one_rule_states(actions, action_terms, counter_terms, bool(decls), goto_target)
+        return _state_combos(singles, budget)
 
     for decls in ((), (dsl.Decl("n", width),)):
         singles = [c for c in combos(decls, None, size_bound)
                    if _counter_ok(decls, c.incs, c.tests_counter)]
-        combos1 = combos(decls, "s0", size_bound - 4)  # s0 takes 4 at minimum
+        combos1 = combos(decls, "s0", size_bound - _MIN_S0_SIZE)
         combos0 = []
         if combos1:
             budget0 = size_bound - min(c.size for c in combos1)
@@ -624,7 +607,7 @@ def best_response(
     estimate = estimate_search_size(config, size_bound)
     if estimate == 0:
         raise ValueError(f"size_bound {size_bound} admits no candidate program")
-    if size_bound > _MAX_SIZE_BOUND or estimate > _MAX_CANDIDATES:
+    if estimate > _MAX_CANDIDATES:
         raise BoundTooLargeError(estimate, _MAX_CANDIDATES)
     model = FixedOpponentModel(opponent) if isinstance(opponent, StrategyProgram) else opponent
 

@@ -498,6 +498,21 @@ def _resolve_value(value: Value, config: GameConfig) -> Operand:
     return Operand.const(resolved)
 
 
+#: Instructions closing every state: HALT, then JUMP back to its first rule.
+EPILOGUE_SIZE = 2
+
+
+def rule_size(rule: Rule, last: bool) -> int:
+    """Instructions ``rule`` compiles to: a compare per guard term, one per
+    play or inc, then HALT and JUMP for a goto (end the tick, resume in the
+    target state); otherwise a JUMP to the state's epilogue, unless it is the
+    ``last`` rule of its state and falls into it."""
+    size = len(rule.guard) + sum(1 for stmt in rule.stmts if not isinstance(stmt, Goto))
+    if any(isinstance(stmt, Goto) for stmt in rule.stmts):
+        return size + 2
+    return size if last else size + 1
+
+
 def compile(  # noqa: A001 - deliberate: this is the module's compile entry point
     source: StrategySource,
     config: GameConfig,
@@ -517,25 +532,11 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
     state_index = {state.label: i for i, state in enumerate(states) if state.label is not None}
 
     # First pass: fixed sizes so every jump target is known up front.
-    # Rule slot = guard compares + play/inc statements + trailing transfer:
-    # a goto becomes HALT then JUMP (end the tick, resume in the target
-    # state); a fired rule without goto jumps to the state's epilogue HALT,
-    # or falls into it when it is the state's last rule.
-    rule_sizes: list[list[int]] = []
-    state_sizes: list[int] = []
-    for state in states:
-        sizes = []
-        for index, rule in enumerate(state.rules):
-            size = len(rule.guard)
-            has_goto = any(isinstance(stmt, Goto) for stmt in rule.stmts)
-            size += sum(1 for stmt in rule.stmts if not isinstance(stmt, Goto))
-            if has_goto:
-                size += 2  # HALT + JUMP
-            elif index < len(state.rules) - 1:
-                size += 1  # JUMP to the epilogue
-            sizes.append(size)
-        rule_sizes.append(sizes)
-        state_sizes.append(sum(sizes) + 2)  # epilogue: HALT + JUMP back
+    rule_sizes = [
+        [rule_size(rule, ri == len(state.rules) - 1) for ri, rule in enumerate(state.rules)]
+        for state in states
+    ]
+    state_sizes = [sum(sizes) + EPILOGUE_SIZE for sizes in rule_sizes]
 
     state_starts: list[int] = []
     offset = 0
@@ -548,7 +549,7 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
     layout: list[tuple] = []
     worst = 0
     for si, state in enumerate(states):
-        epilogue = state_starts[si] + state_sizes[si] - 2
+        epilogue = state_starts[si] + state_sizes[si] - EPILOGUE_SIZE
         rule_starts: list[int] = []
         scan_cost = 0
         fired = False

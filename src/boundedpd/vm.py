@@ -185,13 +185,6 @@ class VmState:
         return self.pending is not None
 
 
-def compare_cost(width_bits: int) -> int:
-    """XOR units to compare operands of the given width: one per bit."""
-    if width_bits < 1:
-        raise ValueError("compare width must be at least 1 bit")
-    return width_bits
-
-
 def reset(program: StrategyProgram) -> VmState:
     """Fresh state: entry pc, zeroed registers, nothing pending."""
     return VmState(pc=0, regs=(0,) * program.register_count)
@@ -239,8 +232,11 @@ def _operand_width(operand: Operand, reg_widths: tuple[int, ...]) -> int:
 def compare_width(ins: Instruction, reg_widths: tuple[int, ...]) -> int:
     """XOR units a COMPARE costs: one per bit of its wider operand. The
     compiler sums these for ``worst_tick_cost``; ``tick`` charges them."""
-    return compare_cost(max(_operand_width(ins.lhs, reg_widths),  # type: ignore[arg-type]
-                            _operand_width(ins.rhs, reg_widths)))  # type: ignore[arg-type]
+    width = max(_operand_width(ins.lhs, reg_widths),  # type: ignore[arg-type]
+                _operand_width(ins.rhs, reg_widths))  # type: ignore[arg-type]
+    if width < 1:
+        raise ValueError("compare width must be at least 1 bit")
+    return width
 
 
 def _operand_value(
@@ -303,10 +299,22 @@ def tick(
     # Resuming a compare is not a step: the step limit counts from the
     # instruction after it.
     steps = 0 if resume is None else -1
+    # No compiled tick runs over size + 1 steps. Past that a repeated
+    # (pc, regs, budget) is a loop that never ends (compares spend budget):
+    # skip whole periods and fault at the limit as if every step ran.
+    watch_from = size + 1 if size < MAX_STEPS_PER_TICK else MAX_STEPS_PER_TICK
+    seen: dict[tuple, int] | None = None
     while True:
         steps += 1
-        if steps > MAX_STEPS_PER_TICK:
-            return _fault(state, regs, k - budget, "per-tick step limit exceeded")
+        if steps > watch_from:
+            if steps > MAX_STEPS_PER_TICK:
+                return _fault(state, regs, k - budget, "per-tick step limit exceeded")
+            if seen is None:
+                seen = {}
+            first = seen.setdefault((pc, tuple(regs), budget), steps)
+            if first != steps:
+                period = steps - first
+                steps += (MAX_STEPS_PER_TICK - steps) // period * period
         if pc >= size or pc < 0:
             # Ran past the end: the program is over for good.
             return VmState(pc, tuple(regs), None, None, True, k - budget), emitted or Action.W

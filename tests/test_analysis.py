@@ -198,16 +198,40 @@ class TestBestResponse:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 12])
     def test_enumeration_needs_no_filter(self, n, mode):
         # Every generated source is distinct and compiles within the bound,
-        # so the enumeration neither deduplicates nor re-checks sizes.
+        # so the enumeration neither deduplicates nor re-checks sizes. Each
+        # bound's sources are the next bound's cut at the compiled size, in
+        # order, so the enumeration's sizes miss no program that fits.
         config = GameConfig(N=n, mode=mode, k=2)
+        previous: list[str] = []
         for bound in list(range(1, 7)) + ([7] if n in (3, 9) else []):
-            texts = set()
-            count = 0
-            for program in enumerate_candidates(config, bound):
-                assert len(program.instructions) <= bound, program.source
-                texts.add(program.source)
-                count += 1
-            assert len(texts) == count == estimate_search_size(config, bound)
+            sized = [(program.source, len(program))
+                     for program in enumerate_candidates(config, bound)]
+            assert [text for text, size in sized if size > bound] == []
+            texts = [text for text, _ in sized]
+            assert len(set(texts)) == len(texts) == estimate_search_size(config, bound)
+            assert [text for text, size in sized if size < bound] == previous
+            previous = texts
+
+    @pytest.mark.parametrize("config", [GameConfig(N=16, k=5),
+                                        GameConfig(N=9, mode=Mode.OPD, t=1, K=1, k=4)],
+                             ids=["FTPD-16", "OPD-9"])
+    def test_thinned_thresholds_lose_no_payoff(self, config, monkeypatch):
+        # Above N=8 counters compare against {0..3, N-2, N-1, N} only; every
+        # value from 0 to N finds the same best payoff against the catalog.
+        # k is the counter's width, so a counter compare finishes within a
+        # tick; at k=2 it never does and every threshold ties. Thinning to
+        # {0..3, N} loses a point against CountingDefector here.
+        def search():
+            results = [best_response(get(name, config), config, INTRO_TABLE, size_bound=6)
+                       for name in BUILTIN_NAMES]
+            return [r.payoff for r in results], results[0].searched
+
+        thinned, thinned_count = search()
+        monkeypatch.setattr(analysis, "_counter_thresholds",
+                            lambda n: [dsl.ConstInt(v) for v in range(n + 1)])
+        full, full_count = search()
+        assert full == thinned
+        assert full_count > thinned_count
 
     @pytest.mark.parametrize("config", [GameConfig(N=4, k=2), opd(4)])
     def test_a_program_opponent_is_its_fixed_opponent_model(self, config):

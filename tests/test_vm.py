@@ -11,7 +11,7 @@ from boundedpd.vm import (
     Operand,
     StrategyProgram,
     compare,
-    compare_cost,
+    compare_width,
     emit,
     halt,
     increment,
@@ -37,17 +37,21 @@ def run_actions(program: StrategyProgram, observations, k=2):
 
 class TestCompareCost:
     def test_action_width(self):
-        assert compare_cost(2) == 2
+        ins = compare(Operand.obs("opp"), CmpOp.EQ, Operand.action(C), on_false=0)
+        assert compare_width(ins, ()) == 2
 
     def test_horizon_width(self):
-        assert compare_cost(counter_width_for(1000)) == 10
+        ins = compare(Operand.reg(0), CmpOp.GE, Operand.const(1000), on_false=0)
+        assert compare_width(ins, (counter_width_for(1000),)) == 10
 
     def test_single_bit(self):
-        assert compare_cost(1) == 1
+        ins = compare(Operand.const(1), CmpOp.EQ, Operand.const(0), on_false=0)
+        assert compare_width(ins, ()) == 1
 
     def test_zero_rejected(self):
+        ins = compare(Operand.reg(0), CmpOp.EQ, Operand.reg(1), on_false=0)
         with pytest.raises(ValueError):
-            compare_cost(0)
+            compare_width(ins, (0, 0))
 
 
 class TestReset:
@@ -176,6 +180,16 @@ class TestFaults:
         state, action = tick(reset(program), program, None, None, 2)
         assert action is W and state.faulted
         assert "step limit" in (state.fault_reason or "")
+
+    def test_a_looping_tick_faults_as_if_it_ran_every_step(self):
+        # The loop repeats its (pc, regs, budget) every 32 steps; the tick
+        # skips whole periods but faults with the registers of step 10 001:
+        # 5000 increments of a 4-bit counter leave 8.
+        program = StrategyProgram("spin", (increment(0), jump(0)), reg_widths=(4,))
+        state, action = tick(reset(program), program, None, None, 2)
+        assert action is W
+        assert (state.pc, state.regs, state.tick_cost) == (0, (8,), 0)
+        assert state.fault_reason == "per-tick step limit exceeded"
 
     def test_resuming_a_compare_is_not_a_step(self):
         # The 6-bit compare finishes on the third tick at k=2; the loop after
