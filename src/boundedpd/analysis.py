@@ -6,14 +6,17 @@ there could be, which is not computable, so everything here is certified
 relative to a finite, caller-supplied candidate set and the reports say so.
 
 Three population models are provided. The first two are partner
-schedules for one focal seat, played through one loop (``_play_focal``):
-each tick goes through the population engine's pair tick, and a rematch
-event after a split takes the schedule's next partner. The draw model's
-exact evaluation runs that loop over every draw at once.
+schedules for one focal seat, played through the population engine's
+kernel: each tick is ``match.seat_move`` for both seats, the
+instantaneous-rematch peek and the payoff, and a rematch event after a split
+takes the schedule's next partner. ``_play_focal`` plays one game of a
+schedule; the draw model's exact evaluation runs that loop over every draw
+at once.
 
 * :class:`FixedOpponentModel` - a single deterministic partner for the
   whole game, re-paired with the focal player after every split as a pool
-  of two would be; evaluated exactly.
+  of two would be; evaluated exactly, many programs at once over one
+  shared play tree (``evaluate_all``).
 * :class:`DrawModel` - the focal player faces partners drawn independently
   at every rematch: cooperative with probability q, hostile otherwise.
   This realizes the "probability at least q of meeting a cooperative
@@ -38,8 +41,10 @@ a thinned set of values (``_counter_thresholds``). Sizes are the
 compiler's own (``dsl.rule_size``), so the enumeration yields each
 canonical source once, already within the size bound, and nothing is
 filtered after compiling (a test checks both over a grid of horizons and
-bounds). The exact candidate count is the only limit on a search. Ties
-between equal payoffs go to the lexicographically smallest source.
+bounds). The exact candidate count is the only limit on a search. Against a
+fixed opponent the candidates are played ``_TREE_CHUNK`` at a time over the
+shared play tree. Ties between equal payoffs go to the lexicographically
+smallest source.
 """
 
 from __future__ import annotations
@@ -50,15 +55,17 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Union
 
 from . import dsl
 from .game import (
-    Action, GameConfig, PayoffTable, counter_width_for, legal_actions, require_valid_table,
+    Action, GameConfig, Mode, PayoffTable, counter_width_for, legal_actions, payoff,
+    require_valid_table,
 )
 from .library import resolve
-from .match import MatchTrace, Seat, run_match
-from .population import play_pair_tick, run_population
+from .match import MatchTrace, Seat, run_match, seat_move
+from .population import _peek_at_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
 
@@ -153,7 +160,9 @@ def _play_focal(program: StrategyProgram, partner: Seat, next_partner: Callable[
 
 @dataclass(frozen=True)
 class FixedOpponentModel:
-    """One deterministic partner for the whole game. Exact evaluation."""
+    """One deterministic partner for the whole game, given as a program, a
+    builtin name or a ``.pdstrat`` path. Exact evaluation; ``evaluate`` is
+    ``evaluate_all`` on one program, so both take the same path."""
 
     opponent: Union[str, StrategyProgram]
     name: str = ""
@@ -166,11 +175,64 @@ class FixedOpponentModel:
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 1, seed: int = 0) -> ModelEstimate:
-        require_valid_table(table, config.mode)
-        # A pool of two re-pairs the same two seats after every split.
-        opponent = Seat.fresh(resolve(self.opponent, config))
-        total = _play_focal(program, opponent, lambda: opponent, config, table)
+        total = self.evaluate_all([program], config, table)[0]
         return ModelEstimate(self.describe(), total, 0.0, 1, exact=True)
+
+    def evaluate_all(self, programs: list[StrategyProgram], config: GameConfig,
+                     table: PayoffTable) -> list[Fraction]:
+        """Each program's exact total, from one walk over a shared play tree.
+
+        The opponent is deterministic, so the focal players that have played
+        the same actions so far face the same opponent state. A node holds
+        that state: the opponent's machine, the focal view of the last tick,
+        whether the pair is together, the running total, and the group of
+        ``(index, machine)`` of the programs that reached it. Every program
+        in the group ticks its own machine; the group then splits by the
+        action each played, and the opponent's move, payoff and total are
+        worked out once per child. As in ``_play_focal`` with a pool of two,
+        both seats forget their last actions when a rematch event re-pairs
+        them after a split.
+        """
+        require_valid_table(table, config.mode)
+        opponent = resolve(self.opponent, config)
+        peeks = config.instantaneous_rematch and config.mode is Mode.OPD
+        # Scratch seats: ``focal`` takes each program in turn.
+        focal, partner = Seat.fresh(opponent), Seat.fresh(opponent)
+        totals = [Fraction(0)] * len(programs)
+        start = [(index, reset(program)) for index, program in enumerate(programs)]
+        stack = [(0, partner.vm, None, None, True, Fraction(0), start)]
+        while stack:
+            now, opp_vm, own, opp, paired, total, group = stack.pop()
+            if now == config.N:
+                for index, _ in group:
+                    totals[index] = total
+                continue
+            now += 1
+            event = config.instantaneous_rematch or now % config.t == 0
+            if not paired:
+                # The focal player idles until the next rematch event.
+                stack.append((now, opp_vm, None, None, event, total, group))
+                continue
+            partner.vm, partner.last_own, partner.last_opp = opp_vm, opp, own
+            vm2, a2 = seat_move(partner, config)
+            focal.last_own, focal.last_opp = own, opp
+            children: dict[Action, list[tuple[int, VmState]]] = {}
+            for index, vm in group:
+                focal.program, focal.vm = programs[index], vm
+                vm1, a1 = seat_move(focal, config)
+                if peeks and a2 is Action.W:
+                    vm1, a1, _ = _peek_at_wait(focal, vm1, a1, 0, config)
+                children.setdefault(a1, []).append((index, vm1))
+            for a1, child in children.items():
+                child_vm2, child_a2 = vm2, a2
+                if peeks and a1 is Action.W and a2 is not Action.W:
+                    child_vm2, child_a2, _ = _peek_at_wait(partner, vm2, a2, 0, config)
+                pay, _, split = payoff(a1, child_a2, table, config.mode)
+                if not split:
+                    stack.append((now, child_vm2, a1, child_a2, True, total + pay, child))
+                else:
+                    stack.append((now, child_vm2, None, None, event, total + pay, child))
+        return totals
 
 
 @dataclass(frozen=True)
@@ -386,6 +448,9 @@ _MAX_CANDIDATES = 3_000_000
 #: square. A tick over this many new states costs about as much as a tick
 #: of the default 200-300 sampled games.
 _MAX_EXACT_STATES = 256
+#: Candidates that share one play tree in a search against a fixed
+#: opponent; it bounds the search's memory, not its result.
+_TREE_CHUNK = 1024
 #: Trials per candidate in the screen, and candidates kept from it.
 _SCREEN_TRIALS = 3
 _FINALISTS = 10
@@ -585,7 +650,7 @@ class BestResponseResult:
 
 
 def best_response(
-    opponent: Union[StrategyProgram, PopulationModel],
+    opponent: Union[str, StrategyProgram, PopulationModel],
     config: GameConfig,
     table: PayoffTable,
     size_bound: int = 8,
@@ -594,22 +659,39 @@ def best_response(
 ) -> BestResponseResult:
     """Exhaustive argmax over the canonical program space.
 
-    A program opponent is the model ``FixedOpponentModel(opponent)``. Every
-    candidate is scored by the model's ``evaluate`` on a few shared seeds
-    and the best few are kept. An exact model (a fixed opponent, a draw
-    model) needs no more: its leader is the answer. A sampled model's
-    finalists are scored again on the full trial count, so the result can
-    miss a candidate the short screen ranked too low. Ties break to the
-    smallest canonical source.
+    A program opponent, or a builtin name or ``.pdstrat`` path, is the model
+    ``FixedOpponentModel(opponent)``. Against a fixed opponent every
+    candidate's exact total comes from ``evaluate_all``, fed the enumeration
+    ``_TREE_CHUNK`` programs at a time to bound memory. Any other model
+    scores every candidate by its ``evaluate`` on a few shared seeds and
+    keeps the best few. An exact model (a draw model) needs no more: its
+    leader is the answer. A sampled model's finalists are scored again on the full trial
+    count, so the result can miss a candidate the short screen ranked too
+    low. Ties break to the smallest canonical source.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    model = opponent
+    if isinstance(model, (str, StrategyProgram)):
+        model = FixedOpponentModel(model)
+    if isinstance(model, FixedOpponentModel):
+        model = replace(model, opponent=resolve(model.opponent, config))
     estimate = estimate_search_size(config, size_bound)
     if estimate == 0:
         raise ValueError(f"size_bound {size_bound} admits no candidate program")
     if estimate > _MAX_CANDIDATES:
         raise BoundTooLargeError(estimate, _MAX_CANDIDATES)
-    model = FixedOpponentModel(opponent) if isinstance(opponent, StrategyProgram) else opponent
+    # The enumeration yields one program per source the estimate counted.
+    if isinstance(model, FixedOpponentModel):
+        candidates = enumerate_candidates(config, size_bound)
+        chunks = iter(lambda: list(islice(candidates, _TREE_CHUNK)), [])
+        scored = (
+            ((-total, candidate.source), candidate)
+            for chunk in chunks
+            for total, candidate in zip(model.evaluate_all(chunk, config, table), chunk)
+        )
+        (total, source), program = min(scored, key=lambda pair: pair[0])
+        return BestResponseResult(program, -total, source, estimate, True)
 
     def rank(scored: tuple[ModelEstimate, StrategyProgram]) -> tuple:
         est, candidate = scored
@@ -627,7 +709,6 @@ def best_response(
              for _, candidate in finalists),
             key=rank,
         )
-    # The enumeration yields one program per source the estimate counted.
     return BestResponseResult(program, best.mean, program.source, estimate, best.exact)
 
 
@@ -651,8 +732,8 @@ class EquilibriumVerdict:
 
 
 def equilibrium_check(
-    sigma1: StrategyProgram,
-    sigma2: StrategyProgram,
+    sigma1: Union[str, StrategyProgram],
+    sigma2: Union[str, StrategyProgram],
     config: GameConfig,
     table: PayoffTable,
     size_bound: int = 8,
@@ -660,8 +741,10 @@ def equilibrium_check(
     """Brute-force Nash check of a strategy pair within the candidate space.
 
     Also reports whether the pair is a cooperative equilibrium, i.e. its
-    own play pays R*N to both players.
+    own play pays R*N to both players. A strategy is anything
+    ``library.resolve`` takes: a program, a builtin name or a file path.
     """
+    sigma1, sigma2 = resolve(sigma1, config), resolve(sigma2, config)
     totals = run_match(sigma1, sigma2, config, table).totals
     cooperative = totals == (table.R * config.N,) * 2
     for player, opponent in ((1, sigma2), (2, sigma1)):

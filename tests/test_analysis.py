@@ -314,6 +314,90 @@ class TestFixedOpponentModel:
                                                 PayoffTable(T=1, R=1, P=-1, S=-2))
 
 
+def _catalog_and_test_players(config):
+    """The catalog, the retaliator and two random programs, by name."""
+    players = {name: get(name, config) for name in BUILTIN_NAMES}
+    players["Retaliator"] = retaliator()
+    for seed in (1, 2):
+        players[f"random-{seed}"] = random_program(random_module.Random(seed))
+    return players
+
+
+_OPPONENT_NAMES = BUILTIN_NAMES + ("Retaliator", "random-1", "random-2")
+#: FTPD, then OPD with instantaneous rematch and with a rematch every t ticks.
+_REMATCH_SETTINGS = [(Mode.FTPD, False, 1), (Mode.OPD, True, 2),
+                     (Mode.OPD, False, 1), (Mode.OPD, False, 2), (Mode.OPD, False, 3)]
+_CANDIDATES: dict = {}
+
+
+def _candidates(config, bound):
+    """The enumeration, compiled once per horizon, mode, budget and bound."""
+    key = (config.N, config.mode, config.k, bound)
+    if key not in _CANDIDATES:
+        _CANDIDATES[key] = list(enumerate_candidates(config, bound))
+    return _CANDIDATES[key]
+
+
+def _pool_of_two_total(program, opponent, config, table):
+    partner = Seat.fresh(opponent)
+    return _play_focal(program, partner, lambda: partner, config, table)
+
+
+class TestPlayTree:
+    @pytest.mark.parametrize("setting", range(len(_REMATCH_SETTINGS)))
+    @pytest.mark.parametrize("name", _OPPONENT_NAMES)
+    def test_leaf_totals_and_search_match_the_focal_loop(self, name, setting):
+        # The grid walks N over 3..9, both bounds, both tables and k in
+        # {2, 4} as the opponent and rematch setting change, so every value
+        # of each meets both modes. The search against the same opponent is
+        # then the argmax of these totals, ties to the smallest source.
+        mode, instantaneous, t = _REMATCH_SETTINGS[setting]
+        step = _OPPONENT_NAMES.index(name) * len(_REMATCH_SETTINGS) + setting
+        config = GameConfig(N=3 + step % 7, mode=mode, t=t, K=1, k=(2, 4)[step // 7 % 2],
+                            instantaneous_rematch=instantaneous)
+        bound, table = 5 + step % 2, (INTRO_TABLE, SPLIT_TABLE)[step // 2 % 2]
+        opponent = _catalog_and_test_players(config)[name]
+        candidates = _candidates(config, bound)
+        expected = [_pool_of_two_total(c, opponent, config, table) for c in candidates]
+        assert FixedOpponentModel(opponent).evaluate_all(candidates, config, table) == expected
+        best, source = min((-total, c.source) for total, c in zip(expected, candidates))
+        result = best_response(opponent, config, table, size_bound=bound)
+        assert (result.payoff, result.source, result.searched, result.exact) == (
+            -best, source, len(candidates), True)
+
+    def test_chunks_change_nothing_even_across_a_tie(self, monkeypatch):
+        # Three candidates tie on the best total against CountingDefector,
+        # in different chunks of 7, and the smallest of their sources is
+        # not the first of them enumerated.
+        config = GameConfig(N=3, k=2)
+        opponent = get("CountingDefector", config)
+        candidates = _candidates(config, 5)
+        totals = FixedOpponentModel(opponent).evaluate_all(candidates, config, INTRO_TABLE)
+        tied = [i for i, total in enumerate(totals) if total == max(totals)]
+        winner = min(tied, key=lambda i: candidates[i].source)
+        assert len({i // 7 for i in tied}) == len(tied) > 1 and winner != tied[0]
+
+        def search(chunk):
+            monkeypatch.setattr(analysis, "_TREE_CHUNK", chunk)
+            return best_response(opponent, config, INTRO_TABLE, size_bound=5)
+
+        whole = search(len(candidates))
+        assert whole.source == candidates[winner].source
+        assert search(7) == whole
+        assert search(1) == whole
+
+    def test_a_named_opponent_is_its_program(self):
+        config = GameConfig(N=5, k=2)
+        named = best_response("GRIM", config, INTRO_TABLE, size_bound=5)
+        assert named == best_response(get("GRIM", config), config, INTRO_TABLE, size_bound=5)
+        verdict = equilibrium_check("GRIM", "GRIM", config, INTRO_TABLE, size_bound=5)
+        assert verdict.is_nash and verdict.payoffs == (5, 5)
+
+    def test_an_unknown_name_is_refused(self):
+        with pytest.raises(ValueError, match="no builtin or strategy file"):
+            best_response("NoSuchStrategy", GameConfig(N=5, k=2), INTRO_TABLE, size_bound=5)
+
+
 class TestDrawModel:
     def test_estimates_are_pinned(self):
         # sha256 over the sampled (mean, se) on a seeded grid of periods,
