@@ -24,7 +24,7 @@ at once.
   settled pairs leave the pool and skew later draws. The draws form a
   finite chance tree, so it is evaluated exactly, by carrying the
   probability of each joint state of focal player and partner tick by
-  tick; past a cap on those states it falls back to sampling games.
+  tick.
 * :class:`PopulationMixModel` - a full 2K population run; the focal player
   is id 0.
 
@@ -41,15 +41,15 @@ a thinned set of values (``_counter_thresholds``). Sizes are the
 compiler's own (``dsl.rule_size``), so the enumeration yields each
 canonical source once, already within the size bound, and nothing is
 filtered after compiling (a test checks both over a grid of horizons and
-bounds). The exact candidate count is the only limit on a search. Against a
-fixed opponent the candidates are played ``_TREE_CHUNK`` at a time over the
-shared play tree. Ties between equal payoffs go to the lexicographically
-smallest source.
+bounds). The exact candidate count is the only limit on a search. Every
+candidate is scored in one loop: against a fixed opponent the candidates are
+played ``_TREE_CHUNK`` at a time over the shared play tree, against any other
+model each is one ``evaluate`` call. Ties between equal payoffs go to the
+lexicographically smallest source.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import Counter
@@ -84,8 +84,8 @@ def oft_constant(q: Fraction | float, r: Fraction | int, table: PayoffTable) -> 
     rematch delay in ticks.
     """
     q = Fraction(q)
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q <= 1:
+        raise ValueError(f"q must be positive and at most 1, got {q}")
     r = Fraction(r)
     return (1 / q) * ((r + 1) * table.R - table.S)
 
@@ -249,9 +249,11 @@ class DrawModel:
     of focal player and partner tick by tick. ``q`` is taken at its exact
     value, so a float q brings its full binary expansion into every
     probability and is slow: OFT at N=2000 takes about 70 times as long
-    with 0.3 as with ``Fraction(3, 10)``. ``sample`` is the Monte-Carlo
-    estimate over ``run_trial`` games; ``evaluate`` falls back to it when
-    the joint states outgrow ``_MAX_EXACT_STATES``.
+    with 0.3 as with ``Fraction(3, 10)``. The joint states stay at a
+    handful for real strategies, but a program that counts its opt-outs
+    grows them with the horizon (to about N/2), and the exact cost with
+    its square. ``sample`` is the Monte-Carlo estimate over ``run_trial``
+    games, kept as a reference.
     """
 
     q: Fraction | float
@@ -276,8 +278,8 @@ class DrawModel:
         then the partner's index, machine and view, or no partner. Each
         tick every paired state plays one pair tick, and at a rematch event
         every unpaired state branches into a fresh partner per draw; equal
-        states merge their probabilities. ``trials`` and ``seed`` are used
-        only by the sampled fallback.
+        states merge their probabilities. ``trials`` is only checked, and
+        ``seed`` is unused: they keep the signature every model shares.
         """
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
@@ -330,8 +332,6 @@ class DrawModel:
                     key = (vm, None, None, None, None, None, None)
                     after[key] = after.get(key, 0) + mass
             states = after
-            if len(states) > _MAX_EXACT_STATES:
-                return self.sample(program, config, table, trials, seed)
         return ModelEstimate(self.describe(), total, 0.0, 1, exact=True)
 
     def sample(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
@@ -400,9 +400,6 @@ class SecurityLevelResult:
     model: str
     rows: tuple[ModelEstimate, ...]
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def security_level(
     program: StrategyProgram,
@@ -415,8 +412,8 @@ def security_level(
     """Minimum over the candidate populations of the strategy's mean payoff.
 
     Exact for the fixed-opponent and draw models, Monte-Carlo for a
-    population mix (or a draw model past its state cap); the per-model
-    rows keep their standard errors so reports can print intervals.
+    population mix; the per-model rows keep their standard errors so
+    reports can print intervals.
     """
     if not models:
         raise ValueError("the candidate population set must not be empty")
@@ -442,18 +439,9 @@ class BoundTooLargeError(ValueError):
 #: Candidates past which ``best_response`` refuses a search; at bound 13
 #: even N=1 FTPD counts 4 468 735, so every bound above 12 is refused.
 _MAX_CANDIDATES = 3_000_000
-#: Joint states past which ``DrawModel.evaluate`` samples instead. Real
-#: inputs stay at a handful; a program that counts its opt-outs grows the
-#: states with the horizon (to about N/2), and the exact cost with its
-#: square. A tick over this many new states costs about as much as a tick
-#: of the default 200-300 sampled games.
-_MAX_EXACT_STATES = 256
 #: Candidates that share one play tree in a search against a fixed
 #: opponent; it bounds the search's memory, not its result.
 _TREE_CHUNK = 1024
-#: Trials per candidate in the screen, and candidates kept from it.
-_SCREEN_TRIALS = 3
-_FINALISTS = 10
 
 
 @dataclass(frozen=True)
@@ -660,14 +648,15 @@ def best_response(
     """Exhaustive argmax over the canonical program space.
 
     A program opponent, or a builtin name or ``.pdstrat`` path, is the model
-    ``FixedOpponentModel(opponent)``. Against a fixed opponent every
-    candidate's exact total comes from ``evaluate_all``, fed the enumeration
-    ``_TREE_CHUNK`` programs at a time to bound memory. Any other model
-    scores every candidate by its ``evaluate`` on a few shared seeds and
-    keeps the best few. An exact model (a draw model) needs no more: its
-    leader is the answer. A sampled model's finalists are scored again on the full trial
-    count, so the result can miss a candidate the short screen ranked too
-    low. Ties break to the smallest canonical source.
+    ``FixedOpponentModel(opponent)``. Every candidate is scored in one
+    loop. Against a fixed opponent the exact totals come from
+    ``evaluate_all``, fed the enumeration ``_TREE_CHUNK`` programs at a time
+    to bound memory. Any other model scores each candidate by its
+    ``evaluate`` mean on ``trials`` and ``seed``: a draw model's is exact,
+    a population mix's is the mean of ``trials`` runs, so a mix search costs
+    ``searched * trials`` population runs and its answer is the argmax of
+    those estimates (``exact=False``). Ties break to the smallest canonical
+    source.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -682,34 +671,22 @@ def best_response(
     if estimate > _MAX_CANDIDATES:
         raise BoundTooLargeError(estimate, _MAX_CANDIDATES)
     # The enumeration yields one program per source the estimate counted.
+    candidates = enumerate_candidates(config, size_bound)
     if isinstance(model, FixedOpponentModel):
-        candidates = enumerate_candidates(config, size_bound)
         chunks = iter(lambda: list(islice(candidates, _TREE_CHUNK)), [])
         scored = (
-            ((-total, candidate.source), candidate)
+            (total, candidate)
             for chunk in chunks
             for total, candidate in zip(model.evaluate_all(chunk, config, table), chunk)
         )
-        (total, source), program = min(scored, key=lambda pair: pair[0])
-        return BestResponseResult(program, -total, source, estimate, True)
-
-    def rank(scored: tuple[ModelEstimate, StrategyProgram]) -> tuple:
-        est, candidate = scored
-        return (-est.mean, candidate.source)
-
-    screened = (
-        (model.evaluate(candidate, config, table, trials=_SCREEN_TRIALS, seed=seed), candidate)
-        for candidate in enumerate_candidates(config, size_bound)
-    )
-    finalists = heapq.nsmallest(_FINALISTS, screened, key=rank)
-    best, program = finalists[0]
-    if not best.exact:
-        best, program = min(
-            ((model.evaluate(candidate, config, table, trials=trials, seed=seed), candidate)
-             for _, candidate in finalists),
-            key=rank,
+    else:
+        scored = (
+            (model.evaluate(candidate, config, table, trials=trials, seed=seed).mean, candidate)
+            for candidate in candidates
         )
-    return BestResponseResult(program, best.mean, program.source, estimate, best.exact)
+    score, program = min(scored, key=lambda pair: (-pair[0], pair[1].source))
+    return BestResponseResult(program, score, program.source, estimate,
+                              not isinstance(model, PopulationMixModel))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ from boundedpd.analysis import (
     unprovoked_defection_tick,
     _play_focal,
 )
-from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, STRICT_TABLE
+from boundedpd.game import (
+    Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, STRICT_TABLE, counter_width_for,
+)
 from boundedpd.library import BUILTIN_NAMES, get, resolve
 from boundedpd.match import Seat, run_match
 from boundedpd.population import run_population
@@ -89,6 +91,11 @@ class TestOftConstant:
     def test_zero_q_rejected(self):
         with pytest.raises(ValueError):
             oft_constant(0, 0, INTRO_TABLE)
+
+    def test_q_above_one_rejected(self):
+        # q is a probability, as in DrawModel.
+        with pytest.raises(ValueError, match="at most 1"):
+            oft_constant(Fraction(3, 2), 0, INTRO_TABLE)
 
     @given(
         st.fractions(min_value=Fraction(1, 100), max_value=1),
@@ -253,6 +260,20 @@ class TestBestResponse:
         assert result.searched == 716
         assert result.exact is True
         assert draw_sequence_mean(model, result.program, config, INTRO_TABLE) == result.payoff
+
+    def test_a_sampled_model_search_is_its_full_trial_argmax(self):
+        # Every candidate is scored on the full trial count: the answer is
+        # the argmax of the estimates the model itself reports, ties to the
+        # smallest source.
+        config = GameConfig(N=6, mode=Mode.OPD, K=2, k=2)
+        model = PopulationMixModel(others=("GRIM", "AllD", "TFT"))
+        result = best_response(model, config, INTRO_TABLE, size_bound=5, trials=10, seed=0)
+        scores = [(model.evaluate(c, config, INTRO_TABLE, trials=10, seed=0).mean, c.source)
+                  for c in enumerate_candidates(config, 5)]
+        payoff, source = min(scores, key=lambda pair: (-pair[0], pair[1]))
+        assert (result.payoff, result.source) == (payoff, source)
+        assert result.searched == len(scores)
+        assert result.exact is False
 
 
 class TestEquilibriumCheck:
@@ -458,19 +479,20 @@ class TestDrawModel:
         assert not sampled.exact
         assert abs(float(exact.mean) - sampled.mean) <= 2.576 * sampled.se
 
-    def test_too_many_joint_states_fall_back_to_sampling(self, monkeypatch):
+    def test_many_joint_states_stay_exact(self):
         # A counter of opt-outs keeps the focal machines apart, so the joint
-        # states grow with the horizon.
-        config = opd(30)
+        # states grow with the horizon, here past 256. The counter is never
+        # tested, so the program plays as the same rules without it.
+        config = opd(600)
         counter = dsl.compile(dsl.parse(
-            "strategy opt_counter\ncounter n: 5 bits\n"
+            f"strategy opt_counter\ncounter n: {counter_width_for(600)} bits\n"
             "if opp == D then play O inc n\nalways play C\n"), config)
+        plain = dsl.compile(dsl.parse(
+            "strategy opt_out\nif opp == D then play O\nalways play C\n"), config)
         model = DrawModel(q=Fraction(1, 2))
-        assert model.evaluate(counter, config, INTRO_TABLE, trials=20, seed=4).exact
-        monkeypatch.setattr(analysis, "_MAX_EXACT_STATES", 3)
-        est = model.evaluate(counter, config, INTRO_TABLE, trials=20, seed=4)
-        assert not est.exact
-        assert est == model.sample(counter, config, INTRO_TABLE, trials=20, seed=4)
+        est = model.evaluate(counter, config, INTRO_TABLE)
+        assert est.exact is True
+        assert est.mean == model.evaluate(plain, config, INTRO_TABLE).mean
 
     @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     @pytest.mark.parametrize("t", [1, 2, 3])

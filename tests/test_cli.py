@@ -185,6 +185,8 @@ class TestOutOfRangeConfig:
         (["analyze", "OFT", "--q", "1/0"], "--q expects a number, got '1/0'"),
         (["analyze", "OFT", "--q", "0.5", "--r", "x"], "--r expects a number, got 'x'"),
         (["analyze", "--oft-constant", "--q", "abc"], "--q expects a number"),
+        (["analyze", "--oft-constant", "--q", "3/2"],
+         "q must be positive and at most 1, got 3/2"),
         (["analyze", "OFT", "--q", "0.5", "--trials", "0"], "--trials must be at least 1"),
         (["analyze", "OFT", "--q", "0.5", "--trials", "-3"], "--trials must be at least 1"),
         (["analyze", "OFT", "--q", "0.5", "--size-bound", "0"],
@@ -195,7 +197,8 @@ class TestOutOfRangeConfig:
          "size_bound 2 admits no candidate program"),
     ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N",
             "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
-            "oft-constant-q-word", "analyze-trials-0", "analyze-trials-negative",
+            "oft-constant-q-word", "oft-constant-q-above-one", "analyze-trials-0",
+            "analyze-trials-negative",
             "analyze-size-bound-0", "analyze-gamma-size-bound-negative",
             "analyze-size-bound-below-every-program"])
     def test_rejected_with_usage_code(self, argv, message):
