@@ -41,7 +41,10 @@ a thinned set of values (``_counter_thresholds``). Sizes are the
 compiler's own (``dsl.rule_size``), so the enumeration yields each
 canonical source once, already within the size bound, and nothing is
 filtered after compiling (a test checks both over a grid of horizons and
-bounds). The exact candidate count is the only limit on a search. Every
+bounds). Each state's rule list is built in one pass, and one
+pairing table lists every first state with the second states it pairs
+with: ``estimate_search_size`` sums the lists' lengths and the enumeration
+walks them. The exact candidate count is the only limit on a search. Every
 candidate is scored in one loop: against a fixed opponent the candidates are
 played ``_TREE_CHUNK`` at a time over the shared play tree, against any other
 model each is one ``evaluate`` call. Ties between equal payoffs go to the
@@ -52,11 +55,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from . import dsl
 from .game import (
@@ -64,7 +66,7 @@ from .game import (
     require_valid_table,
 )
 from .library import resolve
-from .match import MatchTrace, Seat, run_match, seat_move
+from .match import MatchTrace, Seat, seat_move
 from .population import _peek_at_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
@@ -444,31 +446,32 @@ _MAX_CANDIDATES = 3_000_000
 _TREE_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class _StateCombo:
-    rules: tuple[dsl.Rule, ...]
+_Rules = tuple[dsl.Rule, ...]
+
+
+class _StateCombo(NamedTuple):
+    rules: _Rules
     size: int            # compiled size including the state epilogue
     gotos: bool
     incs: bool
     tests_counter: bool
 
 
-def _one_rule_states(
-    actions: tuple[Action, ...],
-    action_terms: list[dsl.Term],
-    counter_terms: list[dsl.Term],
-    with_counter: bool,
-    goto_target: str | None,
-) -> list[_StateCombo]:
-    """Every rule of the canonical space, each as a state of its own."""
-    guards: list[tuple[dsl.Term, ...]] = [()]
-    guards += [(t,) for t in action_terms]
-    if with_counter:
-        guards += [(t,) for t in counter_terms]
-    states: list[_StateCombo] = []
+def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...],
+                  counter: bool, label: str | None, budget: int) -> list[_StateCombo]:
+    """Rule sequences for the state ``label`` fitting the budget: every
+    one-rule state, then every guarded rule followed by one more
+    (unconditional rules anywhere else would make the rest of the state
+    dead). State s0 may go to s1 and s1 to s0; an unlabeled state is a whole
+    program and has no goto. A rule ahead of another adds its size as a
+    non-last rule to the other's one-rule state, so its followers are the
+    one-rule states that fit the room left, listed once per room in their
+    own order. The state's first rule carries the label."""
+    goto_target = {"s0": "s1", "s1": "s0"}.get(label)
+    singles: list[tuple[dsl.Rule, _StateCombo]] = []
     for guard in guards:
         for play in (None,) + actions:
-            for inc in ((False, True) if with_counter else (False,)):
+            for inc in ((False, True) if counter else (False,)):
                 for target in ((None, goto_target) if goto_target else (None,)):
                     stmts: list[dsl.Stmt] = []
                     if play is not None:
@@ -480,33 +483,26 @@ def _one_rule_states(
                     if not stmts:
                         continue
                     rule = dsl.Rule(None, guard, tuple(stmts))
-                    states.append(_StateCombo(
-                        (rule,), dsl.rule_size(rule, last=True) + dsl.EPILOGUE_SIZE,
+                    singles.append((rule, _StateCombo(
+                        (dsl.Rule(label, guard, rule.stmts),),
+                        dsl.rule_size(rule, last=True) + dsl.EPILOGUE_SIZE,
                         bool(target), inc, bool(guard) and guard[0].field == "n",
-                    ))
-    return states
-
-
-def _state_combos(singles: list[_StateCombo], budget: int) -> list[_StateCombo]:
-    """Rule sequences for one state fitting the budget: one rule, or a
-    guarded rule followed by one more (unconditional rules anywhere else
-    would make the rest of the state dead). A rule ahead of another adds
-    its size as a non-last rule to the other's one-rule state."""
-    combos = [c for c in singles if c.size <= budget]
-    smallest = min((c.size for c in singles), default=0)
-    for first in singles:
-        if not first.rules[0].guard:
+                    )))
+    fitting = [single for single in singles if single[1].size <= budget]
+    combos = [combo for _, combo in fitting]
+    followers: dict[int, list[tuple[dsl.Rule, _StateCombo]]] = {}
+    for rule, first in singles:
+        if not rule.guard:
             continue
-        base = dsl.rule_size(first.rules[0], last=False)
-        if base + smallest > budget:
-            continue
-        for second in singles:
-            size = base + second.size
-            if size <= budget:
-                combos.append(_StateCombo(
-                    first.rules + second.rules, size, first.gotos or second.gotos,
-                    first.incs or second.incs, first.tests_counter or second.tests_counter,
-                ))
+        room = budget - dsl.rule_size(rule, last=False)
+        if room not in followers:
+            followers[room] = [single for single in fitting if single[1].size <= room]
+        for next_rule, second in followers[room]:
+            combos.append(_StateCombo(
+                first.rules + (next_rule,), budget - room + second.size,
+                first.gotos or second.gotos, first.incs or second.incs,
+                first.tests_counter or second.tests_counter,
+            ))
     return combos
 
 
@@ -528,67 +524,63 @@ def _counter_thresholds(n: int) -> list[dsl.Value]:
 _MIN_S0_SIZE = dsl.rule_size(dsl.Rule(None, (), (dsl.Goto("s1"),)), last=True) + dsl.EPILOGUE_SIZE
 
 
-def _counter_ok(decls: tuple, incs: bool, tests: bool) -> bool:
-    """A declared counter must be both incremented and tested."""
-    return not decls or (incs and tests)
-
-
 def _combos_by_counter(
     config: GameConfig, size_bound: int
-) -> Iterator[tuple[tuple, list[_StateCombo], list[_StateCombo], list[_StateCombo]]]:
-    """Per counter declaration (none, then one): the single-state programs (no
-    gotos: a self-goto only restates the loop), then the combos of states s0
-    and s1 that two-state programs pair up. s1 must be reachable, so every
-    s0 combo holds a goto; both lists are empty when no s1 fits the bound."""
+) -> Iterator[tuple[tuple, list[_Rules], list[tuple[_Rules, list[_Rules]]]]]:
+    """Per counter declaration (none, then one): the rules of the single-state
+    programs (no gotos: a self-goto only restates the loop), then the
+    pairing table of the two-state programs, each s0 with the s1 rules it
+    pairs with, in order. s1 must be reachable, so every s0 holds a goto.
+    A pair fits when the two sizes fit the bound and a declared counter is
+    incremented and tested in one state or the other; that depends only on
+    the s0's size and counter use, so s0s that share them share one list."""
     actions = legal_actions(config.mode)
-    width = counter_width_for(config.N)
-    action_terms = [
-        dsl.Term(field, op, dsl.ConstAction(a))
+    guards: list[tuple[dsl.Term, ...]] = [()] + [
+        (dsl.Term(field, op, dsl.ConstAction(a)),)
         for field in ("opp", "own")
         for op in (dsl.CmpOp.EQ, dsl.CmpOp.NE)
         for a in actions
     ]
-    counter_terms = [
-        dsl.Term("n", op, value)
+    counter_guards = [
+        (dsl.Term("n", op, value),)
         for op in (dsl.CmpOp.EQ, dsl.CmpOp.NE, dsl.CmpOp.LT, dsl.CmpOp.GE)
         for value in _counter_thresholds(config.N)
     ]
 
-    def combos(decls: tuple, goto_target: str | None, budget: int) -> list[_StateCombo]:
-        singles = _one_rule_states(actions, action_terms, counter_terms, bool(decls), goto_target)
-        return _state_combos(singles, budget)
-
-    for decls in ((), (dsl.Decl("n", width),)):
-        singles = [c for c in combos(decls, None, size_bound)
-                   if _counter_ok(decls, c.incs, c.tests_counter)]
-        combos1 = combos(decls, "s0", size_bound - _MIN_S0_SIZE)
-        combos0 = []
+    for decls in ((), (dsl.Decl("n", counter_width_for(config.N)),)):
+        if decls:
+            guards += counter_guards
+        singles = [c.rules for c in _state_combos(guards, actions, bool(decls), None, size_bound)
+                   if not decls or (c.incs and c.tests_counter)]
+        combos1 = _state_combos(guards, actions, bool(decls), "s1", size_bound - _MIN_S0_SIZE)
+        partners: dict[tuple[int, bool, bool], list[_Rules]] = {}
+        pairs = []
         if combos1:
             budget0 = size_bound - min(c.size for c in combos1)
-            combos0 = [c for c in combos(decls, "s1", budget0) if c.gotos]
-        yield decls, singles, combos0, combos1
+            for combo0 in _state_combos(guards, actions, bool(decls), "s0", budget0):
+                if not combo0.gotos:
+                    continue
+                key = (combo0.size, combo0.incs, combo0.tests_counter)
+                if key not in partners:
+                    partners[key] = [
+                        combo1.rules for combo1 in combos1
+                        if combo0.size + combo1.size <= size_bound and (not decls or (
+                            (combo0.incs or combo1.incs)
+                            and (combo0.tests_counter or combo1.tests_counter)))
+                    ]
+                pairs.append((combo0.rules, partners[key]))
+        yield decls, singles, pairs
 
 
 def _iter_sources(config: GameConfig, size_bound: int) -> Iterator[dsl.StrategySource]:
     """Generate canonical candidate sources whose compiled size fits the
     bound. Deterministic order; each distinct source appears once."""
-
-    def labeled(combo: _StateCombo, label: str) -> tuple[dsl.Rule, ...]:
-        return (replace(combo.rules[0], label=label),) + combo.rules[1:]
-
-    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound):
-        for combo in singles:
-            yield dsl.StrategySource("cand", decls, combo.rules)
-        rules1 = [labeled(combo1, "s1") for combo1 in combos1]
-        for combo0 in combos0:
-            budget1 = size_bound - combo0.size
-            rules0 = labeled(combo0, "s0")
-            for combo1, tail in zip(combos1, rules1):
-                if combo1.size <= budget1 and _counter_ok(
-                    decls, combo0.incs or combo1.incs,
-                    combo0.tests_counter or combo1.tests_counter,
-                ):
-                    yield dsl.StrategySource("cand", decls, rules0 + tail)
+    for decls, singles, pairs in _combos_by_counter(config, size_bound):
+        for rules in singles:
+            yield dsl.StrategySource("cand", decls, rules)
+        for rules0, tails in pairs:
+            for tail in tails:
+                yield dsl.StrategySource("cand", decls, rules0 + tail)
 
 
 def enumerate_candidates(config: GameConfig, size_bound: int) -> Iterator[StrategyProgram]:
@@ -605,23 +597,13 @@ def enumerate_candidates(config: GameConfig, size_bound: int) -> Iterator[Strate
 
 
 def estimate_search_size(config: GameConfig, size_bound: int) -> int:
-    """Size of the candidate space, counted without building a source.
-
-    Whether two states pair up depends only on each one's size and counter
-    use, so the two-state programs are counted bucket by bucket.
-    """
-    count = 0
-    for decls, singles, combos0, combos1 in _combos_by_counter(config, size_bound):
-        count += len(singles)
-        buckets0 = Counter((c.size, c.incs, c.tests_counter) for c in combos0)
-        buckets1 = Counter((c.size, c.incs, c.tests_counter) for c in combos1)
-        for (size0, incs0, tests0), n0 in buckets0.items():
-            for (size1, incs1, tests1), n1 in buckets1.items():
-                if size0 + size1 <= size_bound and _counter_ok(
-                    decls, incs0 or incs1, tests0 or tests1
-                ):
-                    count += n0 * n1
-    return count
+    """Size of the candidate space, counted without building a source: the
+    single-state programs plus the lengths of the pairing table's lists,
+    the same table ``enumerate_candidates`` walks."""
+    return sum(
+        len(singles) + sum(len(tails) for _, tails in pairs)
+        for _, singles, pairs in _combos_by_counter(config, size_bound)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +702,13 @@ def equilibrium_check(
     Also reports whether the pair is a cooperative equilibrium, i.e. its
     own play pays R*N to both players. A strategy is anything
     ``library.resolve`` takes: a program, a builtin name or a file path.
+    Each player's total is its ``FixedOpponentModel`` total against the
+    other, the model its deviations are scored in, so OPD pairs that split
+    re-pair as a pool of two; in FTPD it is the ``run_match`` total.
     """
     sigma1, sigma2 = resolve(sigma1, config), resolve(sigma2, config)
-    totals = run_match(sigma1, sigma2, config, table).totals
+    totals = tuple(FixedOpponentModel(other).evaluate(player, config, table).mean
+                   for player, other in ((sigma1, sigma2), (sigma2, sigma1)))
     cooperative = totals == (table.R * config.N,) * 2
     for player, opponent in ((1, sigma2), (2, sigma1)):
         br = best_response(opponent, config, table, size_bound=size_bound)

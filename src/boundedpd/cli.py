@@ -58,9 +58,10 @@ def _load_table(spec: str | None) -> PayoffTable:
 
 
 def _fraction(flag: str, text: str) -> Fraction:
-    """A ``--q``/``--r`` value: an integer, decimal or ratio such as 1/3."""
+    """A ``--q``/``--r`` value: an integer, decimal or ratio such as 1/3,
+    taken exactly."""
     try:
-        return Fraction(text).limit_denominator(10**6)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"{flag} expects a number, got {text!r}") from None
 

@@ -178,6 +178,9 @@ class TestBestResponse:
         with pytest.raises(BoundTooLargeError) as err:
             best_response(get("GRIM", config), config, INTRO_TABLE, size_bound=13)
         assert err.value.estimate == 18_707_323
+        # The smallest horizon is over the limit too, so no bound above 12 runs.
+        assert estimate_search_size(GameConfig(N=1, k=2), 13) == 4_468_735
+        assert estimate_search_size(GameConfig(N=1, mode=Mode.OPD, k=2), 13) == 12_699_457
 
     @pytest.mark.parametrize("size_bound, trials, name", [(0, 100, "size_bound"),
                                                           (6, 0, "trials")])
@@ -218,6 +221,24 @@ class TestBestResponse:
             assert len(set(texts)) == len(texts) == estimate_search_size(config, bound)
             assert [text for text, size in sized if size < bound] == previous
             previous = texts
+
+    def test_search_space_is_pinned(self):
+        # sha256 over every printed source, in enumeration order, on a grid
+        # of horizons, modes and bounds: a change to how the space is built
+        # must yield the same programs in the same order.
+        digest = hashlib.sha256()
+        count = 0
+        for n in (3, 5, 9):
+            for mode in (Mode.FTPD, Mode.OPD):
+                config = GameConfig(N=n, mode=mode, k=2)
+                for bound in range(3, 8):
+                    for source in analysis._iter_sources(config, bound):
+                        digest.update(dsl.print_source(source).encode())
+                        count += 1
+        assert count == 85_050
+        assert digest.hexdigest() == (
+            "072852a61b83592b235d39fa2fa049d3e309f3d56198b7176aa3341013dbca09"
+        )
 
     @pytest.mark.parametrize("config", [GameConfig(N=16, k=5),
                                         GameConfig(N=9, mode=Mode.OPD, t=1, K=1, k=4)],
@@ -300,6 +321,16 @@ class TestEquilibriumCheck:
         # In the P > 0 > H regime backward induction holds and it is Nash.
         verdict = equilibrium_check(alld, alld, config, STRICT_TABLE, size_bound=8)
         assert verdict.is_nash and not verdict.cooperative
+
+    def test_opt_for_tat_pair_is_a_cooperative_equilibrium_in_opd(self):
+        # Both totals come from the pool-of-two model the deviations are
+        # scored in; the best deviation only cooperates throughout.
+        config = opd(6)
+        verdict = equilibrium_check("OFT", "OFT", config, INTRO_TABLE, size_bound=6)
+        assert verdict.is_nash and verdict.cooperative
+        assert verdict.payoffs == (6, 6)
+        best = best_response("OFT", config, INTRO_TABLE, size_bound=6)
+        assert (best.source, best.payoff) == ("strategy cand\nalways play C\n", 6)
 
 
 class TestFixedOpponentModel:

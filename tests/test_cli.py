@@ -130,6 +130,12 @@ class TestAnalyze:
                                 "--r", "0", "--table", "intro"])
         assert code == 0 and out == "3\n"
 
+    @pytest.mark.parametrize("q, printed", [("0.1234567", "30000000/1234567"),
+                                            ("0.0000001", "30000000")])
+    def test_oft_constant_takes_q_exactly(self, q, printed):
+        code, out, _ = run_cli(["analyze", "--oft-constant", "--q", q])
+        assert code == 0 and out == printed + "\n"
+
     def test_oft_constant_requires_positive_q(self):
         code, _, err = run_cli(["analyze", "--oft-constant", "--q", "0"])
         assert code == 2 and "positive" in err
@@ -184,6 +190,8 @@ class TestOutOfRangeConfig:
         (["analyze", "OFT", "--q", "abc"], "--q expects a number, got 'abc'"),
         (["analyze", "OFT", "--q", "1/0"], "--q expects a number, got '1/0'"),
         (["analyze", "OFT", "--q", "0.5", "--r", "x"], "--r expects a number, got 'x'"),
+        (["analyze", "OFT", "--q", "1/2", "--r", "0.0000001", "--N", "20",
+          "--size-bound", "4"], "--r must be 0 or make 2r+1 a whole number of ticks"),
         (["analyze", "--oft-constant", "--q", "abc"], "--q expects a number"),
         (["analyze", "--oft-constant", "--q", "3/2"],
          "q must be positive and at most 1, got 3/2"),
@@ -197,6 +205,7 @@ class TestOutOfRangeConfig:
          "size_bound 2 admits no candidate program"),
     ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N",
             "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
+            "analyze-r-not-whole-ticks",
             "oft-constant-q-word", "oft-constant-q-above-one", "analyze-trials-0",
             "analyze-trials-negative",
             "analyze-size-bound-0", "analyze-gamma-size-bound-negative",
