@@ -44,7 +44,11 @@ filtered after compiling (a test checks both over a grid of horizons and
 bounds). Each state's rule list is built in one pass, and one
 pairing table lists every first state with the second states it pairs
 with: ``estimate_search_size`` sums the lists' lengths and the enumeration
-walks them. The exact candidate count is the only limit on a search. Every
+walks them; a search builds the table once for both. Candidates are
+assembled, not compiled: each rule's compares, plays and incs are emitted
+once per compare target and joined with the jumps the compiler places, and
+``dsl.compile`` of a candidate's source is the reference a test checks
+them against. The exact candidate count is the only limit on a search. Every
 candidate is scored in one loop: against a fixed opponent the candidates are
 played ``_TREE_CHUNK`` at a time over the shared play tree, against any other
 model each is one ``evaluate`` call. Ties between equal payoffs go to the
@@ -68,7 +72,7 @@ from .game import (
 from .library import resolve
 from .match import MatchTrace, Seat, seat_move
 from .population import _peek_at_wait, play_pair_tick, run_population
-from .vm import StrategyProgram, VmState, reset
+from .vm import Instruction, StrategyProgram, VmState, halt, jump, reset
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -446,15 +450,31 @@ _MAX_CANDIDATES = 3_000_000
 _TREE_CHUNK = 1024
 
 
-_Rules = tuple[dsl.Rule, ...]
+class _Piece:
+    """A rule of the space, shared by every state it starts or ends:
+    ``rule`` as a follower, ``head`` as a state's labeled first rule, and
+    ``size`` as a state's last rule. Candidates are assembled from its
+    compares, plays and incs, emitted once per compare target (``emitted``),
+    and its rendered line (``text``); both are filled in on first use."""
+
+    __slots__ = ("rule", "head", "size", "goto", "text", "emitted")
+
+    def __init__(self, rule: dsl.Rule, head: dsl.Rule, size: int, goto: bool):
+        self.rule, self.head, self.size, self.goto = rule, head, size, goto
+        self.text: str | None = None
+        self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}
 
 
 class _StateCombo(NamedTuple):
-    rules: _Rules
+    pieces: tuple[_Piece, ...]
     size: int            # compiled size including the state epilogue
     gotos: bool
     incs: bool
     tests_counter: bool
+
+    @property
+    def rules(self) -> tuple[dsl.Rule, ...]:
+        return (self.pieces[0].head,) + tuple(piece.rule for piece in self.pieces[1:])
 
 
 def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...],
@@ -468,7 +488,9 @@ def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...
     one-rule states that fit the room left, listed once per room in their
     own order. The state's first rule carries the label."""
     goto_target = {"s0": "s1", "s1": "s0"}.get(label)
-    singles: list[tuple[dsl.Rule, _StateCombo]] = []
+    # Each one-rule state with its rule's size ahead of another rule: one
+    # more for the jump to the epilogue, unless the rule ends in a goto.
+    singles: list[tuple[int, _StateCombo]] = []
     for guard in guards:
         for play in (None,) + actions:
             for inc in ((False, True) if counter else (False,)):
@@ -483,23 +505,24 @@ def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...
                     if not stmts:
                         continue
                     rule = dsl.Rule(None, guard, tuple(stmts))
-                    singles.append((rule, _StateCombo(
-                        (dsl.Rule(label, guard, rule.stmts),),
-                        dsl.rule_size(rule, last=True) + dsl.EPILOGUE_SIZE,
-                        bool(target), inc, bool(guard) and guard[0].field == "n",
+                    size = dsl.rule_size(rule, last=True)
+                    piece = _Piece(rule, dsl.Rule(label, guard, rule.stmts), size, bool(target))
+                    singles.append((size if target else size + 1, _StateCombo(
+                        (piece,), size + dsl.EPILOGUE_SIZE, bool(target), inc,
+                        bool(guard) and guard[0].field == "n",
                     )))
-    fitting = [single for single in singles if single[1].size <= budget]
-    combos = [combo for _, combo in fitting]
-    followers: dict[int, list[tuple[dsl.Rule, _StateCombo]]] = {}
-    for rule, first in singles:
-        if not rule.guard:
+    fitting = [combo for _, combo in singles if combo.size <= budget]
+    combos = list(fitting)
+    followers: dict[int, list[_StateCombo]] = {}
+    for ahead, first in singles:
+        if not first.pieces[0].rule.guard:
             continue
-        room = budget - dsl.rule_size(rule, last=False)
+        room = budget - ahead
         if room not in followers:
-            followers[room] = [single for single in fitting if single[1].size <= room]
-        for next_rule, second in followers[room]:
+            followers[room] = [combo for combo in fitting if combo.size <= room]
+        for second in followers[room]:
             combos.append(_StateCombo(
-                first.rules + (next_rule,), budget - room + second.size,
+                first.pieces + second.pieces, ahead + second.size,
                 first.gotos or second.gotos, first.incs or second.incs,
                 first.tests_counter or second.tests_counter,
             ))
@@ -522,18 +545,24 @@ def _counter_thresholds(n: int) -> list[dsl.Value]:
 
 #: The smallest s0, ``always goto s1``; s1 gets the rest of the bound.
 _MIN_S0_SIZE = dsl.rule_size(dsl.Rule(None, (), (dsl.Goto("s1"),)), last=True) + dsl.EPILOGUE_SIZE
+#: The smallest state of all, a rule of one statement: ``always play C``.
+_MIN_STATE_SIZE = (dsl.rule_size(dsl.Rule(None, (), (dsl.Play(Action.C),)), last=True)
+                   + dsl.EPILOGUE_SIZE)
 
 
-def _combos_by_counter(
-    config: GameConfig, size_bound: int
-) -> Iterator[tuple[tuple, list[_Rules], list[tuple[_Rules, list[_Rules]]]]]:
-    """Per counter declaration (none, then one): the rules of the single-state
-    programs (no gotos: a self-goto only restates the loop), then the
-    pairing table of the two-state programs, each s0 with the s1 rules it
-    pairs with, in order. s1 must be reachable, so every s0 holds a goto.
-    A pair fits when the two sizes fit the bound and a declared counter is
-    incremented and tested in one state or the other; that depends only on
-    the s0's size and counter use, so s0s that share them share one list."""
+#: One counter declaration's part of the space: the declarations, the
+#: single-state programs and the pairing table.
+_CounterSpace = tuple[tuple, list[_StateCombo], list[tuple[_StateCombo, list[_StateCombo]]]]
+
+
+def _combos_by_counter(config: GameConfig, size_bound: int) -> Iterator[_CounterSpace]:
+    """Per counter declaration (none, then one): the single-state programs
+    (no gotos: a self-goto only restates the loop), then the pairing table
+    of the two-state programs, each s0 with the s1 states it pairs with, in
+    order. s1 must be reachable, so every s0 holds a goto. A pair fits when
+    the two sizes fit the bound and a declared counter is incremented and
+    tested in one state or the other; that depends only on the s0's size
+    and counter use, so s0s that share them share one list."""
     actions = legal_actions(config.mode)
     guards: list[tuple[dsl.Term, ...]] = [()] + [
         (dsl.Term(field, op, dsl.ConstAction(a)),)
@@ -550,12 +579,12 @@ def _combos_by_counter(
     for decls in ((), (dsl.Decl("n", counter_width_for(config.N)),)):
         if decls:
             guards += counter_guards
-        singles = [c.rules for c in _state_combos(guards, actions, bool(decls), None, size_bound)
+        singles = [c for c in _state_combos(guards, actions, bool(decls), None, size_bound)
                    if not decls or (c.incs and c.tests_counter)]
-        combos1 = _state_combos(guards, actions, bool(decls), "s1", size_bound - _MIN_S0_SIZE)
-        partners: dict[tuple[int, bool, bool], list[_Rules]] = {}
+        partners: dict[tuple[int, bool, bool], list[_StateCombo]] = {}
         pairs = []
-        if combos1:
+        if size_bound - _MIN_S0_SIZE >= _MIN_STATE_SIZE:
+            combos1 = _state_combos(guards, actions, bool(decls), "s1", size_bound - _MIN_S0_SIZE)
             budget0 = size_bound - min(c.size for c in combos1)
             for combo0 in _state_combos(guards, actions, bool(decls), "s0", budget0):
                 if not combo0.gotos:
@@ -563,12 +592,12 @@ def _combos_by_counter(
                 key = (combo0.size, combo0.incs, combo0.tests_counter)
                 if key not in partners:
                     partners[key] = [
-                        combo1.rules for combo1 in combos1
+                        combo1 for combo1 in combos1
                         if combo0.size + combo1.size <= size_bound and (not decls or (
                             (combo0.incs or combo1.incs)
                             and (combo0.tests_counter or combo1.tests_counter)))
                     ]
-                pairs.append((combo0.rules, partners[key]))
+                pairs.append((combo0, partners[key]))
         yield decls, singles, pairs
 
 
@@ -576,34 +605,92 @@ def _iter_sources(config: GameConfig, size_bound: int) -> Iterator[dsl.StrategyS
     """Generate canonical candidate sources whose compiled size fits the
     bound. Deterministic order; each distinct source appears once."""
     for decls, singles, pairs in _combos_by_counter(config, size_bound):
-        for rules in singles:
-            yield dsl.StrategySource("cand", decls, rules)
-        for rules0, tails in pairs:
-            for tail in tails:
-                yield dsl.StrategySource("cand", decls, rules0 + tail)
+        for combo in singles:
+            yield dsl.StrategySource("cand", decls, combo.rules)
+        for combo0, tails in pairs:
+            for combo1 in tails:
+                yield dsl.StrategySource("cand", decls, combo0.rules + combo1.rules)
 
 
-def enumerate_candidates(config: GameConfig, size_bound: int) -> Iterator[StrategyProgram]:
+def enumerate_candidates(config: GameConfig, size_bound: int,
+                         space: list[_CounterSpace] | None = None) -> Iterator[StrategyProgram]:
     """Yield every canonical candidate program within the compiled size bound.
 
     Deterministic order. Canonical means: unconditional rules only in last
     position, a declared counter is both incremented and tested somewhere,
     the second state is goto-reachable, and no self-gotos. Each source is
-    distinct and fits the bound by construction, so every one is compiled
-    and yielded.
+    distinct and fits the bound by construction, so every one is yielded.
+
+    Candidates are assembled, not compiled: each rule's compares, plays and
+    incs are emitted (``dsl.emit_rule``) once per compare target, and a
+    state is its rules' pieces joined with the jumps ``dsl.compile`` would
+    place. Every s0 that shares a pairing list has the same size, so the
+    list's s1 rules are emitted once for all of them. ``dsl.compile`` of a
+    candidate's source is the reference: a test checks the two are equal
+    programs. ``space`` is the table ``_combos_by_counter`` built for this
+    config and bound, when the caller has it already.
     """
-    for source in _iter_sources(config, size_bound):
-        yield dsl.compile(source, config)
+    if space is None:
+        space = _combos_by_counter(config, size_bound)
+    end_tick = halt()
+    jumps = [jump(target) for target in range(size_bound + 1)]
+    for decls, singles, pairs in space:
+        counter_index = {decl.name: i for i, decl in enumerate(decls)}
+        reg_widths = tuple(decl.width for decl in decls)
+        header = "".join(f"{line}\n" for line in ["strategy cand"] + [d.render() for d in decls])
+
+        def place(combo: _StateCombo, label: str | None, start: int, target: int) -> tuple:
+            """The state laid out from ``start`` as ``dsl.compile`` lays it
+            out, its gotos jumping to ``target``: its instructions, compare
+            total, source lines and layout entry."""
+            epilogue = start + combo.size - dsl.EPILOGUE_SIZE
+            instructions: tuple[Instruction, ...] = ()
+            rule_starts = []
+            cost = 0
+            text = ""
+            last = len(combo.pieces) - 1
+            for ri, piece in enumerate(combo.pieces):
+                at = start + len(instructions)
+                rule_starts.append(at)
+                on_false = epilogue if ri == last else at + piece.size + (not piece.goto)
+                body = piece.emitted.get(on_false)
+                if body is None:
+                    body = piece.emitted[on_false] = dsl.emit_rule(
+                        piece.rule, on_false, counter_index, reg_widths, config)
+                instructions += body[0]
+                cost += body[1]
+                if piece.goto:
+                    instructions += (end_tick, jumps[target])
+                elif ri != last:
+                    instructions += (jumps[epilogue],)
+                if piece.text is None:
+                    piece.text = piece.rule.render()
+                text += f"{label}: {piece.text}\n" if label and not ri else f"{piece.text}\n"
+            instructions += (end_tick, jumps[start])
+            return instructions, cost, text, (label, start, tuple(rule_starts), epilogue)
+
+        for combo in singles:
+            instructions, cost, text, entry = place(combo, None, 0, 0)
+            yield dsl.checked_program("cand", decls, instructions, cost, header + text, (entry,))
+        for combo0, tails in pairs:
+            instructions0, cost0, text0, entry0 = place(combo0, "s0", 0, combo0.size)
+            for combo1 in tails:
+                instructions1, cost1, text1, entry1 = place(combo1, "s1", combo0.size, 0)
+                yield dsl.checked_program(
+                    "cand", decls, instructions0 + instructions1, max(cost0, cost1),
+                    header + text0 + text1, (entry0, entry1))
 
 
-def estimate_search_size(config: GameConfig, size_bound: int) -> int:
+def estimate_search_size(config: GameConfig, size_bound: int,
+                         space: list[_CounterSpace] | None = None) -> int:
     """Size of the candidate space, counted without building a source: the
     single-state programs plus the lengths of the pairing table's lists,
-    the same table ``enumerate_candidates`` walks."""
-    return sum(
-        len(singles) + sum(len(tails) for _, tails in pairs)
-        for _, singles, pairs in _combos_by_counter(config, size_bound)
-    )
+    the same table ``enumerate_candidates`` walks. ``space`` is that table
+    when the caller has built it already."""
+    if space is None:
+        space = _combos_by_counter(config, size_bound)
+    return sum(len(singles) + sum(len(tails) for _, tails in pairs)
+               for _, singles, pairs in space)
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +734,15 @@ def best_response(
         model = FixedOpponentModel(model)
     if isinstance(model, FixedOpponentModel):
         model = replace(model, opponent=resolve(model.opponent, config))
-    estimate = estimate_search_size(config, size_bound)
+    # One build of the space serves the count and the enumeration.
+    space = list(_combos_by_counter(config, size_bound))
+    estimate = estimate_search_size(config, size_bound, space)
     if estimate == 0:
         raise ValueError(f"size_bound {size_bound} admits no candidate program")
     if estimate > _MAX_CANDIDATES:
         raise BoundTooLargeError(estimate, _MAX_CANDIDATES)
     # The enumeration yields one program per source the estimate counted.
-    candidates = enumerate_candidates(config, size_bound)
+    candidates = enumerate_candidates(config, size_bound, space)
     if isinstance(model, FixedOpponentModel):
         chunks = iter(lambda: list(islice(candidates, _TREE_CHUNK)), [])
         scored = (

@@ -165,6 +165,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise CliError(f"unknown mode {args.mode!r} (expected FTPD or OPD)") from None
         if mode is Mode.FTPD and args.q is not None:
             raise CliError("--q describes an opting-out pool; it needs OPD mode")
+    if mode is Mode.FTPD and args.r is not None:
+        raise CliError("--r is the rematch delay of an opting-out pool; it needs OPD mode")
     for gamma in args.gamma or []:
         if not gamma.startswith("all-"):
             raise CliError(f"unknown population {gamma!r}; expected all-<builtin>")

@@ -513,6 +513,51 @@ def rule_size(rule: Rule, last: bool) -> int:
     return size if last else size + 1
 
 
+def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int],
+              reg_widths: tuple[int, ...], config: GameConfig) -> tuple[tuple[Instruction, ...], int]:
+    """The compares, plays and incs ``rule`` compiles to, each compare
+    jumping to ``on_false`` when it fails, and the compares' total width.
+
+    The rule's exit (HALT and JUMP for a goto, or a JUMP to the state's
+    epilogue) is left to the caller, which knows where the states start.
+    ``compile`` and the best-response search both emit rules here.
+    """
+    instructions: list[Instruction] = []
+    cost = 0
+    for term in rule.guard:
+        if term.field in OBS_FIELDS:
+            lhs = Operand.obs(term.field)
+        else:
+            lhs = Operand.reg(counter_index[term.field])
+        guard = vm.compare(lhs, term.op, _resolve_value(term.value, config), on_false)
+        cost += vm.compare_width(guard, reg_widths)
+        instructions.append(guard)
+    for stmt in rule.stmts:
+        if isinstance(stmt, Play):
+            instructions.append(vm.emit(stmt.action))
+        elif isinstance(stmt, Inc):
+            instructions.append(vm.increment(counter_index[stmt.counter]))
+    return tuple(instructions), cost
+
+
+def checked_program(name: str, decls: tuple[Decl, ...], instructions: tuple[Instruction, ...],
+                    worst_tick_cost: int, source: str, layout: tuple) -> StrategyProgram:
+    """The program, after ``vm.validate_program`` finds nothing wrong."""
+    program = StrategyProgram(
+        name=name,
+        instructions=instructions,
+        reg_widths=tuple(decl.width for decl in decls),
+        reg_names=tuple(decl.name for decl in decls),
+        worst_tick_cost=worst_tick_cost,
+        source=source,
+        layout=layout,
+    )
+    problems = vm.validate_program(program)
+    if problems:
+        raise DslError("internal compile error: " + "; ".join(problems))
+    return program
+
+
 def compile(  # noqa: A001 - deliberate: this is the module's compile entry point
     source: StrategySource,
     config: GameConfig,
@@ -561,25 +606,13 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
             rule_start = len(instructions)
             rule_starts.append(rule_start)
             on_false = rule_start + rule_sizes[si][ri] if ri < len(state.rules) - 1 else epilogue
-            for term in rule.guard:
-                if term.field in OBS_FIELDS:
-                    lhs = Operand.obs(term.field)
-                else:
-                    lhs = Operand.reg(counter_index[term.field])
-                guard = vm.compare(lhs, term.op, _resolve_value(term.value, config), on_false)
-                scan_cost += vm.compare_width(guard, reg_widths)
-                instructions.append(guard)
-            goto_stmt: Goto | None = None
-            for stmt in rule.stmts:
-                if isinstance(stmt, Play):
-                    instructions.append(vm.emit(stmt.action))
-                elif isinstance(stmt, Inc):
-                    instructions.append(vm.increment(counter_index[stmt.counter]))
-                else:
-                    goto_stmt = stmt
-            if goto_stmt is not None:
+            body, cost = emit_rule(rule, on_false, counter_index, reg_widths, config)
+            instructions.extend(body)
+            scan_cost += cost
+            goto = next((stmt for stmt in rule.stmts if isinstance(stmt, Goto)), None)
+            if goto is not None:
                 instructions.append(vm.halt())
-                instructions.append(vm.jump(state_starts[state_index[goto_stmt.label]]))
+                instructions.append(vm.jump(state_starts[state_index[goto.label]]))
             elif ri < len(state.rules) - 1:
                 instructions.append(vm.jump(epilogue))
             if not rule.guard:
@@ -590,19 +623,8 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
         layout.append((state.label, state_starts[si], tuple(rule_starts), epilogue))
         worst = max(worst, scan_cost)
 
-    program = StrategyProgram(
-        name=source.name,
-        instructions=tuple(instructions),
-        reg_widths=reg_widths,
-        reg_names=tuple(decl.name for decl in source.decls),
-        worst_tick_cost=worst,
-        source=print_source(source),
-        layout=tuple(layout),
-    )
-    problems = vm.validate_program(program)
-    if problems:
-        raise DslError("internal compile error: " + "; ".join(problems))
-    return program
+    return checked_program(source.name, source.decls, tuple(instructions), worst,
+                           print_source(source), tuple(layout))
 
 # ---------------------------------------------------------------------------
 # Decompilation

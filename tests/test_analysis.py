@@ -296,6 +296,37 @@ class TestBestResponse:
         assert result.searched == len(scores)
         assert result.exact is False
 
+    @pytest.mark.parametrize("mode", [Mode.FTPD, Mode.OPD])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 12])
+    def test_assembled_candidates_are_the_compiled_programs(self, n, mode):
+        # The search assembles each candidate from pieces instead of
+        # compiling it; dsl.compile of its source is the reference. At N=1
+        # the bounds reach 8, where two-state programs with a counter and
+        # several pairing lists appear; the wider counters and the N-offset
+        # thresholds of larger N are covered up to bound 6.
+        config = GameConfig(N=n, mode=mode, k=2)
+        compiled = {}
+        for bound in range(1, 9 if n == 1 else 7):
+            pairs = zip(enumerate_candidates(config, bound),
+                        analysis._iter_sources(config, bound), strict=True)
+            for program, source in pairs:
+                if program.source not in compiled:
+                    compiled[program.source] = dsl.compile(source, config)
+                assert program == compiled[program.source]
+
+    def test_one_search_builds_the_space_once(self, monkeypatch):
+        build, builds = analysis._combos_by_counter, []
+
+        def counted(config, size_bound):
+            builds.append(size_bound)
+            return build(config, size_bound)
+
+        monkeypatch.setattr(analysis, "_combos_by_counter", counted)
+        config = GameConfig(N=4, k=2)
+        result = best_response(get("GRIM", config), config, INTRO_TABLE, size_bound=6)
+        assert builds == [6]
+        assert result.searched == estimate_search_size(config, 6)
+
 
 class TestEquilibriumCheck:
     def test_grim_pair_is_a_cooperative_equilibrium(self):

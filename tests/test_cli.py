@@ -203,13 +203,15 @@ class TestOutOfRangeConfig:
          "--size-bound must be at least 1"),
         (["analyze", "GRIM", "--gamma", "all-AllD", "--N", "8", "--size-bound", "2"],
          "size_bound 2 admits no candidate program"),
+        (["analyze", "GRIM", "--gamma", "all-AllD", "--N", "8", "--r", "1"],
+         "--r is the rematch delay of an opting-out pool; it needs OPD mode"),
     ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N",
             "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
             "analyze-r-not-whole-ticks",
             "oft-constant-q-word", "oft-constant-q-above-one", "analyze-trials-0",
             "analyze-trials-negative",
             "analyze-size-bound-0", "analyze-gamma-size-bound-negative",
-            "analyze-size-bound-below-every-program"])
+            "analyze-size-bound-below-every-program", "analyze-r-outside-opd"])
     def test_rejected_with_usage_code(self, argv, message):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
