@@ -44,11 +44,11 @@ filtered after compiling (a test checks both over a grid of horizons and
 bounds). Each state's rule list is built in one pass, and one
 pairing table lists every first state with the second states it pairs
 with: ``estimate_search_size`` sums the lists' lengths and the enumeration
-walks them; a search builds the table once for both. Candidates are
-assembled, not compiled: each rule's compares, plays and incs are emitted
-once per compare target and joined with the jumps the compiler places, and
-``dsl.compile`` of a candidate's source is the reference a test checks
-them against. The exact candidate count is the only limit on a search. Every
+walks them; a search builds the table once for both. Candidates are not
+compiled from source: each is its states' rule pieces laid out by
+``dsl.assemble``, the one layout, which ``dsl.compile`` runs too, and a
+piece shared by many candidates is emitted once per compare target. The
+exact candidate count is the only limit on a search. Every
 candidate is scored in one loop: against a fixed opponent the candidates are
 played ``_TREE_CHUNK`` at a time over the shared play tree, against any other
 model each is one ``evaluate`` call. Ties between equal payoffs go to the
@@ -72,7 +72,7 @@ from .game import (
 from .library import resolve
 from .match import MatchTrace, Seat, seat_move
 from .population import _peek_at_wait, play_pair_tick, run_population
-from .vm import Instruction, StrategyProgram, VmState, halt, jump, reset
+from .vm import StrategyProgram, VmState, reset
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -450,31 +450,12 @@ _MAX_CANDIDATES = 3_000_000
 _TREE_CHUNK = 1024
 
 
-class _Piece:
-    """A rule of the space, shared by every state it starts or ends:
-    ``rule`` as a follower, ``head`` as a state's labeled first rule, and
-    ``size`` as a state's last rule. Candidates are assembled from its
-    compares, plays and incs, emitted once per compare target (``emitted``),
-    and its rendered line (``text``); both are filled in on first use."""
-
-    __slots__ = ("rule", "head", "size", "goto", "text", "emitted")
-
-    def __init__(self, rule: dsl.Rule, head: dsl.Rule, size: int, goto: bool):
-        self.rule, self.head, self.size, self.goto = rule, head, size, goto
-        self.text: str | None = None
-        self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}
-
-
 class _StateCombo(NamedTuple):
-    pieces: tuple[_Piece, ...]
+    pieces: tuple[dsl.RulePiece, ...]
     size: int            # compiled size including the state epilogue
     gotos: bool
     incs: bool
     tests_counter: bool
-
-    @property
-    def rules(self) -> tuple[dsl.Rule, ...]:
-        return (self.pieces[0].head,) + tuple(piece.rule for piece in self.pieces[1:])
 
 
 def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...],
@@ -486,10 +467,9 @@ def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...
     program and has no goto. A rule ahead of another adds its size as a
     non-last rule to the other's one-rule state, so its followers are the
     one-rule states that fit the room left, listed once per room in their
-    own order. The state's first rule carries the label."""
+    own order. ``dsl.assemble`` puts the label on the state's first rule."""
     goto_target = {"s0": "s1", "s1": "s0"}.get(label)
-    # Each one-rule state with its rule's size ahead of another rule: one
-    # more for the jump to the epilogue, unless the rule ends in a goto.
+    # Each one-rule state with its rule's size ahead of another rule.
     singles: list[tuple[int, _StateCombo]] = []
     for guard in guards:
         for play in (None,) + actions:
@@ -504,11 +484,9 @@ def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...
                         stmts.append(dsl.Goto(target))
                     if not stmts:
                         continue
-                    rule = dsl.Rule(None, guard, tuple(stmts))
-                    size = dsl.rule_size(rule, last=True)
-                    piece = _Piece(rule, dsl.Rule(label, guard, rule.stmts), size, bool(target))
-                    singles.append((size if target else size + 1, _StateCombo(
-                        (piece,), size + dsl.EPILOGUE_SIZE, bool(target), inc,
+                    piece = dsl.RulePiece(dsl.Rule(None, guard, tuple(stmts)))
+                    singles.append((piece.ahead, _StateCombo(
+                        (piece,), piece.size + dsl.EPILOGUE_SIZE, bool(target), inc,
                         bool(guard) and guard[0].field == "n",
                     )))
     fitting = [combo for _, combo in singles if combo.size <= budget]
@@ -601,17 +579,6 @@ def _combos_by_counter(config: GameConfig, size_bound: int) -> Iterator[_Counter
         yield decls, singles, pairs
 
 
-def _iter_sources(config: GameConfig, size_bound: int) -> Iterator[dsl.StrategySource]:
-    """Generate canonical candidate sources whose compiled size fits the
-    bound. Deterministic order; each distinct source appears once."""
-    for decls, singles, pairs in _combos_by_counter(config, size_bound):
-        for combo in singles:
-            yield dsl.StrategySource("cand", decls, combo.rules)
-        for combo0, tails in pairs:
-            for combo1 in tails:
-                yield dsl.StrategySource("cand", decls, combo0.rules + combo1.rules)
-
-
 def enumerate_candidates(config: GameConfig, size_bound: int,
                          space: list[_CounterSpace] | None = None) -> Iterator[StrategyProgram]:
     """Yield every canonical candidate program within the compiled size bound.
@@ -621,64 +588,23 @@ def enumerate_candidates(config: GameConfig, size_bound: int,
     the second state is goto-reachable, and no self-gotos. Each source is
     distinct and fits the bound by construction, so every one is yielded.
 
-    Candidates are assembled, not compiled: each rule's compares, plays and
-    incs are emitted (``dsl.emit_rule``) once per compare target, and a
-    state is its rules' pieces joined with the jumps ``dsl.compile`` would
-    place. Every s0 that shares a pairing list has the same size, so the
-    list's s1 rules are emitted once for all of them. ``dsl.compile`` of a
-    candidate's source is the reference: a test checks the two are equal
-    programs. ``space`` is the table ``_combos_by_counter`` built for this
-    config and bound, when the caller has it already.
+    Candidates are assembled, not compiled: each is its states' rule pieces
+    laid out by ``dsl.assemble``, the one layout, which ``dsl.compile`` runs
+    too, and a piece shared by many candidates is emitted once per compare
+    target. A
+    test checks each candidate against ``dsl.compile`` of its source.
+    ``space`` is the table ``_combos_by_counter`` built for this config and
+    bound, when the caller has it already.
     """
     if space is None:
         space = _combos_by_counter(config, size_bound)
-    end_tick = halt()
-    jumps = [jump(target) for target in range(size_bound + 1)]
     for decls, singles, pairs in space:
-        counter_index = {decl.name: i for i, decl in enumerate(decls)}
-        reg_widths = tuple(decl.width for decl in decls)
-        header = "".join(f"{line}\n" for line in ["strategy cand"] + [d.render() for d in decls])
-
-        def place(combo: _StateCombo, label: str | None, start: int, target: int) -> tuple:
-            """The state laid out from ``start`` as ``dsl.compile`` lays it
-            out, its gotos jumping to ``target``: its instructions, compare
-            total, source lines and layout entry."""
-            epilogue = start + combo.size - dsl.EPILOGUE_SIZE
-            instructions: tuple[Instruction, ...] = ()
-            rule_starts = []
-            cost = 0
-            text = ""
-            last = len(combo.pieces) - 1
-            for ri, piece in enumerate(combo.pieces):
-                at = start + len(instructions)
-                rule_starts.append(at)
-                on_false = epilogue if ri == last else at + piece.size + (not piece.goto)
-                body = piece.emitted.get(on_false)
-                if body is None:
-                    body = piece.emitted[on_false] = dsl.emit_rule(
-                        piece.rule, on_false, counter_index, reg_widths, config)
-                instructions += body[0]
-                cost += body[1]
-                if piece.goto:
-                    instructions += (end_tick, jumps[target])
-                elif ri != last:
-                    instructions += (jumps[epilogue],)
-                if piece.text is None:
-                    piece.text = piece.rule.render()
-                text += f"{label}: {piece.text}\n" if label and not ri else f"{piece.text}\n"
-            instructions += (end_tick, jumps[start])
-            return instructions, cost, text, (label, start, tuple(rule_starts), epilogue)
-
         for combo in singles:
-            instructions, cost, text, entry = place(combo, None, 0, 0)
-            yield dsl.checked_program("cand", decls, instructions, cost, header + text, (entry,))
+            yield dsl.assemble("cand", decls, [(None, combo.pieces)], config)
         for combo0, tails in pairs:
-            instructions0, cost0, text0, entry0 = place(combo0, "s0", 0, combo0.size)
             for combo1 in tails:
-                instructions1, cost1, text1, entry1 = place(combo1, "s1", combo0.size, 0)
-                yield dsl.checked_program(
-                    "cand", decls, instructions0 + instructions1, max(cost0, cost1),
-                    header + text0 + text1, (entry0, entry1))
+                yield dsl.assemble("cand", decls, [("s0", combo0.pieces), ("s1", combo1.pieces)],
+                                   config)
 
 
 def estimate_search_size(config: GameConfig, size_bound: int,

@@ -30,8 +30,10 @@ false whatever the operator.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .game import Action, GameConfig
 from . import vm
@@ -133,12 +135,12 @@ class Rule:
     stmts: tuple[Stmt, ...]
 
     def render(self) -> str:
-        prefix = f"{self.label}: " if self.label else ""
+        """The rule without its label, which ``_source_text`` writes."""
         body = " ".join(stmt.render() for stmt in self.stmts)
         if self.guard:
             guard = " and ".join(term.render() for term in self.guard)
-            return f"{prefix}if {guard} then {body}"
-        return f"{prefix}always {body}"
+            return f"if {guard} then {body}"
+        return f"always {body}"
 
 
 @dataclass(frozen=True)
@@ -452,38 +454,34 @@ def try_parse(text: str) -> tuple[StrategySource | None, DslError | None]:
 # Printing
 # ---------------------------------------------------------------------------
 
+def _source_text(name: str, decls: tuple[Decl, ...],
+                 rules: Iterable[tuple[str | None, str]]) -> str:
+    """The canonical text: the header, the declarations, then each rule's
+    rendered line, behind ``label: `` when the rule starts a labeled state."""
+    lines = [f"strategy {name}"]
+    lines += [decl.render() for decl in decls]
+    lines += [f"{label}: {text}" if label else text for label, text in rules]
+    return "\n".join(lines) + "\n"
+
+
 def print_source(source: StrategySource) -> str:
     """Canonical rendering; ``parse(print_source(parse(s)))`` equals ``parse(s)``."""
-    lines = [f"strategy {source.name}"]
-    lines.extend(decl.render() for decl in source.decls)
-    lines.extend(rule.render() for rule in source.rules)
-    return "\n".join(lines) + "\n"
+    return _source_text(source.name, source.decls,
+                        ((rule.label, rule.render()) for rule in source.rules))
 
 
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _StateLayout:
-    label: str | None
-    rules: tuple[Rule, ...]
-
-
-def _split_states(rules: tuple[Rule, ...]) -> list[_StateLayout]:
-    states: list[_StateLayout] = []
-    current: list[Rule] = []
-    current_label: str | None = None
+def _split_states(rules: tuple[Rule, ...]) -> list[tuple[str | None, list[Rule]]]:
+    """The rules by state, as ``(label, rules)``: a labeled rule starts a
+    new state, and the rules before the first label form the entry state."""
+    states: list[tuple[str | None, list[Rule]]] = []
     for rule in rules:
-        if rule.label is not None and (current or current_label is not None):
-            states.append(_StateLayout(current_label, tuple(current)))
-            current = [rule]
-            current_label = rule.label
-        else:
-            if rule.label is not None:
-                current_label = rule.label
-            current.append(rule)
-    states.append(_StateLayout(current_label, tuple(current)))
+        if rule.label is not None or not states:
+            states.append((rule.label, []))
+        states[-1][1].append(rule)
     return states
 
 
@@ -500,6 +498,9 @@ def _resolve_value(value: Value, config: GameConfig) -> Operand:
 
 #: Instructions closing every state: HALT, then JUMP back to its first rule.
 EPILOGUE_SIZE = 2
+#: Instructions are immutable, so programs share their HALTs and JUMPs.
+_HALT = vm.halt()
+_jump = functools.lru_cache(maxsize=1024)(vm.jump)
 
 
 def rule_size(rule: Rule, last: bool) -> int:
@@ -519,8 +520,7 @@ def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int],
     jumping to ``on_false`` when it fails, and the compares' total width.
 
     The rule's exit (HALT and JUMP for a goto, or a JUMP to the state's
-    epilogue) is left to the caller, which knows where the states start.
-    ``compile`` and the best-response search both emit rules here.
+    epilogue) is left to ``assemble``, which knows where the states start.
     """
     instructions: list[Instruction] = []
     cost = 0
@@ -540,17 +540,104 @@ def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int],
     return tuple(instructions), cost
 
 
-def checked_program(name: str, decls: tuple[Decl, ...], instructions: tuple[Instruction, ...],
-                    worst_tick_cost: int, source: str, layout: tuple) -> StrategyProgram:
-    """The program, after ``vm.validate_program`` finds nothing wrong."""
+class RulePiece:
+    """A rule as ``assemble`` lays it out: the ``rule`` (its label is not
+    read: a state's label comes with the state), its ``size`` as a state's
+    last rule and as a rule ``ahead`` of another, its ``goto`` label or
+    None, and its rendered line ``text``.
+
+    ``emitted`` caches the rule's compares, plays and incs, emitted once
+    per compare target, so a piece shared by many programs is emitted once
+    per place it can land. The cache is valid for one ``(decls, config)``
+    only: the search builds its pieces per counter declaration of one
+    config, and ``compile`` builds fresh pieces per call.
+    """
+
+    __slots__ = ("rule", "size", "ahead", "goto", "text", "emitted")
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.size = rule_size(rule, last=True)
+        self.goto = next((stmt.label for stmt in rule.stmts if isinstance(stmt, Goto)), None)
+        # rule_size(rule, last=False), without a second scan of the rule.
+        self.ahead = self.size + (self.goto is None)
+        self.text = rule.render()
+        self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}
+
+
+def assemble(name: str, decls: tuple[Decl, ...],
+             states: list[tuple[str | None, Sequence[RulePiece]]],
+             config: GameConfig, diagnostics: list[str] | None = None) -> StrategyProgram:
+    """The program whose states are ``states``, each ``(label, pieces)``,
+    laid out in order from instruction 0; the first state is the entry.
+
+    This is the one layout. Each rule is its compares, plays and incs, each
+    compare jumping on failure to the next rule or, from the last rule, to
+    the state's epilogue. A rule with a goto then ends the tick (HALT) and
+    jumps to the target state's start; any other rule but the last jumps to
+    the epilogue, HALT then a JUMP back to the state's start. The
+    ``worst_tick_cost`` is the largest compare total any single tick can
+    request: the maximum over states of the sum of guard widths along a
+    full scan of the state's rules. Unreachable rules (after an
+    unconditional rule in the same state) are reported through
+    ``diagnostics`` when a list is supplied. The program is returned once
+    ``vm.validate_program`` finds nothing wrong with it.
+    """
+    reg_widths = tuple([decl.width for decl in decls])
+    counter_index = {decl.name: i for i, decl in enumerate(decls)}
+    # Fixed sizes first, so every state's start and epilogue is known up front.
+    starts: dict[str | None, int] = {}
+    epilogues: list[int] = []
+    at = 0
+    for label, pieces in states:
+        starts[label] = at
+        for piece in pieces[:-1]:
+            at += piece.ahead
+        at += pieces[-1].size
+        epilogues.append(at)
+        at += EPILOGUE_SIZE
+
+    instructions: list[Instruction] = []
+    layout: list[tuple] = []
+    lines: list[tuple[str | None, str]] = []
+    worst = 0
+    for (label, pieces), epilogue in zip(states, epilogues):
+        start = starts[label]
+        rule_starts: list[int] = []
+        scan_cost = 0
+        fired = False
+        last = len(pieces) - 1
+        for ri, piece in enumerate(pieces):
+            if fired and diagnostics is not None:
+                diagnostics.append(f"rule {ri + 1} of state {label or 'start'} is unreachable")
+            at = len(instructions)
+            rule_starts.append(at)
+            on_false = epilogue if ri == last else at + piece.ahead
+            body = piece.emitted.get(on_false)
+            if body is None:
+                body = piece.emitted[on_false] = emit_rule(
+                    piece.rule, on_false, counter_index, reg_widths, config)
+            instructions += body[0]
+            scan_cost += body[1]
+            if piece.goto is not None:
+                instructions += (_HALT, _jump(starts[piece.goto]))
+            elif ri != last:
+                instructions.append(_jump(epilogue))
+            lines.append((label if not ri else None, piece.text))
+            fired = fired or not piece.rule.guard
+        assert len(instructions) == epilogue, "layout drift between rule sizes and emission"
+        instructions += (_HALT, _jump(start))
+        layout.append((label, start, tuple(rule_starts), epilogue))
+        worst = max(worst, scan_cost)
+
     program = StrategyProgram(
         name=name,
-        instructions=instructions,
-        reg_widths=tuple(decl.width for decl in decls),
-        reg_names=tuple(decl.name for decl in decls),
-        worst_tick_cost=worst_tick_cost,
-        source=source,
-        layout=layout,
+        instructions=tuple(instructions),
+        reg_widths=reg_widths,
+        reg_names=tuple([decl.name for decl in decls]),
+        worst_tick_cost=worst,
+        source=_source_text(name, decls, lines),
+        layout=tuple(layout),
     )
     problems = vm.validate_program(program)
     if problems:
@@ -563,68 +650,14 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
     config: GameConfig,
     diagnostics: list[str] | None = None,
 ) -> StrategyProgram:
-    """Compile a parsed source against a game config.
-
-    Deterministic. The returned program's ``worst_tick_cost`` is the largest
-    compare total any single tick can request: the maximum over states of
-    the sum of guard widths along a full scan of the state's rules.
-    Unreachable rules (after an unconditional rule in the same state) are
-    reported through ``diagnostics`` when a list is supplied.
+    """Compile a parsed source against a game config: its rules by state,
+    one ``RulePiece`` per rule, laid out by ``assemble``, the one layout,
+    which the best-response search uses too. Deterministic; unreachable
+    rules are reported through ``diagnostics`` when a list is supplied.
     """
-    reg_widths = tuple(decl.width for decl in source.decls)
-    counter_index = {decl.name: i for i, decl in enumerate(source.decls)}
-    states = _split_states(source.rules)
-    state_index = {state.label: i for i, state in enumerate(states) if state.label is not None}
-
-    # First pass: fixed sizes so every jump target is known up front.
-    rule_sizes = [
-        [rule_size(rule, ri == len(state.rules) - 1) for ri, rule in enumerate(state.rules)]
-        for state in states
-    ]
-    state_sizes = [sum(sizes) + EPILOGUE_SIZE for sizes in rule_sizes]
-
-    state_starts: list[int] = []
-    offset = 0
-    for size in state_sizes:
-        state_starts.append(offset)
-        offset += size
-
-    # Second pass: emit instructions against the precomputed layout.
-    instructions: list[Instruction] = []
-    layout: list[tuple] = []
-    worst = 0
-    for si, state in enumerate(states):
-        epilogue = state_starts[si] + state_sizes[si] - EPILOGUE_SIZE
-        rule_starts: list[int] = []
-        scan_cost = 0
-        fired = False
-        for ri, rule in enumerate(state.rules):
-            if fired and diagnostics is not None:
-                diagnostics.append(
-                    f"rule {ri + 1} of state {state.label or 'start'!s} is unreachable"
-                )
-            rule_start = len(instructions)
-            rule_starts.append(rule_start)
-            on_false = rule_start + rule_sizes[si][ri] if ri < len(state.rules) - 1 else epilogue
-            body, cost = emit_rule(rule, on_false, counter_index, reg_widths, config)
-            instructions.extend(body)
-            scan_cost += cost
-            goto = next((stmt for stmt in rule.stmts if isinstance(stmt, Goto)), None)
-            if goto is not None:
-                instructions.append(vm.halt())
-                instructions.append(vm.jump(state_starts[state_index[goto.label]]))
-            elif ri < len(state.rules) - 1:
-                instructions.append(vm.jump(epilogue))
-            if not rule.guard:
-                fired = True
-        assert len(instructions) == epilogue, "layout drift between compiler passes"
-        instructions.append(vm.halt())
-        instructions.append(vm.jump(state_starts[si]))
-        layout.append((state.label, state_starts[si], tuple(rule_starts), epilogue))
-        worst = max(worst, scan_cost)
-
-    return checked_program(source.name, source.decls, tuple(instructions), worst,
-                           print_source(source), tuple(layout))
+    states = [(label, [RulePiece(rule) for rule in rules])
+              for label, rules in _split_states(source.rules)]
+    return assemble(source.name, source.decls, states, config, diagnostics)
 
 # ---------------------------------------------------------------------------
 # Decompilation

@@ -47,10 +47,13 @@ class IllegalActionError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or integer literals into an exact rational."""
+    """Parse ``p/q`` or integer literals into an exact rational; a zero
+    denominator is a ``ValueError`` like any other malformed literal."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

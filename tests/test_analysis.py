@@ -232,8 +232,8 @@ class TestBestResponse:
             for mode in (Mode.FTPD, Mode.OPD):
                 config = GameConfig(N=n, mode=mode, k=2)
                 for bound in range(3, 8):
-                    for source in analysis._iter_sources(config, bound):
-                        digest.update(dsl.print_source(source).encode())
+                    for program in enumerate_candidates(config, bound):
+                        digest.update(program.source.encode())
                         count += 1
         assert count == 85_050
         assert digest.hexdigest() == (
@@ -299,19 +299,20 @@ class TestBestResponse:
     @pytest.mark.parametrize("mode", [Mode.FTPD, Mode.OPD])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 12])
     def test_assembled_candidates_are_the_compiled_programs(self, n, mode):
-        # The search assembles each candidate from pieces instead of
-        # compiling it; dsl.compile of its source is the reference. At N=1
-        # the bounds reach 8, where two-state programs with a counter and
-        # several pairing lists appear; the wider counters and the N-offset
-        # thresholds of larger N are covered up to bound 6.
+        # The search assembles each candidate from pieces shared across
+        # candidates; dsl.compile of its parsed source, with fresh pieces,
+        # is the reference. Full equality covers the emit cache's compare
+        # targets, s1's start and the gotos into it, and the source text the
+        # parser reads back. At N=1 the bounds reach 8, where two-state
+        # programs with a counter and several pairing lists appear; the
+        # wider counters and the N-offset thresholds of larger N are covered
+        # up to bound 6.
         config = GameConfig(N=n, mode=mode, k=2)
         compiled = {}
         for bound in range(1, 9 if n == 1 else 7):
-            pairs = zip(enumerate_candidates(config, bound),
-                        analysis._iter_sources(config, bound), strict=True)
-            for program, source in pairs:
+            for program in enumerate_candidates(config, bound):
                 if program.source not in compiled:
-                    compiled[program.source] = dsl.compile(source, config)
+                    compiled[program.source] = dsl.compile(dsl.parse(program.source), config)
                 assert program == compiled[program.source]
 
     def test_one_search_builds_the_space_once(self, monkeypatch):

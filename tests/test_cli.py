@@ -56,6 +56,13 @@ class TestMatch:
         assert code == 2 and out == ""
         assert "N, mode" in err and "T,R,P,S,H,Q,Q_hat" in err
 
+    def test_table_file_with_zero_denominator_is_refused(self, tmp_path):
+        table = tmp_path / "zero.cfg"
+        table.write_text("T=3/0\n")
+        code, out, err = run_cli(["match", "GRIM", "GRIM", "--table", str(table)])
+        assert (code, out) == (2, "")
+        assert err == f"boundedpd: {table}: bad rational for 'T': '3/0'\n"
+
     def test_a_directory_is_no_table_or_spec_file(self, tmp_path):
         for argv in (["match", "GRIM", "GRIM", "--table", str(tmp_path)],
                      ["population", str(tmp_path)]):

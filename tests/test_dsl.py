@@ -123,12 +123,19 @@ class TestParse:
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES])
-    def test_builtins_reach_print_fixpoint(self, name):
-        src = parse(source_text(name, CFG))
+    @pytest.mark.parametrize(
+        "name, config",
+        [(n, CFG) for n in BUILTIN_NAMES] + [("CountingDefector", GameConfig(N=5000, k=2))],
+        ids=list(BUILTIN_NAMES) + ["CountingDefector-5000"],
+    )
+    def test_builtins_reach_print_fixpoint(self, name, config):
+        # The compiler writes the program's source with the printer's text
+        # format; the long counting defector has one state per tick.
+        src = parse(source_text(name, config))
         printed = print_source(src)
         assert parse(printed) == src
         assert print_source(parse(printed)) == printed
+        assert compile_source(src, config).source == printed
 
     def test_whitespace_and_comments_normalize(self):
         messy = "strategy   X\n\n  always    play C   # noise\n"
@@ -195,10 +202,24 @@ class TestCompile:
         assert str(err.value) == "3:9: N-20 is negative at N=5"
 
     def test_unreachable_rule_diagnostic(self):
-        text = "strategy X\nalways play C\nif opp == D then play D"
+        # Every rule after an unconditional one in its own state is named,
+        # state by state; a goto rule ahead does not make the rest dead.
+        text = (
+            "strategy X\n"
+            "if opp == D then goto punish\n"
+            "always play C\n"
+            "if opp == C then play D\n"
+            "punish: always play D\n"
+            "if opp == C then play C\n"
+            "always play W\n"
+        )
         diagnostics: list[str] = []
         compile_source(parse(text), CFG, diagnostics=diagnostics)
-        assert any("unreachable" in d for d in diagnostics)
+        assert diagnostics == [
+            "rule 3 of state start is unreachable",
+            "rule 2 of state punish is unreachable",
+            "rule 3 of state punish is unreachable",
+        ]
 
     def test_compile_is_deterministic(self):
         a = compile_source(parse(GRIM_TEXT), CFG)

@@ -235,6 +235,8 @@ class TestConfig:
         assert parse_rational("-2") == Fraction(-2)
         with pytest.raises(ValueError):
             parse_rational("x")
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("3/0")
 
     def test_config_text_roundtrip(self):
         table = PayoffTable(T=2, R=1, P=-1, S=-2, H=Fraction(-1, 100))
