@@ -199,7 +199,7 @@ class FixedOpponentModel:
         both seats forget their last actions when a rematch event re-pairs
         them after a split.
         """
-        require_valid_table(table, config.mode)
+        require_valid_table(table)
         opponent = resolve(self.opponent, config)
         peeks = config.instantaneous_rematch and config.mode is Mode.OPD
         # Scratch seats: ``focal`` takes each program in turn.
@@ -269,8 +269,8 @@ class DrawModel:
     name: str = ""
 
     def __post_init__(self) -> None:
-        # As run_trial draws it: a float, which also compares fastest.
-        if not 0 < float(self.q) <= 1:
+        # As given: a float conversion would let 1 + 1e-20 in and 1e-400 not.
+        if not 0 < self.q <= 1:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
 
     def describe(self) -> str:
@@ -289,7 +289,7 @@ class DrawModel:
         """
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
-        require_valid_table(table, config.mode)
+        require_valid_table(table)
         q = Fraction(self.q)
         partners = [resolve(self.cooperative, config), resolve(self.hostile, config)]
         draws = [(index, weight) for index, weight in ((0, q), (1, 1 - q)) if weight]
@@ -343,7 +343,7 @@ class DrawModel:
     def sample(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                trials: int = 200, seed: int = 0) -> ModelEstimate:
         """Monte-Carlo estimate: the mean of ``trials`` seeded games."""
-        require_valid_table(table, config.mode)
+        require_valid_table(table)
         # Named partners are compiled once here, not once per trial.
         resolved = replace(
             self,

@@ -580,8 +580,9 @@ def assemble(name: str, decls: tuple[Decl, ...],
     request: the maximum over states of the sum of guard widths along a
     full scan of the state's rules. Unreachable rules (after an
     unconditional rule in the same state) are reported through
-    ``diagnostics`` when a list is supplied. The program is returned once
-    ``vm.validate_program`` finds nothing wrong with it.
+    ``diagnostics`` when a list is supplied. The program carries its
+    canonical source text, which ``decompile`` parses back, and is returned
+    once ``vm.validate_program`` finds nothing wrong with it.
     """
     reg_widths = tuple([decl.width for decl in decls])
     counter_index = {decl.name: i for i, decl in enumerate(decls)}
@@ -598,21 +599,17 @@ def assemble(name: str, decls: tuple[Decl, ...],
         at += EPILOGUE_SIZE
 
     instructions: list[Instruction] = []
-    layout: list[tuple] = []
     lines: list[tuple[str | None, str]] = []
     worst = 0
     for (label, pieces), epilogue in zip(states, epilogues):
         start = starts[label]
-        rule_starts: list[int] = []
         scan_cost = 0
         fired = False
         last = len(pieces) - 1
         for ri, piece in enumerate(pieces):
             if fired and diagnostics is not None:
                 diagnostics.append(f"rule {ri + 1} of state {label or 'start'} is unreachable")
-            at = len(instructions)
-            rule_starts.append(at)
-            on_false = epilogue if ri == last else at + piece.ahead
+            on_false = epilogue if ri == last else len(instructions) + piece.ahead
             body = piece.emitted.get(on_false)
             if body is None:
                 body = piece.emitted[on_false] = emit_rule(
@@ -627,17 +624,14 @@ def assemble(name: str, decls: tuple[Decl, ...],
             fired = fired or not piece.rule.guard
         assert len(instructions) == epilogue, "layout drift between rule sizes and emission"
         instructions += (_HALT, _jump(start))
-        layout.append((label, start, tuple(rule_starts), epilogue))
         worst = max(worst, scan_cost)
 
     program = StrategyProgram(
         name=name,
         instructions=tuple(instructions),
         reg_widths=reg_widths,
-        reg_names=tuple([decl.name for decl in decls]),
         worst_tick_cost=worst,
         source=_source_text(name, decls, lines),
-        layout=tuple(layout),
     )
     problems = vm.validate_program(program)
     if problems:
@@ -664,73 +658,12 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
 # ---------------------------------------------------------------------------
 
 def decompile(program: StrategyProgram) -> StrategySource:
-    """Reconstruct a source tree from a program compiled by this module.
-
-    Uses the layout table the compiler attached; hand-assembled programs
-    cannot be decompiled. Horizon expressions come back as the constants
-    they were resolved to, so recompiling the result against the same
-    config reproduces the instruction stream exactly.
+    """The source tree of a program compiled by this module: its canonical
+    ``source`` text, parsed. Hand-assembled programs carry no source and
+    cannot be decompiled. Horizon terms come back as written (``n >= N-2``),
+    not as the constants they resolved to; recompiling the result against
+    the same config reproduces the instruction stream exactly.
     """
-    if not program.layout:
-        raise DslError("program carries no layout table; it was not compiled here")
-
-    ins = program.instructions
-    label_by_start = {start: label for label, start, _, _ in program.layout}
-
-    def operand_to_field(operand: Operand) -> str:
-        if operand.kind is vm.OperandKind.OBS:
-            return str(operand.value)
-        if operand.kind is vm.OperandKind.REG:
-            return program.reg_names[operand.value]  # type: ignore[index]
-        raise DslError("compare left side is neither observation nor counter")
-
-    def operand_to_value(operand: Operand) -> Value:
-        if operand.kind is vm.OperandKind.CONST_ACTION:
-            return ConstAction(operand.value)  # type: ignore[arg-type]
-        if operand.kind is vm.OperandKind.CONST_INT:
-            return ConstInt(operand.value)  # type: ignore[arg-type]
-        raise DslError("compare right side is not a constant")
-
-    rules: list[Rule] = []
-    for label, _start, rule_starts, epilogue in program.layout:
-        boundaries = list(rule_starts[1:]) + [epilogue]
-        for ri, rule_start in enumerate(rule_starts):
-            end = boundaries[ri]
-            pos = rule_start
-            guard: list[Term] = []
-            while pos < end and ins[pos].opcode is vm.Opcode.COMPARE:
-                guard.append(Term(
-                    operand_to_field(ins[pos].lhs),
-                    ins[pos].op,
-                    operand_to_value(ins[pos].rhs),
-                ))
-                pos += 1
-            stmts: list[Stmt] = []
-            while pos < end:
-                op = ins[pos].opcode
-                if op is vm.Opcode.EMIT:
-                    stmts.append(Play(ins[pos].action))
-                    pos += 1
-                elif op is vm.Opcode.INCREMENT:
-                    stmts.append(Inc(program.reg_names[ins[pos].reg]))
-                    pos += 1
-                elif op is vm.Opcode.JUMP and ins[pos].target == epilogue:
-                    pos += 1  # early hop to the shared tick end
-                elif op is vm.Opcode.HALT and pos + 1 < end \
-                        and ins[pos + 1].opcode is vm.Opcode.JUMP:
-                    target = ins[pos + 1].target
-                    target_label = label_by_start.get(target)
-                    if target_label is None:
-                        raise DslError(f"goto lands at {target}, which starts no state")
-                    stmts.append(Goto(target_label))
-                    pos += 2
-                else:
-                    raise DslError(f"unexpected instruction at {pos} while decompiling")
-            if not stmts:
-                raise DslError(f"rule at {rule_start} has no statements")
-            rules.append(Rule(label if ri == 0 else None, tuple(guard), tuple(stmts)))
-
-    decls = tuple(
-        Decl(name, width) for name, width in zip(program.reg_names, program.reg_widths)
-    )
-    return StrategySource(program.name, decls, tuple(rules))
+    if program.source is None:
+        raise DslError("program carries no source; it was not compiled here")
+    return parse(program.source)

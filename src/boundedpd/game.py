@@ -204,9 +204,9 @@ def validate_table(table: PayoffTable, mode: Mode = Mode.FTPD, regime: str | Non
     return violations
 
 
-def require_valid_table(table: PayoffTable, mode: Mode) -> None:
+def require_valid_table(table: PayoffTable) -> None:
     """Raise ``ValueError`` naming every ordering constraint the table breaks."""
-    violations = validate_table(table, mode)
+    violations = validate_table(table)
     if violations:
         raise ValueError("invalid payoff table: " + ", ".join(violations))
 

@@ -114,7 +114,7 @@ def run_match(
     or a non-FTPD config (population games belong to the other engine)."""
     if config.mode is not Mode.FTPD:
         raise ValueError("run_match runs FTPD games; use run_population for OPD")
-    require_valid_table(table, config.mode)
+    require_valid_table(table)
 
     seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
     records = tuple(match_step(seat1, seat2, config, table) for _ in range(config.N))

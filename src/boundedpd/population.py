@@ -238,7 +238,7 @@ def run_population(
     """
     if config.mode is not Mode.OPD:
         raise ValueError("run_population runs OPD games; use run_match for FTPD")
-    require_valid_table(table, config.mode)
+    require_valid_table(table)
     if len(programs) < 2 or len(programs) % 2:
         raise ValueError("population size must be even and at least 2")
 

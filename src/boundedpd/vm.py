@@ -134,18 +134,15 @@ def halt() -> Instruction:
 class StrategyProgram:
     """A compiled strategy: instructions plus declared register widths.
 
-    ``layout`` is the compiler's symbol table: one entry per state of the
-    source rule machine, ``(label, state_start, rule_starts, epilogue)``.
-    Hand-assembled programs leave it empty.
+    ``source`` is the canonical source text the compiler laid out, which
+    ``dsl.decompile`` parses back; hand-assembled programs leave it None.
     """
 
     name: str
     instructions: tuple[Instruction, ...]
     reg_widths: tuple[int, ...] = ()
-    reg_names: tuple[str, ...] = ()
     worst_tick_cost: int | None = None
     source: str | None = None
-    layout: tuple = ()
 
     @property
     def register_count(self) -> int:
@@ -341,7 +338,7 @@ def tick(
                     width = compare_width(ins, program.reg_widths)
                     lhs_value = _operand_value(ins.lhs, regs, opp, own)  # type: ignore[arg-type]
                     rhs_value = _operand_value(ins.rhs, regs, opp, own)  # type: ignore[arg-type]
-                except (IndexError, TypeError, KeyError):
+                except (IndexError, TypeError, KeyError, ValueError):
                     return _fault(state, regs, k - budget, f"bad compare operand at {pc}")
             if width - done > budget:
                 # Not enough budget left this tick: latch and suspend.

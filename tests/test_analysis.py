@@ -568,8 +568,13 @@ class TestDrawModel:
             bound = n * INTRO_TABLE.R - oft_constant(q, Fraction(t - 1, 2), INTRO_TABLE)
             assert est.exact and est.mean >= bound, (n, est.mean, bound)
 
-    @pytest.mark.parametrize("q", [0, -Fraction(1, 2), Fraction(3, 2), 2])
+    @pytest.mark.parametrize("q", [0, -Fraction(1, 2), Fraction(3, 2), 2,
+                                   Fraction(10**20 + 1, 10**20), Fraction(1, 10**400)])
     def test_q_outside_the_unit_interval_is_refused(self, q):
+        # Compared exactly: 1 + 1e-20 is above one, 1e-400 is above zero.
+        if 0 < q <= 1:
+            assert DrawModel(q=q).q == q
+            return
         with pytest.raises(ValueError, match="q must be in"):
             DrawModel(q=q)
 

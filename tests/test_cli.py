@@ -202,6 +202,8 @@ class TestOutOfRangeConfig:
         (["analyze", "--oft-constant", "--q", "abc"], "--q expects a number"),
         (["analyze", "--oft-constant", "--q", "3/2"],
          "q must be positive and at most 1, got 3/2"),
+        (["analyze", "OFT", "--q", "1.00000000000000000001", "--N", "10", "--size-bound", "4"],
+         "q must be in (0, 1], got 100000000000000000001/100000000000000000000"),
         (["analyze", "OFT", "--q", "0.5", "--trials", "0"], "--trials must be at least 1"),
         (["analyze", "OFT", "--q", "0.5", "--trials", "-3"], "--trials must be at least 1"),
         (["analyze", "OFT", "--q", "0.5", "--size-bound", "0"],
@@ -215,7 +217,8 @@ class TestOutOfRangeConfig:
     ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N",
             "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
             "analyze-r-not-whole-ticks",
-            "oft-constant-q-word", "oft-constant-q-above-one", "analyze-trials-0",
+            "oft-constant-q-word", "oft-constant-q-above-one", "analyze-q-just-above-one",
+            "analyze-trials-0",
             "analyze-trials-negative",
             "analyze-size-bound-0", "analyze-gamma-size-bound-negative",
             "analyze-size-bound-below-every-program", "analyze-r-outside-opd"])

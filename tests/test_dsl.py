@@ -281,6 +281,12 @@ class TestDecompile:
         with pytest.raises(DslError):
             decompile(bare)
 
+    def test_horizon_terms_come_back_as_written(self):
+        from boundedpd.dsl import decompile
+        from boundedpd.library import get
+        text = print_source(decompile(get("CountingDefector", GameConfig(N=5))))
+        assert text.splitlines()[-1] == "armed: if n >= N-2 then play D"
+
     def test_debug_trace_lists_pc_cost_action(self):
         from boundedpd.vm import debug_trace, format_debug_trace
         program = compile_source(parse(GRIM_TEXT), CFG)

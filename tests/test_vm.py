@@ -224,6 +224,17 @@ class TestFaults:
         problems = validate_program(program)
         assert len(problems) == 2
 
+    @pytest.mark.parametrize("program", [
+        StrategyProgram("zero-bit", (compare(Operand.reg(0), CmpOp.EQ, Operand.reg(0), on_false=1),
+                                     halt()), reg_widths=(0,)),
+        StrategyProgram("negative", (compare(Operand.obs("opp"), CmpOp.EQ, Operand.const(-1),
+                                             on_false=1), halt())),
+    ], ids=["zero-bit-registers", "negative-constant"])
+    def test_a_validated_compare_without_a_width_faults(self, program):
+        assert validate_program(program) == []
+        state, action = tick(reset(program), program, None, None, 2)
+        assert action is W and state.fault_reason == "bad compare operand at 0"
+
     def test_budget_below_two_rejected(self):
         program = get("AllC", CFG)
         with pytest.raises(ValueError):
