@@ -442,14 +442,6 @@ def _parse_stmts(
     return tuple(stmts)
 
 
-def try_parse(text: str) -> tuple[StrategySource | None, DslError | None]:
-    """Totality wrapper: returns (tree, None) or (None, diagnostic)."""
-    try:
-        return parse(text), None
-    except DslError as err:
-        return None, err
-
-
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------

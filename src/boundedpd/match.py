@@ -7,16 +7,23 @@ completed actions of the previous tick (so moves are simultaneous), and
 tick's ``PairOutcome``. A program fault, including playing O in a mode that
 forbids it, turns the offender into a perpetual waiter from that tick on.
 
+``PairOutcome``, like the machine's ``VmState``, is a ``NamedTuple``: built
+in C, updated with ``_replace``, and equal to the plain tuple of its
+fields, so no dict may mix them with plain tuples as keys.
+
 ``match_step`` is the two steps back to back: a fixed-horizon match is the
 opting-out game without the opt-out. ``population.play_pair_tick`` puts
 the instantaneous-rematch peek between them, since only the opting-out
-game has it. ``run_match`` plays N ticks of ``match_step``.
+game has it. ``run_match`` plays N ticks of ``match_step`` and adds each
+side's payoffs exactly, as integers over their common denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .game import (
     Action, GameConfig, Mode, PayoffTable, config_header, payoff, require_valid_table,
@@ -58,8 +65,7 @@ class Seat:
         self.last_opp = None
 
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(NamedTuple):
     a1: Action
     a2: Action
     pay1: Fraction
@@ -78,7 +84,7 @@ def seat_move(seat: Seat, config: GameConfig) -> tuple[VmState, Action]:
     """
     vm, action = tick(seat.vm, seat.program, seat.last_opp, seat.last_own, config.k)
     if action is Action.O and config.mode is not Mode.OPD:
-        vm = replace(vm, fault_reason="played O outside OPD mode")
+        vm = vm._replace(fault_reason="played O outside OPD mode")
         action = Action.W
     return vm, action
 
@@ -120,11 +126,19 @@ def run_match(
     records = tuple(match_step(seat1, seat2, config, table) for _ in range(config.N))
     return MatchTrace(
         records=records,
-        total1=sum((out.pay1 for out in records), Fraction(0)),
-        total2=sum((out.pay2 for out in records), Fraction(0)),
+        total1=exact_sum([out.pay1 for out in records]),
+        total2=exact_sum([out.pay2 for out in records]),
         fault1=seat1.vm.fault_reason,
         fault2=seat2.vm.fault_reason,
     )
+
+
+def exact_sum(values: list[Fraction]) -> Fraction:
+    """``sum(values, Fraction(0))``, added up as integers over the least
+    common denominator and reduced once."""
+    denominator = math.lcm(*{value.denominator for value in values})
+    return Fraction(sum([value.numerator * (denominator // value.denominator)
+                         for value in values]), denominator)
 
 
 def deviation_gain(

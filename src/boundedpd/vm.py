@@ -14,7 +14,13 @@ counter registers and the two observations, the player's own and the
 opponent's action on the previous tick: ``tick`` takes exactly those two
 beside the ``VmState``, which stores no flag it can derive. The horizon N
 is not an input; the compiler turns it into a constant. ``compare_width``
-is the one width rule, summed by the compiler and charged by ``tick``.
+is the one width rule, summed by the compiler and charged by ``tick``
+through the program's ``compare_widths``, built once per program.
+
+``Operand``, ``Instruction``, ``Pending`` and ``VmState`` are
+``NamedTuple``s: they are built and hashed in C, and updated with
+``_replace``. Each compares equal to the plain tuple of its fields, so no
+dict may mix ``VmState`` keys with plain tuples.
 
 Control flow model:
 
@@ -38,6 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 from .game import Action, bit_width
 
@@ -74,8 +82,7 @@ class OperandKind(Enum):
 OBS_FIELDS = ("opp", "own")
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     kind: OperandKind
     value: object  # int for CONST_INT/REG, Action for CONST_ACTION, field name for OBS
 
@@ -98,8 +105,7 @@ class Operand:
         return Operand(OperandKind.OBS, field)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     opcode: Opcode
     action: Action | None = None          # EMIT
     lhs: Operand | None = None            # COMPARE
@@ -148,12 +154,18 @@ class StrategyProgram:
     def register_count(self) -> int:
         return len(self.reg_widths)
 
+    @cached_property
+    def compare_widths(self) -> tuple[int | None, ...]:
+        """Each instruction's ``compare_width`` by pc, built on first use:
+        None for any other instruction and for a compare the width rule
+        rejects, which ``tick`` faults on when it reaches it."""
+        return tuple([_width_or_none(ins, self.reg_widths) for ins in self.instructions])
+
     def __len__(self) -> int:
         return len(self.instructions)
 
 
-@dataclass(frozen=True)
-class Pending:
+class Pending(NamedTuple):
     """A compare caught mid-flight: operand values are latched at start."""
 
     index: int
@@ -163,8 +175,7 @@ class Pending:
     rhs_value: object
 
 
-@dataclass(frozen=True)
-class VmState:
+class VmState(NamedTuple):
     pc: int = 0
     regs: tuple[int, ...] = ()
     pending: Pending | None = None
@@ -234,6 +245,15 @@ def compare_width(ins: Instruction, reg_widths: tuple[int, ...]) -> int:
     if width < 1:
         raise ValueError("compare width must be at least 1 bit")
     return width
+
+
+def _width_or_none(ins: Instruction, reg_widths: tuple[int, ...]) -> int | None:
+    if ins.opcode is not Opcode.COMPARE:
+        return None
+    try:
+        return compare_width(ins, reg_widths)
+    except Exception:  # noqa: BLE001 - tick reruns the rule when it reaches the compare
+        return None
 
 
 def _operand_value(
@@ -334,8 +354,10 @@ def tick(
                 resume = None
             else:
                 done = 0
+                width = program.compare_widths[pc]
                 try:
-                    width = compare_width(ins, program.reg_widths)
+                    if width is None:
+                        width = compare_width(ins, program.reg_widths)
                     lhs_value = _operand_value(ins.lhs, regs, opp, own)  # type: ignore[arg-type]
                     rhs_value = _operand_value(ins.rhs, regs, opp, own)  # type: ignore[arg-type]
                 except (IndexError, TypeError, KeyError, ValueError):
@@ -371,32 +393,3 @@ def tick(
             continue
 
         return _fault(state, regs, k - budget, f"unknown opcode at {pc}")
-
-@dataclass(frozen=True)
-class DebugRecord:
-    tick: int
-    pc_before: int
-    cost: int
-    action: Action
-    suspended: bool
-
-
-def debug_trace(
-    program: StrategyProgram, observations: list[tuple[Action | None, Action | None]], k: int
-) -> list[DebugRecord]:
-    """Per-tick (pc, cost, action) listing for inspecting a program's
-    timing, fed one ``(opp, own)`` pair per tick."""
-    state = reset(program)
-    records = []
-    for index, (opp, own) in enumerate(observations, start=1):
-        pc_before = state.pc
-        state, action = tick(state, program, opp, own, k)
-        records.append(DebugRecord(index, pc_before, state.tick_cost, action, state.suspended))
-    return records
-
-
-def format_debug_trace(records: list[DebugRecord]) -> str:
-    lines = ["tick,pc,cost,action,suspended"]
-    for r in records:
-        lines.append(f"{r.tick},{r.pc_before},{r.cost},{r.action.value},{int(r.suspended)}")
-    return "\n".join(lines) + "\n"

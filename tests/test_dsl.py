@@ -13,7 +13,6 @@ from boundedpd.dsl import (
     compile as compile_source,
     parse,
     print_source,
-    try_parse,
 )
 from boundedpd.game import Action, GameConfig, counter_width_for
 from boundedpd.library import BUILTIN_NAMES, source_text
@@ -115,11 +114,6 @@ class TestParse:
         with pytest.raises(DslError) as err:
             parse("strategy X\nif opp == C then")
         assert err.value.line == 2
-
-    def test_try_parse_returns_diagnostic(self):
-        tree, diag = try_parse("strategy X\nplay")
-        assert tree is None and diag is not None
-        assert diag.with_file("f.pdstrat").startswith("f.pdstrat:2:")
 
 
 class TestRoundtrip:
@@ -286,13 +280,3 @@ class TestDecompile:
         from boundedpd.library import get
         text = print_source(decompile(get("CountingDefector", GameConfig(N=5))))
         assert text.splitlines()[-1] == "armed: if n >= N-2 then play D"
-
-    def test_debug_trace_lists_pc_cost_action(self):
-        from boundedpd.vm import debug_trace, format_debug_trace
-        program = compile_source(parse(GRIM_TEXT), CFG)
-        obs = [(None, None), (Action.W, None), (Action.C, None)]
-        records = debug_trace(program, obs, 2)
-        assert [r.action.value for r in records] == ["C", "D", "D"]
-        assert records[0].cost == 2 and records[2].cost == 0
-        text = format_debug_trace(records)
-        assert text.splitlines()[0] == "tick,pc,cost,action,suspended"

@@ -1,7 +1,6 @@
 """Fixed-horizon match engine tests."""
 
 import random as random_module
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from boundedpd.analysis import unprovoked_defection_tick
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
-from boundedpd.library import get
-from boundedpd.match import PairOutcome, deviation_gain, run_match, trace_to_csv
+from boundedpd.library import BUILTIN_NAMES, get
+from boundedpd.match import PairOutcome, deviation_gain, exact_sum, run_match, trace_to_csv
 from boundedpd.vm import (
     CmpOp, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
 )
@@ -84,7 +83,7 @@ def reference_match(p1, p2, config, table):
             opp, own = (None, None) if last is None else (last[1 - me], last[me])
             vm, action = tick(vms[me], programs[me], opp, own, config.k)
             if action is Action.O:
-                vm = replace(vm, fault_reason="played O outside OPD mode")
+                vm = vm._replace(fault_reason="played O outside OPD mode")
                 action = W
             vms[me] = vm
             actions.append(action)
@@ -137,6 +136,63 @@ class TestAgainstTheReference:
             config = GameConfig(N=12, k=k)
             self.assert_same_as_reference(retaliator(), get(name, config), config)
             self.assert_same_as_reference(get(name, config), retaliator(), config)
+
+
+#: Payoffs over four denominators (2, 3, 6, 4): totals are added over 12.
+FRACTIONAL_TABLE = PayoffTable(T=Fraction(5, 2), R=Fraction(4, 3),
+                               P=Fraction(-1, 6), S=Fraction(-7, 4))
+
+
+def faulting_programs() -> list[StrategyProgram]:
+    """A player that opts out (a fault in FTPD) on its third tick, and one
+    whose compare reads a register it lacks on its second."""
+    opter = StrategyProgram("late-opter", (
+        emit(C), halt(), emit(C), halt(), emit(Action.O), halt(), jump(0),
+    ))
+    bad_register = StrategyProgram("bad-register", (
+        emit(D), halt(),
+        compare(Operand.reg(1), CmpOp.EQ, Operand.const(1), 2), emit(C), halt(), jump(2),
+    ), reg_widths=(3,))
+    return [opter, bad_register]
+
+
+class TestFractionalTotals:
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_catalog_pairs_match_the_plain_loop(self, n):
+        config = cfg(n)
+        programs = [get(name, config) for name in BUILTIN_NAMES] + faulting_programs()
+        for p1 in programs:
+            for p2 in programs:
+                trace = run_match(p1, p2, config, FRACTIONAL_TABLE)
+                records, totals, faults = reference_match(p1, p2, config, FRACTIONAL_TABLE)
+                assert trace.records == records, (p1.name, p2.name)
+                assert trace.totals == totals, (p1.name, p2.name)
+                assert all(type(total) is Fraction for total in trace.totals)
+                assert (trace.fault1, trace.fault2) == faults, (p1.name, p2.name)
+
+    def test_counting_defector_against_grim(self):
+        config = cfg(12)
+        trace = run_match(get("CountingDefector", config), get("GRIM", config),
+                          config, FRACTIONAL_TABLE)
+        # Ten ticks of R, a wait (0 to both), then one of P: 40/3 - 1/6.
+        assert trace.totals == (Fraction(79, 6), Fraction(79, 6))
+
+    def test_faulting_programs_fault_on_their_tick(self):
+        config = cfg(6)
+        opter, bad_register = faulting_programs()
+        trace = run_match(opter, bad_register, config, FRACTIONAL_TABLE)
+        assert "".join(r.a1.value for r in trace.records) == "CCWWWW"
+        assert "".join(r.a2.value for r in trace.records) == "DWWWWW"
+        assert trace.fault1 == "played O outside OPD mode"
+        assert trace.fault2 == "bad compare operand at 2"
+        assert trace.totals == (FRACTIONAL_TABLE.S, FRACTIONAL_TABLE.T)
+
+    @given(st.lists(st.fractions(max_denominator=10**6), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_sum_is_the_fraction_sum(self, values):
+        total = exact_sum(values)
+        assert total == sum(values, Fraction(0))
+        assert type(total) is Fraction
 
 
 class TestDeviationGain:

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundedpd.game import Action, GameConfig, counter_width_for
-from boundedpd.library import get
+from boundedpd.library import BUILTIN_NAMES, get
 from boundedpd.vm import (
     MAX_STEPS_PER_TICK,
     CmpOp,
+    Opcode,
     Operand,
     StrategyProgram,
     compare,
@@ -23,6 +24,19 @@ from boundedpd.vm import (
 
 C, D, W, O = Action.C, Action.D, Action.W, Action.O
 CFG = GameConfig(N=10, k=2)
+
+#: Programs that play C, then reach a compare the width rule rejects: one
+#: reads a register the program lacks, one compares two zero-bit registers.
+MALFORMED_COMPARES = [
+    StrategyProgram("missing-register", (
+        emit(C), halt(),
+        compare(Operand.reg(1), CmpOp.EQ, Operand.const(1), on_false=2), emit(D), halt(), jump(2),
+    ), reg_widths=(3,)),
+    StrategyProgram("zero-width", (
+        emit(C), halt(),
+        compare(Operand.reg(0), CmpOp.EQ, Operand.reg(1), on_false=2), emit(D), halt(), jump(2),
+    ), reg_widths=(0, 0)),
+]
 
 
 def run_actions(program: StrategyProgram, observations, k=2):
@@ -52,6 +66,51 @@ class TestCompareCost:
         ins = compare(Operand.reg(0), CmpOp.EQ, Operand.reg(1), on_false=0)
         with pytest.raises(ValueError):
             compare_width(ins, (0, 0))
+
+
+def assert_widths_follow_the_rule(program: StrategyProgram) -> None:
+    """``compare_widths`` holds ``compare_width`` at every COMPARE, and
+    None where the rule rejects the compare or the instruction is no
+    compare."""
+    widths = program.compare_widths
+    assert len(widths) == len(program.instructions)
+    for pc, ins in enumerate(program.instructions):
+        if ins.opcode is not Opcode.COMPARE:
+            assert widths[pc] is None
+            continue
+        try:
+            expected = compare_width(ins, program.reg_widths)
+        except (IndexError, ValueError):
+            expected = None
+        assert widths[pc] == expected, pc
+
+
+class TestCompareWidths:
+    @pytest.mark.parametrize("n", [5, 8, 2000])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_catalog_programs_follow_the_rule(self, name, n):
+        program = get(name, GameConfig(N=n, k=2))
+        assert_widths_follow_the_rule(program)
+
+    def test_hand_assembled_programs_follow_the_rule(self):
+        import random as random_module
+        rng = random_module.Random(7)
+        for _ in range(300):
+            assert_widths_follow_the_rule(random_program(rng))
+        for program in MALFORMED_COMPARES:
+            assert_widths_follow_the_rule(program)
+        assert [p.compare_widths[2] for p in MALFORMED_COMPARES] == [None, None]
+
+    @pytest.mark.parametrize("program", MALFORMED_COMPARES, ids=lambda p: p.name)
+    def test_a_bad_compare_faults_on_the_tick_that_reaches_it(self, program):
+        # The width table is built before play; the fault still waits for
+        # the compare, on the second tick.
+        assert program.compare_widths[0] is None
+        state, first = tick(reset(program), program, None, None, 2)
+        assert first is C and state.fault_reason is None
+        state, second = tick(state, program, None, C, 2)
+        assert second is W and state.fault_reason == "bad compare operand at 2"
+        assert state.tick_cost == 0 and state.pc == 2
 
 
 class TestReset:
