@@ -652,6 +652,13 @@ def best_response(
     ``searched * trials`` population runs and its answer is the argmax of
     those estimates (``exact=False``). Ties break to the smallest canonical
     source.
+
+    The space declares a counter only at ``counter_width_for(N)`` bits.
+    When N is a power of two a counter of one bit fewer still counts to
+    N-1, so a deviation that uses it lies outside the space: at N=4, k=2,
+    ``counter n: 2 bits`` / ``if n != 3 then play C inc n`` / ``always
+    play D`` is 7 instructions and pays 5 against GRIM, whose best response
+    here pays 4.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -720,6 +727,12 @@ def equilibrium_check(
     Each player's total is its ``FixedOpponentModel`` total against the
     other, the model its deviations are scored in, so OPD pairs that split
     re-pair as a pool of two; in FTPD it is the ``run_match`` total.
+
+    Deviations are searched by ``best_response``, so the verdict inherits
+    its space's gap: counters are declared only at ``counter_width_for(N)``
+    bits, and when N is a power of two a narrower counter's deviation is
+    not tried. GRIM against GRIM at N=4, k=2, bound 8 is reported Nash,
+    although a 2-bit counter deviation of 7 instructions pays 5 > 4.
     """
     sigma1, sigma2 = resolve(sigma1, config), resolve(sigma2, config)
     totals = tuple(FixedOpponentModel(other).evaluate(player, config, table).mean

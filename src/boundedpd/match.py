@@ -7,6 +7,10 @@ completed actions of the previous tick (so moves are simultaneous), and
 tick's ``PairOutcome``. A program fault, including playing O in a mode that
 forbids it, turns the offender into a perpetual waiter from that tick on.
 
+``seat_move`` advances a machine with ``vm.tick``, through the program's
+transition table, so a transition runs the interpreter once per program:
+GRIM against GRIM runs it on two ticks of a match and looks the rest up.
+
 ``PairOutcome``, like the machine's ``VmState``, is a ``NamedTuple``: built
 in C, updated with ``_replace``, and equal to the plain tuple of its
 fields, so no dict may mix them with plain tuples as keys.
@@ -139,6 +143,12 @@ def exact_sum(values: list[Fraction]) -> Fraction:
     denominator = math.lcm(*{value.denominator for value in values})
     return Fraction(sum([value.numerator * (denominator // value.denominator)
                          for value in values]), denominator)
+
+
+def scaled_numerator(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an integer, for a ``scale`` that is a multiple
+    of ``value``'s denominator."""
+    return value.numerator * (scale // value.denominator)
 
 
 def deviation_gain(

@@ -27,14 +27,16 @@ pool sorted by player id, so a fixed seed reproduces a run exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .game import Action, GameConfig, Mode, PayoffTable, config_header, require_valid_table
 from .library import resolve
-from .match import PairOutcome, Seat, seat_move, settle
+from .match import PairOutcome, Seat, scaled_numerator, seat_move, settle
 from .vm import StrategyProgram, VmState, tick
 
 
@@ -85,10 +87,13 @@ def _peek_at_wait(
 
 @dataclass
 class PlayerSlot:
+    """A player's seat and running score, kept as an integer over the
+    run's ``PopulationState.scale``."""
+
     pid: int
     label: str
     seat: Seat
-    total: Fraction = Fraction(0)
+    scaled_total: int = 0
     partner: int | None = None
     opt_outs: int = 0
     unpaired_ticks: int = 0
@@ -96,8 +101,13 @@ class PlayerSlot:
 
 @dataclass
 class PopulationState:
+    """The players and the rematch source. ``scale`` is the least common
+    multiple of the table's denominators, so adding a payoff to a score is
+    integer arithmetic."""
+
     players: list[PlayerSlot]
     rng: random.Random
+    scale: int
     tick: int = 0
 
     def pool_ids(self) -> list[int]:
@@ -111,8 +121,7 @@ class PopulationState:
         return seen
 
 
-@dataclass(frozen=True)
-class PlayEvent:
+class PlayEvent(NamedTuple):
     tick: int
     pid: int
     partner: int
@@ -201,21 +210,22 @@ def population_step(
         if player.partner is None:
             player.unpaired_ticks += 1
             if unpaired_pay_qhat:
-                player.total += table.Q_hat
+                player.scaled_total += scaled_numerator(table.Q_hat, state.scale)
 
     for a, b in state.pairs():
         pa, pb = state.players[a], state.players[b]
         outcome = play_pair_tick(pa.seat, pb.seat, config, table, asymmetric_split)
-        pa.total += outcome.pay1
-        pb.total += outcome.pay2
+        pay1, pay2 = outcome.pay1, outcome.pay2
+        pa.scaled_total += scaled_numerator(pay1, state.scale)
+        pb.scaled_total += scaled_numerator(pay2, state.scale)
         if outcome.split:
             if outcome.a1 is Action.O:
                 pa.opt_outs += 1
             if outcome.a2 is Action.O:
                 pb.opt_outs += 1
             pa.partner = pb.partner = None
-        events.append(PlayEvent(state.tick, a, b, outcome.a1, outcome.pay1, outcome.split))
-        events.append(PlayEvent(state.tick, b, a, outcome.a2, outcome.pay2, outcome.split))
+        events.append(PlayEvent(state.tick, a, b, outcome.a1, pay1, outcome.split))
+        events.append(PlayEvent(state.tick, b, a, outcome.a2, pay2, outcome.split))
 
     if config.instantaneous_rematch or state.tick % config.t == 0:
         _apply_rematch(state, events)
@@ -246,7 +256,8 @@ def run_population(
         PlayerSlot(pid=i, label=label, seat=Seat.fresh(program))
         for i, (label, program) in enumerate(programs)
     ]
-    state = PopulationState(players=players, rng=random.Random(config.seed))
+    scale = math.lcm(*[value.denominator for value in table.as_mapping().values()])
+    state = PopulationState(players=players, rng=random.Random(config.seed), scale=scale)
     events: list[Event] = []
 
     if initial_pairing is not None:
@@ -263,7 +274,8 @@ def run_population(
         events.extend(population_step(state, config, table, asymmetric_split, unpaired_pay_qhat))
 
     summaries = tuple(
-        PlayerSummary(p.pid, p.label, p.total, p.opt_outs, p.unpaired_ticks)
+        PlayerSummary(p.pid, p.label, Fraction(p.scaled_total, scale), p.opt_outs,
+                      p.unpaired_ticks)
         for p in players
     )
     return OpdTrace(events=tuple(events), summaries=summaries)

@@ -14,13 +14,28 @@ counter registers and the two observations, the player's own and the
 opponent's action on the previous tick: ``tick`` takes exactly those two
 beside the ``VmState``, which stores no flag it can derive. The horizon N
 is not an input; the compiler turns it into a constant. ``compare_width``
-is the one width rule, summed by the compiler and charged by ``tick``
+is the one width rule, summed by the compiler and charged by ``interpret``
 through the program's ``compare_widths``, built once per program.
 
 ``Operand``, ``Instruction``, ``Pending`` and ``VmState`` are
 ``NamedTuple``s: they are built and hashed in C, and updated with
 ``_replace``. Each compares equal to the plain tuple of its fields, so no
 dict may mix ``VmState`` keys with plain tuples.
+
+A compiled program is a finite automaton: a tick is deterministic in
+``(state, opp, own, k)``. ``interpret`` is the reference interpreter, and
+``tick``, the one way the engines advance a machine, plays through the
+program's own ``transitions`` table: it looks that key up and calls
+``interpret`` only on a miss, storing what it returns, so the table holds
+nothing the interpreter did not return. The table lives on the program: an
+equal but distinct program starts empty, and the table is freed with the
+program. It holds one entry per (state, observation pair, budget) played,
+and at most ``TABLE_ENTRIES_PER_INSTRUCTION`` per instruction: a full
+table is cleared and refills with the transitions played since. So the
+table is at most a fixed multiple of the instruction list: a program that
+counts in a register, one state per counter value, keeps refilling it,
+and one whose counter is unrolled into its pcs (CountingDefector) keeps
+one entry per unrolled state.
 
 Control flow model:
 
@@ -142,6 +157,9 @@ class StrategyProgram:
 
     ``source`` is the canonical source text the compiler laid out, which
     ``dsl.decompile`` parses back; hand-assembled programs leave it None.
+    ``transitions`` is the table ``tick`` plays through; like
+    ``compare_widths`` it is not a field, so it takes no part in equality
+    and ``dataclasses.replace`` starts a fresh, empty one.
     """
 
     name: str
@@ -155,10 +173,17 @@ class StrategyProgram:
         return len(self.reg_widths)
 
     @cached_property
+    def transitions(self) -> dict[tuple, tuple[VmState, Action]]:
+        """The program's transition table, filled by ``tick``: each
+        ``(state, opp, own, k)`` played since it was last cleared maps to
+        the ``(VmState, Action)`` that ``interpret`` returned for it."""
+        return {}
+
+    @cached_property
     def compare_widths(self) -> tuple[int | None, ...]:
         """Each instruction's ``compare_width`` by pc, built on first use:
         None for any other instruction and for a compare the width rule
-        rejects, which ``tick`` faults on when it reaches it."""
+        rejects, which ``interpret`` faults on when it reaches it."""
         return tuple([_width_or_none(ins, self.reg_widths) for ins in self.instructions])
 
     def __len__(self) -> int:
@@ -239,7 +264,7 @@ def _operand_width(operand: Operand, reg_widths: tuple[int, ...]) -> int:
 
 def compare_width(ins: Instruction, reg_widths: tuple[int, ...]) -> int:
     """XOR units a COMPARE costs: one per bit of its wider operand. The
-    compiler sums these for ``worst_tick_cost``; ``tick`` charges them."""
+    compiler sums these for ``worst_tick_cost``; ``interpret`` charges them."""
     width = max(_operand_width(ins.lhs, reg_widths),  # type: ignore[arg-type]
                 _operand_width(ins.rhs, reg_widths))  # type: ignore[arg-type]
     if width < 1:
@@ -287,7 +312,7 @@ def _fault(state: VmState, regs: list[int], cost: int, reason: str) -> tuple[VmS
     return VmState(state.pc, tuple(regs), None, reason, False, cost), Action.W
 
 
-def tick(
+def interpret(
     state: VmState, program: StrategyProgram,
     opp: Action | None, own: Action | None, k: int,
 ) -> tuple[VmState, Action]:
@@ -393,3 +418,26 @@ def tick(
             continue
 
         return _fault(state, regs, k - budget, f"unknown opcode at {pc}")
+
+
+#: A program's transition table holds at most this many entries per
+#: instruction. The catalog's programs need at most two.
+TABLE_ENTRIES_PER_INSTRUCTION = 64
+
+
+def tick(
+    state: VmState, program: StrategyProgram,
+    opp: Action | None, own: Action | None, k: int,
+) -> tuple[VmState, Action]:
+    """Advance the program by one clock tick through its transition table:
+    returns what ``interpret`` returns for the same arguments, calling it
+    only for a key the table does not hold."""
+    key = (state, opp, own, k)
+    table = program.transitions
+    result = table.get(key)
+    if result is None:
+        result = interpret(state, program, opp, own, k)
+        if len(table) >= TABLE_ENTRIES_PER_INSTRUCTION * len(program.instructions):
+            table.clear()
+        table[key] = result
+    return result

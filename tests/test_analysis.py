@@ -337,6 +337,19 @@ class TestEquilibriumCheck:
         assert verdict.is_nash and verdict.cooperative
         assert verdict.payoffs == (4, 4)
 
+    def test_a_narrower_counter_deviation_lies_outside_the_space(self):
+        """The known gap of the search space, pinned: at N=4 a 2-bit counter
+        counts to N-1, and this deviation fits the bound and beats GRIM's
+        4, but the space declares counters at ``counter_width_for(4)`` = 3
+        bits only, so the verdict above is Nash."""
+        config = GameConfig(N=4, k=2)
+        witness = dsl.compile(dsl.parse(
+            "strategy witness\ncounter n: 2 bits\n"
+            "if n != 3 then play C inc n\nalways play D\n"), config)
+        assert (len(witness), witness.worst_tick_cost) == (7, 2)
+        assert run_match(witness, get("GRIM", config), config, INTRO_TABLE).total1 == 5
+        assert counter_width_for(config.N) == 3
+
     def test_unconditional_cooperation_is_not_stable(self):
         config = GameConfig(N=4, k=2)
         allc = get("AllC", config)

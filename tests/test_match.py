@@ -1,5 +1,6 @@
 """Fixed-horizon match engine tests."""
 
+import dataclasses
 import random as random_module
 from fractions import Fraction
 
@@ -154,6 +155,25 @@ def faulting_programs() -> list[StrategyProgram]:
         compare(Operand.reg(1), CmpOp.EQ, Operand.const(1), 2), emit(C), halt(), jump(2),
     ), reg_widths=(3,))
     return [opter, bad_register]
+
+
+class TestTransitionTable:
+    """Each program owns the table ``vm.tick`` plays through."""
+
+    def test_an_equal_but_distinct_program_starts_empty(self):
+        config = cfg(50)
+        grim = get("GRIM", config)
+        run_match(grim, grim, config, INTRO_TABLE)
+        copy = dataclasses.replace(grim)
+        assert copy == grim and grim.transitions
+        assert copy.transitions == {}
+
+    def test_grim_pair_table_does_not_grow_per_tick(self):
+        config = cfg(10**4)
+        grim = get("GRIM", config)
+        trace = run_match(grim, grim, config, INTRO_TABLE)
+        assert trace.totals == (10**4, 10**4)
+        assert len(grim.transitions) <= 4
 
 
 class TestFractionalTotals:

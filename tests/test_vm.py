@@ -3,19 +3,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boundedpd import dsl
 from boundedpd.game import Action, GameConfig, counter_width_for
 from boundedpd.library import BUILTIN_NAMES, get
 from boundedpd.vm import (
     MAX_STEPS_PER_TICK,
+    TABLE_ENTRIES_PER_INSTRUCTION,
     CmpOp,
     Opcode,
     Operand,
     StrategyProgram,
+    VmState,
     compare,
     compare_width,
     emit,
     halt,
     increment,
+    interpret,
     jump,
     reset,
     tick,
@@ -450,3 +454,81 @@ def test_random_program_traces_are_pinned():
             digest.update(repr(row).encode())
     assert digest.hexdigest() == (
         "4f2301dfd18408178798676ccaf46ec4b7cd64bd68b02ef508e31f0a20346731")
+
+
+def replay_through_the_table(program: StrategyProgram, k: int, observations) -> dict:
+    """Play ``observations`` with ``tick`` and with plain ``interpret`` side by
+    side, twice over so the second pass reads the table, and peek at a W
+    (as the instantaneous-rematch peek does, without committing it) after
+    every C or D. Asserts both return the same ``(VmState, Action)`` on
+    every call; returns what the calls covered."""
+    seen = {"calls": 0, "suspensions": 0, "faults": 0, "peeks": 0}
+    for _ in range(2):
+        state = reset(program)
+        for opp, own in observations:
+            expected = interpret(state, program, opp, own, k)
+            got = tick(state, program, opp, own, k)
+            assert type(got[0]) is VmState and got == expected
+            seen["calls"] += 1
+            seen["suspensions"] += got[0].suspended
+            seen["faults"] += got[0].faulted
+            state, action = got
+            if action is C or action is D:
+                assert tick(state, program, W, action, k) == interpret(state, program, W, action, k)
+                seen["peeks"] += 1
+    return seen
+
+
+class TestTransitionTable:
+    """``tick`` plays through each program's transition table;
+    ``interpret``, the reference, must agree with it call for call."""
+
+    @given(st.integers(0, 10**9), st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_tick_replays_interpret_on_random_programs(self, seed, ticks):
+        import random as random_module
+        rng = random_module.Random(seed)
+        program = random_program(rng)
+        # The same program object at k=2, then at k=3: the budget is part
+        # of the key, so the k=2 entries must not answer a k=3 tick.
+        for k in (2, 3):
+            replay_through_the_table(program, k, [random_observation(rng) for _ in range(ticks)])
+        assert {key[3] for key in program.transitions} == {2, 3}
+
+    def test_the_sample_covers_suspensions_faults_and_peeks(self):
+        import random as random_module
+        rng = random_module.Random(20261019)
+        totals = dict.fromkeys(("calls", "suspensions", "faults", "peeks"), 0)
+        for _ in range(300):
+            program = random_program(rng)
+            for k in (2, 3):
+                seen = replay_through_the_table(
+                    program, k, [random_observation(rng) for _ in range(20)])
+                for name, count in seen.items():
+                    totals[name] += count
+        assert totals["calls"] == 300 * 2 * 2 * 20
+        assert min(totals.values()) > 100, totals
+
+    def test_malformed_compares_fault_through_the_table(self):
+        for program in MALFORMED_COMPARES:
+            replay_through_the_table(program, 2, [(None, None), (C, C), (C, C)])
+            faulted = [out for out in program.transitions.values() if out[0].faulted]
+            assert faulted and faulted[0][0].fault_reason == "bad compare operand at 2"
+
+    def test_a_register_counter_keeps_its_table_bounded(self):
+        """One state per counter value: the table is cleared when full, so
+        it stays within its bound, and play still matches ``interpret``."""
+        config = GameConfig(N=3000, k=2)
+        program = dsl.compile(dsl.parse(
+            "strategy ctr\ncounter n: 12 bits\n"
+            "if n != 2999 then play C inc n\nalways play D\n"), config)
+        limit = TABLE_ENTRIES_PER_INSTRUCTION * len(program)
+        state = reference = reset(program)
+        sizes = []
+        for _ in range(config.N):
+            state, action = tick(state, program, C, C, config.k)
+            reference, expected = interpret(reference, program, C, C, config.k)
+            assert (state, action) == (reference, expected)
+            sizes.append(len(program.transitions))
+        assert max(sizes) == limit < config.N
+        assert sizes.count(1) > 1  # cleared and refilled
