@@ -67,10 +67,10 @@ from typing import Callable, Iterator, NamedTuple, Union
 from . import dsl
 from .game import (
     Action, GameConfig, Mode, PayoffTable, counter_width_for, legal_actions, payoff,
-    require_valid_table,
+    payoff_unit, require_valid_table,
 )
 from .library import resolve
-from .match import MatchTrace, Seat, seat_move
+from .match import MatchTrace, Seat, scaled_numerator, seat_move
 from .population import _peek_at_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
@@ -253,13 +253,14 @@ class DrawModel:
 
     ``evaluate`` is exact: it carries the probability of every joint state
     of focal player and partner tick by tick. ``q`` is taken at its exact
-    value, so a float q brings its full binary expansion into every
-    probability and is slow: OFT at N=2000 takes about 70 times as long
-    with 0.3 as with ``Fraction(3, 10)``. The joint states stay at a
-    handful for real strategies, but a program that counts its opt-outs
-    grows them with the horizon (to about N/2), and the exact cost with
-    its square. ``sample`` is the Monte-Carlo estimate over ``run_trial``
-    games, kept as a reference.
+    value, so a float q brings its full binary expansion in: 0.3 is
+    ``Fraction(5404319552844595, 2**54)``, and each draw widens the
+    masses by 54 bits. OFT at N=2000 takes about 5 times as long with 0.3
+    as with ``Fraction(3, 10)`` (0.04 s against 0.007 s on one x86-64
+    core). The joint states stay at a handful for real strategies, but a
+    program that counts its opt-outs grows them with the horizon (to
+    about N/2), and the exact cost with its square. ``sample`` is the
+    Monte-Carlo estimate over ``run_trial`` games, kept as a reference.
     """
 
     q: Fraction | float
@@ -276,6 +277,17 @@ class DrawModel:
     def describe(self) -> str:
         return self.name or f"draw(q={self.q})"
 
+    def resolved(self, config: GameConfig) -> "DrawModel":
+        """This model with its named partners compiled, so that a caller
+        scoring many programs compiles them once and their transition
+        tables stay warm across programs."""
+        return replace(
+            self,
+            cooperative=resolve(self.cooperative, config),
+            hostile=resolve(self.hostile, config),
+            first_draw=None if self.first_draw is None else resolve(self.first_draw, config),
+        )
+
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
         """The exact mean of ``_play_focal`` over the partner draws.
@@ -283,32 +295,46 @@ class DrawModel:
         A joint state is the focal machine and its view of the last tick,
         then the partner's index, machine and view, or no partner. Each
         tick every paired state plays one pair tick, and at a rematch event
-        every unpaired state branches into a fresh partner per draw; equal
-        states merge their probabilities. ``trials`` is only checked, and
-        ``seed`` is unused: they keep the signature every model shares.
+        the unpaired states, joined by focal machine, branch into a fresh
+        partner per draw; equal states merge their probabilities.
+
+        The arithmetic is in integers. With q = a/b a draw weighs a for the
+        cooperative partner and b - a for the hostile one, and every mass
+        is an integer over one running ``scale``: an event that draws
+        multiplies ``scale``, the carried masses and the running total by
+        b. Payoffs are integers over the table's ``payoff_unit``, so the
+        mean is ``total / (scale * unit)``, reduced once at the end.
+
+        ``trials`` is only checked, and ``seed`` is unused: they keep the
+        signature every model shares.
         """
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
         require_valid_table(table)
         q = Fraction(self.q)
+        a, b = q.numerator, q.denominator
         partners = [resolve(self.cooperative, config), resolve(self.hostile, config)]
-        draws = [(index, weight) for index, weight in ((0, q), (1, 1 - q)) if weight]
-        first = draws
+        draws = [(index, weight) for index, weight in ((0, a), (1, b - a)) if weight]
+        first, scale = draws, b
         if self.first_draw is not None:
             partners.append(resolve(self.first_draw, config))
-            first = [(2, Fraction(1))]
+            first, scale = [(2, 1)], 1
+        unit = payoff_unit(table)
         fresh = [reset(partner) for partner in partners]
         start = reset(program)
         states = {(start, None, None, i, fresh[i], None, None): w for i, w in first}
         focal, partner = Seat.fresh(program), Seat.fresh(program)
         # A pair tick is a function of the joint state: each distinct one
-        # is played once, as (focal payoff, state after or None on a split,
-        # focal machine after).
-        steps: dict[tuple, tuple[Fraction, tuple | None, VmState]] = {}
-        total = Fraction(0)
+        # is played once, as (focal payoff over ``unit``, state after or
+        # None on a split, focal machine after).
+        steps: dict[tuple, tuple[int, tuple | None, VmState]] = {}
+        total = 0
         for now in range(1, config.N + 1):
-            event = config.instantaneous_rematch or now % config.t == 0
-            after: dict[tuple, Fraction] = {}
+            after: dict[tuple, int] = {}
+            # Unpaired mass by focal machine: what the focal seat saw last
+            # is forgotten at the next pairing, so it is not part of the
+            # state.
+            idle: dict[VmState, int] = {}
             for key, mass in states.items():
                 vm, index = key[0], key[3]
                 if index is not None:
@@ -321,36 +347,36 @@ class DrawModel:
                         paired = None if outcome.split else (
                             focal.vm, focal.last_own, focal.last_opp, index,
                             partner.vm, partner.last_own, partner.last_opp)
-                        step = steps[key] = (outcome.pay1, paired, focal.vm)
+                        step = steps[key] = (
+                            scaled_numerator(outcome.pay1, unit), paired, focal.vm)
                     pay, paired, vm = step
                     if pay:
                         total += mass * pay
                     if paired is not None:
                         after[paired] = after.get(paired, 0) + mass
                         continue
-                # Unpaired: what the focal seat saw last is forgotten at the
-                # next pairing, so it is not part of the state.
-                if event:
+                idle[vm] = idle.get(vm, 0) + mass
+            if idle and (config.instantaneous_rematch or now % config.t == 0):
+                if b != 1:
+                    scale *= b
+                    total *= b
+                    after = {key: mass * b for key, mass in after.items()}
+                # A played pair has a view of its tick, so no carried
+                # state has these keys.
+                for vm, mass in idle.items():
                     for i, weight in draws:
-                        key = (vm, None, None, i, fresh[i], None, None)
-                        after[key] = after.get(key, 0) + mass * weight
-                else:
-                    key = (vm, None, None, None, None, None, None)
-                    after[key] = after.get(key, 0) + mass
+                        after[(vm, None, None, i, fresh[i], None, None)] = mass * weight
+            else:
+                for vm, mass in idle.items():
+                    after[(vm, None, None, None, None, None, None)] = mass
             states = after
-        return ModelEstimate(self.describe(), total, 0.0, 1, exact=True)
+        return ModelEstimate(self.describe(), Fraction(total, scale * unit), 0.0, 1, exact=True)
 
     def sample(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                trials: int = 200, seed: int = 0) -> ModelEstimate:
         """Monte-Carlo estimate: the mean of ``trials`` seeded games."""
         require_valid_table(table)
-        # Named partners are compiled once here, not once per trial.
-        resolved = replace(
-            self,
-            cooperative=resolve(self.cooperative, config),
-            hostile=resolve(self.hostile, config),
-            first_draw=None if self.first_draw is None else resolve(self.first_draw, config),
-        )
+        resolved = self.resolved(config)
         values = [
             float(resolved.run_trial(program, config, table, _derive_seed(seed, i)))
             for i in range(trials)
@@ -667,6 +693,8 @@ def best_response(
         model = FixedOpponentModel(model)
     if isinstance(model, FixedOpponentModel):
         model = replace(model, opponent=resolve(model.opponent, config))
+    elif isinstance(model, DrawModel):
+        model = model.resolved(config)
     # One build of the space serves the count and the enumeration.
     space = list(_combos_by_counter(config, size_bound))
     estimate = estimate_search_size(config, size_bound, space)

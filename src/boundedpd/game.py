@@ -15,6 +15,7 @@ Two game modes exist:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -108,6 +109,12 @@ class PayoffTable:
 
     def as_mapping(self) -> dict[str, Fraction]:
         return {name: getattr(self, name) for name in TABLE_KEYS}
+
+
+def payoff_unit(table: PayoffTable) -> int:
+    """The least common denominator of the table's payoffs: every payoff,
+    and so every total, is an integer multiple of ``1 / payoff_unit``."""
+    return math.lcm(*[value.denominator for value in table.as_mapping().values()])
 
 
 #: The table from the information-trading example: sending a useful packet

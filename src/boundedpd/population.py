@@ -27,14 +27,15 @@ pool sorted by player id, so a fixed seed reproduces a run exactly.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .game import Action, GameConfig, Mode, PayoffTable, config_header, require_valid_table
+from .game import (
+    Action, GameConfig, Mode, PayoffTable, config_header, payoff_unit, require_valid_table,
+)
 from .library import resolve
 from .match import PairOutcome, Seat, scaled_numerator, seat_move, settle
 from .vm import StrategyProgram, VmState, tick
@@ -101,9 +102,9 @@ class PlayerSlot:
 
 @dataclass
 class PopulationState:
-    """The players and the rematch source. ``scale`` is the least common
-    multiple of the table's denominators, so adding a payoff to a score is
-    integer arithmetic."""
+    """The players and the rematch source. ``scale`` is the table's
+    ``game.payoff_unit``, so adding a payoff to a score is integer
+    arithmetic."""
 
     players: list[PlayerSlot]
     rng: random.Random
@@ -256,7 +257,7 @@ def run_population(
         PlayerSlot(pid=i, label=label, seat=Seat.fresh(program))
         for i, (label, program) in enumerate(programs)
     ]
-    scale = math.lcm(*[value.denominator for value in table.as_mapping().values()])
+    scale = payoff_unit(table)
     state = PopulationState(players=players, rng=random.Random(config.seed), scale=scale)
     events: list[Event] = []
 

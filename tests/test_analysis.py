@@ -26,6 +26,7 @@ from boundedpd.analysis import (
 )
 from boundedpd.game import (
     Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, STRICT_TABLE, counter_width_for,
+    payoff_unit, validate_table,
 )
 from boundedpd.library import BUILTIN_NAMES, get, resolve
 from boundedpd.match import Seat, run_match
@@ -36,6 +37,9 @@ from test_vm import random_program
 
 #: A valid table whose split and double-wait payoffs are not zero.
 SPLIT_TABLE = PayoffTable(T=3, R=2, P=1, S=-1, H=Fraction(-1, 3), Q=Fraction(1, 2), Q_hat=-1)
+#: A valid table whose payoffs have denominators 2, 3, 4 and 5.
+FRACTIONAL_TABLE = PayoffTable(T=Fraction(5, 2), R=Fraction(4, 3), P=Fraction(-1, 6),
+                               S=Fraction(-7, 4), H=Fraction(-1, 5))
 
 
 def opd(n, q_seed=0, instantaneous=True, t=1):
@@ -281,6 +285,31 @@ class TestBestResponse:
         assert result.searched == 716
         assert result.exact is True
         assert draw_sequence_mean(model, result.program, config, INTRO_TABLE) == result.payoff
+
+    def test_a_draw_model_search_compiles_its_partners_once(self, monkeypatch):
+        # The named partners are compiled once per search, not once per
+        # candidate, and the answer is the argmax of every candidate's
+        # exact mean under the model as given.
+        compile_, compiles = dsl.compile, []
+
+        def counted(program, config):
+            compiles.append(program)
+            return compile_(program, config)
+
+        config = opd(12, instantaneous=False, t=2)
+        model = DrawModel(q=Fraction(3, 7), first_draw="TFT")
+        expected = {bound: min((-model.evaluate(c, config, INTRO_TABLE).mean, c.source)
+                               for c in enumerate_candidates(config, bound))
+                    for bound in (4, 6)}
+        assert estimate_search_size(config, 6) > estimate_search_size(config, 4)
+        monkeypatch.setattr(dsl, "compile", counted)
+        for bound, best in expected.items():
+            compiles.clear()
+            result = best_response(model, config, INTRO_TABLE, size_bound=bound)
+            assert len(compiles) == 3, bound
+            assert (-result.payoff, result.source) == best
+            assert result.searched == estimate_search_size(config, bound)
+            assert result.exact is True
 
     def test_a_sampled_model_search_is_its_full_trial_argmax(self):
         # Every candidate is scored on the full trial count: the answer is
@@ -544,6 +573,39 @@ class TestDrawModel:
                     est = model.evaluate(program, config, table)
                     assert est.exact and est.se == 0 and est.trials == 1
                     assert est.mean == draw_sequence_mean(model, program, config, table)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("instantaneous", [True, False])
+    @pytest.mark.parametrize("q", [Fraction(3, 7), 0.3, 1])
+    def test_fractional_payoffs_match_the_draw_sequences(self, q, instantaneous, pinned):
+        # A q whose denominator is not a power of two, a float q (a
+        # denominator of 2**54) and certainty, over payoffs whose least
+        # common denominator is 60.
+        assert validate_table(FRACTIONAL_TABLE) == [] and payoff_unit(FRACTIONAL_TABLE) == 60
+        rng = random_module.Random(f"{q}/{instantaneous}/{pinned}")
+        for n in (4, 7, 9):
+            config = GameConfig(N=n, mode=Mode.OPD, t=1 if instantaneous else 2,
+                                k=rng.randint(2, 4), instantaneous_rematch=instantaneous)
+            pool = [get(name, config) for name in BUILTIN_NAMES]
+            pool += [retaliator()] + [random_program(rng) for _ in range(2)]
+            model = DrawModel(q=q, cooperative=rng.choice(pool), hostile=rng.choice(pool),
+                              first_draw=rng.choice(pool) if pinned else None)
+            for program in rng.sample(pool, 3):
+                est = model.evaluate(program, config, FRACTIONAL_TABLE)
+                assert est.mean == draw_sequence_mean(model, program, config,
+                                                      FRACTIONAL_TABLE)
+
+    def test_a_float_q_is_its_exact_fraction(self):
+        config = opd(300)
+        for name in ("OFT", "TFT", "GRIM"):
+            program = get(name, config)
+            for table in (INTRO_TABLE, FRACTIONAL_TABLE):
+                est = DrawModel(q=0.3).evaluate(program, config, table)
+                assert est.mean == DrawModel(q=Fraction(0.3)).evaluate(
+                    program, config, table).mean
+                # Taken exactly, 0.3 is not 3/10.
+                assert est.mean != DrawModel(q=Fraction(3, 10)).evaluate(
+                    program, config, table).mean
 
     @pytest.mark.parametrize("name", ["OFT", "GRIM"])
     def test_the_exact_mean_lies_in_the_sampled_interval(self, name):
