@@ -66,11 +66,11 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 from . import dsl
 from .game import (
-    Action, GameConfig, Mode, PayoffTable, counter_width_for, legal_actions, payoff,
+    Action, GameConfig, Mode, PayoffTable, counter_width_for, legal_actions,
     payoff_unit, require_valid_table,
 )
 from .library import resolve
-from .match import MatchTrace, Seat, scaled_numerator, seat_move
+from .match import MatchTrace, Seat, seat_move
 from .population import _peek_at_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
@@ -191,7 +191,8 @@ class FixedOpponentModel:
         The opponent is deterministic, so the focal players that have played
         the same actions so far face the same opponent state. A node holds
         that state: the opponent's machine, the focal view of the last tick,
-        whether the pair is together, the running total, and the group of
+        whether the pair is together, the running total (an integer over
+        the table's ``payoff_unit``, read from its rows), and the group of
         ``(index, machine)`` of the programs that reached it. Every program
         in the group ticks its own machine; the group then splits by the
         action each played, and the opponent's move, payoff and total are
@@ -204,14 +205,15 @@ class FixedOpponentModel:
         peeks = config.instantaneous_rematch and config.mode is Mode.OPD
         # Scratch seats: ``focal`` takes each program in turn.
         focal, partner = Seat.fresh(opponent), Seat.fresh(opponent)
+        rows, unit = table.outcomes[config.mode, False], payoff_unit(table)
         totals = [Fraction(0)] * len(programs)
         start = [(index, reset(program)) for index, program in enumerate(programs)]
-        stack = [(0, partner.vm, None, None, True, Fraction(0), start)]
+        stack = [(0, partner.vm, None, None, True, 0, start)]
         while stack:
             now, opp_vm, own, opp, paired, total, group = stack.pop()
             if now == config.N:
                 for index, _ in group:
-                    totals[index] = total
+                    totals[index] = Fraction(total, unit)
                 continue
             now += 1
             event = config.instantaneous_rematch or now % config.t == 0
@@ -233,7 +235,7 @@ class FixedOpponentModel:
                 child_vm2, child_a2 = vm2, a2
                 if peeks and a1 is Action.W and a2 is not Action.W:
                     child_vm2, child_a2, _ = _peek_at_wait(partner, vm2, a2, 0, config)
-                pay, _, split = payoff(a1, child_a2, table, config.mode)
+                _, _, split, pay, _ = rows[a1, child_a2]
                 if not split:
                     stack.append((now, child_vm2, a1, child_a2, True, total + pay, child))
                 else:
@@ -319,7 +321,7 @@ class DrawModel:
         if self.first_draw is not None:
             partners.append(resolve(self.first_draw, config))
             first, scale = [(2, 1)], 1
-        unit = payoff_unit(table)
+        rows, unit = table.outcomes[config.mode, False], payoff_unit(table)
         fresh = [reset(partner) for partner in partners]
         start = reset(program)
         states = {(start, None, None, i, fresh[i], None, None): w for i, w in first}
@@ -348,7 +350,7 @@ class DrawModel:
                             focal.vm, focal.last_own, focal.last_opp, index,
                             partner.vm, partner.last_own, partner.last_opp)
                         step = steps[key] = (
-                            scaled_numerator(outcome.pay1, unit), paired, focal.vm)
+                            rows[outcome.a1, outcome.a2][3], paired, focal.vm)
                     pay, paired, vm = step
                     if pay:
                         total += mass * pay

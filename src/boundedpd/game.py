@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from pathlib import Path
 
@@ -33,6 +34,10 @@ class Action(str, Enum):
     D = "D"  # defect
     W = "W"  # wait (no move produced this tick)
     O = "O"  # opt out (OPD only)
+
+
+#: Each action's letter, read without the enum's ``value`` descriptor.
+ACTION_TEXT = {action: action.value for action in Action}
 
 
 FTPD_ACTIONS = (Action.C, Action.D, Action.W)
@@ -84,6 +89,8 @@ def cb_bound_bits(n: int) -> int:
 #: The payoff table's fields, in config-file order.
 TABLE_KEYS = ("T", "R", "P", "S", "H", "Q", "Q_hat")
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class PayoffTable:
@@ -93,6 +100,9 @@ class PayoffTable:
     H is paid to both players when both wait; Q is paid to both on a split
     (any O in OPD mode); Q_hat is the alternate split payoff used only by
     the asymmetric-split option. Mixed wait pairs such as (W, C) pay 0.
+
+    An action pair takes at most 16 values, so the engines pay a tick by
+    reading its row in ``outcomes``, built from these fields on first use.
     """
 
     T: Fraction
@@ -109,6 +119,43 @@ class PayoffTable:
 
     def as_mapping(self) -> dict[str, Fraction]:
         return {name: getattr(self, name) for name in TABLE_KEYS}
+
+    @cached_property
+    def outcomes(self) -> dict[tuple[Mode, bool], dict[tuple[Action, Action], tuple]]:
+        """The rows of every game, keyed by ``(mode, asymmetric_split)``:
+        each legal ``(a1, a2)`` maps to ``(pay1, pay2, split, scaled1,
+        scaled2)``, where ``scaled`` is the payoff as an integer over
+        ``payoff_unit(self)``. Not a field, so it takes no part in ``==``,
+        ``hash`` or ``dataclasses.replace``."""
+        unit = payoff_unit(self)
+        rows = {}
+        for mode in Mode:
+            actions = legal_actions(mode)
+            for asymmetric_split in (False, True):
+                rows[mode, asymmetric_split] = {
+                    (a, b): (pay1, pay2, split, int(pay1 * unit), int(pay2 * unit))
+                    for a in actions for b in actions
+                    for pay1, pay2, split in [_resolve(a, b, self, asymmetric_split)]
+                }
+        return rows
+
+
+def _resolve(
+    a: Action, b: Action, table: PayoffTable, asymmetric_split: bool
+) -> tuple[Fraction, Fraction, bool]:
+    """The payoff rule for one legal action pair, from the table's fields."""
+    if a is Action.O or b is Action.O:
+        if asymmetric_split and a is not b:
+            if a is Action.O:
+                return table.Q, table.Q_hat, True
+            return table.Q_hat, table.Q, True
+        return table.Q, table.Q, True
+
+    if a is Action.W or b is Action.W:
+        return (table.H, table.H, False) if a is b else (_ZERO, _ZERO, False)
+    if a is Action.C:
+        return (table.R, table.R, False) if b is Action.C else (table.S, table.T, False)
+    return (table.T, table.S, False) if b is Action.C else (table.P, table.P, False)
 
 
 def payoff_unit(table: PayoffTable) -> int:
@@ -132,9 +179,6 @@ TABLE_PRESETS: dict[str, PayoffTable] = {
 }
 
 
-_ZERO = Fraction(0)
-
-
 def payoff(
     a: Action,
     b: Action,
@@ -142,28 +186,19 @@ def payoff(
     mode: Mode = Mode.FTPD,
     asymmetric_split: bool = False,
 ) -> tuple[Fraction, Fraction, bool]:
-    """Resolve one simultaneous action pair into ``(pay1, pay2, split)``.
+    """Resolve one simultaneous action pair into ``(pay1, pay2, split)``
+    by reading the pair's row of ``table.outcomes``.
 
     In OPD mode any pair containing O yields Q to both and signals a split.
     With ``asymmetric_split`` enabled, a unilateral opt-out pays Q to the
-    opting player and Q_hat to the abandoned one.
+    opting player and Q_hat to the abandoned one. A pair the mode lacks
+    has no row and raises ``IllegalActionError``.
     """
-    allowed = legal_actions(mode)
-    if a not in allowed or b not in allowed:
-        raise IllegalActionError(f"action pair ({a.value},{b.value}) illegal in {mode.value}")
-
-    if a is Action.O or b is Action.O:
-        if asymmetric_split and a is not b:
-            if a is Action.O:
-                return table.Q, table.Q_hat, True
-            return table.Q_hat, table.Q, True
-        return table.Q, table.Q, True
-
-    if a is Action.W or b is Action.W:
-        return (table.H, table.H, False) if a is b else (_ZERO, _ZERO, False)
-    if a is Action.C:
-        return (table.R, table.R, False) if b is Action.C else (table.S, table.T, False)
-    return (table.T, table.S, False) if b is Action.C else (table.P, table.P, False)
+    try:
+        return table.outcomes[mode, asymmetric_split][a, b][:3]
+    except KeyError:
+        raise IllegalActionError(
+            f"action pair ({a.value},{b.value}) illegal in {mode.value}") from None
 
 
 # Regimes add the parameter constraints of the opting-out reduction results

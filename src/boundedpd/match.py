@@ -10,6 +10,8 @@ forbids it, turns the offender into a perpetual waiter from that tick on.
 ``seat_move`` advances a machine with ``vm.tick``, through the program's
 transition table, so a transition runs the interpreter once per program:
 GRIM against GRIM runs it on two ticks of a match and looks the rest up.
+``settle`` pays by the same kind of lookup: the pair's row of the payoff
+table's ``outcomes``, one dict read and no function call.
 
 ``PairOutcome``, like the machine's ``VmState``, is a ``NamedTuple``: built
 in C, updated with ``_replace``, and equal to the plain tuple of its
@@ -18,19 +20,22 @@ fields, so no dict may mix them with plain tuples as keys.
 ``match_step`` is the two steps back to back: a fixed-horizon match is the
 opting-out game without the opt-out. ``population.play_pair_tick`` puts
 the instantaneous-rematch peek between them, since only the opting-out
-game has it. ``run_match`` plays N ticks of ``match_step`` and adds each
-side's payoffs exactly, as integers over their common denominator.
+game has it. ``run_match`` plays N ticks of ``match_step`` and totals each
+side exactly by counting the action pairs played: each count times the
+pair's payoff, as an integer over the table's ``payoff_unit``.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .game import (
-    Action, GameConfig, Mode, PayoffTable, config_header, payoff, require_valid_table,
+    ACTION_TEXT, Action, GameConfig, Mode, PayoffTable, config_header, payoff_unit,
+    require_valid_table,
 )
 from .vm import StrategyProgram, VmState, reset, tick
 
@@ -101,7 +106,7 @@ def settle(
     """Pay the tick's action pair and commit it, with each seat's new
     machine state, to both seats; ``cost1``/``cost2`` are the XOR units
     each seat spent on the tick."""
-    pay1, pay2, split = payoff(a1, a2, table, config.mode, asymmetric_split)
+    pay1, pay2, split, _, _ = table.outcomes[config.mode, asymmetric_split][a1, a2]
     seat1.vm, seat1.last_own, seat1.last_opp = vm1, a1, a2
     seat2.vm, seat2.last_own, seat2.last_opp = vm2, a2, a1
     return PairOutcome(a1, a2, pay1, pay2, split, cost1, cost2)
@@ -128,27 +133,20 @@ def run_match(
 
     seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
     records = tuple(match_step(seat1, seat2, config, table) for _ in range(config.N))
+    rows = table.outcomes[config.mode, False]
+    scaled1 = scaled2 = 0
+    for pair, count in Counter(map(itemgetter(0, 1), records)).items():
+        _, _, _, pay1, pay2 = rows[pair]
+        scaled1 += count * pay1
+        scaled2 += count * pay2
+    unit = payoff_unit(table)
     return MatchTrace(
         records=records,
-        total1=exact_sum([out.pay1 for out in records]),
-        total2=exact_sum([out.pay2 for out in records]),
+        total1=Fraction(scaled1, unit),
+        total2=Fraction(scaled2, unit),
         fault1=seat1.vm.fault_reason,
         fault2=seat2.vm.fault_reason,
     )
-
-
-def exact_sum(values: list[Fraction]) -> Fraction:
-    """``sum(values, Fraction(0))``, added up as integers over the least
-    common denominator and reduced once."""
-    denominator = math.lcm(*{value.denominator for value in values})
-    return Fraction(sum([value.numerator * (denominator // value.denominator)
-                         for value in values]), denominator)
-
-
-def scaled_numerator(value: Fraction, scale: int) -> int:
-    """``value * scale`` as an integer, for a ``scale`` that is a multiple
-    of ``value``'s denominator."""
-    return value.numerator * (scale // value.denominator)
 
 
 def deviation_gain(
@@ -175,7 +173,7 @@ def trace_to_csv(
     ]
     for index, rec in enumerate(trace.records, start=1):
         lines.append(
-            f"{index},{rec.a1.value},{rec.a2.value},"
+            f"{index},{ACTION_TEXT[rec.a1]},{ACTION_TEXT[rec.a2]},"
             f"{rec.pay1},{rec.pay2},{rec.cost1},{rec.cost2}"
         )
     return "\n".join(lines) + "\n"

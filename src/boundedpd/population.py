@@ -34,10 +34,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .game import (
-    Action, GameConfig, Mode, PayoffTable, config_header, payoff_unit, require_valid_table,
+    ACTION_TEXT, Action, GameConfig, Mode, PayoffTable, config_header, payoff_unit,
+    require_valid_table,
 )
 from .library import resolve
-from .match import PairOutcome, Seat, scaled_numerator, seat_move, settle
+from .match import PairOutcome, Seat, seat_move, settle
 from .vm import StrategyProgram, VmState, tick
 
 
@@ -104,11 +105,13 @@ class PlayerSlot:
 class PopulationState:
     """The players and the rematch source. ``scale`` is the table's
     ``game.payoff_unit``, so adding a payoff to a score is integer
-    arithmetic."""
+    arithmetic; ``idle_pay`` is what an unpaired player earns per tick,
+    over ``scale``."""
 
     players: list[PlayerSlot]
     rng: random.Random
     scale: int
+    idle_pay: int
     tick: int = 0
 
     def pool_ids(self) -> list[int]:
@@ -199,7 +202,6 @@ def population_step(
     config: GameConfig,
     table: PayoffTable,
     asymmetric_split: bool = False,
-    unpaired_pay_qhat: bool = False,
 ) -> list[Event]:
     """Advance the population one clock tick; returns this tick's events."""
     state.tick += 1
@@ -210,23 +212,24 @@ def population_step(
     for player in state.players:
         if player.partner is None:
             player.unpaired_ticks += 1
-            if unpaired_pay_qhat:
-                player.scaled_total += scaled_numerator(table.Q_hat, state.scale)
+            player.scaled_total += state.idle_pay
 
+    rows = table.outcomes[config.mode, asymmetric_split]
     for a, b in state.pairs():
         pa, pb = state.players[a], state.players[b]
         outcome = play_pair_tick(pa.seat, pb.seat, config, table, asymmetric_split)
-        pay1, pay2 = outcome.pay1, outcome.pay2
-        pa.scaled_total += scaled_numerator(pay1, state.scale)
-        pb.scaled_total += scaled_numerator(pay2, state.scale)
-        if outcome.split:
-            if outcome.a1 is Action.O:
+        a1, a2 = outcome.a1, outcome.a2
+        pay1, pay2, split, scaled1, scaled2 = rows[a1, a2]
+        pa.scaled_total += scaled1
+        pb.scaled_total += scaled2
+        if split:
+            if a1 is Action.O:
                 pa.opt_outs += 1
-            if outcome.a2 is Action.O:
+            if a2 is Action.O:
                 pb.opt_outs += 1
             pa.partner = pb.partner = None
-        events.append(PlayEvent(state.tick, a, b, outcome.a1, pay1, outcome.split))
-        events.append(PlayEvent(state.tick, b, a, outcome.a2, pay2, outcome.split))
+        events.append(PlayEvent(state.tick, a, b, a1, pay1, split))
+        events.append(PlayEvent(state.tick, b, a, a2, pay2, split))
 
     if config.instantaneous_rematch or state.tick % config.t == 0:
         _apply_rematch(state, events)
@@ -258,7 +261,8 @@ def run_population(
         for i, (label, program) in enumerate(programs)
     ]
     scale = payoff_unit(table)
-    state = PopulationState(players=players, rng=random.Random(config.seed), scale=scale)
+    state = PopulationState(players=players, rng=random.Random(config.seed), scale=scale,
+                            idle_pay=int(table.Q_hat * scale) if unpaired_pay_qhat else 0)
     events: list[Event] = []
 
     if initial_pairing is not None:
@@ -272,7 +276,7 @@ def run_population(
         _apply_rematch(state, events)  # state.tick is 0: the initial division
 
     for _ in range(config.N):
-        events.extend(population_step(state, config, table, asymmetric_split, unpaired_pay_qhat))
+        events.extend(population_step(state, config, table, asymmetric_split))
 
     summaries = tuple(
         PlayerSummary(p.pid, p.label, Fraction(p.scaled_total, scale), p.opt_outs,
@@ -337,7 +341,7 @@ def trace_to_csv(
             kind = "split" if event.split else "play"
             lines.append(
                 f"{event.tick},{kind},{event.pid},{event.partner},"
-                f"{event.action.value},{event.pay}"
+                f"{ACTION_TEXT[event.action]},{event.pay}"
             )
         else:
             for a, b in event.pairings:

@@ -1,9 +1,10 @@
 """Payoff, validation, and dominance tests for the core game types."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boundedpd.game import (
     Action,
@@ -18,6 +19,7 @@ from boundedpd.game import (
     bit_width,
     cb_bound_bits,
     config_from_mapping,
+    config_header,
     counter_width_for,
     dominance_check,
     dump_config_text,
@@ -26,6 +28,7 @@ from boundedpd.game import (
     parse_config_text,
     parse_rational,
     payoff,
+    payoff_unit,
     table_from_mapping,
     validate_config,
     validate_table,
@@ -100,6 +103,66 @@ class TestPayoff:
         assert payoff(C, C, INTRO_TABLE) == (1, 1, False)
         assert payoff(C, D, INTRO_TABLE) == (-2, 2, False)
         assert payoff(D, D, INTRO_TABLE) == (-1, -1, False)
+
+
+def fractional_tables() -> st.SearchStrategy[PayoffTable]:
+    """Any table of small fractions; the rows do not assume a valid one."""
+    value = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return st.builds(PayoffTable, T=value, R=value, P=value, S=value,
+                     H=value, Q=value, Q_hat=value)
+
+
+def payoff_rule(a, b, table, asymmetric_split):
+    """The payoff rule, cell by cell: any O splits and pays Q (a unilateral
+    opt-out pays Q_hat to the abandoned partner under the asymmetric rule),
+    a double wait pays H, a mixed wait nothing, C/D the classic cells."""
+    if O in (a, b):
+        if asymmetric_split and a is not b:
+            return (table.Q, table.Q_hat, True) if a is O else (table.Q_hat, table.Q, True)
+        return (table.Q, table.Q, True)
+    cells = {(C, C): (table.R, table.R), (C, D): (table.S, table.T),
+             (D, C): (table.T, table.S), (D, D): (table.P, table.P),
+             (W, W): (table.H, table.H)}
+    pay1, pay2 = cells.get((a, b), (0, 0))
+    return (pay1, pay2, False)
+
+
+class TestOutcomeRows:
+    @given(fractional_tables(), st.sampled_from(list(Mode)), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_follow_the_payoff_rule(self, table, mode, asymmetric_split):
+        rows = table.outcomes[mode, asymmetric_split]
+        actions = legal_actions(mode)
+        assert set(rows) == {(a, b) for a in actions for b in actions}
+        unit = payoff_unit(table)
+        for (a, b), (pay1, pay2, split, scaled1, scaled2) in rows.items():
+            assert (pay1, pay2, split) == payoff_rule(a, b, table, asymmetric_split)
+            assert payoff(a, b, table, mode, asymmetric_split) == (pay1, pay2, split)
+            assert type(scaled1) is int and type(scaled2) is int
+            assert (Fraction(scaled1, unit), Fraction(scaled2, unit)) == (pay1, pay2)
+
+    @pytest.mark.parametrize("asymmetric_split", [False, True])
+    def test_opt_out_has_no_row_outside_opd(self, asymmetric_split):
+        for a, b in [(O, C), (C, O), (O, O), (W, O)]:
+            assert (a, b) not in INTRO_TABLE.outcomes[Mode.FTPD, asymmetric_split]
+            with pytest.raises(IllegalActionError):
+                payoff(a, b, INTRO_TABLE, Mode.FTPD, asymmetric_split)
+
+    def test_a_replaced_table_starts_with_fresh_rows(self):
+        table = PayoffTable(T=5, R=3, P=1, S=0)
+        assert table.outcomes[Mode.FTPD, False][D, C][:2] == (5, 0)
+        changed = dataclasses.replace(table, T=Fraction(9, 2))
+        assert "outcomes" not in vars(changed)
+        assert changed.outcomes[Mode.FTPD, False][D, C] == (Fraction(9, 2), 0, False, 9, 0)
+
+    def test_rows_change_no_equality_hash_or_header(self):
+        config = GameConfig(N=5)
+        fresh = PayoffTable(T=5, R=3, P=1, S=0)
+        used = PayoffTable(T=5, R=3, P=1, S=0)
+        header = config_header(used, config)
+        assert used.outcomes and "outcomes" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert config_header(used, config) == header == config_header(fresh, config)
 
 
 class TestValidateTable:

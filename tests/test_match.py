@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from boundedpd.analysis import unprovoked_defection_tick
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import BUILTIN_NAMES, get
-from boundedpd.match import PairOutcome, deviation_gain, exact_sum, run_match, trace_to_csv
+from boundedpd.match import PairOutcome, deviation_gain, run_match, trace_to_csv
 from boundedpd.vm import (
     CmpOp, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
 )
@@ -207,12 +207,17 @@ class TestFractionalTotals:
         assert trace.fault2 == "bad compare operand at 2"
         assert trace.totals == (FRACTIONAL_TABLE.S, FRACTIONAL_TABLE.T)
 
-    @given(st.lists(st.fractions(max_denominator=10**6), max_size=60))
-    @settings(max_examples=200, deadline=None)
-    def test_exact_sum_is_the_fraction_sum(self, values):
-        total = exact_sum(values)
-        assert total == sum(values, Fraction(0))
-        assert type(total) is Fraction
+    def test_long_catalog_totals_match_the_plain_loop(self):
+        # A match totals by counting action pairs; the plain loop adds
+        # every tick's Fraction payoff.
+        config = cfg(5000)
+        programs = [get(name, config) for name in BUILTIN_NAMES]
+        for p1 in programs:
+            for p2 in programs:
+                totals = run_match(p1, p2, config, FRACTIONAL_TABLE).totals
+                assert totals == reference_match(p1, p2, config, FRACTIONAL_TABLE)[1], (
+                    p1.name, p2.name)
+                assert all(type(total) is Fraction for total in totals)
 
 
 class TestDeviationGain:
