@@ -53,6 +53,16 @@ candidate is scored in one loop: against a fixed opponent the candidates are
 played ``_TREE_CHUNK`` at a time over the shared play tree, against any other
 model each is one ``evaluate`` call. Ties between equal payoffs go to the
 lexicographically smallest source.
+
+Against a fixed opponent the walk is a branch and bound. V, the largest
+total any sequence of focal moves can still earn from a node of the play
+tree, is the best response to the opponent's automaton with no budget
+limit (Gilboa 1988, *JET* 45); one table of it serves a whole search. A
+program's moves are one such sequence, so a node whose running total plus
+V falls strictly below the best total found so far holds only programs
+that pay strictly less than the answer, and is dropped with all of them.
+Programs that tie with the answer are never dropped, so the tie still goes
+to the smallest source and the result is that of the unpruned walk.
 """
 
 from __future__ import annotations
@@ -148,20 +158,22 @@ def _play_focal(program: StrategyProgram, partner: Seat, next_partner: Callable[
     """The focal player's total over N ticks in seat 1, starting against
     ``partner``. After a split the focal player idles until the next rematch
     event, where ``next_partner()`` supplies the new partner and both seats
-    forget their last actions (the machines keep running)."""
+    forget their last actions (the machines keep running). The total is
+    added in integers over the table's ``payoff_unit``, read from its rows."""
     focal = Seat.fresh(program)
-    total = Fraction(0)
+    rows = table.outcomes[config.mode, False]
+    total = 0
     for now in range(1, config.N + 1):
         if partner is not None:
             outcome = play_pair_tick(focal, partner, config, table)
-            total += outcome.pay1
+            total += rows[outcome.a1, outcome.a2][3]
             if outcome.split:
                 partner = None
         if partner is None and (config.instantaneous_rematch or now % config.t == 0):
             partner = next_partner()
             focal.new_pairing()
             partner.new_pairing()
-    return total
+    return Fraction(total, payoff_unit(table))
 
 
 @dataclass(frozen=True)
@@ -186,60 +198,147 @@ class FixedOpponentModel:
 
     def evaluate_all(self, programs: list[StrategyProgram], config: GameConfig,
                      table: PayoffTable) -> list[Fraction]:
-        """Each program's exact total, from one walk over a shared play tree.
+        """Each program's exact total, from one walk over a shared play
+        tree: ``_PlayTree.walk`` without V, so nothing is pruned and every
+        total is returned. ``best_response`` runs the same walk with V."""
+        tree = _PlayTree(resolve(self.opponent, config), config, table)
+        unit = payoff_unit(table)
+        return [Fraction(total, unit) for total in tree.walk(programs)]
 
-        The opponent is deterministic, so the focal players that have played
-        the same actions so far face the same opponent state. A node holds
-        that state: the opponent's machine, the focal view of the last tick,
-        whether the pair is together, the running total (an integer over
-        the table's ``payoff_unit``, read from its rows), and the group of
-        ``(index, machine)`` of the programs that reached it. Every program
-        in the group ticks its own machine; the group then splits by the
-        action each played, and the opponent's move, payoff and total are
-        worked out once per child. As in ``_play_focal`` with a pool of two,
-        both seats forget their last actions when a rematch event re-pairs
-        them after a split.
-        """
+
+#: A play-tree node: ticks played, the opponent's machine, the focal view
+#: of the last tick (own, opp) and whether the pair is together.
+_Node = tuple[int, VmState, Action | None, Action | None, bool]
+
+
+class _PlayTree:
+    """The play tree against one deterministic opponent: the focal players
+    that have played the same actions so far face the same opponent state,
+    so they share a node. As in ``_play_focal`` with a pool of two, both
+    seats forget their last actions when a rematch event re-pairs them
+    after a split. Payoffs and totals are integers over the table's
+    ``payoff_unit``.
+    """
+
+    def __init__(self, opponent: StrategyProgram, config: GameConfig, table: PayoffTable):
         require_valid_table(table)
-        opponent = resolve(self.opponent, config)
-        peeks = config.instantaneous_rematch and config.mode is Mode.OPD
-        # Scratch seats: ``focal`` takes each program in turn.
-        focal, partner = Seat.fresh(opponent), Seat.fresh(opponent)
-        rows, unit = table.outcomes[config.mode, False], payoff_unit(table)
-        totals = [Fraction(0)] * len(programs)
+        self.config = config
+        self.rows = table.outcomes[config.mode, False]
+        #: Every focal action a row pays, W from a fault and O from a peek
+        #: included.
+        self.actions = tuple(dict.fromkeys(a1 for a1, _ in self.rows))
+        self.peeks = config.instantaneous_rematch and config.mode is Mode.OPD
+        # Scratch seat for the opponent; its program never changes.
+        self.partner = Seat.fresh(opponent)
+        self.root: _Node = (0, self.partner.vm, None, None, True)
+
+    def opponent_move(self, node: _Node) -> tuple[VmState, Action]:
+        """The opponent's machine and move on the tick after a paired node."""
+        _, opp_vm, own, opp, _ = node
+        partner = self.partner
+        partner.vm, partner.last_own, partner.last_opp = opp_vm, opp, own
+        return seat_move(partner, self.config)
+
+    def child(self, now: int, vm2: VmState, a2: Action, a1: Action) -> tuple[int, _Node]:
+        """The focal payoff and the node after tick ``now`` when the focal
+        player plays ``a1`` against the opponent's move ``a2``: a partner
+        that moved peeks at a focal wait first."""
+        config = self.config
+        if self.peeks and a1 is Action.W and a2 is not Action.W:
+            vm2, a2, _ = _peek_at_wait(self.partner, vm2, a2, 0, config)
+        _, _, split, pay, _ = self.rows[a1, a2]
+        if not split:
+            return pay, (now, vm2, a1, a2, True)
+        return pay, self.apart(now, vm2)
+
+    def apart(self, now: int, opp_vm: VmState) -> _Node:
+        """The node after tick ``now`` with the pair apart: it is paired
+        again at a rematch event, and the focal player idles until then."""
+        config = self.config
+        return (now, opp_vm, None, None, config.instantaneous_rematch or now % config.t == 0)
+
+    def best_values(self, limit: int) -> dict[_Node, int] | None:
+        """V of every node reachable from the root: the largest, over the
+        focal actions, of the payoff plus the child's V, and 0 at the
+        horizon. Each tick leads from one layer of nodes to the next, so
+        the layers are built forward and V is filled in backward, without
+        recursion. None when the nodes number more than ``limit``: an
+        opponent that counts the focal moves reaches many per tick."""
+        edges: dict[_Node, list[tuple[int, _Node]]] = {}
+        layers = [[self.root]]
+        for now in range(1, self.config.N + 1):
+            following: set[_Node] = set()
+            for node in layers[-1]:
+                if node[4]:
+                    vm2, a2 = self.opponent_move(node)
+                    out = [self.child(now, vm2, a2, a1) for a1 in self.actions]
+                else:
+                    out = [(0, self.apart(now, node[1]))]
+                edges[node] = out
+                following.update(child for _, child in out)
+            if len(edges) + len(following) > limit:
+                return None
+            layers.append(list(following))
+        values = dict.fromkeys(layers.pop(), 0)
+        for layer in reversed(layers):
+            for node in layer:
+                values[node] = max(pay + values[child] for pay, child in edges.pop(node))
+        return values
+
+    def walk(self, programs: list[StrategyProgram], values: dict[_Node, int] | None = None,
+             incumbent: int | None = None) -> list[int | None]:
+        """Each program's exact total, from one walk.
+
+        A stack entry is a node, the running total of the programs that
+        reached it, and the group of their ``(index, machine)``. Every
+        program in the group ticks its own machine; the group then splits
+        by the action each played, and the opponent's move, payoff and
+        total are worked out once per child.
+
+        Given V (``best_values``), a node whose total plus V falls strictly
+        below the incumbent, the best total reached so far or passed in,
+        is dropped with its group, whose totals are None.
+        """
+        config = self.config
+        prune = values is not None
+        best = -math.inf if incumbent is None else incumbent
+        # Scratch seat: it takes each program in turn.
+        focal = Seat.fresh(self.partner.program)
+        totals: list[int | None] = [None] * len(programs)
         start = [(index, reset(program)) for index, program in enumerate(programs)]
-        stack = [(0, partner.vm, None, None, True, 0, start)]
+        stack = [(self.root, 0, start)]
         while stack:
-            now, opp_vm, own, opp, paired, total, group = stack.pop()
+            node, total, group = stack.pop()
+            if prune and total + values[node] < best:
+                continue
+            now, _, own, opp, paired = node
             if now == config.N:
                 for index, _ in group:
-                    totals[index] = Fraction(total, unit)
+                    totals[index] = total
+                best = max(best, total)
                 continue
-            now += 1
-            event = config.instantaneous_rematch or now % config.t == 0
             if not paired:
-                # The focal player idles until the next rematch event.
-                stack.append((now, opp_vm, None, None, event, total, group))
+                stack.append((self.apart(now + 1, node[1]), total, group))
                 continue
-            partner.vm, partner.last_own, partner.last_opp = opp_vm, opp, own
-            vm2, a2 = seat_move(partner, config)
+            vm2, a2 = self.opponent_move(node)
             focal.last_own, focal.last_opp = own, opp
+            peek = self.peeks and a2 is Action.W
             children: dict[Action, list[tuple[int, VmState]]] = {}
             for index, vm in group:
                 focal.program, focal.vm = programs[index], vm
                 vm1, a1 = seat_move(focal, config)
-                if peeks and a2 is Action.W:
+                if peek:
                     vm1, a1, _ = _peek_at_wait(focal, vm1, a1, 0, config)
                 children.setdefault(a1, []).append((index, vm1))
-            for a1, child in children.items():
-                child_vm2, child_a2 = vm2, a2
-                if peeks and a1 is Action.W and a2 is not Action.W:
-                    child_vm2, child_a2, _ = _peek_at_wait(partner, vm2, a2, 0, config)
-                _, _, split, pay, _ = rows[a1, child_a2]
-                if not split:
-                    stack.append((now, child_vm2, a1, child_a2, True, total + pay, child))
-                else:
-                    stack.append((now, child_vm2, None, None, event, total + pay, child))
+            entries = []
+            for a1, members in children.items():
+                pay, child = self.child(now + 1, vm2, a2, a1)
+                entries.append((child, total + pay, members))
+            if prune:
+                # The best bound on top: walked first, it raises the
+                # incumbent soonest.
+                entries.sort(key=lambda entry: entry[1] + values[entry[0]])
+            stack += entries
         return totals
 
 
@@ -651,6 +750,22 @@ def estimate_search_size(config: GameConfig, size_bound: int,
 # Best response and equilibrium checks
 # ---------------------------------------------------------------------------
 
+def _branch_and_bound(tree: _PlayTree, candidates: Iterator[StrategyProgram], ticks: int,
+                      unit: int) -> Iterator[tuple[Fraction, StrategyProgram]]:
+    """The exact total of every candidate the walk does not prune, walked
+    ``_TREE_CHUNK`` at a time over one play tree with one V; the incumbent
+    carries across chunks. V is built only when its nodes number no more
+    than the ``ticks`` the candidates request, so that it never costs much
+    more than the walk; without it nothing is pruned."""
+    values = tree.best_values(ticks)
+    incumbent = None
+    for chunk in iter(lambda: list(islice(candidates, _TREE_CHUNK)), []):
+        for total, candidate in zip(tree.walk(chunk, values, incumbent), chunk):
+            if total is not None:
+                incumbent = total if incumbent is None else max(incumbent, total)
+                yield Fraction(total, unit), candidate
+
+
 @dataclass(frozen=True)
 class BestResponseResult:
     program: StrategyProgram
@@ -672,9 +787,12 @@ def best_response(
 
     A program opponent, or a builtin name or ``.pdstrat`` path, is the model
     ``FixedOpponentModel(opponent)``. Every candidate is scored in one
-    loop. Against a fixed opponent the exact totals come from
-    ``evaluate_all``, fed the enumeration ``_TREE_CHUNK`` programs at a time
-    to bound memory. Any other model scores each candidate by its
+    loop. Against a fixed opponent the exact totals come from the walk
+    ``evaluate_all`` runs, fed the enumeration ``_TREE_CHUNK`` programs at
+    a time to bound memory, as a branch and bound (``_branch_and_bound``):
+    only candidates that pay strictly less than the answer are dropped, so
+    the answer and its tie-break are those of the unpruned walk. Any other
+    model scores each candidate by its
     ``evaluate`` mean on ``trials`` and ``seed``: a draw model's is exact,
     a population mix's is the mean of ``trials`` runs, so a mix search costs
     ``searched * trials`` population runs and its answer is the argmax of
@@ -707,12 +825,8 @@ def best_response(
     # The enumeration yields one program per source the estimate counted.
     candidates = enumerate_candidates(config, size_bound, space)
     if isinstance(model, FixedOpponentModel):
-        chunks = iter(lambda: list(islice(candidates, _TREE_CHUNK)), [])
-        scored = (
-            (total, candidate)
-            for chunk in chunks
-            for total, candidate in zip(model.evaluate_all(chunk, config, table), chunk)
-        )
+        scored = _branch_and_bound(_PlayTree(model.opponent, config, table), candidates,
+                                   estimate * config.N, payoff_unit(table))
     else:
         scored = (
             (model.evaluate(candidate, config, table, trials=trials, seed=seed).mean, candidate)
@@ -758,17 +872,21 @@ def equilibrium_check(
     other, the model its deviations are scored in, so OPD pairs that split
     re-pair as a pool of two; in FTPD it is the ``run_match`` total.
 
-    Deviations are searched by ``best_response``, so the verdict inherits
-    its space's gap: counters are declared only at ``counter_width_for(N)``
-    bits, and when N is a power of two a narrower counter's deviation is
-    not tried. GRIM against GRIM at N=4, k=2, bound 8 is reported Nash,
-    although a 2-bit counter deviation of 7 instructions pays 5 > 4.
+    Deviations are searched by ``best_response``, once per distinct
+    program: in a symmetric pair player 2's search would repeat player 1's
+    against the same total. The verdict inherits its space's gap: counters
+    are declared only at ``counter_width_for(N)`` bits, and when N is a
+    power of two a narrower counter's deviation is not tried. GRIM against
+    GRIM at N=4, k=2, bound 8 is reported Nash, although a 2-bit counter
+    deviation of 7 instructions pays 5 > 4.
     """
     sigma1, sigma2 = resolve(sigma1, config), resolve(sigma2, config)
     totals = tuple(FixedOpponentModel(other).evaluate(player, config, table).mean
                    for player, other in ((sigma1, sigma2), (sigma2, sigma1)))
     cooperative = totals == (table.R * config.N,) * 2
     for player, opponent in ((1, sigma2), (2, sigma1)):
+        if player == 2 and sigma2 == sigma1:
+            break  # the same search against the same total as player 1's
         br = best_response(opponent, config, table, size_bound=size_bound)
         if br.payoff > totals[player - 1]:
             return EquilibriumVerdict(

@@ -490,9 +490,12 @@ def _resolve_value(value: Value, config: GameConfig) -> Operand:
 
 #: Instructions closing every state: HALT, then JUMP back to its first rule.
 EPILOGUE_SIZE = 2
-#: Instructions are immutable, so programs share their HALTs and JUMPs.
+#: Instructions are immutable, so programs share their HALTs, JUMPs, plays
+#: and incs.
 _HALT = vm.halt()
 _jump = functools.lru_cache(maxsize=1024)(vm.jump)
+_emit = functools.lru_cache(maxsize=None)(vm.emit)
+_increment = functools.lru_cache(maxsize=None)(vm.increment)
 
 
 def rule_size(rule: Rule, last: bool) -> int:
@@ -506,30 +509,31 @@ def rule_size(rule: Rule, last: bool) -> int:
     return size if last else size + 1
 
 
-def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int],
-              reg_widths: tuple[int, ...], config: GameConfig) -> tuple[tuple[Instruction, ...], int]:
+def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int], reg_widths: tuple[int, ...],
+              config: GameConfig) -> tuple[tuple[Instruction, ...], tuple[int, ...]]:
     """The compares, plays and incs ``rule`` compiles to, each compare
-    jumping to ``on_false`` when it fails, and the compares' total width.
+    jumping to ``on_false`` when it fails, and the compares' widths: the
+    compares come first, one per guard term.
 
     The rule's exit (HALT and JUMP for a goto, or a JUMP to the state's
     epilogue) is left to ``assemble``, which knows where the states start.
     """
     instructions: list[Instruction] = []
-    cost = 0
+    widths = []
     for term in rule.guard:
         if term.field in OBS_FIELDS:
             lhs = Operand.obs(term.field)
         else:
             lhs = Operand.reg(counter_index[term.field])
         guard = vm.compare(lhs, term.op, _resolve_value(term.value, config), on_false)
-        cost += vm.compare_width(guard, reg_widths)
+        widths.append(vm.compare_width(guard, reg_widths))
         instructions.append(guard)
     for stmt in rule.stmts:
         if isinstance(stmt, Play):
-            instructions.append(vm.emit(stmt.action))
+            instructions.append(_emit(stmt.action))
         elif isinstance(stmt, Inc):
-            instructions.append(vm.increment(counter_index[stmt.counter]))
-    return tuple(instructions), cost
+            instructions.append(_increment(counter_index[stmt.counter]))
+    return tuple(instructions), tuple(widths)
 
 
 class RulePiece:
@@ -554,7 +558,7 @@ class RulePiece:
         # rule_size(rule, last=False), without a second scan of the rule.
         self.ahead = self.size + (self.goto is None)
         self.text = rule.render()
-        self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}
+        self.emitted: dict[int, tuple[tuple[Instruction, ...], tuple[int, ...]]] = {}
 
 
 def assemble(name: str, decls: tuple[Decl, ...],
@@ -591,6 +595,8 @@ def assemble(name: str, decls: tuple[Decl, ...],
         at += EPILOGUE_SIZE
 
     instructions: list[Instruction] = []
+    # (pc, width) of every compare, as ``emit_rule`` worked them out.
+    sites: list[tuple[int, int]] = []
     lines: list[tuple[str | None, str]] = []
     worst = 0
     for (label, pieces), epilogue in zip(states, epilogues):
@@ -606,8 +612,9 @@ def assemble(name: str, decls: tuple[Decl, ...],
             if body is None:
                 body = piece.emitted[on_false] = emit_rule(
                     piece.rule, on_false, counter_index, reg_widths, config)
+            scan_cost += sum(body[1])
+            sites += enumerate(body[1], len(instructions))
             instructions += body[0]
-            scan_cost += body[1]
             if piece.goto is not None:
                 instructions += (_HALT, _jump(starts[piece.goto]))
             elif ri != last:
@@ -625,6 +632,7 @@ def assemble(name: str, decls: tuple[Decl, ...],
         worst_tick_cost=worst,
         source=_source_text(name, decls, lines),
     )
+    vm.hand_compare_widths(program, sites)
     problems = vm.validate_program(program)
     if problems:
         raise DslError("internal compile error: " + "; ".join(problems))

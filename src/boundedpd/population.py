@@ -336,12 +336,19 @@ def trace_to_csv(
         config_header(table, config, extra_meta),
         "tick,event,player,partner,action,payoff",
     ]
+    # A run pays a handful of distinct payoffs, the table rows' own
+    # objects: each is formatted once, keyed by identity, which is cheaper
+    # than a Fraction's hash.
+    pay_text: dict[int, str] = {}
     for event in trace.events:
         if isinstance(event, PlayEvent):
             kind = "split" if event.split else "play"
+            pay = pay_text.get(id(event.pay))
+            if pay is None:
+                pay = pay_text[id(event.pay)] = str(event.pay)
             lines.append(
                 f"{event.tick},{kind},{event.pid},{event.partner},"
-                f"{ACTION_TEXT[event.action]},{event.pay}"
+                f"{ACTION_TEXT[event.action]},{pay}"
             )
         else:
             for a, b in event.pairings:

@@ -15,7 +15,8 @@ opponent's action on the previous tick: ``tick`` takes exactly those two
 beside the ``VmState``, which stores no flag it can derive. The horizon N
 is not an input; the compiler turns it into a constant. ``compare_width``
 is the one width rule, summed by the compiler and charged by ``interpret``
-through the program's ``compare_widths``, built once per program.
+through the program's ``compare_widths``, built once per program from the
+widths the compiler hands over.
 
 ``Operand``, ``Instruction``, ``Pending`` and ``VmState`` are
 ``NamedTuple``s: they are built and hashed in C, and updated with
@@ -183,11 +184,29 @@ class StrategyProgram:
     def compare_widths(self) -> tuple[int | None, ...]:
         """Each instruction's ``compare_width`` by pc, built on first use:
         None for any other instruction and for a compare the width rule
-        rejects, which ``interpret`` faults on when it reaches it."""
-        return tuple([_width_or_none(ins, self.reg_widths) for ins in self.instructions])
+        rejects, which ``interpret`` faults on when it reaches it. The
+        widths of a program from ``dsl.assemble`` are the compiler's, handed
+        over by ``hand_compare_widths``; any other program's are worked out
+        here."""
+        sites = self.__dict__.get("_compare_sites")
+        if sites is None:
+            return tuple([_width_or_none(ins, self.reg_widths) for ins in self.instructions])
+        widths: list[int | None] = [None] * len(self.instructions)
+        for pc, width in sites:
+            widths[pc] = width
+        return tuple(widths)
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+
+def hand_compare_widths(program: StrategyProgram, sites: list[tuple[int, int]]) -> None:
+    """Give ``program`` the ``(pc, width)`` of each of its compares, as the
+    compiler worked them out, for ``compare_widths`` to place. They are
+    kept sparse, since a program that never ticks never needs the full
+    table, and like ``compare_widths`` they are no field: ``==``, ``hash``
+    and ``dataclasses.replace`` do not see them."""
+    program.__dict__["_compare_sites"] = tuple(sites)
 
 
 class Pending(NamedTuple):

@@ -1,6 +1,7 @@
 """Security level, best response, equilibrium, and ratio analysis tests."""
 
 import hashlib
+import itertools
 import math
 import random as random_module
 from fractions import Fraction
@@ -26,11 +27,12 @@ from boundedpd.analysis import (
 )
 from boundedpd.game import (
     Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, STRICT_TABLE, counter_width_for,
-    payoff_unit, validate_table,
+    legal_actions, payoff_unit, validate_table,
 )
 from boundedpd.library import BUILTIN_NAMES, get, resolve
-from boundedpd.match import Seat, run_match
+from boundedpd.match import Seat, run_match, seat_move
 from boundedpd.population import run_population
+from boundedpd.vm import StrategyProgram, emit, halt
 
 from test_match import retaliator
 from test_vm import random_program
@@ -366,6 +368,24 @@ class TestEquilibriumCheck:
         assert verdict.is_nash and verdict.cooperative
         assert verdict.payoffs == (4, 4)
 
+    def test_a_symmetric_pair_is_searched_once(self, monkeypatch):
+        # Player 2's search in a symmetric pair is player 1's, against the
+        # same total; a Nash verdict on any other pair needs both.
+        config = GameConfig(N=4, k=2)
+        searched = []
+        search = analysis.best_response
+
+        def counted(opponent, *args, **kwargs):
+            searched.append(opponent.name)
+            return search(opponent, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "best_response", counted)
+        assert equilibrium_check("GRIM", "GRIM", config, INTRO_TABLE, size_bound=5).is_nash
+        assert searched == ["GRIM"]
+        searched.clear()
+        assert equilibrium_check("GRIM", "TFT", config, INTRO_TABLE, size_bound=5).is_nash
+        assert searched == ["TFT", "GRIM"]
+
     def test_a_narrower_counter_deviation_lies_outside_the_space(self):
         """The known gap of the search space, pinned: at N=4 a 2-bit counter
         counts to N-1, and this deviation fits the bound and beats GRIM's
@@ -410,13 +430,14 @@ class TestEquilibriumCheck:
 class TestFixedOpponentModel:
     @given(st.integers(0, 10**9), st.sampled_from([Mode.FTPD, Mode.OPD]),
            st.integers(1, 30), st.integers(1, 3), st.booleans(),
-           st.sampled_from([INTRO_TABLE, SPLIT_TABLE]))
+           st.sampled_from([INTRO_TABLE, SPLIT_TABLE, FRACTIONAL_TABLE]))
     @settings(max_examples=100, deadline=None)
     def test_the_mean_is_the_engines_total(self, seed, mode, n, t, instantaneous, table):
         # The engines are the reference: in FTPD the match, in OPD a pool of
         # two that re-pairs the same seats after every split. A split that
         # changes the total needs an opting player and a reactive partner,
-        # so each example plays many pairs from a mixed pool.
+        # so each example plays many pairs from a mixed pool. The focal
+        # loop the draw model plays through gives the same total.
         rng = random_module.Random(seed)
         config = GameConfig(N=n, mode=mode, t=t, k=rng.choice([2, 4]),
                             instantaneous_rematch=instantaneous)
@@ -432,6 +453,7 @@ class TestFixedOpponentModel:
                 expected = trace.summaries[0].total
             estimate = FixedOpponentModel(b).evaluate(a, config, table)
             assert estimate.mean == expected and estimate.exact
+            assert _pool_of_two_total(a, b, config, table) == expected
 
     def test_an_invalid_table_is_refused(self):
         config = GameConfig(N=5, k=2)
@@ -522,6 +544,78 @@ class TestPlayTree:
     def test_an_unknown_name_is_refused(self):
         with pytest.raises(ValueError, match="no builtin or strategy file"):
             best_response("NoSuchStrategy", GameConfig(N=5, k=2), INTRO_TABLE, size_bound=5)
+
+
+def _root_bound(opponent, config, table):
+    """V at the root of the play tree, as a payoff."""
+    tree = analysis._PlayTree(opponent, config, table)
+    return Fraction(tree.best_values(math.inf)[tree.root], payoff_unit(table))
+
+
+class TestBranchAndBound:
+    @given(st.sampled_from(_OPPONENT_NAMES), st.integers(3, 12),
+           st.integers(0, len(_REMATCH_SETTINGS) - 1), st.sampled_from([2, 4]),
+           st.sampled_from([INTRO_TABLE, SPLIT_TABLE]))
+    @settings(max_examples=30, deadline=None)
+    def test_the_root_bound_covers_every_candidate(self, name, n, setting, k, table):
+        mode, instantaneous, t = _REMATCH_SETTINGS[setting]
+        config = GameConfig(N=n, mode=mode, t=t, K=1, k=k, instantaneous_rematch=instantaneous)
+        opponent = _catalog_and_test_players(config)[name]
+        bound = _root_bound(opponent, config, table)
+        for candidate in _candidates(config, 5):
+            assert _pool_of_two_total(candidate, opponent, config, table) <= bound
+
+    @pytest.mark.parametrize("setting", [0, 2, 4])
+    def test_the_root_bound_is_the_best_scripted_play(self, setting):
+        # Without the instantaneous peek every sequence of focal actions is
+        # the play of a script that emits one action per tick, so V at the
+        # root, the best over all sequences, is the best script's total.
+        mode, instantaneous, t = _REMATCH_SETTINGS[setting]
+        config = GameConfig(N=4, mode=mode, t=t, K=1, k=2, instantaneous_rematch=instantaneous)
+        scripts = [StrategyProgram("script", tuple(ins for a in plays for ins in (emit(a), halt())))
+                   for plays in itertools.product(legal_actions(mode), repeat=config.N)]
+        for name, opponent in _catalog_and_test_players(config).items():
+            totals = FixedOpponentModel(opponent).evaluate_all(scripts, config, SPLIT_TABLE)
+            assert _root_bound(opponent, config, SPLIT_TABLE) == max(totals), name
+
+    @pytest.mark.parametrize("name", ["GRIM", "AllD"])
+    def test_pruning_plays_fewer_candidate_ticks(self, name, monkeypatch):
+        config = GameConfig(N=8, k=2)
+        opponent = get(name, config)
+        ticks = []
+
+        def counted(seat, config):
+            if seat.program is not opponent:
+                ticks.append(seat.program)
+            return seat_move(seat, config)
+
+        monkeypatch.setattr(analysis, "seat_move", counted)
+        FixedOpponentModel(opponent).evaluate_all(_candidates(config, 6), config, INTRO_TABLE)
+        unpruned = len(ticks)
+        ticks.clear()
+        best_response(opponent, config, INTRO_TABLE, size_bound=6)
+        assert 0 < len(ticks) < unpruned
+
+    def test_a_long_horizon_is_bounded_without_recursion(self):
+        result = best_response("GRIM", GameConfig(N=1500, k=2), INTRO_TABLE, size_bound=4)
+        assert (result.payoff, result.source, result.searched) == (
+            1500, "strategy cand\nalways play C\n", 67)
+
+    def test_an_opponent_with_too_many_nodes_is_searched_unpruned(self):
+        # Counting the focal player's defections, the opponent reaches more
+        # nodes than the search requests ticks, so V is not built; the
+        # search is still the argmax of the exact totals.
+        config = GameConfig(N=60, k=2)
+        opponent = dsl.compile(dsl.parse(
+            "strategy tally\ncounter n: 6 bits\n"
+            "if opp == D then play C inc n\nalways play C\n"), config)
+        ticks = estimate_search_size(config, 4) * config.N
+        assert analysis._PlayTree(opponent, config, INTRO_TABLE).best_values(ticks) is None
+        candidates = list(enumerate_candidates(config, 4))
+        totals = FixedOpponentModel(opponent).evaluate_all(candidates, config, INTRO_TABLE)
+        best, source = min((-total, c.source) for total, c in zip(totals, candidates))
+        result = best_response(opponent, config, INTRO_TABLE, size_bound=4)
+        assert (result.payoff, result.source) == (-best, source)
 
 
 class TestDrawModel:

@@ -1,9 +1,11 @@
 """Budget accounting, suspension, and fault behavior of the strategy VM."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundedpd import dsl
+from boundedpd import dsl, vm
 from boundedpd.game import Action, GameConfig, counter_width_for
 from boundedpd.library import BUILTIN_NAMES, get
 from boundedpd.vm import (
@@ -104,6 +106,19 @@ class TestCompareWidths:
         for program in MALFORMED_COMPARES:
             assert_widths_follow_the_rule(program)
         assert [p.compare_widths[2] for p in MALFORMED_COMPARES] == [None, None]
+
+    def test_compiled_programs_carry_the_compilers_widths(self, monkeypatch):
+        # dsl.assemble hands over the widths the compiler worked out, so a
+        # compiled program's table costs no width rule; a copy made by
+        # dataclasses.replace works them out, and equals the program.
+        program = get("TFT", CFG)
+        copy = replace(program)
+        calls = []
+        rule = vm._width_or_none
+        monkeypatch.setattr(vm, "_width_or_none", lambda *args: calls.append(args) or rule(*args))
+        assert program.compare_widths == copy.compare_widths
+        assert len(calls) == len(copy.instructions)
+        assert program == copy and hash(program) == hash(copy)
 
     @pytest.mark.parametrize("program", MALFORMED_COMPARES, ids=lambda p: p.name)
     def test_a_bad_compare_faults_on_the_tick_that_reaches_it(self, program):
