@@ -207,10 +207,7 @@ class _LineParser:
     def next(self, expected: str | None = None) -> _Token:
         token = self.peek()
         if token is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = (last.col + len(last.text)) if last else 1
-            want = f"expected {expected!r}" if expected else "unexpected end of line"
-            raise DslError(want, self.lineno, col)
+            raise self.error(f"expected {expected!r}" if expected else "unexpected end of line")
         if expected is not None and token.text != expected:
             raise DslError(f"expected {expected!r}, got {token.text!r}", token.line, token.col)
         self.pos += 1
@@ -510,30 +507,31 @@ def rule_size(rule: Rule, last: bool) -> int:
 
 
 def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int], reg_widths: tuple[int, ...],
-              config: GameConfig) -> tuple[tuple[Instruction, ...], tuple[int, ...]]:
+              config: GameConfig) -> tuple[tuple[Instruction, ...], int]:
     """The compares, plays and incs ``rule`` compiles to, each compare
-    jumping to ``on_false`` when it fails, and the compares' widths: the
-    compares come first, one per guard term.
+    jumping to ``on_false`` when it fails, and the rule's compare cost, the
+    sum of its compares' ``vm.compare_width``: the compares come first, one
+    per guard term.
 
     The rule's exit (HALT and JUMP for a goto, or a JUMP to the state's
     epilogue) is left to ``assemble``, which knows where the states start.
     """
     instructions: list[Instruction] = []
-    widths = []
+    cost = 0
     for term in rule.guard:
         if term.field in OBS_FIELDS:
             lhs = Operand.obs(term.field)
         else:
             lhs = Operand.reg(counter_index[term.field])
         guard = vm.compare(lhs, term.op, _resolve_value(term.value, config), on_false)
-        widths.append(vm.compare_width(guard, reg_widths))
+        cost += vm.compare_width(guard, reg_widths)
         instructions.append(guard)
     for stmt in rule.stmts:
         if isinstance(stmt, Play):
             instructions.append(_emit(stmt.action))
         elif isinstance(stmt, Inc):
             instructions.append(_increment(counter_index[stmt.counter]))
-    return tuple(instructions), tuple(widths)
+    return tuple(instructions), cost
 
 
 class RulePiece:
@@ -542,11 +540,12 @@ class RulePiece:
     last rule and as a rule ``ahead`` of another, its ``goto`` label or
     None, and its rendered line ``text``.
 
-    ``emitted`` caches the rule's compares, plays and incs, emitted once
-    per compare target, so a piece shared by many programs is emitted once
-    per place it can land. The cache is valid for one ``(decls, config)``
-    only: the search builds its pieces per counter declaration of one
-    config, and ``compile`` builds fresh pieces per call.
+    ``emitted`` caches what ``emit_rule`` returns, the rule's compares,
+    plays and incs and their compare cost, once per compare target, so a
+    piece shared by many programs is emitted once per place it can land.
+    The cache is valid for one ``(decls, config)`` only: the search builds
+    its pieces per counter declaration of one config, and ``compile``
+    builds fresh pieces per call.
     """
 
     __slots__ = ("rule", "size", "ahead", "goto", "text", "emitted")
@@ -558,7 +557,7 @@ class RulePiece:
         # rule_size(rule, last=False), without a second scan of the rule.
         self.ahead = self.size + (self.goto is None)
         self.text = rule.render()
-        self.emitted: dict[int, tuple[tuple[Instruction, ...], tuple[int, ...]]] = {}
+        self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}
 
 
 def assemble(name: str, decls: tuple[Decl, ...],
@@ -573,12 +572,14 @@ def assemble(name: str, decls: tuple[Decl, ...],
     jumps to the target state's start; any other rule but the last jumps to
     the epilogue, HALT then a JUMP back to the state's start. The
     ``worst_tick_cost`` is the largest compare total any single tick can
-    request: the maximum over states of the sum of guard widths along a
-    full scan of the state's rules. Unreachable rules (after an
-    unconditional rule in the same state) are reported through
-    ``diagnostics`` when a list is supplied. The program carries its
-    canonical source text, which ``decompile`` parses back, and is returned
-    once ``vm.validate_program`` finds nothing wrong with it.
+    request: the maximum over states of the rules' compare costs, as
+    ``emit_rule`` returns them, summed along a full scan of the state's
+    rules; ``vm.interpret`` charges each compare's width when the compare
+    starts. Unreachable rules (after an unconditional rule in the same
+    state) are reported through ``diagnostics`` when a list is supplied.
+    The program carries its canonical source text, which ``decompile``
+    parses back, and is returned once ``vm.validate_program`` finds
+    nothing wrong with it.
     """
     reg_widths = tuple([decl.width for decl in decls])
     counter_index = {decl.name: i for i, decl in enumerate(decls)}
@@ -595,8 +596,6 @@ def assemble(name: str, decls: tuple[Decl, ...],
         at += EPILOGUE_SIZE
 
     instructions: list[Instruction] = []
-    # (pc, width) of every compare, as ``emit_rule`` worked them out.
-    sites: list[tuple[int, int]] = []
     lines: list[tuple[str | None, str]] = []
     worst = 0
     for (label, pieces), epilogue in zip(states, epilogues):
@@ -612,8 +611,7 @@ def assemble(name: str, decls: tuple[Decl, ...],
             if body is None:
                 body = piece.emitted[on_false] = emit_rule(
                     piece.rule, on_false, counter_index, reg_widths, config)
-            scan_cost += sum(body[1])
-            sites += enumerate(body[1], len(instructions))
+            scan_cost += body[1]
             instructions += body[0]
             if piece.goto is not None:
                 instructions += (_HALT, _jump(starts[piece.goto]))
@@ -632,7 +630,6 @@ def assemble(name: str, decls: tuple[Decl, ...],
         worst_tick_cost=worst,
         source=_source_text(name, decls, lines),
     )
-    vm.hand_compare_widths(program, sites)
     problems = vm.validate_program(program)
     if problems:
         raise DslError("internal compile error: " + "; ".join(problems))

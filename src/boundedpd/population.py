@@ -90,7 +90,7 @@ def _peek_at_wait(
 @dataclass
 class PlayerSlot:
     """A player's seat and running score, kept as an integer over the
-    run's ``PopulationState.scale``."""
+    table's ``game.payoff_unit``."""
 
     pid: int
     label: str
@@ -103,14 +103,13 @@ class PlayerSlot:
 
 @dataclass
 class PopulationState:
-    """The players and the rematch source. ``scale`` is the table's
+    """The players and the rematch source. Scores and ``idle_pay``, what
+    an unpaired player earns per tick, are integers over the table's
     ``game.payoff_unit``, so adding a payoff to a score is integer
-    arithmetic; ``idle_pay`` is what an unpaired player earns per tick,
-    over ``scale``."""
+    arithmetic."""
 
     players: list[PlayerSlot]
     rng: random.Random
-    scale: int
     idle_pay: int
     tick: int = 0
 
@@ -261,7 +260,7 @@ def run_population(
         for i, (label, program) in enumerate(programs)
     ]
     scale = payoff_unit(table)
-    state = PopulationState(players=players, rng=random.Random(config.seed), scale=scale,
+    state = PopulationState(players=players, rng=random.Random(config.seed),
                             idle_pay=int(table.Q_hat * scale) if unpaired_pay_qhat else 0)
     events: list[Event] = []
 

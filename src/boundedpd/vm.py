@@ -14,9 +14,8 @@ counter registers and the two observations, the player's own and the
 opponent's action on the previous tick: ``tick`` takes exactly those two
 beside the ``VmState``, which stores no flag it can derive. The horizon N
 is not an input; the compiler turns it into a constant. ``compare_width``
-is the one width rule, summed by the compiler and charged by ``interpret``
-through the program's ``compare_widths``, built once per program from the
-widths the compiler hands over.
+is the one width rule: the compiler sums it for ``worst_tick_cost``, and
+``interpret`` charges it when a compare starts.
 
 ``Operand``, ``Instruction``, ``Pending`` and ``VmState`` are
 ``NamedTuple``s: they are built and hashed in C, and updated with
@@ -158,9 +157,9 @@ class StrategyProgram:
 
     ``source`` is the canonical source text the compiler laid out, which
     ``dsl.decompile`` parses back; hand-assembled programs leave it None.
-    ``transitions`` is the table ``tick`` plays through; like
-    ``compare_widths`` it is not a field, so it takes no part in equality
-    and ``dataclasses.replace`` starts a fresh, empty one.
+    ``transitions`` is the table ``tick`` plays through; it is not a
+    field, so it takes no part in equality and ``dataclasses.replace``
+    starts a fresh, empty one.
     """
 
     name: str
@@ -180,33 +179,8 @@ class StrategyProgram:
         the ``(VmState, Action)`` that ``interpret`` returned for it."""
         return {}
 
-    @cached_property
-    def compare_widths(self) -> tuple[int | None, ...]:
-        """Each instruction's ``compare_width`` by pc, built on first use:
-        None for any other instruction and for a compare the width rule
-        rejects, which ``interpret`` faults on when it reaches it. The
-        widths of a program from ``dsl.assemble`` are the compiler's, handed
-        over by ``hand_compare_widths``; any other program's are worked out
-        here."""
-        sites = self.__dict__.get("_compare_sites")
-        if sites is None:
-            return tuple([_width_or_none(ins, self.reg_widths) for ins in self.instructions])
-        widths: list[int | None] = [None] * len(self.instructions)
-        for pc, width in sites:
-            widths[pc] = width
-        return tuple(widths)
-
     def __len__(self) -> int:
         return len(self.instructions)
-
-
-def hand_compare_widths(program: StrategyProgram, sites: list[tuple[int, int]]) -> None:
-    """Give ``program`` the ``(pc, width)`` of each of its compares, as the
-    compiler worked them out, for ``compare_widths`` to place. They are
-    kept sparse, since a program that never ticks never needs the full
-    table, and like ``compare_widths`` they are no field: ``==``, ``hash``
-    and ``dataclasses.replace`` do not see them."""
-    program.__dict__["_compare_sites"] = tuple(sites)
 
 
 class Pending(NamedTuple):
@@ -289,15 +263,6 @@ def compare_width(ins: Instruction, reg_widths: tuple[int, ...]) -> int:
     if width < 1:
         raise ValueError("compare width must be at least 1 bit")
     return width
-
-
-def _width_or_none(ins: Instruction, reg_widths: tuple[int, ...]) -> int | None:
-    if ins.opcode is not Opcode.COMPARE:
-        return None
-    try:
-        return compare_width(ins, reg_widths)
-    except Exception:  # noqa: BLE001 - tick reruns the rule when it reaches the compare
-        return None
 
 
 def _operand_value(
@@ -398,13 +363,11 @@ def interpret(
                 resume = None
             else:
                 done = 0
-                width = program.compare_widths[pc]
                 try:
-                    if width is None:
-                        width = compare_width(ins, program.reg_widths)
+                    width = compare_width(ins, program.reg_widths)
                     lhs_value = _operand_value(ins.lhs, regs, opp, own)  # type: ignore[arg-type]
                     rhs_value = _operand_value(ins.rhs, regs, opp, own)  # type: ignore[arg-type]
-                except (IndexError, TypeError, KeyError, ValueError):
+                except (AttributeError, IndexError, TypeError, KeyError, ValueError):
                     return _fault(state, regs, k - budget, f"bad compare operand at {pc}")
             if width - done > budget:
                 # Not enough budget left this tick: latch and suspend.

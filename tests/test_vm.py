@@ -1,17 +1,17 @@
 """Budget accounting, suspension, and fault behavior of the strategy VM."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundedpd import dsl, vm
-from boundedpd.game import Action, GameConfig, counter_width_for
+from boundedpd import dsl
+from boundedpd.analysis import enumerate_candidates
+from boundedpd.game import Action, GameConfig, Mode, counter_width_for
 from boundedpd.library import BUILTIN_NAMES, get
 from boundedpd.vm import (
     MAX_STEPS_PER_TICK,
     TABLE_ENTRIES_PER_INSTRUCTION,
     CmpOp,
+    Instruction,
     Opcode,
     Operand,
     StrategyProgram,
@@ -31,8 +31,9 @@ from boundedpd.vm import (
 C, D, W, O = Action.C, Action.D, Action.W, Action.O
 CFG = GameConfig(N=10, k=2)
 
-#: Programs that play C, then reach a compare the width rule rejects: one
-#: reads a register the program lacks, one compares two zero-bit registers.
+#: Programs that play C, then reach a compare the interpreter rejects: one
+#: reads a register the program lacks, one compares two zero-bit registers,
+#: one has no left operand.
 MALFORMED_COMPARES = [
     StrategyProgram("missing-register", (
         emit(C), halt(),
@@ -42,6 +43,11 @@ MALFORMED_COMPARES = [
         emit(C), halt(),
         compare(Operand.reg(0), CmpOp.EQ, Operand.reg(1), on_false=2), emit(D), halt(), jump(2),
     ), reg_widths=(0, 0)),
+    StrategyProgram("missing-operand", (
+        emit(C), halt(),
+        Instruction(Opcode.COMPARE, op=CmpOp.EQ, rhs=Operand.const(1), on_false=2),
+        emit(D), halt(), jump(2),
+    )),
 ]
 
 
@@ -73,63 +79,32 @@ class TestCompareCost:
         with pytest.raises(ValueError):
             compare_width(ins, (0, 0))
 
-
-def assert_widths_follow_the_rule(program: StrategyProgram) -> None:
-    """``compare_widths`` holds ``compare_width`` at every COMPARE, and
-    None where the rule rejects the compare or the instruction is no
-    compare."""
-    widths = program.compare_widths
-    assert len(widths) == len(program.instructions)
-    for pc, ins in enumerate(program.instructions):
-        if ins.opcode is not Opcode.COMPARE:
-            assert widths[pc] is None
-            continue
-        try:
-            expected = compare_width(ins, program.reg_widths)
-        except (IndexError, ValueError):
-            expected = None
-        assert widths[pc] == expected, pc
-
-
-class TestCompareWidths:
-    @pytest.mark.parametrize("n", [5, 8, 2000])
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_catalog_programs_follow_the_rule(self, name, n):
-        program = get(name, GameConfig(N=n, k=2))
-        assert_widths_follow_the_rule(program)
-
-    def test_hand_assembled_programs_follow_the_rule(self):
+    def test_no_tick_costs_more_than_the_compilers_worst(self):
+        """The compiler sums the width rule into ``worst_tick_cost`` and
+        ``interpret`` charges it per compare: given that budget, no tick of
+        a compiled program suspends or spends more. The catalog and the
+        bound-6 candidates scan at most one compare per tick; the program
+        added here scans up to three."""
         import random as random_module
-        rng = random_module.Random(7)
-        for _ in range(300):
-            assert_widths_follow_the_rule(random_program(rng))
-        for program in MALFORMED_COMPARES:
-            assert_widths_follow_the_rule(program)
-        assert [p.compare_widths[2] for p in MALFORMED_COMPARES] == [None, None]
-
-    def test_compiled_programs_carry_the_compilers_widths(self, monkeypatch):
-        # dsl.assemble hands over the widths the compiler worked out, so a
-        # compiled program's table costs no width rule; a copy made by
-        # dataclasses.replace works them out, and equals the program.
-        program = get("TFT", CFG)
-        copy = replace(program)
-        calls = []
-        rule = vm._width_or_none
-        monkeypatch.setattr(vm, "_width_or_none", lambda *args: calls.append(args) or rule(*args))
-        assert program.compare_widths == copy.compare_widths
-        assert len(calls) == len(copy.instructions)
-        assert program == copy and hash(program) == hash(copy)
-
-    @pytest.mark.parametrize("program", MALFORMED_COMPARES, ids=lambda p: p.name)
-    def test_a_bad_compare_faults_on_the_tick_that_reaches_it(self, program):
-        # The width table is built before play; the fault still waits for
-        # the compare, on the second tick.
-        assert program.compare_widths[0] is None
-        state, first = tick(reset(program), program, None, None, 2)
-        assert first is C and state.fault_reason is None
-        state, second = tick(state, program, None, C, 2)
-        assert second is W and state.fault_reason == "bad compare operand at 2"
-        assert state.tick_cost == 0 and state.pc == 2
+        rng = random_module.Random(22)
+        ticks = 0
+        for mode in Mode:
+            for n in (5, 8, 16):
+                config = GameConfig(N=n, k=2, mode=mode)
+                programs = [get(name, config) for name in BUILTIN_NAMES]
+                programs.append(dsl.compile(dsl.parse(
+                    f"strategy three\ncounter n: {counter_width_for(n)} bits\n"
+                    "if opp == D and n >= N-2 then play D\n"
+                    "if own == C then play C inc n\nalways play W\n"), config))
+                for program in programs + list(enumerate_candidates(config, 6)):
+                    k = max(2, program.worst_tick_cost)
+                    state = reset(program)
+                    for _ in range(n + 2):
+                        state, _ = tick(state, program, *random_observation(rng), k)
+                        assert not state.suspended, program.source
+                        assert state.tick_cost <= program.worst_tick_cost, program.source
+                        ticks += 1
+        assert ticks > 40_000  # 42 775 over the bound-6 space
 
 
 class TestReset:
@@ -312,6 +287,15 @@ class TestFaults:
         assert validate_program(program) == []
         state, action = tick(reset(program), program, None, None, 2)
         assert action is W and state.fault_reason == "bad compare operand at 0"
+
+    @pytest.mark.parametrize("program", MALFORMED_COMPARES, ids=lambda p: p.name)
+    def test_a_bad_compare_faults_on_the_tick_that_reaches_it(self, program):
+        # The fault waits for the compare, on the second tick.
+        state, first = tick(reset(program), program, None, None, 2)
+        assert first is C and state.fault_reason is None
+        state, second = tick(state, program, None, C, 2)
+        assert second is W and state.fault_reason == "bad compare operand at 2"
+        assert state.tick_cost == 0 and state.pc == 2
 
     def test_budget_below_two_rejected(self):
         program = get("AllC", CFG)
