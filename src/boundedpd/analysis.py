@@ -7,11 +7,11 @@ relative to a finite, caller-supplied candidate set and the reports say so.
 
 Three population models are provided. The first two are partner
 schedules for one focal seat, played through the population engine's
-kernel: each tick is ``match.seat_move`` for both seats, the
-instantaneous-rematch peek and the payoff, and a rematch event after a split
-takes the schedule's next partner. ``_play_focal`` plays one game of a
-schedule; the draw model's exact evaluation runs that loop over every draw
-at once.
+kernel: both seats move by ``match.seat_move``, the instantaneous-rematch
+peek runs, the model pays the action pair from its row, and a rematch
+event after a split takes the schedule's next partner. ``_play_focal``
+plays one game of a schedule; the draw model's exact evaluation runs that
+loop over every draw at once.
 
 * :class:`FixedOpponentModel` - a single deterministic partner for the
   whole game, re-paired with the focal player after every split as a pool
@@ -165,9 +165,9 @@ def _play_focal(program: StrategyProgram, partner: Seat, next_partner: Callable[
     total = 0
     for now in range(1, config.N + 1):
         if partner is not None:
-            outcome = play_pair_tick(focal, partner, config, table)
-            total += rows[outcome.a1, outcome.a2][3]
-            if outcome.split:
+            _, _, split, pay, _ = rows[play_pair_tick(focal, partner, config)]
+            total += pay
+            if split:
                 partner = None
         if partner is None and (config.instantaneous_rematch or now % config.t == 0):
             partner = next_partner()
@@ -233,11 +233,12 @@ class _PlayTree:
         self.root: _Node = (0, self.partner.vm, None, None, True)
 
     def opponent_move(self, node: _Node) -> tuple[VmState, Action]:
-        """The opponent's machine and move on the tick after a paired node."""
+        """The opponent's machine and move on the tick after a paired node,
+        whose focal move is the opponent's ``opp``."""
         _, opp_vm, own, opp, _ = node
         partner = self.partner
-        partner.vm, partner.last_own, partner.last_opp = opp_vm, opp, own
-        return seat_move(partner, self.config)
+        partner.vm, partner.last = opp_vm, opp
+        return seat_move(partner, own, self.config)
 
     def child(self, now: int, vm2: VmState, a2: Action, a1: Action) -> tuple[int, _Node]:
         """The focal payoff and the node after tick ``now`` when the focal
@@ -245,7 +246,7 @@ class _PlayTree:
         that moved peeks at a focal wait first."""
         config = self.config
         if self.peeks and a1 is Action.W and a2 is not Action.W:
-            vm2, a2, _ = _peek_at_wait(self.partner, vm2, a2, 0, config)
+            vm2, a2 = _peek_at_wait(self.partner.program, vm2, a2, config)
         _, _, split, pay, _ = self.rows[a1, a2]
         if not split:
             return pay, (now, vm2, a1, a2, True)
@@ -321,14 +322,14 @@ class _PlayTree:
                 stack.append((self.apart(now + 1, node[1]), total, group))
                 continue
             vm2, a2 = self.opponent_move(node)
-            focal.last_own, focal.last_opp = own, opp
+            focal.last = own
             peek = self.peeks and a2 is Action.W
             children: dict[Action, list[tuple[int, VmState]]] = {}
             for index, vm in group:
                 focal.program, focal.vm = programs[index], vm
-                vm1, a1 = seat_move(focal, config)
+                vm1, a1 = seat_move(focal, opp, config)
                 if peek:
-                    vm1, a1, _ = _peek_at_wait(focal, vm1, a1, 0, config)
+                    vm1, a1 = _peek_at_wait(focal.program, vm1, a1, config)
                 children.setdefault(a1, []).append((index, vm1))
             entries = []
             for a1, members in children.items():
@@ -393,9 +394,10 @@ class DrawModel:
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
         """The exact mean of ``_play_focal`` over the partner draws.
 
-        A joint state is the focal machine and its view of the last tick,
-        then the partner's index, machine and view, or no partner. Each
-        tick every paired state plays one pair tick, and at a rematch event
+        A joint state is the focal machine and last move, then the
+        partner's index, machine and last move, or None for each: five
+        fields, as each seat's move is the other's ``opp``. Each tick
+        every paired state plays one pair tick, and at a rematch event
         the unpaired states, joined by focal machine, branch into a fresh
         partner per draw; equal states merge their probabilities.
 
@@ -423,7 +425,7 @@ class DrawModel:
         rows, unit = table.outcomes[config.mode, False], payoff_unit(table)
         fresh = [reset(partner) for partner in partners]
         start = reset(program)
-        states = {(start, None, None, i, fresh[i], None, None): w for i, w in first}
+        states = {(start, None, i, fresh[i], None): w for i, w in first}
         focal, partner = Seat.fresh(program), Seat.fresh(program)
         # A pair tick is a function of the joint state: each distinct one
         # is played once, as (focal payoff over ``unit``, state after or
@@ -437,19 +439,16 @@ class DrawModel:
             # state.
             idle: dict[VmState, int] = {}
             for key, mass in states.items():
-                vm, index = key[0], key[3]
+                vm, index = key[0], key[2]
                 if index is not None:
                     step = steps.get(key)
                     if step is None:
-                        focal.vm, focal.last_own, focal.last_opp = key[:3]
+                        focal.vm, focal.last, _, partner.vm, partner.last = key
                         partner.program = partners[index]
-                        partner.vm, partner.last_own, partner.last_opp = key[4:]
-                        outcome = play_pair_tick(focal, partner, config, table)
-                        paired = None if outcome.split else (
-                            focal.vm, focal.last_own, focal.last_opp, index,
-                            partner.vm, partner.last_own, partner.last_opp)
-                        step = steps[key] = (
-                            rows[outcome.a1, outcome.a2][3], paired, focal.vm)
+                        a1, a2 = play_pair_tick(focal, partner, config)
+                        _, _, split, pay, _ = rows[a1, a2]
+                        paired = None if split else (focal.vm, a1, index, partner.vm, a2)
+                        step = steps[key] = (pay, paired, focal.vm)
                     pay, paired, vm = step
                     if pay:
                         total += mass * pay
@@ -466,10 +465,10 @@ class DrawModel:
                 # state has these keys.
                 for vm, mass in idle.items():
                     for i, weight in draws:
-                        after[(vm, None, None, i, fresh[i], None, None)] = mass * weight
+                        after[(vm, None, i, fresh[i], None)] = mass * weight
             else:
                 for vm, mass in idle.items():
-                    after[(vm, None, None, None, None, None, None)] = mass
+                    after[(vm, None, None, None, None)] = mass
             states = after
         return ModelEstimate(self.describe(), Fraction(total, scale * unit), 0.0, 1, exact=True)
 

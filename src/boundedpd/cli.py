@@ -66,9 +66,7 @@ def _fraction(flag: str, text: str) -> Fraction:
         raise CliError(f"{flag} expects a number, got {text!r}") from None
 
 
-def _write(out_dir: str | None, filename: str, content: str) -> None:
-    if out_dir is None:
-        return
+def _write(out_dir: str, filename: str, content: str) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / filename).write_text(content, encoding="utf-8")
@@ -89,8 +87,9 @@ def cmd_match(args: argparse.Namespace) -> int:
     p1 = library.resolve(args.strategy1, config)
     p2 = library.resolve(args.strategy2, config)
     trace = run_match(p1, p2, config, table)
-    _write(args.out, "match.csv", match_csv(trace, config, table,
-                                            extra_meta=f"{p1.source}{p2.source}"))
+    if args.out is not None:
+        _write(args.out, "match.csv", match_csv(trace, config, table,
+                                                extra_meta=f"{p1.source}{p2.source}"))
     print(f"{trace.total1} {trace.total2}")
     return 0
 
@@ -115,9 +114,11 @@ def cmd_population(args: argparse.Namespace) -> int:
                        f"spec provides {len(roster)}")
     config = replace(probe, K=len(roster) // 2)
     trace = run_population(roster, config, table, unpaired_pay_qhat=args.unpaired_qhat)
-    _write(args.out, "population.csv", population_csv(trace, config, table, extra_meta=spec_text))
-    _write(args.out, "summary.csv",
-           config_header(table, config, spec_text) + "\n" + summary_to_csv(trace))
+    if args.out is not None:
+        _write(args.out, "population.csv",
+               population_csv(trace, config, table, extra_meta=spec_text))
+        _write(args.out, "summary.csv",
+               config_header(table, config, spec_text) + "\n" + summary_to_csv(trace))
     for s in trace.summaries:
         print(f"{s.pid} {s.label} payoff={s.total} opt_outs={s.opt_outs} "
               f"unpaired_ticks={s.unpaired_ticks}")
@@ -203,8 +204,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         rows.append((n, config, report))
         if len(horizons) == 1:
             print(report.to_text(), end="")
-            _write(args.out, "report.csv",
-                   config_header(table, config) + "\n" + report.to_csv())
+            if args.out is not None:
+                _write(args.out, "report.csv",
+                       config_header(table, config) + "\n" + report.to_csv())
 
     if len(horizons) > 1:
         lines = ["N,security_level,h,competitive_ratio"]
@@ -213,7 +215,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             lines.append(f"{n},{float(report.security_level):.6f},{float(report.h):.6f},{cr}")
         sweep_csv = "\n".join(lines) + "\n"
         print(sweep_csv, end="")
-        _write(args.out, "sweep.csv", config_header(table, rows[-1][1]) + "\n" + sweep_csv)
+        if args.out is not None:
+            _write(args.out, "sweep.csv", config_header(table, rows[-1][1]) + "\n" + sweep_csv)
     return 0
 
 

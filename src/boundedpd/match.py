@@ -1,28 +1,25 @@
 """The pair-tick kernel and the two-player fixed-horizon match engine.
 
-A ``Seat`` is one player's side of a pairing. Every engine plays a tick of
-a pairing in two steps: ``seat_move`` ticks each machine against the
-completed actions of the previous tick (so moves are simultaneous), and
-``settle`` pays the action pair, commits it to both seats and returns the
-tick's ``PairOutcome``. A program fault, including playing O in a mode that
-forbids it, turns the offender into a perpetual waiter from that tick on.
+A ``Seat`` is one player's side of a pairing: its program, its machine
+and its own move on the pairing's last tick. A tick of a pairing only
+moves: ``seat_move`` ticks each machine against its own last move and the
+partner's (so moves are simultaneous), and both moves are committed. Each
+engine then pays the action pair from its own row of the payoff table's
+``outcomes``, one dict read. A program fault, including playing O in a
+mode that forbids it, turns the offender into a perpetual waiter.
 
 ``seat_move`` advances a machine with ``vm.tick``, through the program's
 transition table, so a transition runs the interpreter once per program:
 GRIM against GRIM runs it on two ticks of a match and looks the rest up.
-``settle`` pays by the same kind of lookup: the pair's row of the payoff
-table's ``outcomes``, one dict read and no function call.
 
-``PairOutcome``, like the machine's ``VmState``, is a ``NamedTuple``: built
-in C, updated with ``_replace``, and equal to the plain tuple of its
-fields, so no dict may mix them with plain tuples as keys.
-
-``match_step`` is the two steps back to back: a fixed-horizon match is the
-opting-out game without the opt-out. ``population.play_pair_tick`` puts
-the instantaneous-rematch peek between them, since only the opting-out
-game has it. ``run_match`` plays N ticks of ``match_step`` and totals each
-side exactly by counting the action pairs played: each count times the
-pair's payoff, as an integer over the table's ``payoff_unit``.
+``match_step`` is a match's tick and builds its record, a ``PairOutcome``:
+a ``NamedTuple``, equal to the plain tuple of its fields, so no dict may
+mix them with plain tuples as keys. A fixed-horizon match is the
+opting-out game without the opt-out; ``population.play_pair_tick`` adds
+the instantaneous-rematch peek. ``run_match`` plays N ticks of
+``match_step`` and totals each side exactly by counting the action pairs
+played: each count times the pair's payoff, as an integer over the
+table's ``payoff_unit``.
 """
 
 from __future__ import annotations
@@ -57,21 +54,20 @@ class MatchTrace:
 
 @dataclass
 class Seat:
-    """A player's view of its current pairing."""
+    """A player's side of its pairing: the program, its machine and its
+    own move on the pairing's last tick (None before the first)."""
 
     program: StrategyProgram
     vm: VmState
-    last_own: Action | None = None
-    last_opp: Action | None = None
+    last: Action | None = None
 
     @staticmethod
     def fresh(program: StrategyProgram) -> "Seat":
         return Seat(program=program, vm=reset(program))
 
     def new_pairing(self) -> None:
-        """Forget the previous partner; the machine itself keeps running."""
-        self.last_own = None
-        self.last_opp = None
+        """Forget the previous pairing; the machine itself keeps running."""
+        self.last = None
 
 
 class PairOutcome(NamedTuple):
@@ -84,39 +80,29 @@ class PairOutcome(NamedTuple):
     cost2: int
 
 
-def seat_move(seat: Seat, config: GameConfig) -> tuple[VmState, Action]:
-    """Tick the seat's machine against its view of the previous tick.
+def seat_move(seat: Seat, opp: Action | None, config: GameConfig) -> tuple[VmState, Action]:
+    """Tick the seat's machine against ``opp``, the partner's last move, and its own.
 
     Nothing is committed to the seat. O is the only action outside a mode's
     set (FTPD lacks it); playing it there is a program fault: the player
     waits from here on and this tick's move is already a wait.
     """
-    vm, action = tick(seat.vm, seat.program, seat.last_opp, seat.last_own, config.k)
+    vm, action = tick(seat.vm, seat.program, opp, seat.last, config.k)
     if action is Action.O and config.mode is not Mode.OPD:
         vm = vm._replace(fault_reason="played O outside OPD mode")
         action = Action.W
     return vm, action
 
 
-def settle(
-    seat1: Seat, vm1: VmState, a1: Action, cost1: int,
-    seat2: Seat, vm2: VmState, a2: Action, cost2: int,
-    config: GameConfig, table: PayoffTable, asymmetric_split: bool = False,
-) -> PairOutcome:
-    """Pay the tick's action pair and commit it, with each seat's new
-    machine state, to both seats; ``cost1``/``cost2`` are the XOR units
-    each seat spent on the tick."""
-    pay1, pay2, split, _, _ = table.outcomes[config.mode, asymmetric_split][a1, a2]
-    seat1.vm, seat1.last_own, seat1.last_opp = vm1, a1, a2
-    seat2.vm, seat2.last_own, seat2.last_opp = vm2, a2, a1
-    return PairOutcome(a1, a2, pay1, pay2, split, cost1, cost2)
-
-
 def match_step(seat1: Seat, seat2: Seat, config: GameConfig, table: PayoffTable) -> PairOutcome:
-    """Advance one tick; both players observe, then both move."""
-    vm1, a1 = seat_move(seat1, config)
-    vm2, a2 = seat_move(seat2, config)
-    return settle(seat1, vm1, a1, vm1.tick_cost, seat2, vm2, a2, vm2.tick_cost, config, table)
+    """Advance one tick; both players observe, then both move. Returns the
+    tick's record: the action pair, its row and each seat's XOR units."""
+    vm1, a1 = seat_move(seat1, seat2.last, config)
+    vm2, a2 = seat_move(seat2, seat1.last, config)
+    seat1.vm, seat1.last = vm1, a1
+    seat2.vm, seat2.last = vm2, a2
+    pay1, pay2, split, _, _ = table.outcomes[config.mode, False][a1, a2]
+    return PairOutcome(a1, a2, pay1, pay2, split, vm1.tick_cost, vm2.tick_cost)
 
 
 def run_match(

@@ -17,8 +17,9 @@ machine and commits only when it produces an O, so non-opting strategies
 are unaffected.
 
 A pairing's tick, ``play_pair_tick``, is the pair-tick kernel of
-:mod:`boundedpd.match` with the peek between its two steps; the peek lives
-here because only the opting-out game has it. The draw model of
+:mod:`boundedpd.match` with the peek between the moves and their commit;
+it returns the action pair for the caller to pay. The peek lives here
+because only the opting-out game has it. The draw model of
 :mod:`boundedpd.analysis` plays through the same function.
 
 Determinism: the random source is consumed only at rematch events, on a
@@ -38,7 +39,7 @@ from .game import (
     require_valid_table,
 )
 from .library import resolve
-from .match import PairOutcome, Seat, seat_move, settle
+from .match import Seat, seat_move
 from .vm import StrategyProgram, VmState, tick
 
 
@@ -46,41 +47,34 @@ from .vm import StrategyProgram, VmState, tick
 # One tick of a pairing
 # ---------------------------------------------------------------------------
 
-def play_pair_tick(
-    seat1: Seat,
-    seat2: Seat,
-    config: GameConfig,
-    table: PayoffTable,
-    asymmetric_split: bool = False,
-) -> PairOutcome:
-    """One simultaneous tick of a pairing, with payoffs applied to the seats.
-
-    The shared kernel's two steps, with the instantaneous-rematch peek
-    between them. Outside OPD there is no O to react with, so no peek.
-    """
-    vm1, a1 = seat_move(seat1, config)
-    vm2, a2 = seat_move(seat2, config)
-    cost1, cost2 = vm1.tick_cost, vm2.tick_cost
+def play_pair_tick(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action, Action]:
+    """One simultaneous tick of a pairing: both seats move, the
+    instantaneous-rematch peek runs (in OPD only: no other mode has an O),
+    and both moves are committed. Returns the action pair for the caller to pay."""
+    vm1, a1 = seat_move(seat1, seat2.last, config)
+    vm2, a2 = seat_move(seat2, seat1.last, config)
     if config.instantaneous_rematch and config.mode is Mode.OPD:
         if a2 is Action.W:
-            vm1, a1, cost1 = _peek_at_wait(seat1, vm1, a1, cost1, config)
+            vm1, a1 = _peek_at_wait(seat1.program, vm1, a1, config)
         elif a1 is Action.W:
-            vm2, a2, cost2 = _peek_at_wait(seat2, vm2, a2, cost2, config)
-    return settle(seat1, vm1, a1, cost1, seat2, vm2, a2, cost2, config, table, asymmetric_split)
+            vm2, a2 = _peek_at_wait(seat2.program, vm2, a2, config)
+    seat1.vm, seat1.last = vm1, a1
+    seat2.vm, seat2.last = vm2, a2
+    return a1, a2
 
 
 def _peek_at_wait(
-    seat: Seat, vm: VmState, action: Action, cost: int, config: GameConfig
-) -> tuple[VmState, Action, int]:
+    program: StrategyProgram, vm: VmState, action: Action, config: GameConfig
+) -> tuple[VmState, Action]:
     """Same-round reaction to a waiting partner: a seat that completed a C
     or D ticks its machine once more against the wait, and the result
     replaces its move only when it is an O."""
     if action is not Action.C and action is not Action.D:
-        return vm, action, cost
-    peek_vm, peek_action = tick(vm, seat.program, Action.W, action, config.k)
+        return vm, action
+    peek_vm, peek_action = tick(vm, program, Action.W, action, config.k)
     if peek_action is Action.O:
-        return peek_vm, Action.O, cost + peek_vm.tick_cost
-    return vm, action, cost
+        return peek_vm, Action.O
+    return vm, action
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +210,7 @@ def population_step(
     rows = table.outcomes[config.mode, asymmetric_split]
     for a, b in state.pairs():
         pa, pb = state.players[a], state.players[b]
-        outcome = play_pair_tick(pa.seat, pb.seat, config, table, asymmetric_split)
-        a1, a2 = outcome.a1, outcome.a2
+        a1, a2 = play_pair_tick(pa.seat, pb.seat, config)
         pay1, pay2, split, scaled1, scaled2 = rows[a1, a2]
         pa.scaled_total += scaled1
         pb.scaled_total += scaled2

@@ -233,6 +233,10 @@ def validate_program(program: StrategyProgram) -> list[str]:
     for idx, ins in enumerate(program.instructions):
         if ins.opcode is Opcode.COMPARE:
             check_target(idx, ins.on_false, "on_false")
+            if ins.op is None:
+                problems.append(f"instruction {idx}: missing compare operator")
+            elif not isinstance(ins.op, CmpOp):
+                problems.append(f"instruction {idx}: unknown compare operator {ins.op!r}")
             for operand in (ins.lhs, ins.rhs):
                 if operand is None:
                     problems.append(f"instruction {idx}: missing compare operand")
@@ -289,7 +293,9 @@ def _evaluate(op: CmpOp, lhs: object, rhs: object) -> bool:
         return lhs != rhs
     if op is CmpOp.LT:
         return lhs < rhs
-    return lhs >= rhs
+    if op is CmpOp.GE:
+        return lhs >= rhs
+    raise ValueError(f"unknown compare operator {op!r}")
 
 
 def _fault(state: VmState, regs: list[int], cost: int, reason: str) -> tuple[VmState, Action]:
@@ -364,6 +370,8 @@ def interpret(
             else:
                 done = 0
                 try:
+                    if not isinstance(ins.op, CmpOp):
+                        raise ValueError(f"unknown compare operator {ins.op!r}")
                     width = compare_width(ins, program.reg_widths)
                     lhs_value = _operand_value(ins.lhs, regs, opp, own)  # type: ignore[arg-type]
                     rhs_value = _operand_value(ins.rhs, regs, opp, own)  # type: ignore[arg-type]

@@ -584,10 +584,10 @@ class TestBranchAndBound:
         opponent = get(name, config)
         ticks = []
 
-        def counted(seat, config):
+        def counted(seat, opp, config):
             if seat.program is not opponent:
                 ticks.append(seat.program)
-            return seat_move(seat, config)
+            return seat_move(seat, opp, config)
 
         monkeypatch.setattr(analysis, "seat_move", counted)
         FixedOpponentModel(opponent).evaluate_all(_candidates(config, 6), config, INTRO_TABLE)

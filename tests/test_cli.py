@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from boundedpd import cli
 from boundedpd.cli import main
 
 
@@ -130,6 +131,25 @@ class TestPopulation:
         code, _, err = run_cli(["population", str(spec), "--N", "5"])
         assert code == 2 and "even" in err
 
+
+class TestOutputs:
+    @pytest.mark.parametrize("argv", [
+        ["match", "TFT", "AllD", "--N", "50"],
+        ["population", "SPEC", "--N", "30", "--seed", "4", "--instantaneous-rematch"],
+    ], ids=["match", "population"])
+    def test_no_csv_is_built_without_out(self, argv, tmp_path, monkeypatch):
+        spec = tmp_path / "pop.txt"
+        spec.write_text("2 x OFT\n1 x AllD\n1 x AllW\n")
+        argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+        written = run_cli(argv + ["--out", str(tmp_path / "out")])
+        assert written[0] == 0 and any((tmp_path / "out").iterdir())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CSV was built without --out")
+
+        for name in ("match_csv", "population_csv", "summary_to_csv"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert run_cli(argv) == written
 
 class TestAnalyze:
     def test_oft_constant(self):

@@ -5,12 +5,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode
+from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import get
 from boundedpd.match import Seat
 from boundedpd.population import (
     PlayEvent,
+    PlayerSummary,
     RematchEvent,
     expected_rematch_delay,
     parse_population_spec,
@@ -20,6 +22,8 @@ from boundedpd.population import (
     summary_to_csv,
     trace_to_csv,
 )
+from boundedpd.vm import reset, tick
+from test_vm import random_program
 
 C, D, W, O = Action.C, Action.D, Action.W, Action.O
 
@@ -257,9 +261,9 @@ class TestInstantaneousMode:
         # opt-out on tick 2 is a fault.
         config = GameConfig(N=3, instantaneous_rematch=True)
         oft, waiter = Seat.fresh(get("OFT", config)), Seat.fresh(get("AllW", config))
-        outcomes = [play_pair_tick(oft, waiter, config, INTRO_TABLE) for _ in range(3)]
-        assert [o.a1 for o in outcomes] == [C, W, W]
-        assert not any(o.split for o in outcomes)
+        pairs = [play_pair_tick(oft, waiter, config) for _ in range(3)]
+        assert [a1 for a1, _ in pairs] == [C, W, W]
+        assert not any(payoff(a1, a2, INTRO_TABLE)[2] for a1, a2 in pairs)
         assert oft.vm.fault_reason == "played O outside OPD mode"
 
     def test_double_wait_pairs_do_not_peek(self):
@@ -308,3 +312,99 @@ class TestDeterminismAndSpec:
         lines = summary_to_csv(trace).splitlines()
         assert lines[0] == "player,strategy,payoff,opt_outs,unpaired_ticks"
         assert lines[1] == "0,GRIM,4,0,0"
+
+
+#: A table where every pair the opting-out game can play pays something
+#: distinct: nonzero H, Q and Q_hat, with denominators 2, 3 and 4.
+SPLIT_TABLE = PayoffTable(T=3, R=2, P=1, S=-1, H=Fraction(-1, 3), Q=Fraction(1, 2),
+                          Q_hat=Fraction(-3, 4))
+
+
+def reference_population(programs, config, table, asymmetric_split, unpaired_pay_qhat):
+    """The population semantics written out plainly against ``vm.tick``.
+
+    Each pair keeps one view, the ``(a1, a2)`` it played on its last tick.
+    Both members tick against that view; in instantaneous mode a member
+    that completed C or D while its partner waited ticks once more against
+    ``(W, own)`` and keeps the result only if it is O. Pairs play in the
+    order of their smaller id, and a rematch event pairs the sorted pool.
+    """
+    n = len(programs)
+    rng = random_module.Random(config.seed)
+    vms = [reset(program) for _, program in programs]
+    partner: list[int | None] = [None] * n
+    view: dict[tuple[int, int], tuple[Action, Action] | None] = {}
+    totals, opt_outs, unpaired = [Fraction(0)] * n, [0] * n, [0] * n
+    events = []
+
+    def rematch_pool(now):
+        pool = sorted(pid for pid in range(n) if partner[pid] is None)
+        if len(pool) < 2:
+            return
+        pairs, leftover = rematch(pool, rng)
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+            view[a, b] = None
+        events.append(RematchEvent(now, pairs, leftover))
+
+    def peek(pid, vm, action, other):
+        if action in (C, D) and other is W:
+            peek_vm, peek_action = tick(vm, programs[pid][1], W, action, config.k)
+            if peek_action is O:
+                return peek_vm, O
+        return vm, action
+
+    rematch_pool(0)
+    for now in range(1, config.N + 1):
+        for pid in range(n):
+            if partner[pid] is None:
+                unpaired[pid] += 1
+                if unpaired_pay_qhat:
+                    totals[pid] += table.Q_hat
+        for a, b in [(pid, partner[pid]) for pid in range(n)
+                     if partner[pid] is not None and pid < partner[pid]]:
+            last = view[a, b] or (None, None)
+            vm1, a1 = tick(vms[a], programs[a][1], last[1], last[0], config.k)
+            vm2, a2 = tick(vms[b], programs[b][1], last[0], last[1], config.k)
+            if config.instantaneous_rematch:
+                (vm1, a1), (vm2, a2) = peek(a, vm1, a1, a2), peek(b, vm2, a2, a1)
+            vms[a], vms[b] = vm1, vm2
+            pay1, pay2, split = payoff(a1, a2, table, Mode.OPD, asymmetric_split)
+            totals[a] += pay1
+            totals[b] += pay2
+            if split:
+                opt_outs[a] += a1 is O
+                opt_outs[b] += a2 is O
+                partner[a] = partner[b] = None
+            else:
+                view[a, b] = (a1, a2)
+            events.append(PlayEvent(now, a, b, a1, pay1, split))
+            events.append(PlayEvent(now, b, a, a2, pay2, split))
+        if config.instantaneous_rematch or now % config.t == 0:
+            rematch_pool(now)
+    summaries = tuple(PlayerSummary(pid, programs[pid][0], totals[pid], opt_outs[pid],
+                                    unpaired[pid]) for pid in range(n))
+    return tuple(events), summaries
+
+
+@given(seed=st.integers(0, 10**9), randoms=st.integers(2, 6), n=st.integers(1, 30),
+       t=st.sampled_from([1, 2, 3]), instantaneous=st.booleans(),
+       asymmetric_split=st.booleans(), unpaired_pay_qhat=st.booleans(), k=st.integers(2, 4))
+@settings(max_examples=150, deadline=None)
+def test_run_population_is_the_plain_loop(seed, randoms, n, t, instantaneous, asymmetric_split,
+                                          unpaired_pay_qhat, k):
+    """Random programs (which emit O and W too) among OFT, GRIM and AllW,
+    and a second OFT when the count would be odd."""
+    rng = random_module.Random(seed)
+    names = ["OFT", "GRIM", "AllW"] + ["OFT"] * (randoms % 2 == 0)
+    config = GameConfig(N=n, mode=Mode.OPD, t=t, K=(randoms + len(names)) // 2, k=k,
+                        instantaneous_rematch=instantaneous, seed=seed)
+    players = roster(config, *names) + [
+        (f"fuzz{i}", random_program(rng)) for i in range(randoms)]
+    rng.shuffle(players)
+    trace = run_population(players, config, SPLIT_TABLE, asymmetric_split=asymmetric_split,
+                           unpaired_pay_qhat=unpaired_pay_qhat)
+    events, summaries = reference_population(players, config, SPLIT_TABLE, asymmetric_split,
+                                             unpaired_pay_qhat)
+    assert trace.events == events
+    assert trace.summaries == summaries

@@ -48,6 +48,17 @@ MALFORMED_COMPARES = [
         Instruction(Opcode.COMPARE, op=CmpOp.EQ, rhs=Operand.const(1), on_false=2),
         emit(D), halt(), jump(2),
     )),
+    StrategyProgram("missing-operator", (
+        emit(C), halt(),
+        Instruction(Opcode.COMPARE, lhs=Operand.const(3), rhs=Operand.const(1), on_false=2),
+        emit(D), halt(), jump(2),
+    )),
+    StrategyProgram("unknown-operator", (
+        emit(C), halt(),
+        Instruction(Opcode.COMPARE, lhs=Operand.const(3), op="bogus", rhs=Operand.const(1),
+                    on_false=2),
+        emit(D), halt(), jump(2),
+    )),
 ]
 
 
@@ -276,6 +287,11 @@ class TestFaults:
         program = StrategyProgram("bad", (jump(99), increment(3)))
         problems = validate_program(program)
         assert len(problems) == 2
+
+    def test_static_validation_flags_a_missing_or_unknown_operator(self):
+        missing, unknown = (p for p in MALFORMED_COMPARES if p.name.endswith("-operator"))
+        assert validate_program(missing) == ["instruction 2: missing compare operator"]
+        assert validate_program(unknown) == ["instruction 2: unknown compare operator 'bogus'"]
 
     @pytest.mark.parametrize("program", [
         StrategyProgram("zero-bit", (compare(Operand.reg(0), CmpOp.EQ, Operand.reg(0), on_false=1),
