@@ -169,7 +169,7 @@ def _play_focal(program: StrategyProgram, partner: Seat, next_partner: Callable[
             total += pay
             if split:
                 partner = None
-        if partner is None and (config.instantaneous_rematch or now % config.t == 0):
+        if partner is None and config.rematches_at(now):
             partner = next_partner()
             focal.new_pairing()
             partner.new_pairing()
@@ -255,8 +255,7 @@ class _PlayTree:
     def apart(self, now: int, opp_vm: VmState) -> _Node:
         """The node after tick ``now`` with the pair apart: it is paired
         again at a rematch event, and the focal player idles until then."""
-        config = self.config
-        return (now, opp_vm, None, None, config.instantaneous_rematch or now % config.t == 0)
+        return (now, opp_vm, None, None, self.config.rematches_at(now))
 
     def best_values(self, limit: int) -> dict[_Node, int] | None:
         """V of every node reachable from the root: the largest, over the
@@ -456,7 +455,7 @@ class DrawModel:
                         after[paired] = after.get(paired, 0) + mass
                         continue
                 idle[vm] = idle.get(vm, 0) + mass
-            if idle and (config.instantaneous_rematch or now % config.t == 0):
+            if idle and config.rematches_at(now):
                 if b != 1:
                     scale *= b
                     total *= b
@@ -510,6 +509,10 @@ class PopulationMixModel:
             return self.name
         labels = [o if isinstance(o, str) else o.name for o in self.others]
         return "mix(" + ",".join(labels) + ")"
+
+    def resolved(self, config: GameConfig) -> "PopulationMixModel":
+        """This model with its roster compiled, once for a whole search."""
+        return replace(self, others=tuple(resolve(o, config) for o in self.others))
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 50, seed: int = 0) -> ModelEstimate:
@@ -791,12 +794,12 @@ def best_response(
     a time to bound memory, as a branch and bound (``_branch_and_bound``):
     only candidates that pay strictly less than the answer are dropped, so
     the answer and its tie-break are those of the unpruned walk. Any other
-    model scores each candidate by its
-    ``evaluate`` mean on ``trials`` and ``seed``: a draw model's is exact,
-    a population mix's is the mean of ``trials`` runs, so a mix search costs
-    ``searched * trials`` population runs and its answer is the argmax of
-    those estimates (``exact=False``). Ties break to the smallest canonical
-    source.
+    model, its named programs compiled once (``resolved``), scores each
+    candidate by its ``evaluate`` mean on ``trials`` and ``seed``: a draw
+    model's is exact, a population mix's is the mean of ``trials`` runs,
+    so a mix search costs ``searched * trials`` population runs and its
+    answer is the argmax of those estimates (``exact=False``). Ties break
+    to the smallest canonical source.
 
     The space declares a counter only at ``counter_width_for(N)`` bits.
     When N is a power of two a counter of one bit fewer still counts to
@@ -812,7 +815,7 @@ def best_response(
         model = FixedOpponentModel(model)
     if isinstance(model, FixedOpponentModel):
         model = replace(model, opponent=resolve(model.opponent, config))
-    elif isinstance(model, DrawModel):
+    else:
         model = model.resolved(config)
     # One build of the space serves the count and the enumeration.
     space = list(_combos_by_counter(config, size_bound))

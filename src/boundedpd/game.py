@@ -329,6 +329,10 @@ class GameConfig:
         if not isinstance(self.mode, Mode):
             object.__setattr__(self, "mode", Mode(self.mode))
 
+    def rematches_at(self, now: int) -> bool:
+        """Whether tick ``now`` ends with a rematch event."""
+        return self.instantaneous_rematch or now % self.t == 0
+
 
 def validate_config(config: GameConfig) -> list[str]:
     """Soft checks on a config; returns violated constraints by name.

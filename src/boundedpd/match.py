@@ -12,14 +12,15 @@ mode that forbids it, turns the offender into a perpetual waiter.
 transition table, so a transition runs the interpreter once per program:
 GRIM against GRIM runs it on two ticks of a match and looks the rest up.
 
-``match_step`` is a match's tick and builds its record, a ``PairOutcome``:
-a ``NamedTuple``, equal to the plain tuple of its fields, so no dict may
-mix them with plain tuples as keys. A fixed-horizon match is the
-opting-out game without the opt-out; ``population.play_pair_tick`` adds
-the instantaneous-rematch peek. ``run_match`` plays N ticks of
-``match_step`` and totals each side exactly by counting the action pairs
-played: each count times the pair's payoff, as an integer over the
-table's ``payoff_unit``.
+``match_step`` is a match's tick and builds its record, a ``PairOutcome``
+of what was played: the action pair and each seat's XOR units, no pay. It
+is a ``NamedTuple``, equal to the plain tuple of its fields, so no dict may
+mix them as keys. A fixed-horizon match is the opting-out game without the
+opt-out; ``population.play_pair_tick`` adds the instantaneous-rematch peek.
+``run_match`` plays N ticks of ``match_step`` and pays the match once, by
+counting the action pairs played: each count times the pair's payoff, an
+integer over the table's ``payoff_unit``. ``trace_to_csv`` reads each
+tick's pay from the same rows as it writes the tick's line.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .vm import StrategyProgram, VmState, reset, tick
 
 @dataclass(frozen=True)
 class MatchTrace:
-    """A played match: tick i's outcome is ``records[i - 1]``."""
+    """A played match: tick i's record is ``records[i - 1]``; the totals pay them."""
 
     records: tuple[PairOutcome, ...]
     total1: Fraction
@@ -73,9 +74,6 @@ class Seat:
 class PairOutcome(NamedTuple):
     a1: Action
     a2: Action
-    pay1: Fraction
-    pay2: Fraction
-    split: bool
     cost1: int
     cost2: int
 
@@ -94,15 +92,14 @@ def seat_move(seat: Seat, opp: Action | None, config: GameConfig) -> tuple[VmSta
     return vm, action
 
 
-def match_step(seat1: Seat, seat2: Seat, config: GameConfig, table: PayoffTable) -> PairOutcome:
+def match_step(seat1: Seat, seat2: Seat, config: GameConfig) -> PairOutcome:
     """Advance one tick; both players observe, then both move. Returns the
-    tick's record: the action pair, its row and each seat's XOR units."""
+    tick's record: the action pair and each seat's XOR units."""
     vm1, a1 = seat_move(seat1, seat2.last, config)
     vm2, a2 = seat_move(seat2, seat1.last, config)
     seat1.vm, seat1.last = vm1, a1
     seat2.vm, seat2.last = vm2, a2
-    pay1, pay2, split, _, _ = table.outcomes[config.mode, False][a1, a2]
-    return PairOutcome(a1, a2, pay1, pay2, split, vm1.tick_cost, vm2.tick_cost)
+    return PairOutcome(a1, a2, vm1.tick_cost, vm2.tick_cost)
 
 
 def run_match(
@@ -118,7 +115,7 @@ def run_match(
     require_valid_table(table)
 
     seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
-    records = tuple(match_step(seat1, seat2, config, table) for _ in range(config.N))
+    records = tuple(match_step(seat1, seat2, config) for _ in range(config.N))
     rows = table.outcomes[config.mode, False]
     scaled1 = scaled2 = 0
     for pair, count in Counter(map(itemgetter(0, 1), records)).items():
@@ -153,13 +150,12 @@ def trace_to_csv(
     trace: MatchTrace, config: GameConfig, table: PayoffTable, extra_meta: str = ""
 ) -> str:
     """CSV export with a reproducibility header naming config hash and seed."""
+    rows = table.outcomes[config.mode, False]
     lines = [
         config_header(table, config, extra_meta),
         "tick,a1,a2,pay1,pay2,cost1,cost2",
     ]
-    for index, rec in enumerate(trace.records, start=1):
-        lines.append(
-            f"{index},{ACTION_TEXT[rec.a1]},{ACTION_TEXT[rec.a2]},"
-            f"{rec.pay1},{rec.pay2},{rec.cost1},{rec.cost2}"
-        )
+    for index, (a1, a2, cost1, cost2) in enumerate(trace.records, start=1):
+        pay1, pay2, _, _, _ = rows[a1, a2]
+        lines.append(f"{index},{ACTION_TEXT[a1]},{ACTION_TEXT[a2]},{pay1},{pay2},{cost1},{cost2}")
     return "\n".join(lines) + "\n"

@@ -223,7 +223,7 @@ def population_step(
         events.append(PlayEvent(state.tick, a, b, a1, pay1, split))
         events.append(PlayEvent(state.tick, b, a, a2, pay2, split))
 
-    if config.instantaneous_rematch or state.tick % config.t == 0:
+    if config.rematches_at(state.tick):
         _apply_rematch(state, events)
     return events
 

@@ -313,6 +313,21 @@ class TestBestResponse:
             assert result.searched == estimate_search_size(config, bound)
             assert result.exact is True
 
+    def test_a_population_mix_search_compiles_its_roster_once(self, monkeypatch):
+        # The roster is compiled once per search, not once per candidate.
+        compile_, compiles = dsl.compile, []
+
+        def counted(program, config):
+            compiles.append(program)
+            return compile_(program, config)
+
+        config = GameConfig(N=6, mode=Mode.OPD, K=2, k=2)
+        model = PopulationMixModel(others=("GRIM", "AllD", "TFT"))
+        monkeypatch.setattr(dsl, "compile", counted)
+        result = best_response(model, config, INTRO_TABLE, size_bound=3, trials=2)
+        assert result.searched > 1
+        assert len(compiles) == 3
+
     def test_a_sampled_model_search_is_its_full_trial_argmax(self):
         # Every candidate is scored on the full trial count: the answer is
         # the argmax of the estimates the model itself reports, ties to the

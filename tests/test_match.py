@@ -91,8 +91,7 @@ def reference_match(p1, p2, config, table):
         pay1, pay2, _split = payoff(actions[0], actions[1], table)
         totals[0] += pay1
         totals[1] += pay2
-        records.append(PairOutcome(actions[0], actions[1], pay1, pay2, False,
-                                   vms[0].tick_cost, vms[1].tick_cost))
+        records.append(PairOutcome(actions[0], actions[1], vms[0].tick_cost, vms[1].tick_cost))
         last = (actions[0], actions[1])
     return tuple(records), tuple(totals), (vms[0].fault_reason, vms[1].fault_reason)
 
@@ -249,12 +248,10 @@ class TestConservation:
         p1 = get(rng.choice(names), config)
         p2 = get(rng.choice(names), config)
         trace = run_match(p1, p2, config, INTRO_TABLE)
-        fold1 = sum((r.pay1 for r in trace.records), Fraction(0))
-        fold2 = sum((r.pay2 for r in trace.records), Fraction(0))
+        pays = [payoff(r.a1, r.a2, INTRO_TABLE) for r in trace.records]
+        fold1 = sum((pay[0] for pay in pays), Fraction(0))
+        fold2 = sum((pay[1] for pay in pays), Fraction(0))
         assert (fold1, fold2) == trace.totals
-        recomputed = [payoff(r.a1, r.a2, INTRO_TABLE) for r in trace.records]
-        assert fold1 == sum((p[0] for p in recomputed), Fraction(0))
-        assert fold2 == sum((p[1] for p in recomputed), Fraction(0))
 
 
 class TestCooperativeTracePredicate:
@@ -286,3 +283,22 @@ class TestCsv:
         assert first.startswith("# config_sha256=") and first.endswith("seed=99")
         assert second == "tick,a1,a2,pay1,pay2,cost1,cost2"
         assert text.splitlines()[2] == "1,C,C,1,1,2,2"
+
+    def test_pay_columns_follow_the_plain_loop(self):
+        # The CSV reads each tick's pay from the table's rows by the action
+        # pair; the plain loop's records carry no pay, so it is paid here.
+        config = cfg(50)
+        programs = [get(name, config) for name in BUILTIN_NAMES] + faulting_programs()
+        for p1 in programs:
+            for p2 in programs:
+                trace = run_match(p1, p2, config, FRACTIONAL_TABLE)
+                body = trace_to_csv(trace, config, FRACTIONAL_TABLE).splitlines()[2:]
+                expected = []
+                for tick_no, r in enumerate(reference_match(p1, p2, config, FRACTIONAL_TABLE)[0], 1):
+                    pay1, pay2, _ = payoff(r.a1, r.a2, FRACTIONAL_TABLE)
+                    expected.append(
+                        f"{tick_no},{r.a1.value},{r.a2.value},{pay1},{pay2},{r.cost1},{r.cost2}")
+                assert body == expected, (p1.name, p2.name)
+
+    def test_records_keep_only_what_was_played(self):
+        assert PairOutcome._fields == ("a1", "a2", "cost1", "cost2")
