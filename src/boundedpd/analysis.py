@@ -193,6 +193,8 @@ class FixedOpponentModel:
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 1, seed: int = 0) -> ModelEstimate:
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
         total = self.evaluate_all([program], config, table)[0]
         return ModelEstimate(self.describe(), total, 0.0, 1, exact=True)
 

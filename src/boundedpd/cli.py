@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import analysis, library
 from .game import (
-    ConfigError, GameConfig, Mode, PayoffTable, TABLE_KEYS, TABLE_PRESETS, config_header,
-    parse_config_text, table_from_mapping,
+    ConfigError, GameConfig, Mode, PayoffTable, TABLE_PRESETS, config_header,
+    parse_config_text, parse_rational, table_from_mapping,
 )
 from .match import run_match, trace_to_csv as match_csv
 from .population import (
@@ -46,23 +46,16 @@ def _load_table(spec: str | None) -> PayoffTable:
     if not path.is_file():
         raise CliError(f"no table preset or file named {spec!r}")
     try:
-        raw = parse_config_text(path.read_text(encoding="utf-8"))
-        table = table_from_mapping(raw)
+        return table_from_mapping(parse_config_text(path.read_text(encoding="utf-8")))
     except ConfigError as exc:
         raise CliError(f"{spec}: {exc}") from exc
-    extra = [key for key in raw if key not in TABLE_KEYS]  # run parameters come from flags
-    if extra:
-        raise CliError(f"{spec}: not payoff table keys: {', '.join(extra)} "
-                       f"(a table file takes {','.join(TABLE_KEYS)})")
-    return table
 
 
 def _fraction(flag: str, text: str) -> Fraction:
-    """A ``--q``/``--r`` value: an integer, decimal or ratio such as 1/3,
-    taken exactly."""
+    """A ``--q``/``--r`` value, read exactly as a table file's values are."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ValueError:
         raise CliError(f"{flag} expects a number, got {text!r}") from None
 
 

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-
-from pathlib import Path
 
 
 class Mode(str, Enum):
@@ -53,15 +51,13 @@ class IllegalActionError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or integer literals into an exact rational; a zero
-    denominator is a ``ValueError`` like any other malformed literal."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Read a rational exactly, as ``fractions.Fraction`` reads one: an
+    integer, a decimal, ``p/q`` or an exponent form. A zero denominator is
+    a ``ValueError`` like any other malformed literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def bit_width(value: int) -> int:
@@ -349,24 +345,23 @@ def validate_config(config: GameConfig) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text key=value config files
+# Table files, and the canonical config text behind the CSV headers
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = TABLE_KEYS + ("N", "mode", "t", "K", "k", "seed", "instantaneous_rematch")
-
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
 class ConfigError(ValueError):
-    """Malformed key=value config text."""
+    """A table file that cannot be read: a line that is not ``key=value``,
+    a duplicate key, an empty value, a bad rational, or keys that are not
+    payoff table keys."""
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key=value`` lines into a raw string mapping.
+    """Parse the ``key=value`` lines of a table file into a raw string
+    mapping of ``TABLE_KEYS``.
 
-    Blank lines and ``#`` comments are ignored. Unknown keys and duplicate
-    keys raise ``ConfigError`` with a line reference.
+    Blank lines and ``#`` comments are ignored. A malformed line, a
+    duplicate key or an empty value raises ``ConfigError`` with a line
+    reference; keys outside ``TABLE_KEYS`` raise one ``ConfigError`` that
+    names them all, since the run parameters do not belong in a table.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -377,18 +372,22 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         raw[key] = value
+    extra = [key for key in raw if key not in TABLE_KEYS]
+    if extra:
+        raise ConfigError(f"not payoff table keys: {', '.join(extra)} "
+                          f"(a table file takes {','.join(TABLE_KEYS)})")
     return raw
 
 
-def table_from_mapping(raw: dict[str, str], base: PayoffTable | None = None) -> PayoffTable:
-    values = dict((base or INTRO_TABLE).as_mapping())
+def table_from_mapping(raw: dict[str, str]) -> PayoffTable:
+    """``INTRO_TABLE`` with each key ``raw`` holds set to its value, read by
+    ``parse_rational``."""
+    values = INTRO_TABLE.as_mapping()
     for key in TABLE_KEYS:
         if key in raw:
             try:
@@ -396,39 +395,6 @@ def table_from_mapping(raw: dict[str, str], base: PayoffTable | None = None) -> 
             except ValueError as exc:
                 raise ConfigError(f"bad rational for {key!r}: {raw[key]!r}") from exc
     return PayoffTable(**values)
-
-
-def config_from_mapping(raw: dict[str, str], base: GameConfig | None = None) -> GameConfig:
-    kwargs: dict = {}
-    for key in ("N", "t", "K", "k", "seed"):
-        if key in raw:
-            try:
-                kwargs[key] = int(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad integer for {key!r}: {raw[key]!r}") from exc
-    if "mode" in raw:
-        try:
-            kwargs["mode"] = Mode(raw["mode"].upper())
-        except ValueError as exc:
-            raise ConfigError(f"bad mode {raw['mode']!r} (expected FTPD or OPD)") from exc
-    if "instantaneous_rematch" in raw:
-        value = raw["instantaneous_rematch"].lower()
-        if value in _BOOL_TRUE:
-            kwargs["instantaneous_rematch"] = True
-        elif value in _BOOL_FALSE:
-            kwargs["instantaneous_rematch"] = False
-        else:
-            raise ConfigError(f"bad boolean {raw['instantaneous_rematch']!r}")
-    try:
-        return replace(base or GameConfig(N=10), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config_file(path: str | Path, base_table: PayoffTable | None = None,
-                     base_config: GameConfig | None = None) -> tuple[PayoffTable, GameConfig]:
-    raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    return table_from_mapping(raw, base_table), config_from_mapping(raw, base_config)
 
 
 def dump_config_text(table: PayoffTable, config: GameConfig) -> str:

@@ -476,6 +476,14 @@ class TestFixedOpponentModel:
             FixedOpponentModel("AllD").evaluate(get("GRIM", config), config,
                                                 PayoffTable(T=1, R=1, P=-1, S=-2))
 
+    def test_zero_trials_are_refused(self):
+        # Refused as every other model refuses them, though the exact
+        # evaluation reads no trial count.
+        config = GameConfig(N=8)
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            security_level(get("GRIM", config), [FixedOpponentModel("AllD")], config,
+                           INTRO_TABLE, trials=0)
+
 
 def _catalog_and_test_players(config):
     """The catalog, the retaliator and two random programs, by name."""

@@ -64,6 +64,18 @@ class TestMatch:
         assert (code, out) == (2, "")
         assert err == f"boundedpd: {table}: bad rational for 'T': '3/0'\n"
 
+    def test_table_file_values_take_the_q_flag_syntax(self, tmp_path):
+        # Decimals read exactly, as --q and --r read them.
+        totals = []
+        for name, text in (("ratios.cfg", "T=5/2\nR=3/2\nP=1/3\nS=-1/4\n"),
+                           ("decimals.cfg", "T=5/2\nR=1.5\nP=1/3\nS=-0.25\n")):
+            table = tmp_path / name
+            table.write_text(text)
+            code, out, err = run_cli(["match", "TFT", "AllD", "--N", "10", "--table", str(table)])
+            assert (code, err) == (0, "")
+            totals.append(out)
+        assert totals == ["11/4 11/2\n"] * 2
+
     def test_a_directory_is_no_table_or_spec_file(self, tmp_path):
         for argv in (["match", "GRIM", "GRIM", "--table", str(tmp_path)],
                      ["population", str(tmp_path)]):

@@ -18,11 +18,9 @@ from boundedpd.game import (
     STRICT_TABLE,
     bit_width,
     cb_bound_bits,
-    config_from_mapping,
     config_header,
     counter_width_for,
     dominance_check,
-    dump_config_text,
     is_dominated,
     legal_actions,
     parse_config_text,
@@ -296,44 +294,28 @@ class TestConfig:
     def test_rational_parsing(self):
         assert parse_rational("3/4") == Fraction(3, 4)
         assert parse_rational("-2") == Fraction(-2)
+        assert parse_rational("0.1") == Fraction(1, 10)
+        assert parse_rational("1e-3") == Fraction(1, 1000)
         with pytest.raises(ValueError):
             parse_rational("x")
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("3/0")
 
     def test_config_text_roundtrip(self):
-        table = PayoffTable(T=2, R=1, P=-1, S=-2, H=Fraction(-1, 100))
-        config = GameConfig(N=50, mode=Mode.OPD, t=3, K=4, k=3, seed=11,
-                            instantaneous_rematch=True)
-        raw = parse_config_text(dump_config_text(table, config))
-        assert table_from_mapping(raw) == table
-        assert config_from_mapping(raw) == config
+        table = PayoffTable(T=2, R=1, P=-1, S=-2, H=Fraction(-1, 100), Q_hat=Fraction(-1, 10))
+        text = "# a table file\n" + "".join(
+            f"{key}={value}\n" for key, value in table.as_mapping().items())
+        assert table_from_mapping(parse_config_text(text)) == table
 
     def test_config_text_errors(self):
         with pytest.raises(ConfigError):
             parse_config_text("unknown=3")
-        with pytest.raises(ConfigError):
-            parse_config_text("N=3\nN=4")
+        with pytest.raises(ConfigError, match="duplicate key 'T'"):
+            parse_config_text("T=3\nT=4")
         with pytest.raises(ConfigError):
             parse_config_text("bogus line")
-        with pytest.raises(ConfigError):
-            config_from_mapping({"mode": "XYZ"})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"N": "ten"})
-
-
-class TestConfigFile:
-    def test_load_config_file_roundtrip(self, tmp_path):
-        from boundedpd.game import load_config_file
-        text = (
-            "# example run\n"
-            "T=2\nR=1\nP=-1\nS=-2\nH=-1/100\nQ=0\nQ_hat=-1/10\n"
-            "N=64\nmode=OPD\nt=4\nK=6\nk=3\nseed=5\ninstantaneous_rematch=no\n"
-        )
-        path = tmp_path / "run.cfg"
-        path.write_text(text)
-        table, config = load_config_file(path)
-        assert table.H == Fraction(-1, 100) and table.Q_hat == Fraction(-1, 10)
-        assert (config.N, config.mode, config.t, config.K, config.k, config.seed) == \
-            (64, Mode.OPD, 4, 6, 3, 5)
-        assert config.instantaneous_rematch is False
+        # The run parameters come from the CLI flags, never from a table file.
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("T=2\nN=50\nmode=OPD\n")
+        assert str(info.value) == ("not payoff table keys: N, mode "
+                                   "(a table file takes T,R,P,S,H,Q,Q_hat)")
