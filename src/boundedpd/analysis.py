@@ -71,6 +71,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -114,9 +115,8 @@ def unprovoked_defection_tick(trace: MatchTrace, player: int = 1) -> int | None:
     go non-C only in response to provocation.
     """
     provoked = False
-    for index, rec in enumerate(trace.records, start=1):
-        own = rec.a1 if player == 1 else rec.a2
-        opp = rec.a2 if player == 1 else rec.a1
+    columns = (trace.a1, trace.a2) if player == 1 else (trace.a2, trace.a1)
+    for index, (own, opp) in enumerate(zip(*columns), start=1):
         if not provoked and own in (Action.W, Action.D):
             return index
         if opp is not Action.C:
@@ -391,6 +391,12 @@ class DrawModel:
             first_draw=None if self.first_draw is None else resolve(self.first_draw, config),
         )
 
+    @cached_property
+    def _trial_partners(self) -> dict[GameConfig, "DrawModel"]:
+        """``run_trial``'s resolved models by config. Not a field: it takes
+        no part in equality, and ``dataclasses.replace`` starts an empty one."""
+        return {}
+
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
         """The exact mean of ``_play_focal`` over the partner draws.
@@ -477,24 +483,25 @@ class DrawModel:
                trials: int = 200, seed: int = 0) -> ModelEstimate:
         """Monte-Carlo estimate: the mean of ``trials`` seeded games."""
         require_valid_table(table)
-        resolved = self.resolved(config)
         values = [
-            float(resolved.run_trial(program, config, table, _derive_seed(seed, i)))
+            float(self.run_trial(program, config, table, _derive_seed(seed, i)))
             for i in range(trials)
         ]
         return _estimate(self.describe(), values)
 
     def run_trial(self, program: StrategyProgram, config: GameConfig,
                   table: PayoffTable, trial_seed: int) -> Fraction:
-        coop = resolve(self.cooperative, config)
-        hostile = resolve(self.hostile, config)
+        """One seeded game, its named partners compiled once per model and config."""
+        model = self._trial_partners.get(config)
+        if model is None:
+            model = self._trial_partners[config] = self.resolved(config)
         rng = random.Random(trial_seed)
         q = float(self.q)
 
         def draw() -> Seat:
-            return Seat.fresh(coop if rng.random() < q else hostile)
+            return Seat.fresh(model.cooperative if rng.random() < q else model.hostile)
 
-        first = draw() if self.first_draw is None else Seat.fresh(resolve(self.first_draw, config))
+        first = draw() if model.first_draw is None else Seat.fresh(model.first_draw)
         return _play_focal(program, first, draw, config, table)
 
 

@@ -12,14 +12,18 @@ mode that forbids it, turns the offender into a perpetual waiter.
 transition table, so a transition runs the interpreter once per program:
 GRIM against GRIM runs it on two ticks of a match and looks the rest up.
 
-``match_step`` is a match's tick and builds its record, a ``PairOutcome``
+``match_step`` is a match's tick and returns its record, a ``PairOutcome``
 of what was played: the action pair and each seat's XOR units, no pay. It
 is a ``NamedTuple``, equal to the plain tuple of its fields, so no dict may
 mix them as keys. A fixed-horizon match is the opting-out game without the
 opt-out; ``population.play_pair_tick`` adds the instantaneous-rematch peek.
-``run_match`` plays N ticks of ``match_step`` and pays the match once, by
-counting the action pairs played: each count times the pair's payoff, an
-integer over the table's ``payoff_unit``. ``trace_to_csv`` reads each
+``run_match`` plays N ticks of ``match_step`` and unpacks each record into
+the trace's four columns, ``a1``, ``a2``, ``cost1`` and ``cost2``: flat
+lists of shared actions and small ints, so a trace holds no object per tick
+for the garbage collector to walk, and ``MatchTrace.records`` builds the
+records again on read. The match is paid once, by counting the action
+pairs played: each count times the pair's payoff, an integer over the
+table's ``payoff_unit``. ``trace_to_csv`` reads the columns and each
 tick's pay from the same rows as it writes the tick's line.
 """
 
@@ -28,7 +32,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple
 
 from .game import (
@@ -40,13 +43,23 @@ from .vm import StrategyProgram, VmState, reset, tick
 
 @dataclass(frozen=True)
 class MatchTrace:
-    """A played match: tick i's record is ``records[i - 1]``; the totals pay them."""
+    """A played match, kept in columns: tick i's actions are ``a1[i - 1]``
+    and ``a2[i - 1]``, its XOR units ``cost1[i - 1]`` and ``cost2[i - 1]``.
+    The totals pay the action pairs. The columns are not to be mutated."""
 
-    records: tuple[PairOutcome, ...]
+    a1: list[Action]
+    a2: list[Action]
+    cost1: list[int]
+    cost2: list[int]
     total1: Fraction
     total2: Fraction
     fault1: str | None = None
     fault2: str | None = None
+
+    @property
+    def records(self) -> tuple[PairOutcome, ...]:
+        """Each tick's ``PairOutcome``, built from the columns on every read."""
+        return tuple(map(PairOutcome, self.a1, self.a2, self.cost1, self.cost2))
 
     @property
     def totals(self) -> tuple[Fraction, Fraction]:
@@ -115,16 +128,28 @@ def run_match(
     require_valid_table(table)
 
     seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
-    records = tuple(match_step(seat1, seat2, config) for _ in range(config.N))
+    a1s: list[Action] = []
+    a2s: list[Action] = []
+    costs1: list[int] = []
+    costs2: list[int] = []
+    for _ in range(config.N):
+        a1, a2, cost1, cost2 = match_step(seat1, seat2, config)
+        a1s.append(a1)
+        a2s.append(a2)
+        costs1.append(cost1)
+        costs2.append(cost2)
     rows = table.outcomes[config.mode, False]
     scaled1 = scaled2 = 0
-    for pair, count in Counter(map(itemgetter(0, 1), records)).items():
+    for pair, count in Counter(zip(a1s, a2s)).items():
         _, _, _, pay1, pay2 = rows[pair]
         scaled1 += count * pay1
         scaled2 += count * pay2
     unit = payoff_unit(table)
     return MatchTrace(
-        records=records,
+        a1=a1s,
+        a2=a2s,
+        cost1=costs1,
+        cost2=costs2,
         total1=Fraction(scaled1, unit),
         total2=Fraction(scaled2, unit),
         fault1=seat1.vm.fault_reason,
@@ -155,7 +180,8 @@ def trace_to_csv(
         config_header(table, config, extra_meta),
         "tick,a1,a2,pay1,pay2,cost1,cost2",
     ]
-    for index, (a1, a2, cost1, cost2) in enumerate(trace.records, start=1):
+    columns = zip(trace.a1, trace.a2, trace.cost1, trace.cost2)
+    for index, (a1, a2, cost1, cost2) in enumerate(columns, start=1):
         pay1, pay2, _, _, _ = rows[a1, a2]
         lines.append(f"{index},{ACTION_TEXT[a1]},{ACTION_TEXT[a2]},{pay1},{pay2},{cost1},{cost2}")
     return "\n".join(lines) + "\n"

@@ -22,6 +22,14 @@ it returns the action pair for the caller to pay. The peek lives here
 because only the opting-out game has it. The draw model of
 :mod:`boundedpd.analysis` plays through the same function.
 
+An ``OpdTrace`` keeps its play events in six columns, one row per player
+and pairing tick (tick, player, partner, action, pay and split), plus the
+few rematch events, each with its position in the play stream. The columns
+hold ints, shared actions, bools and the payoff rows' own ``Fraction``s, so
+a trace keeps no object per tick for the garbage collector to walk;
+``OpdTrace.events`` builds the ``PlayEvent`` and ``RematchEvent`` stream
+again on read, and ``trace_to_csv`` writes it from the columns in one pass.
+
 Determinism: the random source is consumed only at rematch events, on a
 pool sorted by player id, so a fixed seed reproduces a run exactly.
 """
@@ -29,10 +37,11 @@ pool sorted by player id, so a fixed seed reproduces a run exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .game import (
     ACTION_TEXT, Action, GameConfig, Mode, PayoffTable, config_header, payoff_unit,
@@ -148,11 +157,41 @@ class PlayerSummary:
 
 @dataclass(frozen=True)
 class OpdTrace:
-    events: tuple[Event, ...]
-    summaries: tuple[PlayerSummary, ...]
+    """A population run, its play events kept in columns: row i is the
+    ``PlayEvent`` ``(tick[i], pid[i], partner[i], action[i], pay[i],
+    split[i])``, and ``pay`` holds the payoff rows' own ``Fraction``s.
+    ``rematches`` pairs each rematch event with the number of play rows
+    before it. ``population_step`` appends to the columns while the run
+    lasts; after it they are not to be mutated."""
+
+    tick: list[int] = field(default_factory=list)
+    pid: list[int] = field(default_factory=list)
+    partner: list[int] = field(default_factory=list)
+    action: list[Action] = field(default_factory=list)
+    pay: list[Fraction] = field(default_factory=list)
+    split: list[bool] = field(default_factory=list)
+    rematches: list[tuple[int, RematchEvent]] = field(default_factory=list)
+    summaries: tuple[PlayerSummary, ...] = ()
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The run's event stream, built from the columns on every read."""
+        return tuple(self._merged(map(PlayEvent, *self._play_columns())))
 
     def totals(self) -> tuple[Fraction, ...]:
         return tuple(s.total for s in self.summaries)
+
+    def _play_columns(self) -> tuple[list, ...]:
+        return (self.tick, self.pid, self.partner, self.action, self.pay, self.split)
+
+    def _merged(self, plays: Iterator) -> Iterator:
+        """``plays``, one item per play row, with each rematch event at its position."""
+        done = 0
+        for position, event in self.rematches:
+            yield from islice(plays, position - done)
+            done = position
+            yield event
+        yield from plays
 
 
 def rematch(pool: list[int], rng: random.Random) -> tuple[tuple[tuple[int, int], ...], int | None]:
@@ -177,7 +216,7 @@ def expected_rematch_delay(config: GameConfig) -> Fraction:
     return Fraction(config.t - 1, 2)
 
 
-def _apply_rematch(state: PopulationState, events: list[Event]) -> None:
+def _apply_rematch(state: PopulationState, trace: OpdTrace) -> None:
     pool = state.pool_ids()
     if len(pool) < 2:
         return
@@ -187,18 +226,19 @@ def _apply_rematch(state: PopulationState, events: list[Event]) -> None:
         pa.partner, pb.partner = b, a
         pa.seat.new_pairing()
         pb.seat.new_pairing()
-    events.append(RematchEvent(state.tick, pairs, leftover))
+    trace.rematches.append((len(trace.pid), RematchEvent(state.tick, pairs, leftover)))
 
 
 def population_step(
     state: PopulationState,
     config: GameConfig,
     table: PayoffTable,
+    trace: OpdTrace,
     asymmetric_split: bool = False,
-) -> list[Event]:
-    """Advance the population one clock tick; returns this tick's events."""
+) -> None:
+    """Advance the population one clock tick, appending its events to ``trace``."""
     state.tick += 1
-    events: list[Event] = []
+    now = state.tick
 
     # Only players unpaired as the tick starts idle through it: a pair that
     # splits this tick has played it.
@@ -208,6 +248,8 @@ def population_step(
             player.scaled_total += state.idle_pay
 
     rows = table.outcomes[config.mode, asymmetric_split]
+    ticks, pids, partners = trace.tick, trace.pid, trace.partner
+    actions, pays, splits = trace.action, trace.pay, trace.split
     for a, b in state.pairs():
         pa, pb = state.players[a], state.players[b]
         a1, a2 = play_pair_tick(pa.seat, pb.seat, config)
@@ -220,12 +262,16 @@ def population_step(
             if a2 is Action.O:
                 pb.opt_outs += 1
             pa.partner = pb.partner = None
-        events.append(PlayEvent(state.tick, a, b, a1, pay1, split))
-        events.append(PlayEvent(state.tick, b, a, a2, pay2, split))
+        # Two rows per pairing, the first seat's and then the second's.
+        ticks += (now, now)
+        pids += (a, b)
+        partners += (b, a)
+        actions += (a1, a2)
+        pays += (pay1, pay2)
+        splits += (split, split)
 
-    if config.rematches_at(state.tick):
-        _apply_rematch(state, events)
-    return events
+    if config.rematches_at(now):
+        _apply_rematch(state, trace)
 
 
 def run_population(
@@ -255,7 +301,7 @@ def run_population(
     scale = payoff_unit(table)
     state = PopulationState(players=players, rng=random.Random(config.seed),
                             idle_pay=int(table.Q_hat * scale) if unpaired_pay_qhat else 0)
-    events: list[Event] = []
+    trace = OpdTrace()
 
     if initial_pairing is not None:
         claimed = [pid for pair in initial_pairing for pid in pair]
@@ -263,19 +309,20 @@ def run_population(
             raise ValueError("initial pairing must cover every player exactly once")
         for a, b in initial_pairing:
             players[a].partner, players[b].partner = b, a
-        events.append(RematchEvent(0, tuple(tuple(sorted(p)) for p in initial_pairing), None))
+        pairs = tuple(tuple(sorted(p)) for p in initial_pairing)
+        trace.rematches.append((0, RematchEvent(0, pairs, None)))
     else:
-        _apply_rematch(state, events)  # state.tick is 0: the initial division
+        _apply_rematch(state, trace)  # state.tick is 0: the initial division
 
     for _ in range(config.N):
-        events.extend(population_step(state, config, table, asymmetric_split))
+        population_step(state, config, table, trace, asymmetric_split)
 
     summaries = tuple(
         PlayerSummary(p.pid, p.label, Fraction(p.scaled_total, scale), p.opt_outs,
                       p.unpaired_ticks)
         for p in players
     )
-    return OpdTrace(events=tuple(events), summaries=summaries)
+    return replace(trace, summaries=summaries)
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +379,19 @@ def trace_to_csv(
     # objects: each is formatted once, keyed by identity, which is cheaper
     # than a Fraction's hash.
     pay_text: dict[int, str] = {}
-    for event in trace.events:
-        if isinstance(event, PlayEvent):
-            kind = "split" if event.split else "play"
-            pay = pay_text.get(id(event.pay))
-            if pay is None:
-                pay = pay_text[id(event.pay)] = str(event.pay)
-            lines.append(
-                f"{event.tick},{kind},{event.pid},{event.partner},"
-                f"{ACTION_TEXT[event.action]},{pay}"
-            )
-        else:
-            for a, b in event.pairings:
-                lines.append(f"{event.tick},rematch,{a},{b},,")
-            if event.leftover is not None:
-                lines.append(f"{event.tick},unmatched,{event.leftover},,,")
+    for item in trace._merged(zip(*trace._play_columns())):
+        if isinstance(item, RematchEvent):
+            for a, b in item.pairings:
+                lines.append(f"{item.tick},rematch,{a},{b},,")
+            if item.leftover is not None:
+                lines.append(f"{item.tick},unmatched,{item.leftover},,,")
+            continue
+        tick, pid, partner, action, pay, split = item
+        text = pay_text.get(id(pay))
+        if text is None:
+            text = pay_text[id(pay)] = str(pay)
+        kind = "split" if split else "play"
+        lines.append(f"{tick},{kind},{pid},{partner},{ACTION_TEXT[action]},{text}")
     return "\n".join(lines) + "\n"
 
 

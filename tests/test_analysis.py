@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundedpd import analysis, dsl
+from boundedpd import analysis, dsl, library
 from boundedpd.analysis import (
     BoundTooLargeError,
     DrawModel,
@@ -806,6 +806,35 @@ class TestDrawModel:
         est_blind = blind.evaluate(oft, config, INTRO_TABLE, trials=trials, seed=3)
         est_known = known.evaluate(oft, config, INTRO_TABLE, trials=trials, seed=3)
         assert float(est_known.mean) >= float(est_blind.mean)
+
+    def test_a_known_cooperative_partner_is_worth_four_exactly(self):
+        # Criterion 7's comparison, exact: on its config (OPD, N=200,
+        # instantaneous rematch, q=1/2) the known GRIM first partner is
+        # worth 4 - 2**-98 to OFT over a blind first draw.
+        config = opd(200)
+        oft = get("OFT", config)
+        q = Fraction(1, 2)
+        known = DrawModel(q=q, first_draw="GRIM").evaluate(oft, config, INTRO_TABLE).mean
+        blind = DrawModel(q=q).evaluate(oft, config, INTRO_TABLE).mean
+        assert known - blind == 4 - Fraction(1, 2**98)
+
+    def test_trials_compile_the_named_partners_once(self, monkeypatch):
+        get_, gets = library.get, []
+
+        def counted(name, config):
+            gets.append(name)
+            return get_(name, config)
+
+        config = opd(20)
+        oft = get("OFT", config)
+        monkeypatch.setattr(library, "get", counted)
+        for model, partners in ((DrawModel(q=Fraction(1, 2)), ["GRIM", "AllD"]),
+                                (DrawModel(q=Fraction(1, 2), first_draw="GRIM"),
+                                 ["GRIM", "AllD", "GRIM"])):
+            gets.clear()
+            for seed in range(1000):
+                model.run_trial(oft, config, INTRO_TABLE, seed)
+            assert gets == partners
 
     def test_opting_out_beats_staying_with_a_waiter(self):
         # A waiting first partner plus a cooperative pool: the opting

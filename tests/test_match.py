@@ -1,6 +1,7 @@
 """Fixed-horizon match engine tests."""
 
 import dataclasses
+import gc
 import random as random_module
 from fractions import Fraction
 
@@ -154,6 +155,40 @@ def faulting_programs() -> list[StrategyProgram]:
         compare(Operand.reg(1), CmpOp.EQ, Operand.const(1), 2), emit(C), halt(), jump(2),
     ), reg_widths=(3,))
     return [opter, bad_register]
+
+
+def tracked_objects() -> int:
+    """The objects the garbage collector tracks, once collections settle:
+    a collection untracks a tuple of untracked items, and a nested tuple
+    only after its items, so one collection may leave some behind."""
+    count = None
+    while True:
+        gc.collect()
+        settled, count = count, len(gc.get_objects())
+        if settled == count:
+            return count
+
+
+def tracked_objects_kept(make) -> int:
+    """How many objects the garbage collector tracks for a live ``make()``.
+
+    ``make`` runs once first, so that what it leaves behind for good (the
+    programs' transition tables) is not counted."""
+    make()
+    before = tracked_objects()
+    kept = make()  # alive while the objects are counted
+    return tracked_objects() - before
+
+
+class TestColumns:
+    @pytest.mark.parametrize("names", [("GRIM", "GRIM"), ("TFT", "AllD")])
+    def test_a_trace_keeps_no_object_per_tick(self, names):
+        def kept(n):
+            config = cfg(n)
+            p1, p2 = (get(name, config) for name in names)
+            return tracked_objects_kept(lambda: run_match(p1, p2, config, INTRO_TABLE))
+
+        assert kept(2000) == kept(20_000)
 
 
 class TestTransitionTable:

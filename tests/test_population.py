@@ -23,6 +23,7 @@ from boundedpd.population import (
     trace_to_csv,
 )
 from boundedpd.vm import reset, tick
+from test_match import tracked_objects_kept
 from test_vm import random_program
 
 C, D, W, O = Action.C, Action.D, Action.W, Action.O
@@ -312,6 +313,33 @@ class TestDeterminismAndSpec:
         lines = summary_to_csv(trace).splitlines()
         assert lines[0] == "player,strategy,payoff,opt_outs,unpaired_ticks"
         assert lines[1] == "0,GRIM,4,0,0"
+
+
+class TestColumns:
+    def test_a_trace_keeps_no_object_per_tick(self):
+        # Nobody here opts out, so the only rematch event is the first division.
+        def kept(n):
+            config = opd_config(n, pairs=4)
+            players = roster(config, "GRIM", "TFT", "AllD", "AllC", "GRIM", "AllD", "TFT", "AllW")
+            return tracked_objects_kept(lambda: run_population(players, config, INTRO_TABLE))
+
+        assert kept(50) == kept(500)
+
+    def test_csv_lines_follow_the_event_stream(self):
+        config = opd_config(60, t=3, seed=5, pairs=4)
+        players = roster(config, "OFT", "OFT", "OFT", "OFT", "AllD", "AllD", "AllW", "GRIM")
+        trace = run_population(players, config, SPLIT_TABLE)
+        expected = []
+        for e in trace.events:
+            if isinstance(e, PlayEvent):
+                kind = "split" if e.split else "play"
+                expected.append(f"{e.tick},{kind},{e.pid},{e.partner},{e.action.value},{e.pay}")
+            else:
+                expected += [f"{e.tick},rematch,{a},{b},," for a, b in e.pairings]
+                assert e.leftover is None  # pairs split whole, so the pool stays even
+        kinds = {line.split(",")[1] for line in expected}
+        assert kinds == {"play", "split", "rematch"}
+        assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == expected
 
 
 #: A table where every pair the opting-out game can play pays something
