@@ -6,7 +6,8 @@ Any O splits the pair and pays both players Q; both members return to the
 unpaired pool. Mixed waits pay nothing, a double wait pays H, and C/D pairs
 score the usual PD cells and stay together. Unpaired players idle at zero
 payoff (optionally Q_hat per tick) until the rematch event, which uniformly
-pairs up the pool, leaving one player over when the pool is odd.
+pairs up the pool. The pool is always even: the population is, and a split
+returns both members to it.
 
 Rematch events fire every ``t`` ticks, or at the end of every tick in
 instantaneous mode. Instantaneous mode also grants same-round reactions to
@@ -22,13 +23,24 @@ it returns the action pair for the caller to pay. The peek lives here
 because only the opting-out game has it. The draw model of
 :mod:`boundedpd.analysis` plays through the same function.
 
+With the config fixed for a run, a pairing's tick is a function of its
+joint state alone: both programs, both machines and both last moves. So a
+population plays each distinct joint state once, as the draw model does:
+``PopulationState.steps`` is the run's joint-state table, and
+``population_step`` calls ``play_pair_tick`` only for a state the table
+does not hold, and otherwise sets both seats from the entry. Players of one
+spec line share a program, so their pairings share entries: a 100-player
+roster of seven builtins run for 200 ticks plays 436 to 1 039 distinct
+joint states in about 10 000 pair ticks.
+
 An ``OpdTrace`` keeps its play events in six columns, one row per player
 and pairing tick (tick, player, partner, action, pay and split), plus the
 few rematch events, each with its position in the play stream. The columns
 hold ints, shared actions, bools and the payoff rows' own ``Fraction``s, so
 a trace keeps no object per tick for the garbage collector to walk;
 ``OpdTrace.events`` builds the ``PlayEvent`` and ``RematchEvent`` stream
-again on read, and ``trace_to_csv`` writes it from the columns in one pass.
+again on read, and ``trace_to_csv`` writes it from the columns in one pass,
+formatting each distinct row once.
 
 Determinism: the random source is consumed only at rematch events, on a
 pool sorted by player id, so a fixed seed reproduces a run exactly.
@@ -106,15 +118,24 @@ class PlayerSlot:
 
 @dataclass
 class PopulationState:
-    """The players and the rematch source. Scores and ``idle_pay``, what
-    an unpaired player earns per tick, are integers over the table's
-    ``game.payoff_unit``, so adding a payoff to a score is integer
-    arithmetic."""
+    """The players, the rematch source and the run's pair ticks. Scores and
+    ``idle_pay``, what an unpaired player earns per tick, are integers over
+    the table's ``game.payoff_unit``, so adding a payoff to a score is
+    integer arithmetic.
+
+    ``steps`` maps each joint state a pairing has played this run,
+    ``(id(program1), vm1, last1, id(program2), vm2, last2)``, to what
+    ``play_pair_tick`` made of it: ``(vm1, a1, vm2, a2)``, both machines
+    after the tick and both moves. Programs are keyed by identity, which is
+    cheaper than hashing their instructions; the roster keeps them alive
+    for the run, so their ids are stable. It holds at most one entry per
+    pair tick."""
 
     players: list[PlayerSlot]
     rng: random.Random
     idle_pay: int
     tick: int = 0
+    steps: dict[tuple, tuple[VmState, Action, VmState, Action]] = field(default_factory=dict)
 
     def pool_ids(self) -> list[int]:
         return sorted(p.pid for p in self.players if p.partner is None)
@@ -140,7 +161,6 @@ class PlayEvent(NamedTuple):
 class RematchEvent:
     tick: int
     pairings: tuple[tuple[int, int], ...]
-    leftover: int | None
 
 
 Event = PlayEvent | RematchEvent
@@ -176,7 +196,12 @@ class OpdTrace:
     @property
     def events(self) -> tuple[Event, ...]:
         """The run's event stream, built from the columns on every read."""
-        return tuple(self._merged(map(PlayEvent, *self._play_columns())))
+        events: list[Event] = []
+        for plays, rematch_event in self._segments(map(PlayEvent, *self._play_columns())):
+            events += plays
+            if rematch_event is not None:
+                events.append(rematch_event)
+        return tuple(events)
 
     def totals(self) -> tuple[Fraction, ...]:
         return tuple(s.total for s in self.summaries)
@@ -184,28 +209,27 @@ class OpdTrace:
     def _play_columns(self) -> tuple[list, ...]:
         return (self.tick, self.pid, self.partner, self.action, self.pay, self.split)
 
-    def _merged(self, plays: Iterator) -> Iterator:
-        """``plays``, one item per play row, with each rematch event at its position."""
+    def _segments(self, plays: Iterator) -> Iterator[tuple[Iterator, RematchEvent | None]]:
+        """``plays``, one item per play row, cut at the rematch events: each
+        run of items with the event that follows it, and the last with None.
+        Each run is to be consumed before the next is taken."""
         done = 0
-        for position, event in self.rematches:
-            yield from islice(plays, position - done)
+        for position, rematch_event in self.rematches:
+            yield islice(plays, position - done), rematch_event
             done = position
-            yield event
-        yield from plays
+        yield plays, None
 
 
-def rematch(pool: list[int], rng: random.Random) -> tuple[tuple[tuple[int, int], ...], int | None]:
-    """Uniform perfect matching over the pool; odd pools leave one player
-    (uniformly chosen) unpaired. Consumes the random source in sorted-id
-    order so runs are reproducible."""
+def rematch(pool: list[int], rng: random.Random) -> tuple[tuple[int, int], ...]:
+    """Uniform perfect matching over an even pool. Consumes the random
+    source in sorted-id order so runs are reproducible. The pool is always
+    even: a population is, and a split returns both members to it."""
     shuffled = sorted(pool)
     rng.shuffle(shuffled)
-    leftover = shuffled.pop() if len(shuffled) % 2 else None
-    pairs = tuple(
+    return tuple(
         (min(shuffled[i], shuffled[i + 1]), max(shuffled[i], shuffled[i + 1]))
         for i in range(0, len(shuffled), 2)
     )
-    return pairs, leftover
 
 
 def expected_rematch_delay(config: GameConfig) -> Fraction:
@@ -220,13 +244,13 @@ def _apply_rematch(state: PopulationState, trace: OpdTrace) -> None:
     pool = state.pool_ids()
     if len(pool) < 2:
         return
-    pairs, leftover = rematch(pool, state.rng)
+    pairs = rematch(pool, state.rng)
     for a, b in pairs:
         pa, pb = state.players[a], state.players[b]
         pa.partner, pb.partner = b, a
         pa.seat.new_pairing()
         pb.seat.new_pairing()
-    trace.rematches.append((len(trace.pid), RematchEvent(state.tick, pairs, leftover)))
+    trace.rematches.append((len(trace.pid), RematchEvent(state.tick, pairs)))
 
 
 def population_step(
@@ -248,11 +272,20 @@ def population_step(
             player.scaled_total += state.idle_pay
 
     rows = table.outcomes[config.mode, asymmetric_split]
+    steps = state.steps
     ticks, pids, partners = trace.tick, trace.pid, trace.partner
     actions, pays, splits = trace.action, trace.pay, trace.split
     for a, b in state.pairs():
         pa, pb = state.players[a], state.players[b]
-        a1, a2 = play_pair_tick(pa.seat, pb.seat, config)
+        seat1, seat2 = pa.seat, pb.seat
+        key = (id(seat1.program), seat1.vm, seat1.last, id(seat2.program), seat2.vm, seat2.last)
+        step = steps.get(key)
+        if step is None:
+            a1, a2 = play_pair_tick(seat1, seat2, config)
+            steps[key] = (seat1.vm, a1, seat2.vm, a2)
+        else:
+            seat1.vm, a1, seat2.vm, a2 = step
+            seat1.last, seat2.last = a1, a2
         pay1, pay2, split, scaled1, scaled2 = rows[a1, a2]
         pa.scaled_total += scaled1
         pb.scaled_total += scaled2
@@ -310,7 +343,7 @@ def run_population(
         for a, b in initial_pairing:
             players[a].partner, players[b].partner = b, a
         pairs = tuple(tuple(sorted(p)) for p in initial_pairing)
-        trace.rematches.append((0, RematchEvent(0, pairs, None)))
+        trace.rematches.append((0, RematchEvent(0, pairs)))
     else:
         _apply_rematch(state, trace)  # state.tick is 0: the initial division
 
@@ -375,23 +408,24 @@ def trace_to_csv(
         config_header(table, config, extra_meta),
         "tick,event,player,partner,action,payoff",
     ]
-    # A run pays a handful of distinct payoffs, the table rows' own
-    # objects: each is formatted once, keyed by identity, which is cheaper
-    # than a Fraction's hash.
-    pay_text: dict[int, str] = {}
-    for item in trace._merged(zip(*trace._play_columns())):
-        if isinstance(item, RematchEvent):
-            for a, b in item.pairings:
-                lines.append(f"{item.tick},rematch,{a},{b},,")
-            if item.leftover is not None:
-                lines.append(f"{item.tick},unmatched,{item.leftover},,,")
-            continue
-        tick, pid, partner, action, pay, split = item
-        text = pay_text.get(id(pay))
-        if text is None:
-            text = pay_text[id(pay)] = str(pay)
-        kind = "split" if split else "play"
-        lines.append(f"{tick},{kind},{pid},{partner},{ACTION_TEXT[action]},{text}")
+    # A run plays few distinct rows: each line is its tick's text plus the
+    # text after it, each formatted once. The tails are keyed by the pay's
+    # identity (a table row's own object), which is cheaper than a
+    # Fraction's hash, and the ticks come in order.
+    tails: dict[tuple, str] = {}
+    last_tick, tick_text = None, ""
+    for plays, rematch_event in trace._segments(zip(*trace._play_columns())):
+        for tick, pid, partner, action, pay, split in plays:
+            if tick != last_tick:
+                last_tick, tick_text = tick, str(tick)
+            key = (pid, partner, action, id(pay), split)
+            tail = tails.get(key)
+            if tail is None:
+                kind = "split" if split else "play"
+                tail = tails[key] = f",{kind},{pid},{partner},{ACTION_TEXT[action]},{pay}"
+            lines.append(tick_text + tail)
+        if rematch_event is not None:
+            lines += [f"{rematch_event.tick},rematch,{a},{b},," for a, b in rematch_event.pairings]
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boundedpd import population
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import get
 from boundedpd.match import Seat
@@ -144,26 +145,20 @@ class TestRunPopulation:
 
 class TestRematch:
     def test_pool_of_two_pairs_uniquely(self):
-        pairs, leftover = rematch([4, 9], random_module.Random(0))
-        assert pairs == ((4, 9),) and leftover is None
+        assert rematch([4, 9], random_module.Random(0)) == ((4, 9),)
 
     def test_pool_of_four_is_reproducible(self):
         a = rematch([0, 1, 2, 3], random_module.Random(42))
         b = rematch([0, 1, 2, 3], random_module.Random(42))
         assert a == b
-        all_pairs = {frozenset(p) for p in a[0]}
+        all_pairs = {frozenset(p) for p in a}
         options = [{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}]
         assert all_pairs <= {frozenset(x) for x in options}
-
-    def test_odd_pool_leaves_one_over(self):
-        pairs, leftover = rematch([1, 2, 3], random_module.Random(7))
-        assert len(pairs) == 1 and leftover is not None
-        assert leftover not in pairs[0]
 
     def test_matchings_cover_all_three_options(self):
         seen = set()
         for seed in range(60):
-            pairs, _ = rematch([0, 1, 2, 3], random_module.Random(seed))
+            pairs = rematch([0, 1, 2, 3], random_module.Random(seed))
             seen.add(tuple(sorted(pairs)))
         assert len(seen) == 3
 
@@ -329,17 +324,55 @@ class TestColumns:
         config = opd_config(60, t=3, seed=5, pairs=4)
         players = roster(config, "OFT", "OFT", "OFT", "OFT", "AllD", "AllD", "AllW", "GRIM")
         trace = run_population(players, config, SPLIT_TABLE)
-        expected = []
-        for e in trace.events:
-            if isinstance(e, PlayEvent):
-                kind = "split" if e.split else "play"
-                expected.append(f"{e.tick},{kind},{e.pid},{e.partner},{e.action.value},{e.pay}")
-            else:
-                expected += [f"{e.tick},rematch,{a},{b},," for a, b in e.pairings]
-                assert e.leftover is None  # pairs split whole, so the pool stays even
+        expected = csv_body(trace.events)
         kinds = {line.split(",")[1] for line in expected}
         assert kinds == {"play", "split", "rematch"}
         assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == expected
+
+
+class TestJointStates:
+    def test_each_joint_state_is_played_once(self, monkeypatch):
+        # Two GRIM pairs sharing one program, as a spec's ``4 x GRIM`` does,
+        # repeat a few joint states for 1 000 ticks: the pair tick runs once
+        # for each, not 2 000 times.
+        play, played = population.play_pair_tick, []
+
+        def counted(seat1, seat2, config):
+            played.append((id(seat1.program), seat1.vm, seat1.last,
+                           id(seat2.program), seat2.vm, seat2.last))
+            return play(seat1, seat2, config)
+
+        config = opd_config(1000, pairs=2)
+        players = [("GRIM", get("GRIM", config))] * 4
+        monkeypatch.setattr(population, "play_pair_tick", counted)
+        trace = run_population(players, config, INTRO_TABLE)
+        assert trace.totals() == (1000,) * 4
+        assert len(played) == len(set(played)) <= 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_programs_with_equal_machines_are_told_apart(self, seed):
+        # AllC and AllD pass through equal VmStates and see equal views, so
+        # only the program tells apart the joint states of their pairings.
+        config = opd_config(8, t=2, seed=seed, pairs=3)
+        allc, alld = get("AllC", config), get("AllD", config)
+        players = [("AllC", allc), ("AllD", alld)] * 3
+        trace = run_population(players, config, SPLIT_TABLE)
+        events, summaries = reference_population(players, config, SPLIT_TABLE, False, False)
+        assert trace.events == events
+        assert trace.summaries == summaries
+
+
+def csv_body(events):
+    """The population CSV's lines after its two header lines, written
+    plainly from an event stream."""
+    lines = []
+    for e in events:
+        if isinstance(e, PlayEvent):
+            kind = "split" if e.split else "play"
+            lines.append(f"{e.tick},{kind},{e.pid},{e.partner},{e.action.value},{e.pay}")
+        else:
+            lines += [f"{e.tick},rematch,{a},{b},," for a, b in e.pairings]
+    return lines
 
 
 #: A table where every pair the opting-out game can play pays something
@@ -369,11 +402,11 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
         pool = sorted(pid for pid in range(n) if partner[pid] is None)
         if len(pool) < 2:
             return
-        pairs, leftover = rematch(pool, rng)
+        pairs = rematch(pool, rng)
         for a, b in pairs:
             partner[a], partner[b] = b, a
             view[a, b] = None
-        events.append(RematchEvent(now, pairs, leftover))
+        events.append(RematchEvent(now, pairs))
 
     def peek(pid, vm, action, other):
         if action in (C, D) and other is W:
@@ -436,3 +469,4 @@ def test_run_population_is_the_plain_loop(seed, randoms, n, t, instantaneous, as
                                              unpaired_pay_qhat)
     assert trace.events == events
     assert trace.summaries == summaries
+    assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == csv_body(events)
