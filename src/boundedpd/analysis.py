@@ -85,6 +85,9 @@ from .match import MatchTrace, Seat, seat_move
 from .population import _peek_at_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
+# Read as a module global, not a class attribute, on each node of a walk.
+_W = Action.W
+
 
 def _derive_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + index * 7_919 + 12_345) & 0x7FFFFFFF
@@ -247,7 +250,7 @@ class _PlayTree:
         player plays ``a1`` against the opponent's move ``a2``: a partner
         that moved peeks at a focal wait first."""
         config = self.config
-        if self.peeks and a1 is Action.W and a2 is not Action.W:
+        if self.peeks and a1 is _W and a2 is not _W:
             vm2, a2 = _peek_at_wait(self.partner.program, vm2, a2, config)
         _, _, split, pay, _ = self.rows[a1, a2]
         if not split:
@@ -324,7 +327,7 @@ class _PlayTree:
                 continue
             vm2, a2 = self.opponent_move(node)
             focal.last = own
-            peek = self.peeks and a2 is Action.W
+            peek = self.peeks and a2 is _W
             children: dict[Action, list[tuple[int, VmState]]] = {}
             for index, vm in group:
                 focal.program, focal.vm = programs[index], vm

@@ -177,6 +177,7 @@ class DslError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"==|!=|>=|<|:|-|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass
@@ -226,7 +227,7 @@ class _LineParser:
 
 
 def _is_name(text: str) -> bool:
-    return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    return bool(_NAME_RE.fullmatch(text))
 
 
 def parse(text: str) -> StrategySource:
@@ -552,9 +553,17 @@ class RulePiece:
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self.size = rule_size(rule, last=True)
-        self.goto = next((stmt.label for stmt in rule.stmts if isinstance(stmt, Goto)), None)
-        # rule_size(rule, last=False), without a second scan of the rule.
+        # rule_size(rule, last=True) and the goto's label, in one scan: a
+        # rule holds at most one goto, its last statement.
+        size = len(rule.guard)
+        self.goto = None
+        for stmt in rule.stmts:
+            if isinstance(stmt, Goto):
+                self.goto = stmt.label
+            else:
+                size += 1
+        self.size = size if self.goto is None else size + 2
+        # rule_size(rule, last=False)
         self.ahead = self.size + (self.goto is None)
         self.text = rule.render()
         self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}

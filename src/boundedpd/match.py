@@ -40,6 +40,9 @@ from .game import (
 )
 from .vm import StrategyProgram, VmState, reset, tick
 
+# Enum members read as module globals, not class attributes, on each move.
+_O, _W, _OPD = Action.O, Action.W, Mode.OPD
+
 
 @dataclass(frozen=True)
 class MatchTrace:
@@ -99,9 +102,9 @@ def seat_move(seat: Seat, opp: Action | None, config: GameConfig) -> tuple[VmSta
     waits from here on and this tick's move is already a wait.
     """
     vm, action = tick(seat.vm, seat.program, opp, seat.last, config.k)
-    if action is Action.O and config.mode is not Mode.OPD:
+    if action is _O and config.mode is not _OPD:
         vm = vm._replace(fault_reason="played O outside OPD mode")
-        action = Action.W
+        action = _W
     return vm, action
 
 

@@ -63,6 +63,9 @@ from .library import resolve
 from .match import Seat, seat_move
 from .vm import StrategyProgram, VmState, tick
 
+# Enum members read as module globals, not class attributes, on each tick.
+_C, _D, _W, _O, _OPD = Action.C, Action.D, Action.W, Action.O, Mode.OPD
+
 
 # ---------------------------------------------------------------------------
 # One tick of a pairing
@@ -74,10 +77,10 @@ def play_pair_tick(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action
     and both moves are committed. Returns the action pair for the caller to pay."""
     vm1, a1 = seat_move(seat1, seat2.last, config)
     vm2, a2 = seat_move(seat2, seat1.last, config)
-    if config.instantaneous_rematch and config.mode is Mode.OPD:
-        if a2 is Action.W:
+    if config.instantaneous_rematch and config.mode is _OPD:
+        if a2 is _W:
             vm1, a1 = _peek_at_wait(seat1.program, vm1, a1, config)
-        elif a1 is Action.W:
+        elif a1 is _W:
             vm2, a2 = _peek_at_wait(seat2.program, vm2, a2, config)
     seat1.vm, seat1.last = vm1, a1
     seat2.vm, seat2.last = vm2, a2
@@ -90,11 +93,11 @@ def _peek_at_wait(
     """Same-round reaction to a waiting partner: a seat that completed a C
     or D ticks its machine once more against the wait, and the result
     replaces its move only when it is an O."""
-    if action is not Action.C and action is not Action.D:
+    if action is not _C and action is not _D:
         return vm, action
-    peek_vm, peek_action = tick(vm, program, Action.W, action, config.k)
-    if peek_action is Action.O:
-        return peek_vm, Action.O
+    peek_vm, peek_action = tick(vm, program, _W, action, config.k)
+    if peek_action is _O:
+        return peek_vm, _O
     return vm, action
 
 
@@ -290,9 +293,9 @@ def population_step(
         pa.scaled_total += scaled1
         pb.scaled_total += scaled2
         if split:
-            if a1 is Action.O:
+            if a1 is _O:
                 pa.opt_outs += 1
-            if a2 is Action.O:
+            if a2 is _O:
                 pb.opt_outs += 1
             pa.partner = pb.partner = None
         # Two rows per pairing, the first seat's and then the second's.

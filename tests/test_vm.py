@@ -288,6 +288,36 @@ class TestFaults:
         problems = validate_program(program)
         assert len(problems) == 2
 
+    def test_static_validation_lists_every_problem_in_order(self):
+        program = StrategyProgram("bad", (
+            jump(99),
+            compare(Operand.reg(2), CmpOp.GE, Operand.const(1), on_false=-1),
+            increment(5),
+            Instruction(Opcode.COMPARE, lhs=Operand.obs("opp"), op=CmpOp.EQ, on_false=0),
+            Instruction(Opcode.EMIT),
+            Instruction(Opcode.COMPARE, lhs=Operand.reg(1), op="~", rhs=Operand.reg(-1),
+                        on_false=9),
+            Instruction(Opcode.JUMP),
+            Instruction(Opcode.INCREMENT),
+            Instruction(Opcode.COMPARE, lhs=Operand.reg(0), rhs=Operand.const(1), on_false=10),
+            emit(C),
+            halt(),
+        ), reg_widths=(3,))
+        assert validate_program(program) == [
+            "instruction 0: jump target 99 out of range",
+            "instruction 1: on_false target -1 out of range",
+            "instruction 1: register 2 out of range",
+            "instruction 2: register 5 out of range",
+            "instruction 3: missing compare operand",
+            "instruction 4: EMIT without an action",
+            "instruction 5: unknown compare operator '~'",
+            "instruction 5: register 1 out of range",
+            "instruction 5: register -1 out of range",
+            "instruction 6: jump target None out of range",
+            "instruction 7: register None out of range",
+            "instruction 8: missing compare operator",
+        ]
+
     def test_static_validation_flags_a_missing_or_unknown_operator(self):
         missing, unknown = (p for p in MALFORMED_COMPARES if p.name.endswith("-operator"))
         assert validate_program(missing) == ["instruction 2: missing compare operator"]
@@ -469,6 +499,76 @@ def test_random_program_traces_are_pinned():
             digest.update(repr(row).encode())
     assert digest.hexdigest() == (
         "4f2301dfd18408178798676ccaf46ec4b7cd64bd68b02ef508e31f0a20346731")
+
+
+#: Hand-built programs at the edges of what ``interpret`` runs: a step-limit
+#: loop, a loop after a resumed compare, runs off the end, a faulting jump,
+#: increment and opcode, and operands no compiler emits (a kind outside
+#: ``OperandKind``, a negative register, an action's letter, a negative or
+#: fractional constant).
+EDGE_PROGRAMS = [
+    StrategyProgram("spin", (increment(0), jump(0)), reg_widths=(4,)),
+    StrategyProgram("spin-after-resume", (
+        compare(Operand.reg(0), CmpOp.GE, Operand.const(0), on_false=4),
+        increment(1), emit(C), jump(1), halt(),
+    ), reg_widths=(6, 16)),
+    StrategyProgram("fall", (emit(C),)),
+    StrategyProgram("fall-after-halt", (emit(D), halt(), compare(
+        Operand.obs("opp"), CmpOp.EQ, Operand.action(C), on_false=3))),
+    StrategyProgram("bad-jump", (emit(C), halt(), jump(-1))),
+    StrategyProgram("bad-increment", (emit(C), halt(), increment(2)), reg_widths=(1,)),
+    StrategyProgram("bad-target", (emit(C), halt(), compare(
+        Operand.obs("own"), CmpOp.NE, Operand.action(D), on_false=9), emit(D), halt(), jump(2))),
+    StrategyProgram("bad-opcode", (emit(C), halt(), Instruction("NOP"))),
+    StrategyProgram("odd-kind", (compare(
+        Operand("bogus", "opp"), CmpOp.EQ, Operand.action(C), on_false=4),
+        emit(D), halt(), jump(0), emit(C), halt(), jump(0))),
+    StrategyProgram("negative-register", (increment(0), compare(
+        Operand.reg(-1), CmpOp.GE, Operand.const(2), on_false=4),
+        emit(D), halt(), emit(C), halt(), jump(0)), reg_widths=(3,)),
+    StrategyProgram("letter", (compare(
+        Operand.obs("opp"), CmpOp.NE, Operand(Operand.action(C).kind, "C"), on_false=4),
+        emit(D), halt(), jump(0), emit(C), halt(), jump(0))),
+    StrategyProgram("negative-constant", (emit(C), halt(), compare(
+        Operand.const(1), CmpOp.LT, Operand(Operand.const(0).kind, -3), on_false=0))),
+    StrategyProgram("fractional-constant", (emit(C), halt(), compare(
+        Operand.const(1), CmpOp.LT, Operand(Operand.const(0).kind, 2.5), on_false=0))),
+]
+
+#: ``(opp, own, k)`` of each tick the pinned corpus plays.
+OBSERVATION_SCRIPT = [
+    (None, None, 2), (C, C, 2), (D, C, 3), (W, D, 2), (C, W, 4), (O, C, 2),
+    (D, D, 8), (None, C, 2), (C, None, 3), (W, W, 2), (C, D, 5), (D, W, 2),
+]
+
+
+def test_interpret_on_a_fixed_corpus_is_pinned():
+    """Every ``(VmState, Action)`` that ``interpret`` itself returns, not
+    ``tick``, over the malformed compares, the edge programs and 1500
+    seeded random programs, each played through the observation script
+    twice, hashed. The digest was recorded before the interpreter read its
+    enum members from module constants; the stream holds suspensions,
+    resumes, faults, step-limit faults and finished programs."""
+    import hashlib
+    import random as random_module
+    rng = random_module.Random(20261020)
+    programs = MALFORMED_COMPARES + EDGE_PROGRAMS + [random_program(rng) for _ in range(1500)]
+    digest = hashlib.sha256()
+    seen = {"suspended": 0, "resumed": 0, "faulted": 0, "step-limit": 0, "finished": 0}
+    for program in programs:
+        state = reset(program)
+        for opp, own, k in OBSERVATION_SCRIPT * 2:
+            before = state
+            state, action = interpret(state, program, opp, own, k)
+            digest.update(repr((state, action.value)).encode())
+            seen["suspended"] += state.pending is not None
+            seen["resumed"] += before.pending is not None
+            seen["faulted"] += state.fault_reason is not None and before.fault_reason is None
+            seen["step-limit"] += "step limit" in (state.fault_reason or "")
+            seen["finished"] += state.finished
+    assert min(seen.values()) > 100, seen
+    assert digest.hexdigest() == (
+        "187432a716f88f705d8d55b7982acdbee9a94d8ff410a5a2ead7a20d82984cfc")
 
 
 def replay_through_the_table(program: StrategyProgram, k: int, observations) -> dict:
