@@ -500,10 +500,11 @@ def rule_size(rule: Rule, last: bool) -> int:
     """Instructions ``rule`` compiles to: a compare per guard term, one per
     play or inc, then HALT and JUMP for a goto (end the tick, resume in the
     target state); otherwise a JUMP to the state's epilogue, unless it is the
-    ``last`` rule of its state and falls into it."""
-    size = len(rule.guard) + sum(1 for stmt in rule.stmts if not isinstance(stmt, Goto))
-    if any(isinstance(stmt, Goto) for stmt in rule.stmts):
-        return size + 2
+    ``last`` rule of its state and falls into it. A rule has at least one
+    statement and any goto is its last (``parse`` enforces both)."""
+    size = len(rule.guard) + len(rule.stmts)
+    if isinstance(rule.stmts[-1], Goto):
+        return size + 1  # the goto is a HALT and a JUMP
     return size if last else size + 1
 
 
@@ -553,17 +554,10 @@ class RulePiece:
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        # rule_size(rule, last=True) and the goto's label, in one scan: a
-        # rule holds at most one goto, its last statement.
-        size = len(rule.guard)
-        self.goto = None
-        for stmt in rule.stmts:
-            if isinstance(stmt, Goto):
-                self.goto = stmt.label
-            else:
-                size += 1
-        self.size = size if self.goto is None else size + 2
-        # rule_size(rule, last=False)
+        self.size = rule_size(rule, last=True)
+        stmt = rule.stmts[-1]
+        self.goto = stmt.label if isinstance(stmt, Goto) else None
+        # rule_size(rule, last=False), without a second call.
         self.ahead = self.size + (self.goto is None)
         self.text = rule.render()
         self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}

@@ -502,16 +502,22 @@ def test_random_program_traces_are_pinned():
 
 
 #: Hand-built programs at the edges of what ``interpret`` runs: a step-limit
-#: loop, a loop after a resumed compare, runs off the end, a faulting jump,
+#: loop, a loop after a resumed compare, a wide compare that suspends over
+#: several ticks behind a narrow one, runs off the end, a faulting jump,
 #: increment and opcode, and operands no compiler emits (a kind outside
-#: ``OperandKind``, a negative register, an action's letter, a negative or
-#: fractional constant).
+#: ``OperandKind``, an action's letter, a negative or fractional constant).
 EDGE_PROGRAMS = [
     StrategyProgram("spin", (increment(0), jump(0)), reg_widths=(4,)),
     StrategyProgram("spin-after-resume", (
         compare(Operand.reg(0), CmpOp.GE, Operand.const(0), on_false=4),
         increment(1), emit(C), jump(1), halt(),
     ), reg_widths=(6, 16)),
+    StrategyProgram("wide-compares", (
+        increment(0),
+        compare(Operand.obs("opp"), CmpOp.EQ, Operand.action(C), on_false=6),
+        compare(Operand.reg(0), CmpOp.LT, Operand.const(5), on_false=6),
+        emit(C), halt(), jump(0), emit(D), halt(), jump(0),
+    ), reg_widths=(12,)),
     StrategyProgram("fall", (emit(C),)),
     StrategyProgram("fall-after-halt", (emit(D), halt(), compare(
         Operand.obs("opp"), CmpOp.EQ, Operand.action(C), on_false=3))),
@@ -523,9 +529,6 @@ EDGE_PROGRAMS = [
     StrategyProgram("odd-kind", (compare(
         Operand("bogus", "opp"), CmpOp.EQ, Operand.action(C), on_false=4),
         emit(D), halt(), jump(0), emit(C), halt(), jump(0))),
-    StrategyProgram("negative-register", (increment(0), compare(
-        Operand.reg(-1), CmpOp.GE, Operand.const(2), on_false=4),
-        emit(D), halt(), emit(C), halt(), jump(0)), reg_widths=(3,)),
     StrategyProgram("letter", (compare(
         Operand.obs("opp"), CmpOp.NE, Operand(Operand.action(C).kind, "C"), on_false=4),
         emit(D), halt(), jump(0), emit(C), halt(), jump(0))),
@@ -544,18 +547,17 @@ OBSERVATION_SCRIPT = [
 
 def test_interpret_on_a_fixed_corpus_is_pinned():
     """Every ``(VmState, Action)`` that ``interpret`` itself returns, not
-    ``tick``, over the malformed compares, the edge programs and 1500
-    seeded random programs, each played through the observation script
-    twice, hashed. The digest was recorded before the interpreter read its
-    enum members from module constants; the stream holds suspensions,
-    resumes, faults, step-limit faults and finished programs."""
+    ``tick``, over the malformed compares and the edge programs, each played
+    through the observation script twice, hashed. The digest was recorded
+    before the interpreter read its enum members from module constants; the
+    stream holds suspensions, resumes, faults, step-limit faults and
+    finished programs. Random programs are pinned through ``tick``, whose
+    every state comes from ``interpret``, by
+    ``test_random_program_traces_are_pinned``."""
     import hashlib
-    import random as random_module
-    rng = random_module.Random(20261020)
-    programs = MALFORMED_COMPARES + EDGE_PROGRAMS + [random_program(rng) for _ in range(1500)]
     digest = hashlib.sha256()
     seen = {"suspended": 0, "resumed": 0, "faulted": 0, "step-limit": 0, "finished": 0}
-    for program in programs:
+    for program in MALFORMED_COMPARES + EDGE_PROGRAMS:
         state = reset(program)
         for opp, own, k in OBSERVATION_SCRIPT * 2:
             before = state
@@ -566,9 +568,27 @@ def test_interpret_on_a_fixed_corpus_is_pinned():
             seen["faulted"] += state.fault_reason is not None and before.fault_reason is None
             seen["step-limit"] += "step limit" in (state.fault_reason or "")
             seen["finished"] += state.finished
-    assert min(seen.values()) > 100, seen
+    assert min(seen.values()) >= 10, seen
     assert digest.hexdigest() == (
-        "187432a716f88f705d8d55b7982acdbee9a94d8ff410a5a2ead7a20d82984cfc")
+        "834d769119b4d5e13f4cca59fd0fcca7d03b86455f838a4054c5e075b56cf98b")
+
+
+def test_a_negative_compare_register_reads_the_last_register():
+    """A known defect, pinned where a fix will edit it: ``interpret`` reads
+    a COMPARE's ``Operand.reg(-1)`` as the last register and plays on,
+    while ``validate_program`` reports the register out of range."""
+    program = StrategyProgram("negative-register", (increment(0), compare(
+        Operand.reg(-1), CmpOp.GE, Operand.const(2), on_false=4),
+        emit(D), halt(), emit(C), halt(), jump(0)), reg_widths=(3,))
+    assert validate_program(program) == ["instruction 1: register -1 out of range"]
+    state = reset(program)
+    actions = []
+    for _ in range(3):
+        state, action = interpret(state, program, None, None, 8)
+        actions.append(action)
+    # The second compare reads register 0, which holds 2 by then.
+    assert actions == [C, D, C]
+    assert state.regs == (2,) and state.fault_reason is None
 
 
 def replay_through_the_table(program: StrategyProgram, k: int, observations) -> dict:
