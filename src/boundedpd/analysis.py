@@ -7,11 +7,11 @@ relative to a finite, caller-supplied candidate set and the reports say so.
 
 Three population models are provided. The first two are partner
 schedules for one focal seat, played through the population engine's
-kernel: both seats move by ``match.seat_move``, the instantaneous-rematch
-peek runs, the model pays the action pair from its row, and a rematch
-event after a split takes the schedule's next partner. ``_play_focal``
-plays one game of a schedule; the draw model's exact evaluation runs that
-loop over every draw at once.
+kernel: both seats move by ``match.seat_move``, a seat answers a waiting
+partner in instantaneous mode, the model pays the action pair from its
+row, and a rematch event after a split takes the schedule's next partner.
+``_play_focal`` plays one game of a schedule; the draw model's exact
+evaluation runs that loop over every draw at once.
 
 * :class:`FixedOpponentModel` - a single deterministic partner for the
   whole game, re-paired with the focal player after every split as a pool
@@ -77,12 +77,12 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 from . import dsl
 from .game import (
-    Action, GameConfig, Mode, PayoffTable, counter_width_for, legal_actions,
+    Action, GameConfig, PayoffTable, counter_width_for, legal_actions,
     payoff_unit, require_valid_table,
 )
 from .library import resolve
 from .match import MatchTrace, Seat, seat_move
-from .population import _peek_at_wait, play_pair_tick, run_population
+from .population import _answer_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
 # Read as a module global, not a class attribute, on each node of a walk.
@@ -232,7 +232,6 @@ class _PlayTree:
         #: Every focal action a row pays, W from a fault and O from a peek
         #: included.
         self.actions = tuple(dict.fromkeys(a1 for a1, _ in self.rows))
-        self.peeks = config.instantaneous_rematch and config.mode is Mode.OPD
         # Scratch seat for the opponent; its program never changes.
         self.partner = Seat.fresh(opponent)
         self.root: _Node = (0, self.partner.vm, None, None, True)
@@ -248,10 +247,8 @@ class _PlayTree:
     def child(self, now: int, vm2: VmState, a2: Action, a1: Action) -> tuple[int, _Node]:
         """The focal payoff and the node after tick ``now`` when the focal
         player plays ``a1`` against the opponent's move ``a2``: a partner
-        that moved peeks at a focal wait first."""
-        config = self.config
-        if self.peeks and a1 is _W and a2 is not _W:
-            vm2, a2 = _peek_at_wait(self.partner.program, vm2, a2, config)
+        that moved answers a focal wait first."""
+        vm2, a2 = _answer_wait(self.partner.program, vm2, a2, a1, self.config)
         _, _, split, pay, _ = self.rows[a1, a2]
         if not split:
             return pay, (now, vm2, a1, a2, True)
@@ -327,13 +324,13 @@ class _PlayTree:
                 continue
             vm2, a2 = self.opponent_move(node)
             focal.last = own
-            peek = self.peeks and a2 is _W
+            waited = a2 is _W
             children: dict[Action, list[tuple[int, VmState]]] = {}
             for index, vm in group:
                 focal.program, focal.vm = programs[index], vm
                 vm1, a1 = seat_move(focal, opp, config)
-                if peek:
-                    vm1, a1 = _peek_at_wait(focal.program, vm1, a1, config)
+                if waited:
+                    vm1, a1 = _answer_wait(focal.program, vm1, a1, a2, config)
                 children.setdefault(a1, []).append((index, vm1))
             entries = []
             for a1, members in children.items():

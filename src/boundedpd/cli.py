@@ -143,9 +143,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.strategy is None:
         raise CliError("analyze needs a strategy (or --oft-constant)")
-    for flag, value in (("--trials", args.trials), ("--size-bound", args.size_bound)):
-        if value < 1:
-            raise CliError(f"{flag} must be at least 1")
+    if args.size_bound < 1:
+        raise CliError("--size-bound must be at least 1")
 
     models: list[analysis.PopulationModel] = []
     mode = Mode.FTPD
@@ -191,8 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                             instantaneous_rematch=instantaneous, seed=args.seed)
         program = library.resolve(args.strategy, config)
         report = analysis.competitive_ratio(
-            program, models, config, table,
-            trials=args.trials, size_bound=args.size_bound, seed=args.seed,
+            program, models, config, table, size_bound=args.size_bound, seed=args.seed,
         )
         rows.append((n, config, report))
         if len(horizons) == 1:
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--gamma", action="append", default=None,
                       help="fixed-opponent population, e.g. all-AllD (repeatable)")
     p_an.add_argument("--sweep-N", default=None, help="sweep horizons START:STOP:STEP")
-    p_an.add_argument("--trials", type=int, default=300)
     p_an.add_argument("--size-bound", type=int, default=6, dest="size_bound",
                       help="instruction bound for the maximizing benchmark search")
     p_an.add_argument("--oft-constant", action="store_true", dest="oft_constant",

@@ -17,11 +17,11 @@ replaces its move this very tick. The peek runs on a scratch copy of the
 machine and commits only when it produces an O, so non-opting strategies
 are unaffected.
 
-A pairing's tick, ``play_pair_tick``, is the pair-tick kernel of
-:mod:`boundedpd.match` with the peek between the moves and their commit;
-it returns the action pair for the caller to pay. The peek lives here
-because only the opting-out game has it. The draw model of
-:mod:`boundedpd.analysis` plays through the same function.
+A pairing's tick, ``play_pair_tick``, is ``match.match_step`` followed by
+each committed seat's answer to a waiting partner; it returns the action
+pair. The answer lives here because only the opting-out game has it. The
+draw model and the play tree of :mod:`boundedpd.analysis` play through the
+same rule.
 
 With the config fixed for a run, a pairing's tick is a function of its
 joint state alone: both programs, both machines and both last moves. So a
@@ -33,14 +33,17 @@ spec line share a program, so their pairings share entries: a 100-player
 roster of seven builtins run for 200 ticks plays 436 to 1 039 distinct
 joint states in about 10 000 pair ticks.
 
-An ``OpdTrace`` keeps its play events in six columns, one row per player
-and pairing tick (tick, player, partner, action, pay and split), plus the
-few rematch events, each with its position in the play stream. The columns
-hold ints, shared actions, bools and the payoff rows' own ``Fraction``s, so
-a trace keeps no object per tick for the garbage collector to walk;
-``OpdTrace.events`` builds the ``PlayEvent`` and ``RematchEvent`` stream
-again on read, and ``trace_to_csv`` writes it from the columns in one pass,
-formatting each distinct row once.
+A population, like a match, keeps what was played and is paid once by
+counting. An ``OpdTrace`` holds one row per pairing tick in five columns
+of ints and shared actions (tick, lower id, higher id and their two
+actions), so it keeps no object per tick for the garbage collector to
+walk; the payoff rows the run was paid from; and the rematch events with
+their positions among the rows. ``run_population`` counts the distinct
+``(first, second, a1, a2)`` rows: the counts times the rows' payoffs give
+each player's total, and they give its plays and opt-outs; a player idles
+through every tick it did not play. ``OpdTrace.events`` builds the event
+stream again on read, two play events per row, and ``trace_to_csv``
+formats each distinct row's two lines once.
 
 Determinism: the random source is consumed only at rematch events, on a
 pool sorted by player id, so a fixed seed reproduces a run exactly.
@@ -49,6 +52,7 @@ pool sorted by player id, so a fixed seed reproduces a run exactly.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
@@ -60,7 +64,7 @@ from .game import (
     require_valid_table,
 )
 from .library import resolve
-from .match import Seat, seat_move
+from .match import Seat, match_step
 from .vm import StrategyProgram, VmState, tick
 
 # Enum members read as module globals, not class attributes, on each tick.
@@ -71,34 +75,29 @@ _C, _D, _W, _O, _OPD = Action.C, Action.D, Action.W, Action.O, Mode.OPD
 # One tick of a pairing
 # ---------------------------------------------------------------------------
 
-def play_pair_tick(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action, Action]:
-    """One simultaneous tick of a pairing: both seats move, the
-    instantaneous-rematch peek runs (in OPD only: no other mode has an O),
-    and both moves are committed. Returns the action pair for the caller to pay."""
-    vm1, a1 = seat_move(seat1, seat2.last, config)
-    vm2, a2 = seat_move(seat2, seat1.last, config)
-    if config.instantaneous_rematch and config.mode is _OPD:
-        if a2 is _W:
-            vm1, a1 = _peek_at_wait(seat1.program, vm1, a1, config)
-        elif a1 is _W:
-            vm2, a2 = _peek_at_wait(seat2.program, vm2, a2, config)
-    seat1.vm, seat1.last = vm1, a1
-    seat2.vm, seat2.last = vm2, a2
-    return a1, a2
-
-
-def _peek_at_wait(
-    program: StrategyProgram, vm: VmState, action: Action, config: GameConfig
+def _answer_wait(
+    program: StrategyProgram, vm: VmState, action: Action, partner: Action, config: GameConfig
 ) -> tuple[VmState, Action]:
-    """Same-round reaction to a waiting partner: a seat that completed a C
-    or D ticks its machine once more against the wait, and the result
-    replaces its move only when it is an O."""
-    if action is not _C and action is not _D:
-        return vm, action
-    peek_vm, peek_action = tick(vm, program, _W, action, config.k)
-    if peek_action is _O:
-        return peek_vm, _O
+    """Same-round reaction to a waiting partner, in instantaneous OPD only:
+    a seat that moved C or D while its partner played W ticks its machine
+    once more against the wait, and the result replaces its move only when
+    it is an O."""
+    if (partner is _W and (action is _C or action is _D) and config.instantaneous_rematch
+            and config.mode is _OPD):
+        peek_vm, peek_action = tick(vm, program, _W, action, config.k)
+        if peek_action is _O:
+            return peek_vm, _O
     return vm, action
+
+
+def play_pair_tick(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action, Action]:
+    """One simultaneous tick of a pairing: ``match_step``, then each
+    committed seat answers a waiting partner. Returns the action pair for
+    the caller to pay."""
+    a1, a2, _, _ = match_step(seat1, seat2, config)
+    seat1.vm, seat1.last = _answer_wait(seat1.program, seat1.vm, a1, a2, config)
+    seat2.vm, seat2.last = _answer_wait(seat2.program, seat2.vm, a2, a1, config)
+    return seat1.last, seat2.last
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +106,17 @@ def _peek_at_wait(
 
 @dataclass
 class PlayerSlot:
-    """A player's seat and running score, kept as an integer over the
-    table's ``game.payoff_unit``."""
+    """A player's seat and its partner, None while unpaired."""
 
     pid: int
     label: str
     seat: Seat
-    scaled_total: int = 0
     partner: int | None = None
-    opt_outs: int = 0
-    unpaired_ticks: int = 0
 
 
 @dataclass
 class PopulationState:
-    """The players, the rematch source and the run's pair ticks. Scores and
-    ``idle_pay``, what an unpaired player earns per tick, are integers over
-    the table's ``game.payoff_unit``, so adding a payoff to a score is
-    integer arithmetic.
+    """The players, the rematch source and the run's pair ticks.
 
     ``steps`` maps each joint state a pairing has played this run,
     ``(id(program1), vm1, last1, id(program2), vm2, last2)``, to what
@@ -136,7 +128,6 @@ class PopulationState:
 
     players: list[PlayerSlot]
     rng: random.Random
-    idle_pay: int
     tick: int = 0
     steps: dict[tuple, tuple[VmState, Action, VmState, Action]] = field(default_factory=dict)
 
@@ -180,28 +171,33 @@ class PlayerSummary:
 
 @dataclass(frozen=True)
 class OpdTrace:
-    """A population run, its play events kept in columns: row i is the
-    ``PlayEvent`` ``(tick[i], pid[i], partner[i], action[i], pay[i],
-    split[i])``, and ``pay`` holds the payoff rows' own ``Fraction``s.
-    ``rematches`` pairs each rematch event with the number of play rows
-    before it. ``population_step`` appends to the columns while the run
-    lasts; after it they are not to be mutated."""
+    """A population run, kept as what was played: row i is the pairing tick
+    ``(tick[i], first[i], second[i], a1[i], a2[i])``, the lower id first,
+    and ``rows``, the ``table.outcomes`` rows the run was paid from, gives
+    each row's pay and split. ``rematches`` pairs each rematch event with
+    the number of play rows before it. ``population_step`` appends to the
+    columns while the run lasts; after it they are not to be mutated."""
 
+    rows: dict[tuple[Action, Action], tuple]
     tick: list[int] = field(default_factory=list)
-    pid: list[int] = field(default_factory=list)
-    partner: list[int] = field(default_factory=list)
-    action: list[Action] = field(default_factory=list)
-    pay: list[Fraction] = field(default_factory=list)
-    split: list[bool] = field(default_factory=list)
+    first: list[int] = field(default_factory=list)
+    second: list[int] = field(default_factory=list)
+    a1: list[Action] = field(default_factory=list)
+    a2: list[Action] = field(default_factory=list)
     rematches: list[tuple[int, RematchEvent]] = field(default_factory=list)
     summaries: tuple[PlayerSummary, ...] = ()
 
     @property
     def events(self) -> tuple[Event, ...]:
-        """The run's event stream, built from the columns on every read."""
+        """The run's event stream, built from the columns on every read:
+        two ``PlayEvent``s per row, the first seat's and then the second's."""
+        rows = self.rows
         events: list[Event] = []
-        for plays, rematch_event in self._segments(map(PlayEvent, *self._play_columns())):
-            events += plays
+        for plays, rematch_event in self._segments():
+            for tick, first, second, a1, a2 in plays:
+                pay1, pay2, split, _, _ = rows[a1, a2]
+                events += (PlayEvent(tick, first, second, a1, pay1, split),
+                           PlayEvent(tick, second, first, a2, pay2, split))
             if rematch_event is not None:
                 events.append(rematch_event)
         return tuple(events)
@@ -209,13 +205,11 @@ class OpdTrace:
     def totals(self) -> tuple[Fraction, ...]:
         return tuple(s.total for s in self.summaries)
 
-    def _play_columns(self) -> tuple[list, ...]:
-        return (self.tick, self.pid, self.partner, self.action, self.pay, self.split)
-
-    def _segments(self, plays: Iterator) -> Iterator[tuple[Iterator, RematchEvent | None]]:
-        """``plays``, one item per play row, cut at the rematch events: each
-        run of items with the event that follows it, and the last with None.
-        Each run is to be consumed before the next is taken."""
+    def _segments(self) -> Iterator[tuple[Iterator, RematchEvent | None]]:
+        """The rows, cut at the rematch events: each run of rows with the
+        event that follows it, and the last with None. Each run is to be
+        consumed before the next is taken."""
+        plays = zip(self.tick, self.first, self.second, self.a1, self.a2)
         done = 0
         for position, rematch_event in self.rematches:
             yield islice(plays, position - done), rematch_event
@@ -253,33 +247,18 @@ def _apply_rematch(state: PopulationState, trace: OpdTrace) -> None:
         pa.partner, pb.partner = b, a
         pa.seat.new_pairing()
         pb.seat.new_pairing()
-    trace.rematches.append((len(trace.pid), RematchEvent(state.tick, pairs)))
+    trace.rematches.append((len(trace.tick), RematchEvent(state.tick, pairs)))
 
 
-def population_step(
-    state: PopulationState,
-    config: GameConfig,
-    table: PayoffTable,
-    trace: OpdTrace,
-    asymmetric_split: bool = False,
-) -> None:
-    """Advance the population one clock tick, appending its events to ``trace``."""
+def population_step(state: PopulationState, config: GameConfig, trace: OpdTrace) -> None:
+    """Advance the population one clock tick: every pair plays, its row is
+    appended to ``trace``, and a pair whose row splits it is unpaired."""
     state.tick += 1
     now = state.tick
-
-    # Only players unpaired as the tick starts idle through it: a pair that
-    # splits this tick has played it.
-    for player in state.players:
-        if player.partner is None:
-            player.unpaired_ticks += 1
-            player.scaled_total += state.idle_pay
-
-    rows = table.outcomes[config.mode, asymmetric_split]
-    steps = state.steps
-    ticks, pids, partners = trace.tick, trace.pid, trace.partner
-    actions, pays, splits = trace.action, trace.pay, trace.split
+    rows, steps, players = trace.rows, state.steps, state.players
+    ticks, firsts, seconds, a1s, a2s = trace.tick, trace.first, trace.second, trace.a1, trace.a2
     for a, b in state.pairs():
-        pa, pb = state.players[a], state.players[b]
+        pa, pb = players[a], players[b]
         seat1, seat2 = pa.seat, pb.seat
         key = (id(seat1.program), seat1.vm, seat1.last, id(seat2.program), seat2.vm, seat2.last)
         step = steps.get(key)
@@ -289,22 +268,13 @@ def population_step(
         else:
             seat1.vm, a1, seat2.vm, a2 = step
             seat1.last, seat2.last = a1, a2
-        pay1, pay2, split, scaled1, scaled2 = rows[a1, a2]
-        pa.scaled_total += scaled1
-        pb.scaled_total += scaled2
-        if split:
-            if a1 is _O:
-                pa.opt_outs += 1
-            if a2 is _O:
-                pb.opt_outs += 1
+        ticks.append(now)
+        firsts.append(a)
+        seconds.append(b)
+        a1s.append(a1)
+        a2s.append(a2)
+        if rows[a1, a2][2]:
             pa.partner = pb.partner = None
-        # Two rows per pairing, the first seat's and then the second's.
-        ticks += (now, now)
-        pids += (a, b)
-        partners += (b, a)
-        actions += (a1, a2)
-        pays += (pay1, pay2)
-        splits += (split, split)
 
     if config.rematches_at(now):
         _apply_rematch(state, trace)
@@ -334,10 +304,8 @@ def run_population(
         PlayerSlot(pid=i, label=label, seat=Seat.fresh(program))
         for i, (label, program) in enumerate(programs)
     ]
-    scale = payoff_unit(table)
-    state = PopulationState(players=players, rng=random.Random(config.seed),
-                            idle_pay=int(table.Q_hat * scale) if unpaired_pay_qhat else 0)
-    trace = OpdTrace()
+    state = PopulationState(players=players, rng=random.Random(config.seed))
+    trace = OpdTrace(rows=table.outcomes[config.mode, asymmetric_split])
 
     if initial_pairing is not None:
         claimed = [pid for pair in initial_pairing for pid in pair]
@@ -351,14 +319,27 @@ def run_population(
         _apply_rematch(state, trace)  # state.tick is 0: the initial division
 
     for _ in range(config.N):
-        population_step(state, config, table, trace, asymmetric_split)
+        population_step(state, config, trace)
 
-    summaries = tuple(
-        PlayerSummary(p.pid, p.label, Fraction(p.scaled_total, scale), p.opt_outs,
-                      p.unpaired_ticks)
-        for p in players
-    )
-    return replace(trace, summaries=summaries)
+    # Paid once, by counting what was played: each distinct row's count
+    # times its payoffs, integers over the table's payoff unit. A player
+    # idles through every tick it did not play.
+    scaled, plays, opt_outs = [0] * len(players), [0] * len(players), [0] * len(players)
+    for (first, second, a1, a2), count in Counter(
+            zip(trace.first, trace.second, trace.a1, trace.a2)).items():
+        row = trace.rows[a1, a2]
+        for pid, action, pay in ((first, a1, row[3]), (second, a2, row[4])):
+            scaled[pid] += count * pay
+            plays[pid] += count
+            opt_outs[pid] += count * (action is _O)
+    unit = payoff_unit(table)
+    idle_pay = int(table.Q_hat * unit) if unpaired_pay_qhat else 0
+    summaries = []
+    for p in players:
+        unpaired_ticks = config.N - plays[p.pid]
+        total = Fraction(scaled[p.pid] + unpaired_ticks * idle_pay, unit)
+        summaries.append(PlayerSummary(p.pid, p.label, total, opt_outs[p.pid], unpaired_ticks))
+    return replace(trace, summaries=tuple(summaries))
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +392,27 @@ def trace_to_csv(
         config_header(table, config, extra_meta),
         "tick,event,player,partner,action,payoff",
     ]
-    # A run plays few distinct rows: each line is its tick's text plus the
-    # text after it, each formatted once. The tails are keyed by the pay's
-    # identity (a table row's own object), which is cheaper than a
-    # Fraction's hash, and the ticks come in order.
-    tails: dict[tuple, str] = {}
+    # A run plays few distinct rows: each of a row's two lines is its
+    # tick's text plus the text after it, formatted once per distinct
+    # (first, second, a1, a2), and the ticks come in order.
+    rows = trace.rows
+    tails: dict[tuple, tuple[str, str]] = {}
     last_tick, tick_text = None, ""
-    for plays, rematch_event in trace._segments(zip(*trace._play_columns())):
-        for tick, pid, partner, action, pay, split in plays:
+    for plays, rematch_event in trace._segments():
+        for tick, first, second, a1, a2 in plays:
             if tick != last_tick:
                 last_tick, tick_text = tick, str(tick)
-            key = (pid, partner, action, id(pay), split)
-            tail = tails.get(key)
-            if tail is None:
+            key = (first, second, a1, a2)
+            pair_tails = tails.get(key)
+            if pair_tails is None:
+                pay1, pay2, split, _, _ = rows[a1, a2]
                 kind = "split" if split else "play"
-                tail = tails[key] = f",{kind},{pid},{partner},{ACTION_TEXT[action]},{pay}"
-            lines.append(tick_text + tail)
+                pair_tails = tails[key] = (
+                    f",{kind},{first},{second},{ACTION_TEXT[a1]},{pay1}",
+                    f",{kind},{second},{first},{ACTION_TEXT[a2]},{pay2}",
+                )
+            tail1, tail2 = pair_tails
+            lines += (tick_text + tail1, tick_text + tail2)
         if rematch_event is not None:
             lines += [f"{rematch_event.tick},rematch,{a},{b},," for a, b in rematch_event.pairings]
     return "\n".join(lines) + "\n"

@@ -289,6 +289,8 @@ def _operand_value(
     if kind is _CONST_ACTION:
         return ACTION_CODE[operand.value]  # type: ignore[index]
     if kind is _REG:
+        if operand.value < 0:  # a list index would read it from the end
+            raise IndexError(f"register {operand.value} out of range")
         return regs[operand.value]  # type: ignore[index]
     a = opp if operand.value == "opp" else own
     return None if a is None else ACTION_CODE[a]

@@ -181,23 +181,21 @@ class TestAnalyze:
 
     def test_fixed_population_security_level(self):
         code, out, _ = run_cli([
-            "analyze", "AllC", "--gamma", "all-AllD", "--N", "10",
-            "--trials", "1", "--size-bound", "5",
+            "analyze", "AllC", "--gamma", "all-AllD", "--N", "10", "--size-bound", "5",
         ])
         assert code == 0
         assert "security level: -20.000" in out
 
     def test_draw_model_report(self):
         code, out, _ = run_cli([
-            "analyze", "OFT", "--q", "0.5", "--r", "0", "--N", "40",
-            "--trials", "40", "--size-bound", "5",
+            "analyze", "OFT", "--q", "0.5", "--r", "0", "--N", "40", "--size-bound", "5",
         ])
         assert code == 0 and "competitive ratio" in out
 
     def test_sweep_emits_cr_rows(self, tmp_path):
         code, out, _ = run_cli([
             "analyze", "OFT", "--q", "0.5", "--r", "0",
-            "--sweep-N", "20:40:20", "--trials", "30", "--size-bound", "5",
+            "--sweep-N", "20:40:20", "--size-bound", "5",
             "--out", str(tmp_path),
         ])
         assert code == 0
@@ -236,8 +234,6 @@ class TestOutOfRangeConfig:
          "q must be positive and at most 1, got 3/2"),
         (["analyze", "OFT", "--q", "1.00000000000000000001", "--N", "10", "--size-bound", "4"],
          "q must be in (0, 1], got 100000000000000000001/100000000000000000000"),
-        (["analyze", "OFT", "--q", "0.5", "--trials", "0"], "--trials must be at least 1"),
-        (["analyze", "OFT", "--q", "0.5", "--trials", "-3"], "--trials must be at least 1"),
         (["analyze", "OFT", "--q", "0.5", "--size-bound", "0"],
          "--size-bound must be at least 1"),
         (["analyze", "OFT", "--gamma", "all-AllD", "--size-bound", "-1"],
@@ -250,8 +246,6 @@ class TestOutOfRangeConfig:
             "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
             "analyze-r-not-whole-ticks",
             "oft-constant-q-word", "oft-constant-q-above-one", "analyze-q-just-above-one",
-            "analyze-trials-0",
-            "analyze-trials-negative",
             "analyze-size-bound-0", "analyze-gamma-size-bound-negative",
             "analyze-size-bound-below-every-program", "analyze-r-outside-opd"])
     def test_rejected_with_usage_code(self, argv, message):
@@ -310,7 +304,7 @@ class TestFlagSurface:
     def test_analyze_mode_flag(self):
         code, out, _ = run_cli([
             "analyze", "AllC", "--gamma", "all-AllD", "--N", "6",
-            "--mode", "OPD", "--trials", "1", "--size-bound", "5",
+            "--mode", "OPD", "--size-bound", "5",
         ])
         assert code == 0 and "security level" in out
         code, _, err = run_cli(["analyze", "OFT", "--q", "0.5", "--mode", "FTPD",

@@ -193,6 +193,15 @@ class TestValidateTable:
         violations = validate_table(bad, Mode.OPD, regime="theorem6")
         assert "P >= Q" in violations and "Q_hat < 0" in violations
 
+    def test_theorem7_regime(self):
+        table = PayoffTable(T=3, R=2, P=1, S=-1, H=-1, Q=Fraction(1, 2), Q_hat=-1)
+        assert validate_table(table, Mode.OPD, regime="theorem7") == []
+        # Core-valid, but Q = Q_hat = P and H = 0 break all three strict bounds.
+        bad = PayoffTable(T=3, R=2, P=1, S=-1, H=0, Q=1, Q_hat=1)
+        assert validate_table(bad, Mode.OPD, regime="theorem7") == ["P > Q", "Q > Q_hat", "H < 0"]
+        assert validate_table(bad, Mode.FTPD, regime="theorem7") == [
+            "mode == OPD", "P > Q", "Q > Q_hat", "H < 0"]
+
 
 def brute_force_dominance(table: PayoffTable, mode: Mode) -> list[Dominance]:
     """Independent oracle: explicit row matrices, no shared code path with

@@ -573,22 +573,17 @@ def test_interpret_on_a_fixed_corpus_is_pinned():
         "834d769119b4d5e13f4cca59fd0fcca7d03b86455f838a4054c5e075b56cf98b")
 
 
-def test_a_negative_compare_register_reads_the_last_register():
-    """A known defect, pinned where a fix will edit it: ``interpret`` reads
-    a COMPARE's ``Operand.reg(-1)`` as the last register and plays on,
-    while ``validate_program`` reports the register out of range."""
+def test_a_negative_compare_register_faults():
+    """``interpret`` faults on a COMPARE of ``Operand.reg(-1)``, as on any
+    bad operand, where a list index would read the last register;
+    ``validate_program`` reports the register out of range."""
     program = StrategyProgram("negative-register", (increment(0), compare(
         Operand.reg(-1), CmpOp.GE, Operand.const(2), on_false=4),
         emit(D), halt(), emit(C), halt(), jump(0)), reg_widths=(3,))
     assert validate_program(program) == ["instruction 1: register -1 out of range"]
-    state = reset(program)
-    actions = []
-    for _ in range(3):
-        state, action = interpret(state, program, None, None, 8)
-        actions.append(action)
-    # The second compare reads register 0, which holds 2 by then.
-    assert actions == [C, D, C]
-    assert state.regs == (2,) and state.fault_reason is None
+    state, action = interpret(reset(program), program, None, None, 8)
+    assert action is W and state.fault_reason == "bad compare operand at 1"
+    assert state.regs == (1,)
 
 
 def replay_through_the_table(program: StrategyProgram, k: int, observations) -> dict:
