@@ -25,13 +25,18 @@ same rule.
 
 With the config fixed for a run, a pairing's tick is a function of its
 joint state alone: both programs, both machines and both last moves. So a
-population plays each distinct joint state once, as the draw model does:
-``PopulationState.steps`` is the run's joint-state table, and
-``population_step`` calls ``play_pair_tick`` only for a state the table
-does not hold, and otherwise sets both seats from the entry. Players of one
-spec line share a program, so their pairings share entries: a 100-player
-roster of seven builtins run for 200 ticks plays 436 to 1 039 distinct
-joint states in about 10 000 pair ticks.
+population plays each distinct joint state once, as the draw model does.
+``PopulationState`` numbers the run's joint states as they arise, with the
+programs numbered per run, and keeps beside each the move it makes: the
+next state's number, both actions and whether the row splits the pair. It
+keeps the live pairs in order of the lower id, each with its joint state's
+number, so ``population_step`` maps the pairs' numbers through the moves
+and calls ``play_pair_tick`` only for a state no pairing has played yet.
+The pairs change only at a split and a rematch event, and a player's
+machine is read back from its pair's joint state only when the pair
+splits. Players of one spec line share a program, so their pairings share
+states: a 100-player roster of seven builtins run for 200 ticks plays
+436 to 1 039 distinct joint states in 9 862 to 10 000 pair ticks.
 
 A population, like a match, keeps what was played and is paid once by
 counting. An ``OpdTrace`` holds one row per pairing tick in five columns
@@ -52,6 +57,7 @@ pool sorted by player id, so a fixed seed reproduces a run exactly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -65,7 +71,7 @@ from .game import (
 )
 from .library import resolve
 from .match import Seat, match_step
-from .vm import StrategyProgram, VmState, tick
+from .vm import StrategyProgram, VmState, reset, tick
 
 # Enum members read as module globals, not class attributes, on each tick.
 _C, _D, _W, _O, _OPD = Action.C, Action.D, Action.W, Action.O, Mode.OPD
@@ -105,41 +111,61 @@ def play_pair_tick(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PlayerSlot:
-    """A player's seat and its partner, None while unpaired."""
-
-    pid: int
-    label: str
-    seat: Seat
-    partner: int | None = None
-
-
-@dataclass
 class PopulationState:
-    """The players, the rematch source and the run's pair ticks.
+    """The players, the rematch source, the live pairs and the run's joint
+    states.
 
-    ``steps`` maps each joint state a pairing has played this run,
-    ``(id(program1), vm1, last1, id(program2), vm2, last2)``, to what
-    ``play_pair_tick`` made of it: ``(vm1, a1, vm2, a2)``, both machines
-    after the tick and both moves. Programs are keyed by identity, which is
-    cheaper than hashing their instructions; the roster keeps them alive
-    for the run, so their ids are stable. It holds at most one entry per
-    pair tick."""
+    A joint state is ``(program1, vm1, last1, program2, vm2, last2)``, both
+    seats of a pairing, with each program as its number: the id of the
+    first player that runs it, so ``programs[number]`` is the program.
+    ``joint_states`` lists the run's joint states in the order they arose
+    and ``numbers`` maps each to its place there. ``moves[s]`` is what a
+    pairing at state ``s`` plays, ``(next state, a1, a2, split)``, or None
+    until one does; ``population_step`` fills it once, from
+    ``play_pair_tick``.
 
-    players: list[PlayerSlot]
+    The live pairs are ``(first[i], second[i])``, the lower id first and in
+    ascending order of it, at joint state ``joint[i]``; ``pool`` holds the
+    unpaired players. They change only at a split and a rematch. ``vms`` is
+    each player's machine as its last pairing left it: a paired player's
+    machine is in its pair's joint state until the pair splits."""
+
+    programs: list[StrategyProgram]
+    program_of: list[int]
+    vms: list[VmState]
     rng: random.Random
     tick: int = 0
-    steps: dict[tuple, tuple[VmState, Action, VmState, Action]] = field(default_factory=dict)
+    first: list[int] = field(default_factory=list)
+    second: list[int] = field(default_factory=list)
+    joint: list[int] = field(default_factory=list)
+    pool: list[int] = field(default_factory=list)
+    joint_states: list[tuple] = field(default_factory=list)
+    numbers: dict[tuple, int] = field(default_factory=dict)
+    moves: list[tuple[int, Action, Action, bool] | None] = field(default_factory=list)
 
-    def pool_ids(self) -> list[int]:
-        return sorted(p.pid for p in self.players if p.partner is None)
+    def number(self, joint_state: tuple) -> int:
+        """The joint state's number, a new one the first time it arises."""
+        number = self.numbers.setdefault(joint_state, len(self.joint_states))
+        if number == len(self.joint_states):
+            self.joint_states.append(joint_state)
+            self.moves.append(None)
+        return number
 
-    def pairs(self) -> list[tuple[int, int]]:
-        seen = []
-        for player in self.players:
-            if player.partner is not None and player.pid < player.partner:
-                seen.append((player.pid, player.partner))
-        return seen
+    def pair(self, a: int, b: int) -> None:
+        """Start a pairing of players ``a < b``, neither with a last move."""
+        i = bisect_left(self.first, a)
+        self.first.insert(i, a)
+        self.second.insert(i, b)
+        program_of, vms = self.program_of, self.vms
+        start = (program_of[a], vms[a], None, program_of[b], vms[b], None)
+        self.joint.insert(i, self.number(start))
+
+    def split(self, i: int) -> None:
+        """End pair ``i``: both players get their machines back and join the pool."""
+        a, b = self.first.pop(i), self.second.pop(i)
+        joint_state = self.joint_states[self.joint.pop(i)]
+        self.vms[a], self.vms[b] = joint_state[1], joint_state[4]
+        self.pool += (a, b)
 
 
 class PlayEvent(NamedTuple):
@@ -238,45 +264,52 @@ def expected_rematch_delay(config: GameConfig) -> Fraction:
 
 
 def _apply_rematch(state: PopulationState, trace: OpdTrace) -> None:
-    pool = state.pool_ids()
-    if len(pool) < 2:
+    if len(state.pool) < 2:
         return
-    pairs = rematch(pool, state.rng)
+    pairs = rematch(state.pool, state.rng)
+    state.pool.clear()
     for a, b in pairs:
-        pa, pb = state.players[a], state.players[b]
-        pa.partner, pb.partner = b, a
-        pa.seat.new_pairing()
-        pb.seat.new_pairing()
+        state.pair(a, b)
     trace.rematches.append((len(trace.tick), RematchEvent(state.tick, pairs)))
 
 
-def population_step(state: PopulationState, config: GameConfig, trace: OpdTrace) -> None:
-    """Advance the population one clock tick: every pair plays, its row is
-    appended to ``trace``, and a pair whose row splits it is unpaired."""
-    state.tick += 1
-    now = state.tick
-    rows, steps, players = trace.rows, state.steps, state.players
-    ticks, firsts, seconds, a1s, a2s = trace.tick, trace.first, trace.second, trace.a1, trace.a2
-    for a, b in state.pairs():
-        pa, pb = players[a], players[b]
-        seat1, seat2 = pa.seat, pb.seat
-        key = (id(seat1.program), seat1.vm, seat1.last, id(seat2.program), seat2.vm, seat2.last)
-        step = steps.get(key)
-        if step is None:
-            a1, a2 = play_pair_tick(seat1, seat2, config)
-            steps[key] = (seat1.vm, a1, seat2.vm, a2)
-        else:
-            seat1.vm, a1, seat2.vm, a2 = step
-            seat1.last, seat2.last = a1, a2
-        ticks.append(now)
-        firsts.append(a)
-        seconds.append(b)
-        a1s.append(a1)
-        a2s.append(a2)
-        if rows[a1, a2][2]:
-            pa.partner = pb.partner = None
+def _play_joint_state(state: PopulationState, number: int, config: GameConfig,
+                      rows: dict[tuple[Action, Action], tuple]) -> None:
+    """Fill in the move of joint state ``number``: one ``play_pair_tick`` on
+    scratch seats."""
+    program1, vm1, last1, program2, vm2, last2 = state.joint_states[number]
+    seat1 = Seat(state.programs[program1], vm1, last1)
+    seat2 = Seat(state.programs[program2], vm2, last2)
+    a1, a2 = play_pair_tick(seat1, seat2, config)
+    after = state.number((program1, seat1.vm, a1, program2, seat2.vm, a2))
+    state.moves[number] = (after, a1, a2, rows[a1, a2][2])
 
-    if config.rematches_at(now):
+
+def population_step(state: PopulationState, config: GameConfig, trace: OpdTrace) -> None:
+    """Advance the population one clock tick: every pair makes its joint
+    state's move, its row is appended to ``trace``, and a pair whose row
+    splits it is unpaired."""
+    state.tick += 1
+    joint, moves = state.joint, state.moves
+    if joint:
+        played = list(map(moves.__getitem__, joint))
+        if None in played:
+            for number in joint:
+                if moves[number] is None:
+                    _play_joint_state(state, number, config, trace.rows)
+            played = list(map(moves.__getitem__, joint))
+        after, a1, a2, splits = zip(*played)
+        trace.tick.extend([state.tick] * len(joint))
+        trace.first.extend(state.first)
+        trace.second.extend(state.second)
+        trace.a1.extend(a1)
+        trace.a2.extend(a2)
+        joint[:] = after
+        if True in splits:
+            for i in reversed([i for i, split in enumerate(splits) if split]):
+                state.split(i)
+
+    if config.rematches_at(state.tick):
         _apply_rematch(state, trace)
 
 
@@ -300,22 +333,28 @@ def run_population(
     if len(programs) < 2 or len(programs) % 2:
         raise ValueError("population size must be even and at least 2")
 
-    players = [
-        PlayerSlot(pid=i, label=label, seat=Seat.fresh(program))
-        for i, (label, program) in enumerate(programs)
-    ]
-    state = PopulationState(players=players, rng=random.Random(config.seed))
+    # A program is numbered by the first player that runs it: players of
+    # one spec line share theirs.
+    first_runner: dict[int, int] = {}
+    state = PopulationState(
+        programs=[program for _, program in programs],
+        program_of=[first_runner.setdefault(id(program), pid)
+                    for pid, (_, program) in enumerate(programs)],
+        vms=[reset(program) for _, program in programs],
+        rng=random.Random(config.seed),
+    )
     trace = OpdTrace(rows=table.outcomes[config.mode, asymmetric_split])
 
     if initial_pairing is not None:
         claimed = [pid for pair in initial_pairing for pid in pair]
-        if sorted(claimed) != list(range(len(players))):
+        if sorted(claimed) != list(range(len(programs))):
             raise ValueError("initial pairing must cover every player exactly once")
-        for a, b in initial_pairing:
-            players[a].partner, players[b].partner = b, a
         pairs = tuple(tuple(sorted(p)) for p in initial_pairing)
+        for a, b in pairs:
+            state.pair(a, b)
         trace.rematches.append((0, RematchEvent(0, pairs)))
     else:
+        state.pool = list(range(len(programs)))
         _apply_rematch(state, trace)  # state.tick is 0: the initial division
 
     for _ in range(config.N):
@@ -324,7 +363,8 @@ def run_population(
     # Paid once, by counting what was played: each distinct row's count
     # times its payoffs, integers over the table's payoff unit. A player
     # idles through every tick it did not play.
-    scaled, plays, opt_outs = [0] * len(players), [0] * len(players), [0] * len(players)
+    n = len(programs)
+    scaled, plays, opt_outs = [0] * n, [0] * n, [0] * n
     for (first, second, a1, a2), count in Counter(
             zip(trace.first, trace.second, trace.a1, trace.a2)).items():
         row = trace.rows[a1, a2]
@@ -335,10 +375,10 @@ def run_population(
     unit = payoff_unit(table)
     idle_pay = int(table.Q_hat * unit) if unpaired_pay_qhat else 0
     summaries = []
-    for p in players:
-        unpaired_ticks = config.N - plays[p.pid]
-        total = Fraction(scaled[p.pid] + unpaired_ticks * idle_pay, unit)
-        summaries.append(PlayerSummary(p.pid, p.label, total, opt_outs[p.pid], unpaired_ticks))
+    for pid, (label, _) in enumerate(programs):
+        unpaired_ticks = config.N - plays[pid]
+        total = Fraction(scaled[pid] + unpaired_ticks * idle_pay, unit)
+        summaries.append(PlayerSummary(pid, label, total, opt_outs[pid], unpaired_ticks))
     return replace(trace, summaries=tuple(summaries))
 
 

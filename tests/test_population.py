@@ -349,6 +349,21 @@ class TestJointStates:
         assert trace.totals() == (1000,) * 4
         assert len(played) == len(set(played)) <= 4
 
+    def test_two_grims_play_at_most_three_joint_states(self, monkeypatch):
+        # One pairing of two GRIMs: its first tick, its second, and from
+        # then on one joint state that leads to itself.
+        play, calls = population.play_pair_tick, []
+
+        def counted(seat1, seat2, config):
+            calls.append(None)
+            return play(seat1, seat2, config)
+
+        config = opd_config(1000)
+        monkeypatch.setattr(population, "play_pair_tick", counted)
+        trace = run_population(roster(config, "GRIM", "GRIM"), config, INTRO_TABLE)
+        assert trace.totals() == (1000, 1000)
+        assert len(calls) <= 3
+
     @pytest.mark.parametrize("seed", range(4))
     def test_programs_with_equal_machines_are_told_apart(self, seed):
         # AllC and AllD pass through equal VmStates and see equal views, so
@@ -381,7 +396,8 @@ SPLIT_TABLE = PayoffTable(T=3, R=2, P=1, S=-1, H=Fraction(-1, 3), Q=Fraction(1, 
                           Q_hat=Fraction(-3, 4))
 
 
-def reference_population(programs, config, table, asymmetric_split, unpaired_pay_qhat):
+def reference_population(programs, config, table, asymmetric_split, unpaired_pay_qhat,
+                         initial_pairing=None):
     """The population semantics written out plainly against ``vm.tick``.
 
     Each pair keeps one view, the ``(a1, a2)`` it played on its last tick.
@@ -389,6 +405,8 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
     that completed C or D while its partner waited ticks once more against
     ``(W, own)`` and keeps the result only if it is O. Pairs play in the
     order of their smaller id, and a rematch event pairs the sorted pool.
+    A given initial pairing replaces the first rematch: its event lists the
+    pairs in the order given, each lower id first.
     """
     n = len(programs)
     rng = random_module.Random(config.seed)
@@ -415,7 +433,14 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
                 return peek_vm, O
         return vm, action
 
-    rematch_pool(0)
+    if initial_pairing is None:
+        rematch_pool(0)
+    else:
+        pairs = tuple((min(a, b), max(a, b)) for a, b in initial_pairing)
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+            view[a, b] = None
+        events.append(RematchEvent(0, pairs))
     for now in range(1, config.N + 1):
         for pid in range(n):
             if partner[pid] is None:
@@ -450,12 +475,15 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
 
 @given(seed=st.integers(0, 10**9), randoms=st.integers(2, 6), n=st.integers(1, 30),
        t=st.sampled_from([1, 2, 3]), instantaneous=st.booleans(),
-       asymmetric_split=st.booleans(), unpaired_pay_qhat=st.booleans(), k=st.integers(2, 4))
+       asymmetric_split=st.booleans(), unpaired_pay_qhat=st.booleans(), k=st.integers(2, 4),
+       paired=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_run_population_is_the_plain_loop(seed, randoms, n, t, instantaneous, asymmetric_split,
-                                          unpaired_pay_qhat, k):
+                                          unpaired_pay_qhat, k, paired):
     """Random programs (which emit O and W too) among OFT, GRIM and AllW,
-    and a second OFT when the count would be odd."""
+    and a second OFT when the count would be odd. When ``paired``, the run
+    starts from a drawn pairing, its pairs in shuffled order and some of
+    them listed higher id first."""
     rng = random_module.Random(seed)
     names = ["OFT", "GRIM", "AllW"] + ["OFT"] * (randoms % 2 == 0)
     config = GameConfig(N=n, mode=Mode.OPD, t=t, K=(randoms + len(names)) // 2, k=k,
@@ -463,10 +491,16 @@ def test_run_population_is_the_plain_loop(seed, randoms, n, t, instantaneous, as
     players = roster(config, *names) + [
         (f"fuzz{i}", random_program(rng)) for i in range(randoms)]
     rng.shuffle(players)
-    trace = run_population(players, config, SPLIT_TABLE, asymmetric_split=asymmetric_split,
-                           unpaired_pay_qhat=unpaired_pay_qhat)
+    initial_pairing = None
+    if paired:
+        ids = list(range(len(players)))
+        rng.shuffle(ids)
+        initial_pairing = [(ids[i], ids[i + 1]) if rng.random() < 0.5 else (ids[i + 1], ids[i])
+                           for i in range(0, len(ids), 2)]
+    trace = run_population(players, config, SPLIT_TABLE, initial_pairing=initial_pairing,
+                           asymmetric_split=asymmetric_split, unpaired_pay_qhat=unpaired_pay_qhat)
     events, summaries = reference_population(players, config, SPLIT_TABLE, asymmetric_split,
-                                             unpaired_pay_qhat)
+                                             unpaired_pay_qhat, initial_pairing)
     assert trace.events == events
     assert trace.summaries == summaries
     assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == csv_body(events)
