@@ -33,7 +33,7 @@ from .dsl import (
     DslError, StrategySource, compile, decompile, parse, print_source,
 )
 from .library import get as get_strategy
-from .match import MatchTrace, deviation_gain, run_match
+from .match import MatchTrace, run_match
 from .population import OpdTrace, expected_rematch_delay, rematch, run_population
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "StrategyProgram", "VmState", "reset", "tick",
     "DslError", "StrategySource", "compile", "decompile", "parse", "print_source",
     "get_strategy",
-    "MatchTrace", "deviation_gain", "run_match",
+    "MatchTrace", "run_match",
     "OpdTrace", "expected_rematch_delay", "rematch", "run_population",
     "__version__",
 ]

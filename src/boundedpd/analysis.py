@@ -82,7 +82,7 @@ from .game import (
 )
 from .library import resolve
 from .match import MatchTrace, Seat, seat_move
-from .population import _answer_wait, play_pair_tick, run_population
+from .population import JointStates, _answer_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
 # Read as a module global, not a class attribute, on each node of a walk.
@@ -355,15 +355,17 @@ class DrawModel:
     comparisons are set up.
 
     ``evaluate`` is exact: it carries the probability of every joint state
-    of focal player and partner tick by tick. ``q`` is taken at its exact
-    value, so a float q brings its full binary expansion in: 0.3 is
-    ``Fraction(5404319552844595, 2**54)``, and each draw widens the
-    masses by 54 bits. OFT at N=2000 takes about 5 times as long with 0.3
-    as with ``Fraction(3, 10)`` (0.04 s against 0.007 s on one x86-64
-    core). The joint states stay at a handful for real strategies, but a
-    program that counts its opt-outs grows them with the horizon (to
-    about N/2), and the exact cost with its square. ``sample`` is the
-    Monte-Carlo estimate over ``run_trial`` games, kept as a reference.
+    of focal player and partner tick by tick, over one ``JointStates``
+    table per call, the population's, whose programs are the focal one, the
+    cooperative, the hostile and the first draw. ``q`` is taken at its
+    exact value, so a float q brings its full binary expansion in: 0.3 is
+    ``Fraction(5404319552844595, 2**54)``, and each draw widens the masses
+    by 54 bits. OFT at N=2000 takes about 7 times as long with 0.3 as with
+    ``Fraction(3, 10)`` (0.046 s against 0.0064 s on one x86-64 core). The
+    joint states stay at a handful for real strategies, but a program that
+    counts its opt-outs grows them with the horizon (to about N/2), and the
+    exact cost with its square. ``sample`` is the Monte-Carlo estimate over
+    ``run_trial`` games, kept as a reference.
     """
 
     q: Fraction | float
@@ -401,12 +403,15 @@ class DrawModel:
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
         """The exact mean of ``_play_focal`` over the partner draws.
 
-        A joint state is the focal machine and last move, then the
-        partner's index, machine and last move, or None for each: five
-        fields, as each seat's move is the other's ``opp``. Each tick
-        every paired state plays one pair tick, and at a rematch event
-        the unpaired states, joined by focal machine, branch into a fresh
-        partner per draw; equal states merge their probabilities.
+        Paired mass is keyed by joint-state number, unpaired mass by a
+        per-call number of the focal machine (what the focal seat saw last
+        is forgotten at the next pairing). A joint state is played once,
+        the first time it carries mass, and gives its focal pay, its next
+        state (or a split) and its idle number; an idle number gives the
+        fresh joint states of a draw once. Each tick every paired mass
+        makes its state's move, and at a rematch event the unpaired mass
+        branches into a fresh partner per draw; equal states merge their
+        probabilities, and the tick loop hashes only integers.
 
         The arithmetic is in integers. With q = a/b a draw weighs a for the
         cooperative partner and b - a for the hostile one, and every mass
@@ -423,60 +428,60 @@ class DrawModel:
         require_valid_table(table)
         q = Fraction(self.q)
         a, b = q.numerator, q.denominator
-        partners = [resolve(self.cooperative, config), resolve(self.hostile, config)]
-        draws = [(index, weight) for index, weight in ((0, a), (1, b - a)) if weight]
+        programs = [program, resolve(self.cooperative, config), resolve(self.hostile, config)]
+        draws = [(index, weight) for index, weight in ((1, a), (2, b - a)) if weight]
         first, scale = draws, b
         if self.first_draw is not None:
-            partners.append(resolve(self.first_draw, config))
-            first, scale = [(2, 1)], 1
+            programs.append(resolve(self.first_draw, config))
+            first, scale = [(3, 1)], 1
         rows, unit = table.outcomes[config.mode, False], payoff_unit(table)
-        fresh = [reset(partner) for partner in partners]
-        start = reset(program)
-        states = {(start, None, i, fresh[i], None): w for i, w in first}
-        focal, partner = Seat.fresh(program), Seat.fresh(program)
-        # A pair tick is a function of the joint state: each distinct one
-        # is played once, as (focal payoff over ``unit``, state after or
-        # None on a split, focal machine after).
-        steps: dict[tuple, tuple[int, tuple | None, VmState]] = {}
+        joint_states = JointStates(programs, config, rows)
+        number, moves, states = joint_states.number, joint_states.moves, joint_states.states
+        fresh = [reset(p) for p in programs]
+        # ``pairings[i]`` holds a draw's joint states, with their weights,
+        # from the focal machine numbered ``i`` in ``idle_numbers``.
+        idle_numbers: dict[VmState, int] = {}
+        pairings: list[list[tuple[int, int]]] = []
+        paired = {number((0, fresh[0], None, j, fresh[j], None)): w for j, w in first}
+        idle: dict[int, int] = {}
+        # By joint-state number: (focal payoff over ``unit``, the next
+        # state's number or None on a split, the idle number after a split).
+        steps: list[tuple[int, int | None, int | None] | None] = [None] * len(moves)
         total = 0
         for now in range(1, config.N + 1):
-            after: dict[tuple, int] = {}
-            # Unpaired mass by focal machine: what the focal seat saw last
-            # is forgotten at the next pairing, so it is not part of the
-            # state.
-            idle: dict[VmState, int] = {}
-            for key, mass in states.items():
-                vm, index = key[0], key[2]
-                if index is not None:
-                    step = steps.get(key)
-                    if step is None:
-                        focal.vm, focal.last, _, partner.vm, partner.last = key
-                        partner.program = partners[index]
-                        a1, a2 = play_pair_tick(focal, partner, config)
-                        _, _, split, pay, _ = rows[a1, a2]
-                        paired = None if split else (focal.vm, a1, index, partner.vm, a2)
-                        step = steps[key] = (pay, paired, focal.vm)
-                    pay, paired, vm = step
-                    if pay:
-                        total += mass * pay
-                    if paired is not None:
-                        after[paired] = after.get(paired, 0) + mass
-                        continue
-                idle[vm] = idle.get(vm, 0) + mass
+            after: dict[int, int] = {}
+            for state, mass in paired.items():
+                step = steps[state]
+                if step is None:
+                    following, a1, a2, split = joint_states.play(state)
+                    rest = None
+                    if split:
+                        vm, following = states[following][1], None
+                        rest = idle_numbers.setdefault(vm, len(pairings))
+                        if rest == len(pairings):
+                            pairings.append([(number((0, vm, None, j, fresh[j], None)), w)
+                                             for j, w in draws])
+                    step = steps[state] = (rows[a1, a2][3], following, rest)
+                    steps += [None] * (len(moves) - len(steps))
+                pay, following, rest = step
+                if pay:
+                    total += mass * pay
+                if following is None:
+                    idle[rest] = idle.get(rest, 0) + mass
+                else:
+                    after[following] = after.get(following, 0) + mass
             if idle and config.rematches_at(now):
                 if b != 1:
                     scale *= b
                     total *= b
-                    after = {key: mass * b for key, mass in after.items()}
+                    after = {state: mass * b for state, mass in after.items()}
                 # A played pair has a view of its tick, so no carried
-                # state has these keys.
-                for vm, mass in idle.items():
-                    for i, weight in draws:
-                        after[(vm, None, i, fresh[i], None)] = mass * weight
-            else:
-                for vm, mass in idle.items():
-                    after[(vm, None, None, None, None)] = mass
-            states = after
+                # state is a fresh pairing.
+                for rest, mass in idle.items():
+                    for state, weight in pairings[rest]:
+                        after[state] = mass * weight
+                idle = {}
+            paired = after
         return ModelEstimate(self.describe(), Fraction(total, scale * unit), 0.0, 1, exact=True)
 
     def sample(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,

@@ -160,20 +160,6 @@ def run_match(
     )
 
 
-def deviation_gain(
-    opponent: StrategyProgram,
-    candidate: StrategyProgram,
-    baseline: StrategyProgram,
-    config: GameConfig,
-    table: PayoffTable,
-) -> Fraction:
-    """Payoff delta for player 1 from playing ``candidate`` instead of
-    ``baseline`` against a fixed opponent."""
-    with_candidate = run_match(candidate, opponent, config, table).total1
-    with_baseline = run_match(baseline, opponent, config, table).total1
-    return with_candidate - with_baseline
-
-
 def trace_to_csv(
     trace: MatchTrace, config: GameConfig, table: PayoffTable, extra_meta: str = ""
 ) -> str:

@@ -23,20 +23,19 @@ pair. The answer lives here because only the opting-out game has it. The
 draw model and the play tree of :mod:`boundedpd.analysis` play through the
 same rule.
 
-With the config fixed for a run, a pairing's tick is a function of its
-joint state alone: both programs, both machines and both last moves. So a
-population plays each distinct joint state once, as the draw model does.
-``PopulationState`` numbers the run's joint states as they arise, with the
-programs numbered per run, and keeps beside each the move it makes: the
-next state's number, both actions and whether the row splits the pair. It
-keeps the live pairs in order of the lower id, each with its joint state's
-number, so ``population_step`` maps the pairs' numbers through the moves
-and calls ``play_pair_tick`` only for a state no pairing has played yet.
-The pairs change only at a split and a rematch event, and a player's
-machine is read back from its pair's joint state only when the pair
-splits. Players of one spec line share a program, so their pairings share
-states: a 100-player roster of seven builtins run for 200 ticks plays
-436 to 1 039 distinct joint states in 9 862 to 10 000 pair ticks.
+With the config fixed, a pairing's tick is a function of its joint state
+alone: both programs, both machines and both last moves. ``JointStates``
+numbers the joint states as they arise and plays each once, keeping its
+move: the next state's number, both actions and whether the row splits.
+A population and the draw model of :mod:`boundedpd.analysis` each step
+through one such table. ``PopulationState`` keeps the live pairs in order
+of the lower id, each with its state's number, so ``population_step``
+maps the pairs' numbers through the moves. The pairs change only at a
+split and a rematch event, and a player's machine is read back from its
+pair's joint state only when the pair splits. Players of one spec line
+share a program, so their pairings share states: a 100-player roster of
+seven builtins run for 200 ticks plays 436 to 1 039 distinct joint states
+in 9 862 to 10 000 pair ticks.
 
 A population, like a match, keeps what was played and is paid once by
 counting. An ``OpdTrace`` holds one row per pairing tick in five columns
@@ -111,18 +110,50 @@ def play_pair_tick(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PopulationState:
-    """The players, the rematch source, the live pairs and the run's joint
-    states.
+class JointStates:
+    """The joint states of pairings among ``programs``, numbered, and their moves.
 
     A joint state is ``(program1, vm1, last1, program2, vm2, last2)``, both
-    seats of a pairing, with each program as its number: the id of the
-    first player that runs it, so ``programs[number]`` is the program.
-    ``joint_states`` lists the run's joint states in the order they arose
-    and ``numbers`` maps each to its place there. ``moves[s]`` is what a
-    pairing at state ``s`` plays, ``(next state, a1, a2, split)``, or None
-    until one does; ``population_step`` fills it once, from
-    ``play_pair_tick``.
+    seats of a pairing, with each program as its place in ``programs``.
+    ``states`` lists them in the order they arose and ``numbers`` maps each
+    to its place there. With the config and the payoff ``rows`` fixed, a
+    pairing's tick is a function of its joint state alone: ``moves[s]`` is
+    what a pairing at state ``s`` plays, ``(next state, a1, a2, split)``, or
+    None until ``play`` fills it, once. A split's next state still holds
+    both machines, which the players keep."""
+
+    programs: list[StrategyProgram]
+    config: GameConfig
+    rows: dict[tuple[Action, Action], tuple]
+    states: list[tuple] = field(default_factory=list)
+    numbers: dict[tuple, int] = field(default_factory=dict)
+    moves: list[tuple[int, Action, Action, bool] | None] = field(default_factory=list)
+
+    def number(self, state: tuple) -> int:
+        """The joint state's number, a new one the first time it arises."""
+        number = self.numbers.setdefault(state, len(self.states))
+        if number == len(self.states):
+            self.states.append(state)
+            self.moves.append(None)
+        return number
+
+    def play(self, number: int) -> tuple[int, Action, Action, bool]:
+        """Fill in and return the move of state ``number``: one
+        ``play_pair_tick`` on scratch seats."""
+        program1, vm1, last1, program2, vm2, last2 = self.states[number]
+        seat1 = Seat(self.programs[program1], vm1, last1)
+        seat2 = Seat(self.programs[program2], vm2, last2)
+        a1, a2 = play_pair_tick(seat1, seat2, self.config)
+        after = self.number((program1, seat1.vm, a1, program2, seat2.vm, a2))
+        move = self.moves[number] = (after, a1, a2, self.rows[a1, a2][2])
+        return move
+
+
+@dataclass
+class PopulationState:
+    """The players, the rematch source, the live pairs and the run's joint
+    states. A player's program number, ``program_of[pid]``, is the id of
+    the first player that runs it: ``joint_states.programs`` is by player.
 
     The live pairs are ``(first[i], second[i])``, the lower id first and in
     ascending order of it, at joint state ``joint[i]``; ``pool`` holds the
@@ -130,7 +161,7 @@ class PopulationState:
     each player's machine as its last pairing left it: a paired player's
     machine is in its pair's joint state until the pair splits."""
 
-    programs: list[StrategyProgram]
+    joint_states: JointStates
     program_of: list[int]
     vms: list[VmState]
     rng: random.Random
@@ -139,17 +170,6 @@ class PopulationState:
     second: list[int] = field(default_factory=list)
     joint: list[int] = field(default_factory=list)
     pool: list[int] = field(default_factory=list)
-    joint_states: list[tuple] = field(default_factory=list)
-    numbers: dict[tuple, int] = field(default_factory=dict)
-    moves: list[tuple[int, Action, Action, bool] | None] = field(default_factory=list)
-
-    def number(self, joint_state: tuple) -> int:
-        """The joint state's number, a new one the first time it arises."""
-        number = self.numbers.setdefault(joint_state, len(self.joint_states))
-        if number == len(self.joint_states):
-            self.joint_states.append(joint_state)
-            self.moves.append(None)
-        return number
 
     def pair(self, a: int, b: int) -> None:
         """Start a pairing of players ``a < b``, neither with a last move."""
@@ -158,12 +178,12 @@ class PopulationState:
         self.second.insert(i, b)
         program_of, vms = self.program_of, self.vms
         start = (program_of[a], vms[a], None, program_of[b], vms[b], None)
-        self.joint.insert(i, self.number(start))
+        self.joint.insert(i, self.joint_states.number(start))
 
     def split(self, i: int) -> None:
         """End pair ``i``: both players get their machines back and join the pool."""
         a, b = self.first.pop(i), self.second.pop(i)
-        joint_state = self.joint_states[self.joint.pop(i)]
+        joint_state = self.joint_states.states[self.joint.pop(i)]
         self.vms[a], self.vms[b] = joint_state[1], joint_state[4]
         self.pool += (a, b)
 
@@ -273,30 +293,18 @@ def _apply_rematch(state: PopulationState, trace: OpdTrace) -> None:
     trace.rematches.append((len(trace.tick), RematchEvent(state.tick, pairs)))
 
 
-def _play_joint_state(state: PopulationState, number: int, config: GameConfig,
-                      rows: dict[tuple[Action, Action], tuple]) -> None:
-    """Fill in the move of joint state ``number``: one ``play_pair_tick`` on
-    scratch seats."""
-    program1, vm1, last1, program2, vm2, last2 = state.joint_states[number]
-    seat1 = Seat(state.programs[program1], vm1, last1)
-    seat2 = Seat(state.programs[program2], vm2, last2)
-    a1, a2 = play_pair_tick(seat1, seat2, config)
-    after = state.number((program1, seat1.vm, a1, program2, seat2.vm, a2))
-    state.moves[number] = (after, a1, a2, rows[a1, a2][2])
-
-
 def population_step(state: PopulationState, config: GameConfig, trace: OpdTrace) -> None:
     """Advance the population one clock tick: every pair makes its joint
     state's move, its row is appended to ``trace``, and a pair whose row
     splits it is unpaired."""
     state.tick += 1
-    joint, moves = state.joint, state.moves
+    joint, moves = state.joint, state.joint_states.moves
     if joint:
         played = list(map(moves.__getitem__, joint))
         if None in played:
             for number in joint:
                 if moves[number] is None:
-                    _play_joint_state(state, number, config, trace.rows)
+                    state.joint_states.play(number)
             played = list(map(moves.__getitem__, joint))
         after, a1, a2, splits = zip(*played)
         trace.tick.extend([state.tick] * len(joint))
@@ -336,14 +344,14 @@ def run_population(
     # A program is numbered by the first player that runs it: players of
     # one spec line share theirs.
     first_runner: dict[int, int] = {}
+    trace = OpdTrace(rows=table.outcomes[config.mode, asymmetric_split])
     state = PopulationState(
-        programs=[program for _, program in programs],
+        joint_states=JointStates([program for _, program in programs], config, trace.rows),
         program_of=[first_runner.setdefault(id(program), pid)
                     for pid, (_, program) in enumerate(programs)],
         vms=[reset(program) for _, program in programs],
         rng=random.Random(config.seed),
     )
-    trace = OpdTrace(rows=table.outcomes[config.mode, asymmetric_split])
 
     if initial_pairing is not None:
         claimed = [pid for pair in initial_pairing for pid in pair]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundedpd import analysis, dsl, library
+from boundedpd import analysis, dsl, library, population
 from boundedpd.analysis import (
     BoundTooLargeError,
     DrawModel,
@@ -748,6 +748,24 @@ class TestDrawModel:
         est = model.evaluate(counter, config, INTRO_TABLE)
         assert est.exact is True
         assert est.mean == model.evaluate(plain, config, INTRO_TABLE).mean
+
+    @pytest.mark.parametrize("name", ["OFT", "GRIM"])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_each_joint_state_is_played_once(self, monkeypatch, name, t):
+        # Over 200 ticks the focal player and its partners pass through six
+        # joint states between them, so six pair ticks are played. Both
+        # names the pair tick is looked up by are counted.
+        play, calls = population.play_pair_tick, []
+
+        def counted(seat1, seat2, config):
+            calls.append(None)
+            return play(seat1, seat2, config)
+
+        for module in (population, analysis):
+            monkeypatch.setattr(module, "play_pair_tick", counted)
+        config = opd(200, instantaneous=t == 1, t=t)
+        DrawModel(q=Fraction(1, 2)).evaluate(get(name, config), config, INTRO_TABLE)
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     @pytest.mark.parametrize("t", [1, 2, 3])

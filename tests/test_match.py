@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from boundedpd.analysis import unprovoked_defection_tick
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import BUILTIN_NAMES, get
-from boundedpd.match import PairOutcome, deviation_gain, run_match, trace_to_csv
+from boundedpd.match import PairOutcome, run_match, trace_to_csv
 from boundedpd.vm import (
     CmpOp, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
 )
@@ -252,25 +252,6 @@ class TestFractionalTotals:
                 assert totals == reference_match(p1, p2, config, FRACTIONAL_TABLE)[1], (
                     p1.name, p2.name)
                 assert all(type(total) is Fraction for total in totals)
-
-
-class TestDeviationGain:
-    def test_counting_defector_loses_against_grim(self):
-        config = cfg(10)
-        grim = get("GRIM", config)
-        counting = get("CountingDefector", config)
-        assert deviation_gain(grim, counting, grim, config, INTRO_TABLE) == -3
-
-    def test_candidate_equal_to_baseline_gains_nothing(self):
-        config = cfg(10)
-        grim = get("GRIM", config)
-        assert deviation_gain(grim, grim, grim, config, INTRO_TABLE) == 0
-
-    def test_unconditional_defection_is_punished(self):
-        config = cfg(10)
-        grim = get("GRIM", config)
-        alld = get("AllD", config)
-        assert deviation_gain(grim, alld, grim, config, INTRO_TABLE) == -17
 
 
 class TestConservation:

@@ -12,7 +12,10 @@ from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, p
 from boundedpd.library import get
 from boundedpd.match import Seat
 from boundedpd.population import (
+    JointStates,
+    OpdTrace,
     PlayEvent,
+    PopulationState,
     PlayerSummary,
     RematchEvent,
     expected_rematch_delay,
@@ -363,6 +366,46 @@ class TestJointStates:
         trace = run_population(roster(config, "GRIM", "GRIM"), config, INTRO_TABLE)
         assert trace.totals() == (1000, 1000)
         assert len(calls) <= 3
+
+    def test_a_table_numbers_each_state_once_and_plays_it_once(self, monkeypatch):
+        # OFT meets AllD: C against D, then OFT opts out. Equal states share
+        # a number, each move is played once, and the split's next state
+        # holds both machines, which the players get back.
+        play, calls = population.play_pair_tick, []
+
+        def counted(seat1, seat2, config):
+            calls.append(None)
+            return play(seat1, seat2, config)
+
+        monkeypatch.setattr(population, "play_pair_tick", counted)
+        config = opd_config(10, t=5)
+        oft, alld = get("OFT", config), get("AllD", config)
+        rows = INTRO_TABLE.outcomes[Mode.OPD, False]
+        joint_states = JointStates([oft, alld], config, rows)
+        start = joint_states.number((0, reset(oft), None, 1, reset(alld), None))
+        assert joint_states.number((0, reset(oft), None, 1, reset(alld), None)) == start
+        assert joint_states.number((1, reset(alld), None, 0, reset(oft), None)) != start
+        assert joint_states.moves[start] is None
+        move = joint_states.play(start)
+        assert joint_states.moves[start] == move and move[1:] == (C, D, False)
+        assert len(calls) == 1
+
+        state = PopulationState(joint_states, [0, 1], [reset(oft), reset(alld)],
+                                random_module.Random(0))
+        state.pair(0, 1)
+        assert state.joint == [start]
+        trace = OpdTrace(rows=rows)
+        population.population_step(state, config, trace)
+        assert len(calls) == 1 and state.joint == [move[0]]
+        population.population_step(state, config, trace)
+        assert len(calls) == 2
+        after, a1, a2, split = joint_states.moves[move[0]]
+        assert (a1, a2, split) == (O, D, True)
+        assert (trace.a1, trace.a2) == ([C, O], [D, D])
+        assert state.joint == [] and state.pool == [0, 1]
+        program1, vm1, last1, program2, vm2, last2 = joint_states.states[after]
+        assert (program1, last1, program2, last2) == (0, O, 1, D)
+        assert state.vms == [vm1, vm2] and vm1 != reset(oft)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_programs_with_equal_machines_are_told_apart(self, seed):
