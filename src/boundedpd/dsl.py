@@ -26,16 +26,22 @@ flag: the program counter itself is the memory.
 the source is compiled against a config. A compare of ``opp`` or ``own``
 against a move that does not exist yet (the first tick of a pairing) is
 false whatever the operator.
+
+Parsing is linear in the source. Each line, cut at its comment, is split
+into token strings by one regex call, and a line's tokens are read in one
+pass over an index; no token object is built. A column is computed only
+for a diagnostic, by tokenizing the offending line again with positions.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .game import Action, GameConfig
+from .game import ACTION_TEXT, Action, GameConfig
 from . import vm
 from .vm import OBS_FIELDS, CmpOp, Instruction, Operand, StrategyProgram
 
@@ -50,6 +56,7 @@ KEYWORDS = {
 
 _ACTIONS = {"C": Action.C, "D": Action.D, "W": Action.W, "O": Action.O}
 _CMP_OPS = {"==": CmpOp.EQ, "!=": CmpOp.NE, "<": CmpOp.LT, ">=": CmpOp.GE}
+_CMP_TEXT = {op: text for text, op in _CMP_OPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +68,7 @@ class ConstAction:
     action: Action
 
     def render(self) -> str:
-        return self.action.value
+        return ACTION_TEXT[self.action]
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ class Term:
     value: Value
 
     def render(self) -> str:
-        return f"{self.field} {self.op.value} {self.value.render()}"
+        return f"{self.field} {_CMP_TEXT[self.op]} {self.value.render()}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ class Play:
     action: Action
 
     def render(self) -> str:
-        return f"play {self.action.value}"
+        return f"play {ACTION_TEXT[self.action]}"
 
 
 @dataclass(frozen=True)
@@ -136,9 +143,9 @@ class Rule:
 
     def render(self) -> str:
         """The rule without its label, which ``_source_text`` writes."""
-        body = " ".join(stmt.render() for stmt in self.stmts)
+        body = " ".join([stmt.render() for stmt in self.stmts])
         if self.guard:
-            guard = " and ".join(term.render() for term in self.guard)
+            guard = " and ".join([term.render() for term in self.guard])
             return f"if {guard} then {body}"
         return f"always {body}"
 
@@ -177,266 +184,260 @@ class DslError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"==|!=|>=|<|:|-|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: A token is a name when its first character starts one: ``_TOKEN_RE``
+#: tries the name pattern before the one-character fallback, so such a
+#: token is a whole name.
+_NAME_START = frozenset(string.ascii_letters + "_")
+#: Statements and action values are immutable, so a tree shares them.
+_PLAYS = {text: Play(action) for text, action in _ACTIONS.items()}
+_CONST_ACTIONS = {text: ConstAction(action) for text, action in _ACTIONS.items()}
+_STMT_KEYWORDS = frozenset(("play", "inc", "goto"))
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    col: int
+class _TokenError(Exception):
+    """A diagnostic at token ``index`` of the line being parsed, or just
+    past its last token when ``index`` is the token count; ``parse`` adds
+    the line and turns the index into a column."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
 
 
-def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    code = text.split("#", 1)[0]
-    return [
-        _Token(m.group(0), lineno, m.start() + 1)
-        for m in _TOKEN_RE.finditer(code)
-    ]
+def _code(raw: str) -> str:
+    """A source line without its comment."""
+    return raw.split("#", 1)[0]
 
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token], lineno: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.lineno = lineno
+def _column(code: str, index: int) -> int:
+    """The 1-based column of token ``index`` of ``code`` (the last one for
+    -1), or the column just past the last token when ``index`` is the token
+    count. Only diagnostics need columns, so they are found by tokenizing
+    the line again."""
+    spans = [match.span() for match in _TOKEN_RE.finditer(code)]
+    if index < len(spans):
+        return spans[index][0] + 1
+    return spans[-1][1] + 1 if spans else 1
 
-    def peek(self, ahead: int = 0) -> _Token | None:
-        index = self.pos + ahead
-        return self.tokens[index] if index < len(self.tokens) else None
 
-    def next(self, expected: str | None = None) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise self.error(f"expected {expected!r}" if expected else "unexpected end of line")
-        if expected is not None and token.text != expected:
-            raise DslError(f"expected {expected!r}, got {token.text!r}", token.line, token.col)
-        self.pos += 1
-        return token
+def _take(tokens: list[str], i: int) -> str:
+    if i >= len(tokens):
+        raise _TokenError("unexpected end of line", len(tokens))
+    return tokens[i]
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
 
-    def error(self, message: str) -> DslError:
-        token = self.peek()
-        if token is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = (last.col + len(last.text)) if last else 1
-            return DslError(message, self.lineno, col)
-        return DslError(message, token.line, token.col)
+def _expect(tokens: list[str], i: int, expected: str) -> None:
+    if i >= len(tokens):
+        raise _TokenError(f"expected {expected!r}", len(tokens))
+    if tokens[i] != expected:
+        raise _TokenError(f"expected {expected!r}, got {tokens[i]!r}", i)
 
 
 def _is_name(text: str) -> bool:
-    return bool(_NAME_RE.fullmatch(text))
+    """Whether the token ``text`` can name a strategy, counter or label."""
+    return text[0] in _NAME_START and text not in KEYWORDS
 
 
 def parse(text: str) -> StrategySource:
     """Parse strategy source; raises ``DslError`` with line:col on bad input.
 
     The parser is total: any byte soup produces either a tree or a
-    positioned diagnostic, never an unhandled crash.
+    positioned diagnostic, never an unhandled crash. Beside diagnostics,
+    only ``N`` values need a column, which they carry for ``compile``.
     """
     lines = text.splitlines()
-    header: _LineParser | None = None
-    header_line = 0
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = _tokenize_line(raw, lineno)
-        if tokens:
-            header = _LineParser(tokens, lineno)
-            header_line = lineno
-            break
-    if header is None:
-        raise DslError("expected 'strategy <name>'", 1, 1)
-
-    header.next("strategy")
-    name_token = header.next()
-    if not _is_name(name_token.text) or name_token.text in KEYWORDS:
-        raise DslError("expected strategy name", name_token.line, name_token.col)
-    if not header.at_end():
-        raise DslError("unexpected input after strategy name",
-                       header.peek().line, header.peek().col)  # type: ignore[union-attr]
-
-    decls: list[Decl] = []
-    counters: dict[str, int] = {}
-    rules: list[Rule] = []
-    labels: set[str] = set()
-    goto_labels: list[_Token] = []
-
-    for lineno in range(header_line + 1, len(lines) + 1):
-        tokens = _tokenize_line(lines[lineno - 1], lineno)
-        if not tokens:
-            continue
-        parser = _LineParser(tokens, lineno)
-        first = parser.peek()
-        assert first is not None
-        if first.text == "counter":
-            if rules:
-                raise DslError("counter declarations must precede rules", first.line, first.col)
-            decls.append(_parse_decl(parser, counters))
+    findall = _TOKEN_RE.findall
+    lineno, code = 1, ""
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            code = _code(raw)
+            tokens = findall(code)
+            if tokens:
+                break
         else:
-            rules.append(_parse_rule(parser, counters, labels, goto_labels))
+            raise DslError("expected 'strategy <name>'", 1, 1)
+        _expect(tokens, 0, "strategy")
+        name = _take(tokens, 1)
+        if not _is_name(name):
+            raise _TokenError("expected strategy name", 1)
+        if len(tokens) > 2:
+            raise _TokenError("unexpected input after strategy name", 2)
+
+        decls: list[Decl] = []
+        incs: dict[str, Inc] = {}  # by declared counter name
+        rules: list[Rule] = []
+        labels: set[str] = set()
+        gotos: list[tuple[str, int]] = []  # (label, line) of each goto
+        for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
+            code = _code(raw)
+            tokens = findall(code)
+            if not tokens:
+                continue
+            if tokens[0] == "counter":
+                if rules:
+                    raise _TokenError("counter declarations must precede rules", 0)
+                decls.append(_parse_decl(tokens, incs))
+                continue
+            rule = _parse_rule(tokens, incs, labels, lineno, code)
+            rules.append(rule)
+            last = rule.stmts[-1]
+            if type(last) is Goto:
+                gotos.append((last.label, lineno))
+    except _TokenError as exc:
+        raise DslError(exc.message, lineno, _column(code, exc.index)) from None
 
     if not rules:
-        raise DslError("strategy has no rules", len(lines) or 1, 1)
+        raise DslError("strategy has no rules", len(lines), 1)
 
-    for token in goto_labels:
-        if token.text not in labels:
-            raise DslError(f"goto to unknown label {token.text!r}", token.line, token.col)
+    for label, lineno in gotos:
+        if label not in labels:
+            # A goto's label is the last token of its line.
+            raise DslError(f"goto to unknown label {label!r}", lineno,
+                           _column(_code(lines[lineno - 1]), -1))
 
-    return StrategySource(name_token.text, tuple(decls), tuple(rules))
+    return StrategySource(name, tuple(decls), tuple(rules))
 
 
-def _parse_decl(parser: _LineParser, counters: dict[str, int]) -> Decl:
-    parser.next("counter")
-    name_token = parser.next()
-    if not _is_name(name_token.text) or name_token.text in KEYWORDS:
-        raise DslError("expected counter name", name_token.line, name_token.col)
-    if name_token.text in counters:
-        raise DslError(f"duplicate counter {name_token.text!r}", name_token.line, name_token.col)
-    parser.next(":")
-    width_token = parser.next()
-    if not width_token.text.isdigit():
-        raise DslError("expected counter width in bits", width_token.line, width_token.col)
-    width = int(width_token.text)
+def _parse_decl(tokens: list[str], incs: dict[str, Inc]) -> Decl:
+    """A ``counter`` line; the counter's ``Inc`` joins ``incs``."""
+    name = _take(tokens, 1)
+    if not _is_name(name):
+        raise _TokenError("expected counter name", 1)
+    if name in incs:
+        raise _TokenError(f"duplicate counter {name!r}", 1)
+    _expect(tokens, 2, ":")
+    width_text = _take(tokens, 3)
+    # What int() reads: a superscript digit is a digit, not a decimal.
+    if not width_text.isdecimal():
+        raise _TokenError("expected counter width in bits", 3)
+    width = int(width_text)
     if width < 1 or width > WIDTH_CAP:
-        raise DslError(f"counter width {width} outside 1..{WIDTH_CAP}",
-                       width_token.line, width_token.col)
-    parser.next("bits")
-    if not parser.at_end():
-        raise parser.error("unexpected input after declaration")
-    counters[name_token.text] = width
-    return Decl(name_token.text, width)
+        raise _TokenError(f"counter width {width} outside 1..{WIDTH_CAP}", 3)
+    _expect(tokens, 4, "bits")
+    if len(tokens) > 5:
+        raise _TokenError("unexpected input after declaration", 5)
+    incs[name] = Inc(name)
+    return Decl(name, width)
 
 
-def _parse_rule(
-    parser: _LineParser, counters: dict[str, int], labels: set[str], goto_labels: list[_Token]
-) -> Rule:
+def _parse_rule(tokens: list[str], incs: dict[str, Inc], labels: set[str],
+                lineno: int, code: str) -> Rule:
+    """A rule line, ``code``, split into ``tokens``; its label joins
+    ``labels``."""
     label: str | None = None
-    first = parser.peek()
-    second = parser.peek(1)
-    if (
-        first is not None and second is not None and second.text == ":"
-        and _is_name(first.text) and first.text not in KEYWORDS
-    ):
-        label = first.text
+    i = 0
+    count = len(tokens)
+    if count > 1 and tokens[1] == ":" and _is_name(tokens[0]):
+        label = tokens[0]
         if label in labels:
-            raise DslError(f"duplicate label {label!r}", first.line, first.col)
-        if label in counters:
-            raise DslError(f"label {label!r} collides with a counter", first.line, first.col)
+            raise _TokenError(f"duplicate label {label!r}", 0)
+        if label in incs:
+            raise _TokenError(f"label {label!r} collides with a counter", 0)
         labels.add(label)
-        parser.next()
-        parser.next(":")
+        i = 2
 
-    head = parser.peek()
-    if head is None:
-        raise parser.error("expected 'if' or 'always'")
-    if head.text == "if":
-        parser.next("if")
-        guard = _parse_guard(parser, counters)
-        parser.next("then")
-    elif head.text == "always":
-        parser.next("always")
-        guard = ()
+    head = tokens[i] if i < count else None
+    if head == "always":
+        guard: tuple[Term, ...] = ()
+        i += 1
+    elif head == "if":
+        guard, i = _parse_guard(tokens, i + 1, incs, lineno, code)
+    elif head is None:
+        raise _TokenError("expected 'if' or 'always'", count)
     else:
-        raise DslError(f"expected 'if' or 'always', got {head.text!r}", head.line, head.col)
-
-    stmts = _parse_stmts(parser, counters, goto_labels)
-    return Rule(label, guard, stmts)
+        raise _TokenError(f"expected 'if' or 'always', got {head!r}", i)
+    return Rule(label, guard, _parse_stmts(tokens, i, incs))
 
 
-def _parse_guard(parser: _LineParser, counters: dict[str, int]) -> tuple[Term, ...]:
-    terms = [_parse_term(parser, counters)]
-    while not parser.at_end() and parser.peek().text == "and":  # type: ignore[union-attr]
-        parser.next("and")
-        terms.append(_parse_term(parser, counters))
-    return tuple(terms)
+def _parse_guard(tokens: list[str], i: int, incs: dict[str, Inc], lineno: int,
+                 code: str) -> tuple[tuple[Term, ...], int]:
+    """The guard's terms from token ``i`` on, through ``then``, and the
+    index after ``then``."""
+    term, i = _parse_term(tokens, i, incs, lineno, code)
+    terms = [term]
+    while i < len(tokens) and tokens[i] == "and":
+        term, i = _parse_term(tokens, i + 1, incs, lineno, code)
+        terms.append(term)
+    _expect(tokens, i, "then")
+    return tuple(terms), i + 1
 
 
-def _parse_term(parser: _LineParser, counters: dict[str, int]) -> Term:
-    field_token = parser.next()
-    field = field_token.text
-    if field not in OBS_FIELDS and field not in counters:
-        raise DslError(f"unknown field {field!r}", field_token.line, field_token.col)
+def _parse_term(tokens: list[str], i: int, incs: dict[str, Inc], lineno: int,
+                code: str) -> tuple[Term, int]:
+    """The term at token ``i`` and the index after it."""
+    field = _take(tokens, i)
+    if field not in OBS_FIELDS and field not in incs:
+        raise _TokenError(f"unknown field {field!r}", i)
 
-    op_token = parser.next()
-    if op_token.text not in _CMP_OPS:
-        raise DslError(f"expected comparison operator, got {op_token.text!r}",
-                       op_token.line, op_token.col)
-    op = _CMP_OPS[op_token.text]
+    op_index = i + 1
+    op = _CMP_OPS.get(_take(tokens, op_index))
+    if op is None:
+        raise _TokenError(f"expected comparison operator, got {tokens[op_index]!r}", op_index)
 
-    value_token = parser.next()
+    at = i + 2
+    text = _take(tokens, at)
+    i = at + 1
     value: Value
-    if value_token.text in _ACTIONS:
-        value = ConstAction(_ACTIONS[value_token.text])
-    elif value_token.text.isdigit():
-        value = ConstInt(int(value_token.text))
-    elif value_token.text == "N":
+    if text in _ACTIONS:
+        value = _CONST_ACTIONS[text]
+    elif text.isdecimal():
+        value = ConstInt(int(text))
+    elif text == "N":
         offset = 0
-        if not parser.at_end() and parser.peek().text == "-":  # type: ignore[union-attr]
-            parser.next("-")
-            offset_token = parser.next()
-            if not offset_token.text.isdigit():
-                raise DslError("expected integer after 'N-'", offset_token.line, offset_token.col)
-            offset = int(offset_token.text)
-        value = HorizonMinus(offset, value_token.line, value_token.col)
+        if i < len(tokens) and tokens[i] == "-":
+            offset_text = _take(tokens, i + 1)
+            if not offset_text.isdecimal():
+                raise _TokenError("expected integer after 'N-'", i + 1)
+            offset = int(offset_text)
+            i += 2
+        value = HorizonMinus(offset, lineno, _column(code, at))
     else:
-        raise DslError(f"expected action, integer, or N, got {value_token.text!r}",
-                       value_token.line, value_token.col)
+        raise _TokenError(f"expected action, integer, or N, got {text!r}", at)
 
     if field in OBS_FIELDS:
-        if not isinstance(value, ConstAction):
-            raise DslError("observation fields compare against actions only",
-                           value_token.line, value_token.col)
-        if op not in (CmpOp.EQ, CmpOp.NE):
-            raise DslError("ordering comparison is not defined on actions",
-                           op_token.line, op_token.col)
-    else:
-        if isinstance(value, ConstAction):
-            raise DslError("counters compare against integers only",
-                           value_token.line, value_token.col)
-    return Term(field, op, value)
+        if type(value) is not ConstAction:
+            raise _TokenError("observation fields compare against actions only", at)
+        if op is not CmpOp.EQ and op is not CmpOp.NE:
+            raise _TokenError("ordering comparison is not defined on actions", op_index)
+    elif type(value) is ConstAction:
+        raise _TokenError("counters compare against integers only", at)
+    return Term(field, op, value), i
 
 
-def _parse_stmts(
-    parser: _LineParser, counters: dict[str, int], goto_labels: list[_Token]
-) -> tuple[Stmt, ...]:
-    """Parse a rule's statements; each goto's label token is appended to
-    ``goto_labels`` so that unknown labels can be reported where they are
-    written once every label is known."""
+def _parse_stmts(tokens: list[str], i: int, incs: dict[str, Inc]) -> tuple[Stmt, ...]:
+    """A rule's statements, from token ``i`` to the end of the line."""
     stmts: list[Stmt] = []
     played = False
-    while not parser.at_end():
-        keyword = parser.next()
-        if keyword.text == "play":
-            action_token = parser.next()
-            if action_token.text not in _ACTIONS:
-                raise DslError(f"expected action, got {action_token.text!r}",
-                               action_token.line, action_token.col)
+    count = len(tokens)
+    while i < count:
+        keyword = tokens[i]
+        if keyword not in _STMT_KEYWORDS:
+            raise _TokenError(f"expected 'play', 'inc', or 'goto', got {keyword!r}", i)
+        if i + 1 == count:
+            raise _TokenError("unexpected end of line", count)
+        operand = tokens[i + 1]
+        if keyword == "play":
+            stmt = _PLAYS.get(operand)
+            if stmt is None:
+                raise _TokenError(f"expected action, got {operand!r}", i + 1)
             if played:
-                raise DslError("a rule may play at most once", keyword.line, keyword.col)
+                raise _TokenError("a rule may play at most once", i)
             played = True
-            stmts.append(Play(_ACTIONS[action_token.text]))
-        elif keyword.text == "inc":
-            name_token = parser.next()
-            if name_token.text not in counters:
-                raise DslError(f"unknown counter {name_token.text!r}",
-                               name_token.line, name_token.col)
-            stmts.append(Inc(name_token.text))
-        elif keyword.text == "goto":
-            label_token = parser.next()
-            if not _is_name(label_token.text) or label_token.text in KEYWORDS:
-                raise DslError("expected label name", label_token.line, label_token.col)
-            stmts.append(Goto(label_token.text))
-            goto_labels.append(label_token)
-            if not parser.at_end():
-                extra = parser.peek()
-                raise DslError("goto must be the last statement of a rule",
-                               extra.line, extra.col)  # type: ignore[union-attr]
+        elif keyword == "inc":
+            stmt = incs.get(operand)
+            if stmt is None:
+                raise _TokenError(f"unknown counter {operand!r}", i + 1)
         else:
-            raise DslError(f"expected 'play', 'inc', or 'goto', got {keyword.text!r}",
-                           keyword.line, keyword.col)
+            if not _is_name(operand):
+                raise _TokenError("expected label name", i + 1)
+            if i + 2 < count:
+                raise _TokenError("goto must be the last statement of a rule", i + 2)
+            stmt = Goto(operand)
+        stmts.append(stmt)
+        i += 2
     if not stmts:
-        raise parser.error("rule has no statements")
+        raise _TokenError("rule has no statements", count)
     return tuple(stmts)
 
 
@@ -463,17 +464,6 @@ def print_source(source: StrategySource) -> str:
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
-
-def _split_states(rules: tuple[Rule, ...]) -> list[tuple[str | None, list[Rule]]]:
-    """The rules by state, as ``(label, rules)``: a labeled rule starts a
-    new state, and the rules before the first label form the entry state."""
-    states: list[tuple[str | None, list[Rule]]] = []
-    for rule in rules:
-        if rule.label is not None or not states:
-            states.append((rule.label, []))
-        states[-1][1].append(rule)
-    return states
-
 
 def _resolve_value(value: Value, config: GameConfig) -> Operand:
     if isinstance(value, ConstAction):
@@ -529,9 +519,10 @@ def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int], reg_widt
         cost += vm.compare_width(guard, reg_widths)
         instructions.append(guard)
     for stmt in rule.stmts:
-        if isinstance(stmt, Play):
+        kind = type(stmt)
+        if kind is Play:
             instructions.append(_emit(stmt.action))
-        elif isinstance(stmt, Inc):
+        elif kind is Inc:
             instructions.append(_increment(counter_index[stmt.counter]))
     return tuple(instructions), cost
 
@@ -649,8 +640,13 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
     which the best-response search uses too. Deterministic; unreachable
     rules are reported through ``diagnostics`` when a list is supplied.
     """
-    states = [(label, [RulePiece(rule) for rule in rules])
-              for label, rules in _split_states(source.rules)]
+    states: list[tuple[str | None, list[RulePiece]]] = []
+    for rule in source.rules:
+        # A labeled rule starts a new state; the rules before the first
+        # label form the entry state.
+        if rule.label is not None or not states:
+            states.append((rule.label, []))
+        states[-1][1].append(RulePiece(rule))
     return assemble(source.name, source.decls, states, config, diagnostics)
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,18 @@ class TestMatch:
         assert code == 2
         assert f"{bad}:2:" in err
 
+    @pytest.mark.parametrize("text, position", [
+        ("strategy X\ncounter n: ² bits\nalways play C\n", "2:12: expected counter width in bits"),
+        ("strategy X\ncounter n: 2 bits\nif n == ² then play D\nalways play C\n",
+         "3:9: expected action, integer, or N, got '²'"),
+    ])
+    def test_a_superscript_digit_is_a_positioned_diagnostic(self, tmp_path, text, position):
+        bad = tmp_path / "x.pdstrat"
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["match", str(bad), "GRIM"])
+        assert code == 2
+        assert err == f"boundedpd: {bad}:{position}\n"
+
     def test_table_file_and_trace_output(self, tmp_path):
         table = tmp_path / "table.cfg"
         table.write_text("T=3\nR=2\nP=1\nS=-1\nH=-1\n")
