@@ -174,8 +174,7 @@ def _play_focal(program: StrategyProgram, partner: Seat, next_partner: Callable[
                 partner = None
         if partner is None and config.rematches_at(now):
             partner = next_partner()
-            focal.new_pairing()
-            partner.new_pairing()
+            focal.last = partner.last = None
     return Fraction(total, payoff_unit(table))
 
 
@@ -193,6 +192,10 @@ class FixedOpponentModel:
             return self.name
         label = self.opponent if isinstance(self.opponent, str) else self.opponent.name
         return f"all-{label}"
+
+    def resolved(self, config: GameConfig) -> "FixedOpponentModel":
+        """This model with its opponent compiled, once for a whole search."""
+        return replace(self, opponent=resolve(self.opponent, config))
 
     def evaluate(self, program: StrategyProgram, config: GameConfig, table: PayoffTable,
                  trials: int = 1, seed: int = 0) -> ModelEstimate:
@@ -657,8 +660,7 @@ def _counter_thresholds(n: int) -> list[dsl.Value]:
     intermediate one (T > R). ``test_thinned_thresholds_lose_no_payoff``
     checks that no catalog opponent's best response pays less for it."""
     if n <= 8:
-        width = counter_width_for(n)
-        return [dsl.ConstInt(v) for v in range(0, min(n, (1 << width) - 1) + 1)]
+        return [dsl.ConstInt(v) for v in range(n + 1)]
     values: list[dsl.Value] = [dsl.ConstInt(v) for v in range(0, 4)]
     values += [dsl.HorizonMinus(2), dsl.HorizonMinus(1), dsl.HorizonMinus(0)]
     return values
@@ -802,18 +804,18 @@ def best_response(
     """Exhaustive argmax over the canonical program space.
 
     A program opponent, or a builtin name or ``.pdstrat`` path, is the model
-    ``FixedOpponentModel(opponent)``. Every candidate is scored in one
+    ``FixedOpponentModel(opponent)``. The model's named programs are
+    compiled once (``resolved``), and every candidate is scored in one
     loop. Against a fixed opponent the exact totals come from the walk
     ``evaluate_all`` runs, fed the enumeration ``_TREE_CHUNK`` programs at
     a time to bound memory, as a branch and bound (``_branch_and_bound``):
     only candidates that pay strictly less than the answer are dropped, so
     the answer and its tie-break are those of the unpruned walk. Any other
-    model, its named programs compiled once (``resolved``), scores each
-    candidate by its ``evaluate`` mean on ``trials`` and ``seed``: a draw
-    model's is exact, a population mix's is the mean of ``trials`` runs,
-    so a mix search costs ``searched * trials`` population runs and its
-    answer is the argmax of those estimates (``exact=False``). Ties break
-    to the smallest canonical source.
+    model scores each candidate by its ``evaluate`` mean on ``trials`` and
+    ``seed``: a draw model's is exact, a population mix's is the mean of
+    ``trials`` runs, so a mix search costs ``searched * trials`` population
+    runs and its answer is the argmax of those estimates (``exact=False``).
+    Ties break to the smallest canonical source.
 
     The space declares a counter only at ``counter_width_for(N)`` bits.
     When N is a power of two a counter of one bit fewer still counts to
@@ -827,10 +829,7 @@ def best_response(
     model = opponent
     if isinstance(model, (str, StrategyProgram)):
         model = FixedOpponentModel(model)
-    if isinstance(model, FixedOpponentModel):
-        model = replace(model, opponent=resolve(model.opponent, config))
-    else:
-        model = model.resolved(config)
+    model = model.resolved(config)
     # One build of the space serves the count and the enumeration.
     space = list(_combos_by_counter(config, size_bound))
     estimate = estimate_search_size(config, size_bound, space)

@@ -12,18 +12,16 @@ mode that forbids it, turns the offender into a perpetual waiter.
 transition table, so a transition runs the interpreter once per program:
 GRIM against GRIM runs it on two ticks of a match and looks the rest up.
 
-``match_step`` is a match's tick and returns its record, a ``PairOutcome``
-of what was played: the action pair and each seat's XOR units, no pay. It
-is a ``NamedTuple``, equal to the plain tuple of its fields, so no dict may
-mix them as keys. A fixed-horizon match is the opting-out game without the
+``match_step`` is a match's tick and returns what was played, the plain
+tuple ``(a1, a2, cost1, cost2)``: the action pair and each seat's XOR
+units, no pay. A fixed-horizon match is the opting-out game without the
 opt-out; ``population.play_pair_tick`` adds the instantaneous-rematch peek.
-``run_match`` plays N ticks of ``match_step`` and unpacks each record into
-the trace's four columns, ``a1``, ``a2``, ``cost1`` and ``cost2``: flat
-lists of shared actions and small ints, so a trace holds no object per tick
-for the garbage collector to walk, and ``MatchTrace.records`` builds the
-records again on read. The match is paid once, by counting the action
-pairs played: each count times the pair's payoff, an integer over the
-table's ``payoff_unit``. ``trace_to_csv`` reads the columns and each
+``run_match`` plays N ticks of ``match_step`` and appends each tick to the
+trace's four columns, ``a1``, ``a2``, ``cost1`` and ``cost2``: flat lists
+of shared actions and small ints, so a trace holds no object per tick for
+the garbage collector to walk. The match is paid once, by counting the
+action pairs played: each count times the pair's payoff, an integer over
+the table's ``payoff_unit``. ``trace_to_csv`` reads the columns and each
 tick's pay from the same rows as it writes the tick's line.
 """
 
@@ -32,7 +30,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .game import (
     ACTION_TEXT, Action, GameConfig, Mode, PayoffTable, config_header, payoff_unit,
@@ -60,11 +57,6 @@ class MatchTrace:
     fault2: str | None = None
 
     @property
-    def records(self) -> tuple[PairOutcome, ...]:
-        """Each tick's ``PairOutcome``, built from the columns on every read."""
-        return tuple(map(PairOutcome, self.a1, self.a2, self.cost1, self.cost2))
-
-    @property
     def totals(self) -> tuple[Fraction, Fraction]:
         return (self.total1, self.total2)
 
@@ -82,17 +74,6 @@ class Seat:
     def fresh(program: StrategyProgram) -> "Seat":
         return Seat(program=program, vm=reset(program))
 
-    def new_pairing(self) -> None:
-        """Forget the previous pairing; the machine itself keeps running."""
-        self.last = None
-
-
-class PairOutcome(NamedTuple):
-    a1: Action
-    a2: Action
-    cost1: int
-    cost2: int
-
 
 def seat_move(seat: Seat, opp: Action | None, config: GameConfig) -> tuple[VmState, Action]:
     """Tick the seat's machine against ``opp``, the partner's last move, and its own.
@@ -108,14 +89,14 @@ def seat_move(seat: Seat, opp: Action | None, config: GameConfig) -> tuple[VmSta
     return vm, action
 
 
-def match_step(seat1: Seat, seat2: Seat, config: GameConfig) -> PairOutcome:
-    """Advance one tick; both players observe, then both move. Returns the
-    tick's record: the action pair and each seat's XOR units."""
+def match_step(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action, Action, int, int]:
+    """Advance one tick; both players observe, then both move. Returns what
+    was played: the action pair and each seat's XOR units."""
     vm1, a1 = seat_move(seat1, seat2.last, config)
     vm2, a2 = seat_move(seat2, seat1.last, config)
     seat1.vm, seat1.last = vm1, a1
     seat2.vm, seat2.last = vm2, a2
-    return PairOutcome(a1, a2, vm1.tick_cost, vm2.tick_cost)
+    return a1, a2, vm1.tick_cost, vm2.tick_cost
 
 
 def run_match(

@@ -45,9 +45,9 @@ walk; the payoff rows the run was paid from; and the rematch events with
 their positions among the rows. ``run_population`` counts the distinct
 ``(first, second, a1, a2)`` rows: the counts times the rows' payoffs give
 each player's total, and they give its plays and opt-outs; a player idles
-through every tick it did not play. ``OpdTrace.events`` builds the event
-stream again on read, two play events per row, and ``trace_to_csv``
-formats each distinct row's two lines once.
+through every tick it did not play. ``trace_to_csv`` writes two lines
+per row, cut at the rematch events, and formats each distinct row's two
+lines once.
 
 Determinism: the random source is consumed only at rematch events, on a
 pool sorted by player id, so a fixed seed reproduces a run exactly.
@@ -62,7 +62,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 from .game import (
     ACTION_TEXT, Action, GameConfig, Mode, PayoffTable, config_header, payoff_unit,
@@ -188,22 +187,10 @@ class PopulationState:
         self.pool += (a, b)
 
 
-class PlayEvent(NamedTuple):
-    tick: int
-    pid: int
-    partner: int
-    action: Action
-    pay: Fraction
-    split: bool
-
-
 @dataclass(frozen=True)
 class RematchEvent:
     tick: int
     pairings: tuple[tuple[int, int], ...]
-
-
-Event = PlayEvent | RematchEvent
 
 
 @dataclass(frozen=True)
@@ -233,34 +220,8 @@ class OpdTrace:
     rematches: list[tuple[int, RematchEvent]] = field(default_factory=list)
     summaries: tuple[PlayerSummary, ...] = ()
 
-    @property
-    def events(self) -> tuple[Event, ...]:
-        """The run's event stream, built from the columns on every read:
-        two ``PlayEvent``s per row, the first seat's and then the second's."""
-        rows = self.rows
-        events: list[Event] = []
-        for plays, rematch_event in self._segments():
-            for tick, first, second, a1, a2 in plays:
-                pay1, pay2, split, _, _ = rows[a1, a2]
-                events += (PlayEvent(tick, first, second, a1, pay1, split),
-                           PlayEvent(tick, second, first, a2, pay2, split))
-            if rematch_event is not None:
-                events.append(rematch_event)
-        return tuple(events)
-
     def totals(self) -> tuple[Fraction, ...]:
         return tuple(s.total for s in self.summaries)
-
-    def _segments(self) -> Iterator[tuple[Iterator, RematchEvent | None]]:
-        """The rows, cut at the rematch events: each run of rows with the
-        event that follows it, and the last with None. Each run is to be
-        consumed before the next is taken."""
-        plays = zip(self.tick, self.first, self.second, self.a1, self.a2)
-        done = 0
-        for position, rematch_event in self.rematches:
-            yield islice(plays, position - done), rematch_event
-            done = position
-        yield plays, None
 
 
 def rematch(pool: list[int], rng: random.Random) -> tuple[tuple[int, int], ...]:
@@ -354,10 +315,10 @@ def run_population(
     )
 
     if initial_pairing is not None:
-        claimed = [pid for pair in initial_pairing for pid in pair]
-        if sorted(claimed) != list(range(len(programs))):
-            raise ValueError("initial pairing must cover every player exactly once")
         pairs = tuple(tuple(sorted(p)) for p in initial_pairing)
+        claimed = sorted(pid for pair in pairs for pid in pair)
+        if any(len(pair) != 2 for pair in pairs) or claimed != list(range(len(programs))):
+            raise ValueError("initial pairing must cover every player exactly once")
         for a, b in pairs:
             state.pair(a, b)
         trace.rematches.append((0, RematchEvent(0, pairs)))
@@ -442,12 +403,15 @@ def trace_to_csv(
     ]
     # A run plays few distinct rows: each of a row's two lines is its
     # tick's text plus the text after it, formatted once per distinct
-    # (first, second, a1, a2), and the ticks come in order.
+    # (first, second, a1, a2), and the ticks come in order. Each rematch
+    # event's lines follow the rows before its position.
     rows = trace.rows
     tails: dict[tuple, tuple[str, str]] = {}
     last_tick, tick_text = None, ""
-    for plays, rematch_event in trace._segments():
-        for tick, first, second, a1, a2 in plays:
+    plays = zip(trace.tick, trace.first, trace.second, trace.a1, trace.a2)
+    done = 0
+    for position, rematch_event in [*trace.rematches, (len(trace.tick), None)]:
+        for tick, first, second, a1, a2 in islice(plays, position - done):
             if tick != last_tick:
                 last_tick, tick_text = tick, str(tick)
             key = (first, second, a1, a2)
@@ -461,6 +425,7 @@ def trace_to_csv(
                 )
             tail1, tail2 = pair_tails
             lines += (tick_text + tail1, tick_text + tail2)
+        done = position
         if rematch_event is not None:
             lines += [f"{rematch_event.tick},rematch,{a},{b},," for a, b in rematch_event.pairings]
     return "\n".join(lines) + "\n"

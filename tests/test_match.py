@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from boundedpd.analysis import unprovoked_defection_tick
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import BUILTIN_NAMES, get
-from boundedpd.match import PairOutcome, run_match, trace_to_csv
+from boundedpd.match import run_match, trace_to_csv
 from boundedpd.vm import (
     CmpOp, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
 )
@@ -31,15 +31,15 @@ class TestRunMatch:
         grim = get("GRIM", config)
         trace = run_match(grim, grim, config, INTRO_TABLE)
         assert trace.totals == (10, 10)
-        assert all(r.a1 is C and r.a2 is C for r in trace.records)
+        assert trace.a1 == trace.a2 == [C] * 10
 
     def test_counting_defector_loses_the_endgame(self):
         config = cfg(10)
         trace = run_match(get("CountingDefector", config), get("GRIM", config),
                           config, INTRO_TABLE)
         assert trace.totals == (7, 7)
-        assert "".join(r.a1.value for r in trace.records) == "CCCCCCCCWD"
-        assert "".join(r.a2.value for r in trace.records) == "CCCCCCCCCD"
+        assert "".join(a.value for a in trace.a1) == "CCCCCCCCWD"
+        assert "".join(a.value for a in trace.a2) == "CCCCCCCCCD"
 
     def test_unconditional_actions_fold_plainly(self):
         config = cfg(5)
@@ -63,22 +63,23 @@ class TestRunMatch:
         config = cfg(4)
         opter = StrategyProgram("opts", (emit(Action.O), halt(), jump(0)))
         trace = run_match(opter, get("AllC", config), config, INTRO_TABLE)
-        assert all(r.a1 is W for r in trace.records)
+        assert trace.a1 == [W] * 4
         assert trace.fault1 is not None and "OPD" in trace.fault1
 
     def test_trace_costs_follow_the_vm(self):
         config = cfg(6)
         trace = run_match(get("GRIM", config), get("AllC", config), config, INTRO_TABLE)
-        assert all(r.cost1 == 2 and r.cost2 == 0 for r in trace.records)
+        assert (trace.cost1, trace.cost2) == ([2] * 6, [0] * 6)
 
 
 def reference_match(p1, p2, config, table):
     """The match semantics written out plainly against ``vm.tick``: each
     player sees the previous tick's actions, both tick, and an O (never
-    legal in FTPD) faults the player into a waiter."""
+    legal in FTPD) faults the player into a waiter. Returns the columns
+    ``(a1, a2, cost1, cost2)``, the totals and the faults."""
     programs, vms = (p1, p2), [reset(p1), reset(p2)]
     last = None  # (a1, a2) of the previous tick
-    records, totals = [], [Fraction(0), Fraction(0)]
+    played, totals = ([], [], [], []), [Fraction(0), Fraction(0)]
     for _ in range(config.N):
         actions = []
         for me in (0, 1):
@@ -92,9 +93,14 @@ def reference_match(p1, p2, config, table):
         pay1, pay2, _split = payoff(actions[0], actions[1], table)
         totals[0] += pay1
         totals[1] += pay2
-        records.append(PairOutcome(actions[0], actions[1], vms[0].tick_cost, vms[1].tick_cost))
+        for column, value in zip(played, (*actions, vms[0].tick_cost, vms[1].tick_cost)):
+            column.append(value)
         last = (actions[0], actions[1])
-    return tuple(records), tuple(totals), (vms[0].fault_reason, vms[1].fault_reason)
+    return played, tuple(totals), (vms[0].fault_reason, vms[1].fault_reason)
+
+
+def columns(trace):
+    return trace.a1, trace.a2, trace.cost1, trace.cost2
 
 
 def retaliator() -> StrategyProgram:
@@ -114,8 +120,8 @@ class TestAgainstTheReference:
     @staticmethod
     def assert_same_as_reference(p1, p2, config):
         trace = run_match(p1, p2, config, INTRO_TABLE)
-        records, totals, faults = reference_match(p1, p2, config, INTRO_TABLE)
-        assert trace.records == records
+        played, totals, faults = reference_match(p1, p2, config, INTRO_TABLE)
+        assert columns(trace) == played
         assert trace.totals == totals
         assert (trace.fault1, trace.fault2) == faults
 
@@ -218,8 +224,8 @@ class TestFractionalTotals:
         for p1 in programs:
             for p2 in programs:
                 trace = run_match(p1, p2, config, FRACTIONAL_TABLE)
-                records, totals, faults = reference_match(p1, p2, config, FRACTIONAL_TABLE)
-                assert trace.records == records, (p1.name, p2.name)
+                played, totals, faults = reference_match(p1, p2, config, FRACTIONAL_TABLE)
+                assert columns(trace) == played, (p1.name, p2.name)
                 assert trace.totals == totals, (p1.name, p2.name)
                 assert all(type(total) is Fraction for total in trace.totals)
                 assert (trace.fault1, trace.fault2) == faults, (p1.name, p2.name)
@@ -235,8 +241,8 @@ class TestFractionalTotals:
         config = cfg(6)
         opter, bad_register = faulting_programs()
         trace = run_match(opter, bad_register, config, FRACTIONAL_TABLE)
-        assert "".join(r.a1.value for r in trace.records) == "CCWWWW"
-        assert "".join(r.a2.value for r in trace.records) == "DWWWWW"
+        assert "".join(a.value for a in trace.a1) == "CCWWWW"
+        assert "".join(a.value for a in trace.a2) == "DWWWWW"
         assert trace.fault1 == "played O outside OPD mode"
         assert trace.fault2 == "bad compare operand at 2"
         assert trace.totals == (FRACTIONAL_TABLE.S, FRACTIONAL_TABLE.T)
@@ -264,7 +270,7 @@ class TestConservation:
         p1 = get(rng.choice(names), config)
         p2 = get(rng.choice(names), config)
         trace = run_match(p1, p2, config, INTRO_TABLE)
-        pays = [payoff(r.a1, r.a2, INTRO_TABLE) for r in trace.records]
+        pays = [payoff(a1, a2, INTRO_TABLE) for a1, a2 in zip(trace.a1, trace.a2)]
         fold1 = sum((pay[0] for pay in pays), Fraction(0))
         fold2 = sum((pay[1] for pay in pays), Fraction(0))
         assert (fold1, fold2) == trace.totals
@@ -302,7 +308,7 @@ class TestCsv:
 
     def test_pay_columns_follow_the_plain_loop(self):
         # The CSV reads each tick's pay from the table's rows by the action
-        # pair; the plain loop's records carry no pay, so it is paid here.
+        # pair; the plain loop's columns carry no pay, so it is paid here.
         config = cfg(50)
         programs = [get(name, config) for name in BUILTIN_NAMES] + faulting_programs()
         for p1 in programs:
@@ -310,11 +316,8 @@ class TestCsv:
                 trace = run_match(p1, p2, config, FRACTIONAL_TABLE)
                 body = trace_to_csv(trace, config, FRACTIONAL_TABLE).splitlines()[2:]
                 expected = []
-                for tick_no, r in enumerate(reference_match(p1, p2, config, FRACTIONAL_TABLE)[0], 1):
-                    pay1, pay2, _ = payoff(r.a1, r.a2, FRACTIONAL_TABLE)
-                    expected.append(
-                        f"{tick_no},{r.a1.value},{r.a2.value},{pay1},{pay2},{r.cost1},{r.cost2}")
+                played = reference_match(p1, p2, config, FRACTIONAL_TABLE)[0]
+                for tick_no, (a1, a2, cost1, cost2) in enumerate(zip(*played), 1):
+                    pay1, pay2, _ = payoff(a1, a2, FRACTIONAL_TABLE)
+                    expected.append(f"{tick_no},{a1.value},{a2.value},{pay1},{pay2},{cost1},{cost2}")
                 assert body == expected, (p1.name, p2.name)
-
-    def test_records_keep_only_what_was_played(self):
-        assert PairOutcome._fields == ("a1", "a2", "cost1", "cost2")

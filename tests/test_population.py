@@ -14,7 +14,6 @@ from boundedpd.match import Seat
 from boundedpd.population import (
     JointStates,
     OpdTrace,
-    PlayEvent,
     PopulationState,
     PlayerSummary,
     RematchEvent,
@@ -43,6 +42,16 @@ def roster(config, *names):
     return [(name, get(name, config)) for name in names]
 
 
+def columns(trace):
+    return trace.tick, trace.first, trace.second, trace.a1, trace.a2
+
+
+def split_ticks(trace):
+    """The ticks of the rows on which a pair split, in order."""
+    return [tick for tick, a1, a2 in zip(trace.tick, trace.a1, trace.a2)
+            if trace.rows[a1, a2][2]]
+
+
 class TestRunPopulation:
     def test_two_grims_cooperate_throughout(self):
         config = opd_config(10)
@@ -56,10 +65,10 @@ class TestRunPopulation:
         players = roster(config, "OFT", "OFT", "AllD", "AllD")
         trace = run_population(players, config, INTRO_TABLE,
                                initial_pairing=[(0, 2), (1, 3)])
-        splits = [e for e in trace.events if isinstance(e, PlayEvent) and e.split]
-        assert splits and all(e.tick == 2 for e in splits if e.tick <= 2)
-        oft_splits = [e for e in splits if e.pid in (0, 1) and e.tick == 2]
-        assert {e.action for e in oft_splits} == {O}
+        assert split_ticks(trace) and all(tick == 2 for tick in split_ticks(trace) if tick <= 2)
+        # Both OFTs are the first seats of the pairs they split on tick 2.
+        assert {a1 for tick, first, _, a1, _ in zip(*columns(trace))
+                if tick == 2 and first in (0, 1)} == {O}
 
     def test_oft_never_leaves_a_cooperator(self):
         config = opd_config(30)
@@ -78,6 +87,14 @@ class TestRunPopulation:
         with pytest.raises(ValueError):
             run_population(roster(config, "AllC", "AllC"), config, INTRO_TABLE)
 
+    @pytest.mark.parametrize("pairing", [[(0, 1, 2, 3)], [(0,), (1,), (2, 3)]])
+    def test_an_initial_pairing_entry_must_be_a_pair(self, pairing):
+        # Both cover every player once, but not in pairs.
+        config = opd_config(5, pairs=2)
+        with pytest.raises(ValueError, match="^initial pairing must cover every player exactly once$"):
+            run_population(roster(config, "OFT", "OFT", "AllD", "AllD"), config, INTRO_TABLE,
+                           initial_pairing=pairing)
+
     @pytest.mark.parametrize("oft_seat", [0, 1])
     def test_asymmetric_split_pays_the_abandoned_partner_q_hat(self, oft_seat):
         # OFT is exploited on tick 1 and opts out on tick 2: the opter is
@@ -88,11 +105,11 @@ class TestRunPopulation:
         names[oft_seat] = "OFT"
         trace = run_population(roster(config, *names), config, table,
                                initial_pairing=[(0, 1)], asymmetric_split=True)
-        split = {e.pid: e for e in trace.events if isinstance(e, PlayEvent) and e.split}
-        assert set(split) == {0, 1} and all(e.tick == 2 for e in split.values())
-        opter, abandoned = split[oft_seat], split[1 - oft_seat]
-        assert (opter.action, opter.pay) == (O, table.Q)
-        assert (abandoned.action, abandoned.pay) == (D, table.Q_hat)
+        assert split_ticks(trace) == [2] and trace.tick == [1, 2]
+        actions = (trace.a1[1], trace.a2[1])
+        pays = payoff(*actions, table, Mode.OPD, asymmetric_split=True)
+        assert (actions[oft_seat], pays[oft_seat]) == (O, table.Q)
+        assert (actions[1 - oft_seat], pays[1 - oft_seat]) == (D, table.Q_hat)
         totals = trace.totals()
         assert totals[oft_seat] == table.S + table.Q
         assert totals[1 - oft_seat] == table.T + table.Q_hat
@@ -104,22 +121,18 @@ class TestRunPopulation:
         players = roster(config, "OFT", "OFT", "AllD", "AllD")
         trace = run_population(players, config, INTRO_TABLE,
                                initial_pairing=[(0, 2), (1, 3)])
-        by_tick: dict[int, list[PlayEvent]] = {}
-        for event in trace.events:
-            if isinstance(event, PlayEvent):
-                by_tick.setdefault(event.tick, []).append(event)
-        for event in trace.events:
-            if isinstance(event, PlayEvent) and event.split:
-                mate = next(e for e in by_tick[event.tick] if e.pid == event.partner)
-                assert event.pay == INTRO_TABLE.Q and mate.pay == INTRO_TABLE.Q
-                next_plays = [
-                    e.tick for e in trace.events
-                    if isinstance(e, PlayEvent) and e.pid == event.pid and e.tick > event.tick
-                ]
+        rows = list(zip(*columns(trace)))
+        for split_tick, first, second, a1, a2 in rows:
+            pay1, pay2, split = payoff(a1, a2, INTRO_TABLE, Mode.OPD)
+            if not split:
+                continue
+            assert pay1 == pay2 == INTRO_TABLE.Q
+            for pid in (first, second):
+                next_plays = [tick for tick, *seats, _, _ in rows
+                              if pid in seats and tick > split_tick]
                 rematches = [
-                    e.tick for e in trace.events
-                    if isinstance(e, RematchEvent) and e.tick >= event.tick
-                    and any(event.pid in pair for pair in e.pairings)
+                    e.tick for _, e in trace.rematches
+                    if e.tick >= split_tick and any(pid in pair for pair in e.pairings)
                 ]
                 if next_plays:
                     assert rematches and rematches[0] < next_plays[0]
@@ -128,9 +141,8 @@ class TestRunPopulation:
         config = opd_config(20, t=2, seed=9, pairs=3)
         players = roster(config, "OFT", "OFT", "AllD", "GRIM", "TFT", "AllC")
         trace = run_population(players, config, INTRO_TABLE)
-        paid = sum(
-            (e.pay for e in trace.events if isinstance(e, PlayEvent)), Fraction(0)
-        )
+        paid = sum((sum(payoff(a1, a2, INTRO_TABLE, Mode.OPD)[:2])
+                    for a1, a2 in zip(trace.a1, trace.a2)), Fraction(0))
         assert paid == sum(trace.totals())
 
     def test_unpaired_qhat_switch(self):
@@ -194,11 +206,9 @@ class TestRematchDelay:
             players = [("OFT", get("OFT", config)), ("DefectLate", defector)]
             trace = run_population(players, config, INTRO_TABLE,
                                    initial_pairing=[(0, 1)])
-            split_tick = min(e.tick for e in trace.events
-                             if isinstance(e, PlayEvent) and e.split)
+            split_tick = split_ticks(trace)[0]
             assert split_tick == j + 1
-            rematch_tick = min(e.tick for e in trace.events
-                               if isinstance(e, RematchEvent) and e.tick >= split_tick)
+            rematch_tick = min(e.tick for _, e in trace.rematches if e.tick >= split_tick)
             waits.append(rematch_tick - split_tick)
         assert Fraction(sum(waits), len(waits)) == Fraction(t - 1, 2)
         assert Fraction(t - 1, 2) == expected_rematch_delay(opd_config(10, t=t))
@@ -213,11 +223,8 @@ class TestInstantaneousMode:
         fast_config = opd_config(6, instantaneous=True)
         fast = run_population(roster(fast_config, "OFT", "AllW"), fast_config,
                               INTRO_TABLE, initial_pairing=[(0, 1)])
-        first_split = lambda tr: min(
-            e.tick for e in tr.events if isinstance(e, PlayEvent) and e.split
-        )
-        assert first_split(slow) == 2
-        assert first_split(fast) == 1
+        assert split_ticks(slow)[0] == 2
+        assert split_ticks(fast)[0] == 1
 
     def test_peek_does_not_advance_non_opting_programs(self):
         # GRIM facing a waiter must behave identically with and without the
@@ -226,11 +233,7 @@ class TestInstantaneousMode:
             config = opd_config(6, instantaneous=instantaneous)
             trace = run_population(roster(config, "GRIM", "AllW"), config,
                                    INTRO_TABLE, initial_pairing=[(0, 1)])
-            actions = "".join(
-                e.action.value for e in trace.events
-                if isinstance(e, PlayEvent) and e.pid == 0
-            )
-            assert actions == "CDDDDD"
+            assert "".join(a.value for a in trace.a1) == "CDDDDD"  # player 0's
 
     def test_opting_pays_off_against_waiters_when_cooperators_exist(self):
         # A population holding cooperative partners rewards leaving a
@@ -252,8 +255,7 @@ class TestInstantaneousMode:
         config = opd_config(6, instantaneous=True)
         trace = run_population(roster(config, "AllW", "OFT"), config, INTRO_TABLE,
                                initial_pairing=[(0, 1)])
-        first = next(e for e in trace.events if isinstance(e, PlayEvent) and e.pid == 1)
-        assert (first.tick, first.action, first.split) == (1, O, True)
+        assert (trace.tick[0], trace.a2[0]) == (1, O) and split_ticks(trace)[0] == 1
 
     def test_no_peek_outside_opd(self):
         # FTPD has no O to react with: OFT keeps its C on tick 1, and its
@@ -269,9 +271,7 @@ class TestInstantaneousMode:
         config = opd_config(5, instantaneous=True)
         trace = run_population(roster(config, "AllW", "AllW"), config, INTRO_TABLE,
                                initial_pairing=[(0, 1)])
-        assert all(
-            e.action is W for e in trace.events if isinstance(e, PlayEvent)
-        )
+        assert trace.a1 == trace.a2 == [W] * 5
         assert trace.totals() == (0, 0)  # H = 0 on the example table
 
 
@@ -323,11 +323,11 @@ class TestColumns:
 
         assert kept(50) == kept(500)
 
-    def test_csv_lines_follow_the_event_stream(self):
+    def test_csv_lines_follow_the_plain_loop(self):
         config = opd_config(60, t=3, seed=5, pairs=4)
         players = roster(config, "OFT", "OFT", "OFT", "OFT", "AllD", "AllD", "AllW", "GRIM")
         trace = run_population(players, config, SPLIT_TABLE)
-        expected = csv_body(trace.events)
+        expected = reference_population(players, config, SPLIT_TABLE, False, False)[2]
         kinds = {line.split(",")[1] for line in expected}
         assert kinds == {"play", "split", "rematch"}
         assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == expected
@@ -415,22 +415,11 @@ class TestJointStates:
         allc, alld = get("AllC", config), get("AllD", config)
         players = [("AllC", allc), ("AllD", alld)] * 3
         trace = run_population(players, config, SPLIT_TABLE)
-        events, summaries = reference_population(players, config, SPLIT_TABLE, False, False)
-        assert trace.events == events
+        played, rematches, _, summaries = reference_population(
+            players, config, SPLIT_TABLE, False, False)
+        assert columns(trace) == played
+        assert trace.rematches == rematches
         assert trace.summaries == summaries
-
-
-def csv_body(events):
-    """The population CSV's lines after its two header lines, written
-    plainly from an event stream."""
-    lines = []
-    for e in events:
-        if isinstance(e, PlayEvent):
-            kind = "split" if e.split else "play"
-            lines.append(f"{e.tick},{kind},{e.pid},{e.partner},{e.action.value},{e.pay}")
-        else:
-            lines += [f"{e.tick},rematch,{a},{b},," for a, b in e.pairings]
-    return lines
 
 
 #: A table where every pair the opting-out game can play pays something
@@ -450,6 +439,11 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
     order of their smaller id, and a rematch event pairs the sorted pool.
     A given initial pairing replaces the first rematch: its event lists the
     pairs in the order given, each lower id first.
+
+    Returns what was played, as the columns ``(tick, first, second, a1,
+    a2)``; the rematch events, each with the number of rows before it; the
+    population CSV's lines after its two header lines, written as the loop
+    goes; and the players' summaries.
     """
     n = len(programs)
     rng = random_module.Random(config.seed)
@@ -457,7 +451,11 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
     partner: list[int | None] = [None] * n
     view: dict[tuple[int, int], tuple[Action, Action] | None] = {}
     totals, opt_outs, unpaired = [Fraction(0)] * n, [0] * n, [0] * n
-    events = []
+    played, rematches, lines = ([], [], [], [], []), [], []
+
+    def record_rematch(now, pairs):
+        rematches.append((len(played[0]), RematchEvent(now, pairs)))
+        lines.extend(f"{now},rematch,{a},{b},," for a, b in pairs)
 
     def rematch_pool(now):
         pool = sorted(pid for pid in range(n) if partner[pid] is None)
@@ -467,7 +465,7 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
         for a, b in pairs:
             partner[a], partner[b] = b, a
             view[a, b] = None
-        events.append(RematchEvent(now, pairs))
+        record_rematch(now, pairs)
 
     def peek(pid, vm, action, other):
         if action in (C, D) and other is W:
@@ -483,7 +481,7 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
         for a, b in pairs:
             partner[a], partner[b] = b, a
             view[a, b] = None
-        events.append(RematchEvent(0, pairs))
+        record_rematch(0, pairs)
     for now in range(1, config.N + 1):
         for pid in range(n):
             if partner[pid] is None:
@@ -507,13 +505,16 @@ def reference_population(programs, config, table, asymmetric_split, unpaired_pay
                 partner[a] = partner[b] = None
             else:
                 view[a, b] = (a1, a2)
-            events.append(PlayEvent(now, a, b, a1, pay1, split))
-            events.append(PlayEvent(now, b, a, a2, pay2, split))
+            for column, value in zip(played, (now, a, b, a1, a2)):
+                column.append(value)
+            kind = "split" if split else "play"
+            lines += [f"{now},{kind},{a},{b},{a1.value},{pay1}",
+                      f"{now},{kind},{b},{a},{a2.value},{pay2}"]
         if config.instantaneous_rematch or now % config.t == 0:
             rematch_pool(now)
     summaries = tuple(PlayerSummary(pid, programs[pid][0], totals[pid], opt_outs[pid],
                                     unpaired[pid]) for pid in range(n))
-    return tuple(events), summaries
+    return played, rematches, lines, summaries
 
 
 @given(seed=st.integers(0, 10**9), randoms=st.integers(2, 6), n=st.integers(1, 30),
@@ -542,8 +543,9 @@ def test_run_population_is_the_plain_loop(seed, randoms, n, t, instantaneous, as
                            for i in range(0, len(ids), 2)]
     trace = run_population(players, config, SPLIT_TABLE, initial_pairing=initial_pairing,
                            asymmetric_split=asymmetric_split, unpaired_pay_qhat=unpaired_pay_qhat)
-    events, summaries = reference_population(players, config, SPLIT_TABLE, asymmetric_split,
-                                             unpaired_pay_qhat, initial_pairing)
-    assert trace.events == events
+    played, rematches, lines, summaries = reference_population(
+        players, config, SPLIT_TABLE, asymmetric_split, unpaired_pay_qhat, initial_pairing)
+    assert columns(trace) == played
+    assert trace.rematches == rematches
     assert trace.summaries == summaries
-    assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == csv_body(events)
+    assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == lines
