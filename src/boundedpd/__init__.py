@@ -7,8 +7,10 @@ The package splits into value types and engines:
 * :mod:`boundedpd.dsl` - the strategy language and compiler.
 * :mod:`boundedpd.library` - built-in strategies and the strategy resolver.
 * :mod:`boundedpd.match` - the pair-tick kernel every engine plays
-  through (both seats move; each engine pays the action pair from its
-  own row of the payoff table), and two-player fixed-horizon matches.
+  through, a function from a pairing's joint state (both programs,
+  machines and last moves) to the next (both seats move; each engine pays
+  the action pair from its own row of the payoff table), and two-player
+  fixed-horizon matches.
 * :mod:`boundedpd.population` - the opting-out population game, whose
   pair tick adds the instantaneous-rematch peek to the kernel.
 * :mod:`boundedpd.analysis` - security levels, competitive ratios, and

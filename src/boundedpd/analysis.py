@@ -7,11 +7,12 @@ relative to a finite, caller-supplied candidate set and the reports say so.
 
 Three population models are provided. The first two are partner
 schedules for one focal seat, played through the population engine's
-kernel: both seats move by ``match.seat_move``, a seat answers a waiting
-partner in instantaneous mode, the model pays the action pair from its
-row, and a rematch event after a split takes the schedule's next partner.
-``_play_focal`` plays one game of a schedule; the draw model's exact
-evaluation runs that loop over every draw at once.
+kernel from the joint state of focal player and partner: both seats move
+by ``match.seat_move``, a seat answers a waiting partner in instantaneous
+mode, the model pays the action pair from its row, and a rematch event
+after a split takes the schedule's next partner. ``_play_focal`` plays one
+game of a schedule; the draw model's exact evaluation runs that loop over
+every draw at once.
 
 * :class:`FixedOpponentModel` - a single deterministic partner for the
   whole game, re-paired with the focal player after every split as a pool
@@ -81,7 +82,7 @@ from .game import (
     payoff_unit, require_valid_table,
 )
 from .library import resolve
-from .match import MatchTrace, Seat, seat_move
+from .match import MatchTrace, seat_move
 from .population import JointStates, _answer_wait, play_pair_tick, run_population
 from .vm import StrategyProgram, VmState, reset
 
@@ -107,6 +108,8 @@ def oft_constant(q: Fraction | float, r: Fraction | int, table: PayoffTable) -> 
     if not 0 < q <= 1:
         raise ValueError(f"q must be positive and at most 1, got {q}")
     r = Fraction(r)
+    if r < 0:
+        raise ValueError(f"r must be at least 0, got {r}")
     return (1 / q) * ((r + 1) * table.R - table.S)
 
 
@@ -115,8 +118,10 @@ def unprovoked_defection_tick(trace: MatchTrace, player: int = 1) -> int | None:
     non-C move from the opponent; None when no such tick exists.
 
     Cooperative strategies must return None against every opponent: they
-    go non-C only in response to provocation.
+    go non-C only in response to provocation. ``player`` is 1 or 2.
     """
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player}")
     provoked = False
     columns = (trace.a1, trace.a2) if player == 1 else (trace.a2, trace.a1)
     for index, (own, opp) in enumerate(zip(*columns), start=1):
@@ -156,25 +161,30 @@ def _estimate(name: str, values: list[float]) -> ModelEstimate:
     return ModelEstimate(name, mean, se, n, exact=False)
 
 
-def _play_focal(program: StrategyProgram, partner: Seat, next_partner: Callable[[], Seat],
-                config: GameConfig, table: PayoffTable) -> Fraction:
-    """The focal player's total over N ticks in seat 1, starting against
-    ``partner``. After a split the focal player idles until the next rematch
-    event, where ``next_partner()`` supplies the new partner and both seats
-    forget their last actions (the machines keep running). The total is
-    added in integers over the table's ``payoff_unit``, read from its rows."""
-    focal = Seat.fresh(program)
+def _play_focal(
+    program: StrategyProgram, partner: StrategyProgram,
+    next_partner: Callable[[StrategyProgram, VmState], tuple[StrategyProgram, VmState]],
+    config: GameConfig, table: PayoffTable,
+) -> Fraction:
+    """The focal player's total over N ticks in seat 1, starting against a
+    fresh ``partner``. After a split the focal player idles until the next
+    rematch event, where ``next_partner(partner, vm)`` gives the next
+    partner and its machine, and both seats forget their last actions (the
+    machines keep running). The total is added in integers over the table's
+    ``payoff_unit``, read from its rows."""
     rows = table.outcomes[config.mode, False]
-    total = 0
+    vm1, last1, vm2, last2 = reset(program), None, reset(partner), None
+    paired, total = True, 0
     for now in range(1, config.N + 1):
-        if partner is not None:
-            _, _, split, pay, _ = rows[play_pair_tick(focal, partner, config)]
+        if paired:
+            vm1, last1, vm2, last2 = play_pair_tick(program, vm1, last1, partner, vm2, last2, config)
+            _, _, split, pay, _ = rows[last1, last2]
             total += pay
-            if split:
-                partner = None
-        if partner is None and config.rematches_at(now):
-            partner = next_partner()
-            focal.last = partner.last = None
+            paired = not split
+        if not paired and config.rematches_at(now):
+            partner, vm2 = next_partner(partner, vm2)
+            last1 = last2 = None
+            paired = True
     return Fraction(total, payoff_unit(table))
 
 
@@ -235,23 +245,20 @@ class _PlayTree:
         #: Every focal action a row pays, W from a fault and O from a peek
         #: included.
         self.actions = tuple(dict.fromkeys(a1 for a1, _ in self.rows))
-        # Scratch seat for the opponent; its program never changes.
-        self.partner = Seat.fresh(opponent)
-        self.root: _Node = (0, self.partner.vm, None, None, True)
+        self.opponent = opponent
+        self.root: _Node = (0, reset(opponent), None, None, True)
 
     def opponent_move(self, node: _Node) -> tuple[VmState, Action]:
         """The opponent's machine and move on the tick after a paired node,
         whose focal move is the opponent's ``opp``."""
         _, opp_vm, own, opp, _ = node
-        partner = self.partner
-        partner.vm, partner.last = opp_vm, opp
-        return seat_move(partner, own, self.config)
+        return seat_move(opp_vm, self.opponent, own, opp, self.config)
 
     def child(self, now: int, vm2: VmState, a2: Action, a1: Action) -> tuple[int, _Node]:
         """The focal payoff and the node after tick ``now`` when the focal
         player plays ``a1`` against the opponent's move ``a2``: a partner
         that moved answers a focal wait first."""
-        vm2, a2 = _answer_wait(self.partner.program, vm2, a2, a1, self.config)
+        vm2, a2 = _answer_wait(self.opponent, vm2, a2, a1, self.config)
         _, _, split, pay, _ = self.rows[a1, a2]
         if not split:
             return pay, (now, vm2, a1, a2, True)
@@ -307,8 +314,6 @@ class _PlayTree:
         config = self.config
         prune = values is not None
         best = -math.inf if incumbent is None else incumbent
-        # Scratch seat: it takes each program in turn.
-        focal = Seat.fresh(self.partner.program)
         totals: list[int | None] = [None] * len(programs)
         start = [(index, reset(program)) for index, program in enumerate(programs)]
         stack = [(self.root, 0, start)]
@@ -326,14 +331,13 @@ class _PlayTree:
                 stack.append((self.apart(now + 1, node[1]), total, group))
                 continue
             vm2, a2 = self.opponent_move(node)
-            focal.last = own
             waited = a2 is _W
             children: dict[Action, list[tuple[int, VmState]]] = {}
             for index, vm in group:
-                focal.program, focal.vm = programs[index], vm
-                vm1, a1 = seat_move(focal, opp, config)
+                program = programs[index]
+                vm1, a1 = seat_move(vm, program, opp, own, config)
                 if waited:
-                    vm1, a1 = _answer_wait(focal.program, vm1, a1, a2, config)
+                    vm1, a1 = _answer_wait(program, vm1, a1, a2, config)
                 children.setdefault(a1, []).append((index, vm1))
             entries = []
             for a1, members in children.items():
@@ -506,10 +510,11 @@ class DrawModel:
         rng = random.Random(trial_seed)
         q = float(self.q)
 
-        def draw() -> Seat:
-            return Seat.fresh(model.cooperative if rng.random() < q else model.hostile)
+        def draw(*_: object) -> tuple[StrategyProgram, VmState]:
+            partner = model.cooperative if rng.random() < q else model.hostile
+            return partner, reset(partner)
 
-        first = draw() if model.first_draw is None else Seat.fresh(model.first_draw)
+        first = draw()[0] if model.first_draw is None else model.first_draw
         return _play_focal(program, first, draw, config, table)
 
 

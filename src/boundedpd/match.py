@@ -1,28 +1,29 @@
 """The pair-tick kernel and the two-player fixed-horizon match engine.
 
-A ``Seat`` is one player's side of a pairing: its program, its machine
-and its own move on the pairing's last tick. A tick of a pairing only
-moves: ``seat_move`` ticks each machine against its own last move and the
-partner's (so moves are simultaneous), and both moves are committed. Each
-engine then pays the action pair from its own row of the payoff table's
-``outcomes``, one dict read. A program fault, including playing O in a
-mode that forbids it, turns the offender into a perpetual waiter.
+A pairing's joint state is each player's program, machine and own move on
+the pairing's last tick (None before the first); the kernel maps it to the
+next and holds no state. A tick only moves: ``seat_move`` ticks each
+machine against its own last move and the partner's (so moves are
+simultaneous), through the program's transition table, so a transition
+runs the interpreter once per program: GRIM against GRIM runs it on two
+ticks of a match and looks the rest up. Each engine then pays the action
+pair from its own row of the payoff table's ``outcomes``, one dict read. A
+program fault, including playing O in a mode that forbids it, turns the
+offender into a perpetual waiter.
 
-``seat_move`` advances a machine with ``vm.tick``, through the program's
-transition table, so a transition runs the interpreter once per program:
-GRIM against GRIM runs it on two ticks of a match and looks the rest up.
-
-``match_step`` is a match's tick and returns what was played, the plain
-tuple ``(a1, a2, cost1, cost2)``: the action pair and each seat's XOR
-units, no pay. A fixed-horizon match is the opting-out game without the
-opt-out; ``population.play_pair_tick`` adds the instantaneous-rematch peek.
-``run_match`` plays N ticks of ``match_step`` and appends each tick to the
-trace's four columns, ``a1``, ``a2``, ``cost1`` and ``cost2``: flat lists
-of shared actions and small ints, so a trace holds no object per tick for
-the garbage collector to walk. The match is paid once, by counting the
-action pairs played: each count times the pair's payoff, an integer over
-the table's ``payoff_unit``. ``trace_to_csv`` reads the columns and each
-tick's pay from the same rows as it writes the tick's line.
+``match_step`` is a match's tick: from the joint state ``(program1, vm1,
+last1, program2, vm2, last2)`` it returns the next one's ``(vm1, a1, vm2,
+a2)``; a tick's XOR units are each machine's ``tick_cost``. A fixed-horizon
+match is the opting-out game without the opt-out;
+``population.play_pair_tick`` adds the instantaneous-rematch peek.
+``run_match`` keeps the joint state in loop locals, plays N ticks of
+``match_step`` and appends each tick to the trace's four columns, ``a1``,
+``a2``, ``cost1`` and ``cost2``: flat lists of shared actions and small
+ints, so a trace holds no object per tick for the garbage collector to
+walk. The faults are the final machines'. The match is paid once, by
+counting the action pairs played: each count times the pair's payoff, an
+integer over the table's ``payoff_unit``. ``trace_to_csv`` reads the
+columns and each tick's pay from the same rows as it writes the tick's line.
 """
 
 from __future__ import annotations
@@ -61,42 +62,29 @@ class MatchTrace:
         return (self.total1, self.total2)
 
 
-@dataclass
-class Seat:
-    """A player's side of its pairing: the program, its machine and its
-    own move on the pairing's last tick (None before the first)."""
+def seat_move(vm: VmState, program: StrategyProgram, opp: Action | None, own: Action | None,
+              config: GameConfig) -> tuple[VmState, Action]:
+    """Tick ``vm`` against ``opp``, the partner's last move, and ``own``, its own.
 
-    program: StrategyProgram
-    vm: VmState
-    last: Action | None = None
-
-    @staticmethod
-    def fresh(program: StrategyProgram) -> "Seat":
-        return Seat(program=program, vm=reset(program))
-
-
-def seat_move(seat: Seat, opp: Action | None, config: GameConfig) -> tuple[VmState, Action]:
-    """Tick the seat's machine against ``opp``, the partner's last move, and its own.
-
-    Nothing is committed to the seat. O is the only action outside a mode's
-    set (FTPD lacks it); playing it there is a program fault: the player
-    waits from here on and this tick's move is already a wait.
+    O is the only action outside a mode's set (FTPD lacks it); playing it
+    there is a program fault: the player waits from here on and this tick's
+    move is already a wait.
     """
-    vm, action = tick(seat.vm, seat.program, opp, seat.last, config.k)
+    vm, action = tick(vm, program, opp, own, config.k)
     if action is _O and config.mode is not _OPD:
         vm = vm._replace(fault_reason="played O outside OPD mode")
         action = _W
     return vm, action
 
 
-def match_step(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action, Action, int, int]:
-    """Advance one tick; both players observe, then both move. Returns what
-    was played: the action pair and each seat's XOR units."""
-    vm1, a1 = seat_move(seat1, seat2.last, config)
-    vm2, a2 = seat_move(seat2, seat1.last, config)
-    seat1.vm, seat1.last = vm1, a1
-    seat2.vm, seat2.last = vm2, a2
-    return a1, a2, vm1.tick_cost, vm2.tick_cost
+def match_step(program1: StrategyProgram, vm1: VmState, last1: Action | None,
+               program2: StrategyProgram, vm2: VmState, last2: Action | None,
+               config: GameConfig) -> tuple[VmState, Action, VmState, Action]:
+    """Advance one tick from the joint state; both players observe, then
+    both move. Returns the next joint state's ``(vm1, a1, vm2, a2)``."""
+    vm1, a1 = seat_move(vm1, program1, last2, last1, config)
+    vm2, a2 = seat_move(vm2, program2, last1, last2, config)
+    return vm1, a1, vm2, a2
 
 
 def run_match(
@@ -111,17 +99,17 @@ def run_match(
         raise ValueError("run_match runs FTPD games; use run_population for OPD")
     require_valid_table(table)
 
-    seat1, seat2 = Seat.fresh(p1), Seat.fresh(p2)
+    vm1, a1, vm2, a2 = reset(p1), None, reset(p2), None
     a1s: list[Action] = []
     a2s: list[Action] = []
     costs1: list[int] = []
     costs2: list[int] = []
     for _ in range(config.N):
-        a1, a2, cost1, cost2 = match_step(seat1, seat2, config)
+        vm1, a1, vm2, a2 = match_step(p1, vm1, a1, p2, vm2, a2, config)
         a1s.append(a1)
         a2s.append(a2)
-        costs1.append(cost1)
-        costs2.append(cost2)
+        costs1.append(vm1.tick_cost)
+        costs2.append(vm2.tick_cost)
     rows = table.outcomes[config.mode, False]
     scaled1 = scaled2 = 0
     for pair, count in Counter(zip(a1s, a2s)).items():
@@ -136,8 +124,8 @@ def run_match(
         cost2=costs2,
         total1=Fraction(scaled1, unit),
         total2=Fraction(scaled2, unit),
-        fault1=seat1.vm.fault_reason,
-        fault2=seat2.vm.fault_reason,
+        fault1=vm1.fault_reason,
+        fault2=vm2.fault_reason,
     )
 
 

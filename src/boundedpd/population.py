@@ -18,10 +18,10 @@ machine and commits only when it produces an O, so non-opting strategies
 are unaffected.
 
 A pairing's tick, ``play_pair_tick``, is ``match.match_step`` followed by
-each committed seat's answer to a waiting partner; it returns the action
-pair. The answer lives here because only the opting-out game has it. The
-draw model and the play tree of :mod:`boundedpd.analysis` play through the
-same rule.
+each seat's answer to a waiting partner; like the kernel, it maps a joint
+state to the next. The answer lives here because only the opting-out game
+has it. The draw model and the play tree of :mod:`boundedpd.analysis`
+play through the same rule.
 
 With the config fixed, a pairing's tick is a function of its joint state
 alone: both programs, both machines and both last moves. ``JointStates``
@@ -68,7 +68,7 @@ from .game import (
     require_valid_table,
 )
 from .library import resolve
-from .match import Seat, match_step
+from .match import match_step
 from .vm import StrategyProgram, VmState, reset, tick
 
 # Enum members read as module globals, not class attributes, on each tick.
@@ -94,14 +94,16 @@ def _answer_wait(
     return vm, action
 
 
-def play_pair_tick(seat1: Seat, seat2: Seat, config: GameConfig) -> tuple[Action, Action]:
-    """One simultaneous tick of a pairing: ``match_step``, then each
-    committed seat answers a waiting partner. Returns the action pair for
-    the caller to pay."""
-    a1, a2, _, _ = match_step(seat1, seat2, config)
-    seat1.vm, seat1.last = _answer_wait(seat1.program, seat1.vm, a1, a2, config)
-    seat2.vm, seat2.last = _answer_wait(seat2.program, seat2.vm, a2, a1, config)
-    return seat1.last, seat2.last
+def play_pair_tick(program1: StrategyProgram, vm1: VmState, last1: Action | None,
+                   program2: StrategyProgram, vm2: VmState, last2: Action | None,
+                   config: GameConfig) -> tuple[VmState, Action, VmState, Action]:
+    """One simultaneous tick of a pairing from its joint state: ``match_step``,
+    then each seat answers a waiting partner. Returns the next joint state's
+    ``(vm1, a1, vm2, a2)`` for the caller to pay."""
+    vm1, a1, vm2, a2 = match_step(program1, vm1, last1, program2, vm2, last2, config)
+    vm1, answer1 = _answer_wait(program1, vm1, a1, a2, config)
+    vm2, answer2 = _answer_wait(program2, vm2, a2, a1, config)
+    return vm1, answer1, vm2, answer2
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +140,11 @@ class JointStates:
 
     def play(self, number: int) -> tuple[int, Action, Action, bool]:
         """Fill in and return the move of state ``number``: one
-        ``play_pair_tick`` on scratch seats."""
+        ``play_pair_tick`` from it."""
         program1, vm1, last1, program2, vm2, last2 = self.states[number]
-        seat1 = Seat(self.programs[program1], vm1, last1)
-        seat2 = Seat(self.programs[program2], vm2, last2)
-        a1, a2 = play_pair_tick(seat1, seat2, self.config)
-        after = self.number((program1, seat1.vm, a1, program2, seat2.vm, a2))
+        vm1, a1, vm2, a2 = play_pair_tick(self.programs[program1], vm1, last1,
+                                          self.programs[program2], vm2, last2, self.config)
+        after = self.number((program1, vm1, a1, program2, vm2, a2))
         move = self.moves[number] = (after, a1, a2, self.rows[a1, a2][2])
         return move
 

@@ -30,9 +30,9 @@ from boundedpd.game import (
     legal_actions, payoff_unit, validate_table,
 )
 from boundedpd.library import BUILTIN_NAMES, get, resolve
-from boundedpd.match import Seat, run_match, seat_move
+from boundedpd.match import run_match, seat_move
 from boundedpd.population import run_population
-from boundedpd.vm import StrategyProgram, emit, halt
+from boundedpd.vm import StrategyProgram, emit, halt, reset
 
 from test_match import retaliator
 from test_vm import random_program
@@ -66,15 +66,18 @@ def draw_sequence_mean(model, program, config, table):
         sequence = sequences.pop()
         draws = iter(sequence)
 
-        def next_partner():
+        def draw():
             cooperative = next(draws, None)
             if cooperative is None:
                 raise _MoreDraws
-            return Seat.fresh(partners[cooperative])
+            return partners[cooperative]
+
+        def next_partner(partner, vm):
+            partner = draw()
+            return partner, reset(partner)
 
         try:
-            first = (next_partner() if model.first_draw is None
-                     else Seat.fresh(resolve(model.first_draw, config)))
+            first = draw() if model.first_draw is None else resolve(model.first_draw, config)
             payoff = _play_focal(program, first, next_partner, config, table)
         except _MoreDraws:
             sequences += [sequence + (c,) for c in (True, False) if weights[c]]
@@ -102,6 +105,11 @@ class TestOftConstant:
         # q is a probability, as in DrawModel.
         with pytest.raises(ValueError, match="at most 1"):
             oft_constant(Fraction(3, 2), 0, INTRO_TABLE)
+
+    def test_negative_delay_rejected(self):
+        # r is an expected wait in ticks, as ``analyze --r`` requires.
+        with pytest.raises(ValueError, match="r must be at least 0, got -5"):
+            oft_constant(1, -5, INTRO_TABLE)
 
     @given(
         st.fractions(min_value=Fraction(1, 100), max_value=1),
@@ -510,8 +518,7 @@ def _candidates(config, bound):
 
 
 def _pool_of_two_total(program, opponent, config, table):
-    partner = Seat.fresh(opponent)
-    return _play_focal(program, partner, lambda: partner, config, table)
+    return _play_focal(program, opponent, lambda partner, vm: (partner, vm), config, table)
 
 
 class TestPlayTree:
@@ -607,10 +614,10 @@ class TestBranchAndBound:
         opponent = get(name, config)
         ticks = []
 
-        def counted(seat, opp, config):
-            if seat.program is not opponent:
-                ticks.append(seat.program)
-            return seat_move(seat, opp, config)
+        def counted(vm, program, opp, own, config):
+            if program is not opponent:
+                ticks.append(program)
+            return seat_move(vm, program, opp, own, config)
 
         monkeypatch.setattr(analysis, "seat_move", counted)
         FixedOpponentModel(opponent).evaluate_all(_candidates(config, 6), config, INTRO_TABLE)
@@ -757,9 +764,9 @@ class TestDrawModel:
         # names the pair tick is looked up by are counted.
         play, calls = population.play_pair_tick, []
 
-        def counted(seat1, seat2, config):
+        def counted(*joint_state_and_config):
             calls.append(None)
-            return play(seat1, seat2, config)
+            return play(*joint_state_and_config)
 
         for module in (population, analysis):
             monkeypatch.setattr(module, "play_pair_tick", counted)
@@ -916,6 +923,13 @@ class TestUnprovokedDefection:
         # TFT defects from tick 2 onward, strictly after AllD's tick-1 move.
         assert unprovoked_defection_tick(trace, 2) is None
         assert unprovoked_defection_tick(trace, 1) == 1
+
+    @pytest.mark.parametrize("player", [0, 3])
+    def test_a_player_other_than_1_or_2_is_rejected(self, player):
+        config = GameConfig(N=5, k=2)
+        trace = run_match(get("AllD", config), get("TFT", config), config, INTRO_TABLE)
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            unprovoked_defection_tick(trace, player)
 
 
 class TestCompetitiveRatio:

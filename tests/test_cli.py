@@ -244,6 +244,7 @@ class TestOutOfRangeConfig:
         (["analyze", "--oft-constant", "--q", "abc"], "--q expects a number"),
         (["analyze", "--oft-constant", "--q", "3/2"],
          "q must be positive and at most 1, got 3/2"),
+        (["analyze", "--oft-constant", "--q", "1", "--r", "-5"], "r must be at least 0, got -5"),
         (["analyze", "OFT", "--q", "1.00000000000000000001", "--N", "10", "--size-bound", "4"],
          "q must be in (0, 1], got 100000000000000000001/100000000000000000000"),
         (["analyze", "OFT", "--q", "0.5", "--size-bound", "0"],
@@ -257,7 +258,8 @@ class TestOutOfRangeConfig:
     ], ids=["analyze-r", "analyze-N", "analyze-k", "list-strategies-N",
             "analyze-q-word", "analyze-q-zero-denominator", "analyze-r-word",
             "analyze-r-not-whole-ticks",
-            "oft-constant-q-word", "oft-constant-q-above-one", "analyze-q-just-above-one",
+            "oft-constant-q-word", "oft-constant-q-above-one", "oft-constant-r-negative",
+            "analyze-q-just-above-one",
             "analyze-size-bound-0", "analyze-gamma-size-bound-negative",
             "analyze-size-bound-below-every-program", "analyze-r-outside-opd"])
     def test_rejected_with_usage_code(self, argv, message):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from boundedpd import population
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import get
-from boundedpd.match import Seat
 from boundedpd.population import (
     JointStates,
     OpdTrace,
@@ -261,11 +260,15 @@ class TestInstantaneousMode:
         # FTPD has no O to react with: OFT keeps its C on tick 1, and its
         # opt-out on tick 2 is a fault.
         config = GameConfig(N=3, instantaneous_rematch=True)
-        oft, waiter = Seat.fresh(get("OFT", config)), Seat.fresh(get("AllW", config))
-        pairs = [play_pair_tick(oft, waiter, config) for _ in range(3)]
+        oft, waiter = get("OFT", config), get("AllW", config)
+        vm1, a1, vm2, a2 = reset(oft), None, reset(waiter), None
+        pairs = []
+        for _ in range(3):
+            vm1, a1, vm2, a2 = play_pair_tick(oft, vm1, a1, waiter, vm2, a2, config)
+            pairs.append((a1, a2))
         assert [a1 for a1, _ in pairs] == [C, W, W]
         assert not any(payoff(a1, a2, INTRO_TABLE)[2] for a1, a2 in pairs)
-        assert oft.vm.fault_reason == "played O outside OPD mode"
+        assert vm1.fault_reason == "played O outside OPD mode"
 
     def test_double_wait_pairs_do_not_peek(self):
         config = opd_config(5, instantaneous=True)
@@ -340,10 +343,9 @@ class TestJointStates:
         # for each, not 2 000 times.
         play, played = population.play_pair_tick, []
 
-        def counted(seat1, seat2, config):
-            played.append((id(seat1.program), seat1.vm, seat1.last,
-                           id(seat2.program), seat2.vm, seat2.last))
-            return play(seat1, seat2, config)
+        def counted(program1, vm1, last1, program2, vm2, last2, config):
+            played.append((id(program1), vm1, last1, id(program2), vm2, last2))
+            return play(program1, vm1, last1, program2, vm2, last2, config)
 
         config = opd_config(1000, pairs=2)
         players = [("GRIM", get("GRIM", config))] * 4
@@ -357,9 +359,9 @@ class TestJointStates:
         # then on one joint state that leads to itself.
         play, calls = population.play_pair_tick, []
 
-        def counted(seat1, seat2, config):
+        def counted(*joint_state_and_config):
             calls.append(None)
-            return play(seat1, seat2, config)
+            return play(*joint_state_and_config)
 
         config = opd_config(1000)
         monkeypatch.setattr(population, "play_pair_tick", counted)
@@ -373,9 +375,9 @@ class TestJointStates:
         # holds both machines, which the players get back.
         play, calls = population.play_pair_tick, []
 
-        def counted(seat1, seat2, config):
+        def counted(*joint_state_and_config):
             calls.append(None)
-            return play(seat1, seat2, config)
+            return play(*joint_state_and_config)
 
         monkeypatch.setattr(population, "play_pair_tick", counted)
         config = opd_config(10, t=5)
