@@ -1,11 +1,14 @@
 """Catalog integrity: every builtin compiles and costs what it claims;
 the resolver turns every kind of strategy reference into a program."""
 
+import hashlib
 import random as random_module
 import re
+from enum import Enum
 
 import pytest
 
+from boundedpd.analysis import enumerate_candidates
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, counter_width_for
 from boundedpd.library import (
     BUILTIN_NAMES,
@@ -85,6 +88,54 @@ class TestCatalog:
         text = counting_defector_source(8)
         assert text.count("always play C inc n") == 6
         assert "if n >= N-2 then play D" in text
+
+
+#: Horizons at which the compiled builtins are pinned: every small N, and
+#: CountingDefector lengths around the 1 024 states past which a program
+#: has more distinct JUMP targets than a small cache holds.
+PIN_HORIZONS = (*range(3, 71), 200, 1023, 1024, 1025, 2000, 5000)
+
+
+def _plain(value):
+    """``value`` with every enum member replaced by its name, so that a
+    repr does not depend on how a Python version prints enums."""
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, tuple):
+        return tuple([_plain(item) for item in value])
+    return value
+
+
+def program_digest(programs) -> tuple[int, str]:
+    """The count of ``programs`` and a sha256 over each one's instructions,
+    register widths, worst tick cost and source, in order."""
+    digest = hashlib.sha256()
+    count = 0
+    for program in programs:
+        fields = (program.instructions, program.reg_widths,
+                  program.worst_tick_cost, program.source)
+        digest.update(repr(_plain(fields)).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+class TestPinnedPrograms:
+    """The compiler's output, pinned: how a program is built may change,
+    the program may not."""
+
+    def test_builtins_are_pinned(self):
+        programs = (get(name, GameConfig(N=n, k=2))
+                    for n in PIN_HORIZONS for name in BUILTIN_NAMES)
+        assert program_digest(programs) == (
+            518, "ada38017f171210d04e31ba40be32b6bc3ae3ff4d86cdc565e55df7d050bd0ca")
+
+    @pytest.mark.parametrize("mode, expected", [
+        (Mode.FTPD, (543, "f9aaea3eb65530209f28664371012794d7f0907db466fc9abcc6ac0e9b83e1b4")),
+        (Mode.OPD, (828, "b33a26c86ae6f7388cd66e4fcf615d0b03f20826ec988357cf593da0856d80b0")),
+    ])
+    def test_search_candidates_are_pinned(self, mode, expected):
+        config = GameConfig(N=8, k=2, mode=mode)
+        assert program_digest(enumerate_candidates(config, 6)) == expected
 
 
 class TestBehaviorContracts:
