@@ -35,7 +35,6 @@ for a diagnostic, by tokenizing the offending line again with positions.
 
 from __future__ import annotations
 
-import functools
 import re
 import string
 from dataclasses import dataclass, field
@@ -142,12 +141,18 @@ class Rule:
     stmts: tuple[Stmt, ...]
 
     def render(self) -> str:
-        """The rule without its label, which ``_source_text`` writes."""
-        body = " ".join([stmt.render() for stmt in self.stmts])
-        if self.guard:
-            guard = " and ".join([term.render() for term in self.guard])
-            return f"if {guard} then {body}"
-        return f"always {body}"
+        """The rule's line without its label."""
+        return _render(self.guard, self.stmts)
+
+
+def _render(guard: tuple[Term, ...], stmts: Iterable[Stmt]) -> str:
+    """A rule's line without its label: ``always`` or ``if <guard> then``,
+    then ``stmts``."""
+    if guard:
+        head = "if " + " and ".join([term.render() for term in guard]) + " then"
+    else:
+        head = "always"
+    return " ".join([head, *[stmt.render() for stmt in stmts]])
 
 
 @dataclass(frozen=True)
@@ -445,20 +450,17 @@ def _parse_stmts(tokens: list[str], i: int, incs: dict[str, Inc]) -> tuple[Stmt,
 # Printing
 # ---------------------------------------------------------------------------
 
-def _source_text(name: str, decls: tuple[Decl, ...],
-                 rules: Iterable[tuple[str | None, str]]) -> str:
-    """The canonical text: the header, the declarations, then each rule's
-    rendered line, behind ``label: `` when the rule starts a labeled state."""
-    lines = [f"strategy {name}"]
-    lines += [decl.render() for decl in decls]
-    lines += [f"{label}: {text}" if label else text for label, text in rules]
-    return "\n".join(lines) + "\n"
+def _source_text(name: str, decls: tuple[Decl, ...], lines: list[str]) -> str:
+    """The canonical text: the header, the declarations, then the rules'
+    ``lines``, each behind ``label: `` when its rule starts a labeled state."""
+    return "\n".join([f"strategy {name}", *[decl.render() for decl in decls], *lines, ""])
 
 
 def print_source(source: StrategySource) -> str:
     """Canonical rendering; ``parse(print_source(parse(s)))`` equals ``parse(s)``."""
-    return _source_text(source.name, source.decls,
-                        ((rule.label, rule.render()) for rule in source.rules))
+    return _source_text(source.name, source.decls, [
+        f"{rule.label}: {rule.render()}" if rule.label else rule.render()
+        for rule in source.rules])
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +480,9 @@ def _resolve_value(value: Value, config: GameConfig) -> Operand:
 
 #: Instructions closing every state: HALT, then JUMP back to its first rule.
 EPILOGUE_SIZE = 2
-#: Instructions are immutable, so programs share their HALTs, JUMPs, plays
-#: and incs.
+#: Instructions are immutable, so programs share their HALTs and plays.
 _HALT = vm.halt()
-_jump = functools.lru_cache(maxsize=1024)(vm.jump)
-_emit = functools.lru_cache(maxsize=None)(vm.emit)
-_increment = functools.lru_cache(maxsize=None)(vm.increment)
+_EMITS = {action: vm.emit(action) for action in Action}
 
 
 def rule_size(rule: Rule, last: bool) -> int:
@@ -521,9 +520,9 @@ def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int], reg_widt
     for stmt in rule.stmts:
         kind = type(stmt)
         if kind is Play:
-            instructions.append(_emit(stmt.action))
+            instructions.append(_EMITS[stmt.action])
         elif kind is Inc:
-            instructions.append(_increment(counter_index[stmt.counter]))
+            instructions.append(vm.increment(counter_index[stmt.counter]))
     return tuple(instructions), cost
 
 
@@ -533,25 +532,39 @@ class RulePiece:
     last rule and as a rule ``ahead`` of another, its ``goto`` label or
     None, and its rendered line ``text``.
 
-    ``emitted`` caches what ``emit_rule`` returns, the rule's compares,
-    plays and incs and their compare cost, once per compare target, so a
-    piece shared by many programs is emitted once per place it can land.
+    ``emitted`` caches what ``emit_rule`` returns, the compares, plays and
+    incs of the rule but its goto and their compare cost, once per compare
+    target (one entry for a rule without a guard, which has no compare).
+    Pieces built with one ``bodies`` table share it, and the rendered text
+    before the goto, with every piece of the same guard and statements but
+    a goto, so ``compile`` renders and emits such a body once per call.
     The cache is valid for one ``(decls, config)`` only: the search builds
     its pieces per counter declaration of one config, and ``compile``
-    builds fresh pieces per call.
+    builds fresh pieces and bodies per call.
     """
 
     __slots__ = ("rule", "size", "ahead", "goto", "text", "emitted")
 
-    def __init__(self, rule: Rule):
+    def __init__(self, rule: Rule, bodies: dict[tuple, tuple[str, dict]] | None = None):
         self.rule = rule
         self.size = rule_size(rule, last=True)
-        stmt = rule.stmts[-1]
-        self.goto = stmt.label if isinstance(stmt, Goto) else None
-        # rule_size(rule, last=False), without a second call.
-        self.ahead = self.size + (self.goto is None)
-        self.text = rule.render()
-        self.emitted: dict[int, tuple[tuple[Instruction, ...], int]] = {}
+        guard, stmts = rule.guard, rule.stmts
+        last = stmts[-1]
+        if type(last) is Goto:
+            self.goto = last.label
+            self.ahead = self.size
+            stmts = stmts[:-1]
+        else:
+            self.goto = None
+            self.ahead = self.size + 1
+        key = (guard, stmts)
+        body = None if bodies is None else bodies.get(key)
+        if body is None:
+            body = (_render(guard, stmts), {})
+            if bodies is not None:
+                bodies[key] = body
+        text, self.emitted = body
+        self.text = text if self.goto is None else f"{text} goto {self.goto}"
 
 
 def assemble(name: str, decls: tuple[Decl, ...],
@@ -564,25 +577,26 @@ def assemble(name: str, decls: tuple[Decl, ...],
     compare jumping on failure to the next rule or, from the last rule, to
     the state's epilogue. A rule with a goto then ends the tick (HALT) and
     jumps to the target state's start; any other rule but the last jumps to
-    the epilogue, HALT then a JUMP back to the state's start. The
-    ``worst_tick_cost`` is the largest compare total any single tick can
-    request: the maximum over states of the rules' compare costs, as
-    ``emit_rule`` returns them, summed along a full scan of the state's
-    rules; ``vm.interpret`` charges each compare's width when the compare
-    starts. Unreachable rules (after an unconditional rule in the same
+    the epilogue, HALT then a JUMP back to the state's start; the JUMPs to
+    one target are one instruction. The ``worst_tick_cost`` is the largest
+    compare total any single tick can request: the maximum over states of
+    the rules' compare costs, as ``emit_rule`` returns them, summed along a
+    full scan of the state's rules; ``vm.interpret`` charges each compare's
+    width when the compare starts. Unreachable rules (after an unconditional rule in the same
     state) are reported through ``diagnostics`` when a list is supplied.
     The program carries its canonical source text, which ``decompile``
     parses back, and is returned once ``vm.validate_program`` finds
     nothing wrong with it.
     """
     reg_widths = tuple([decl.width for decl in decls])
-    counter_index = {decl.name: i for i, decl in enumerate(decls)}
-    # Fixed sizes first, so every state's start and epilogue is known up front.
-    starts: dict[str | None, int] = {}
+    counter_index: dict[str, int] | None = None  # built on the first body emitted
+    # Fixed sizes first, so every state's start (as the JUMP to it) and
+    # epilogue is known up front.
+    to_start: dict[str | None, Instruction] = {}
     epilogues: list[int] = []
     at = 0
     for label, pieces in states:
-        starts[label] = at
+        to_start[label] = vm.jump(at)
         for piece in pieces[:-1]:
             at += piece.ahead
         at += pieces[-1].size
@@ -590,32 +604,40 @@ def assemble(name: str, decls: tuple[Decl, ...],
         at += EPILOGUE_SIZE
 
     instructions: list[Instruction] = []
-    lines: list[tuple[str | None, str]] = []
+    lines: list[str] = []
     worst = 0
     for (label, pieces), epilogue in zip(states, epilogues):
-        start = starts[label]
+        to_epilogue = None
         scan_cost = 0
         fired = False
         last = len(pieces) - 1
         for ri, piece in enumerate(pieces):
             if fired and diagnostics is not None:
                 diagnostics.append(f"rule {ri + 1} of state {label or 'start'} is unreachable")
-            on_false = epilogue if ri == last else len(instructions) + piece.ahead
+            if piece.rule.guard:
+                on_false = epilogue if ri == last else len(instructions) + piece.ahead
+            else:
+                fired = True
+                on_false = -1  # no compare jumps, wherever the rule lands
             body = piece.emitted.get(on_false)
             if body is None:
+                if counter_index is None:
+                    counter_index = {decl.name: i for i, decl in enumerate(decls)}
                 body = piece.emitted[on_false] = emit_rule(
                     piece.rule, on_false, counter_index, reg_widths, config)
             scan_cost += body[1]
             instructions += body[0]
             if piece.goto is not None:
-                instructions += (_HALT, _jump(starts[piece.goto]))
+                instructions += (_HALT, to_start[piece.goto])
             elif ri != last:
-                instructions.append(_jump(epilogue))
-            lines.append((label if not ri else None, piece.text))
-            fired = fired or not piece.rule.guard
+                if to_epilogue is None:
+                    to_epilogue = vm.jump(epilogue)
+                instructions.append(to_epilogue)
+            lines.append(f"{label}: {piece.text}" if label and not ri else piece.text)
         assert len(instructions) == epilogue, "layout drift between rule sizes and emission"
-        instructions += (_HALT, _jump(start))
-        worst = max(worst, scan_cost)
+        instructions += (_HALT, to_start[label])
+        if scan_cost > worst:
+            worst = scan_cost
 
     program = StrategyProgram(
         name=name,
@@ -637,16 +659,19 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
 ) -> StrategyProgram:
     """Compile a parsed source against a game config: its rules by state,
     one ``RulePiece`` per rule, laid out by ``assemble``, the one layout,
-    which the best-response search uses too. Deterministic; unreachable
-    rules are reported through ``diagnostics`` when a list is supplied.
+    which the best-response search uses too. The pieces share one table of
+    bodies, so rules alike but for their gotos are rendered and emitted
+    once; nothing is kept between calls. Deterministic; unreachable rules
+    are reported through ``diagnostics`` when a list is supplied.
     """
     states: list[tuple[str | None, list[RulePiece]]] = []
+    bodies: dict[tuple, tuple[str, dict]] = {}
     for rule in source.rules:
         # A labeled rule starts a new state; the rules before the first
         # label form the entry state.
         if rule.label is not None or not states:
             states.append((rule.label, []))
-        states[-1][1].append(RulePiece(rule))
+        states[-1][1].append(RulePiece(rule, bodies))
     return assemble(source.name, source.decls, states, config, diagnostics)
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Built-in strategies shipped as DSL sources, and the strategy resolver.
+"""Built-in strategies as DSL syntax trees, and the strategy resolver.
 
-Six fixed strategies live as ``.pdstrat`` assets next to this module. The
-seventh, CountingDefector, is generated per horizon: it cooperates through
-an unrolled chain of free states while incrementing a counter sized for the
-configured N, then checks the counter against N-2 before defecting. The
+Six fixed strategies live as ``.pdstrat`` assets next to this module, which
+:func:`get` parses. The seventh, CountingDefector, is generated per
+horizon as a syntax tree (:func:`counting_defector_tree`), which :func:`get`
+compiles directly: its source has one rule per tick, and printing it and
+parsing it back would cost more than compiling it. Its text is that tree
+printed. It cooperates through an unrolled chain of free states while
+incrementing a counter sized for the configured N, then checks the counter
+against N-2 before defecting. The
 check is a single wide compare, so under a budget k below the counter width
 the player inevitably spends a tick waiting before its defection lands.
 This makes the defector the best case allowed by the cost model: even
@@ -25,7 +29,7 @@ from pathlib import Path
 
 from . import dsl
 from .game import Action, GameConfig, Mode, counter_width_for
-from .vm import StrategyProgram
+from .vm import CmpOp, StrategyProgram
 
 _ASSET_DIR = Path(__file__).parent / "assets"
 
@@ -37,20 +41,26 @@ class UnknownStrategyError(KeyError):
     pass
 
 
-def counting_defector_source(n: int) -> str:
-    """Source text of the counting defector for horizon ``n`` (n >= 3)."""
+def counting_defector_tree(n: int) -> dsl.StrategySource:
+    """The counting defector for horizon ``n`` (n >= 3), built as a tree:
+    states ``c1`` to ``c{n-2}`` each play C, count and go on, then ``armed``
+    defects once the counter reaches N-2. The rules share one ``Inc``, one
+    ``Play(C)`` and the counter's one ``Decl``; each has its own ``Goto``."""
     if n < 3:
         raise ValueError("CountingDefector needs a horizon of at least 3 ticks")
-    width = counter_width_for(n)
-    lines = [
-        "strategy CountingDefector",
-        f"counter n: {width} bits",
-    ]
-    for i in range(1, n - 1):
-        target = f"c{i + 1}" if i < n - 2 else "armed"
-        lines.append(f"c{i}: always play C inc n goto {target}")
-    lines.append("armed: if n >= N-2 then play D")
-    return "\n".join(lines) + "\n"
+    count = (dsl.Play(Action.C), dsl.Inc("n"))
+    rules = [dsl.Rule(f"c{i}", (), (*count, dsl.Goto(f"c{i + 1}" if i < n - 2 else "armed")))
+             for i in range(1, n - 1)]
+    rules.append(dsl.Rule("armed", (dsl.Term("n", CmpOp.GE, dsl.HorizonMinus(2)),),
+                          (dsl.Play(Action.D),)))
+    return dsl.StrategySource("CountingDefector", (dsl.Decl("n", counter_width_for(n)),),
+                              tuple(rules))
+
+
+def counting_defector_source(n: int) -> str:
+    """Source text of the counting defector for horizon ``n`` (n >= 3): its
+    tree, printed."""
+    return dsl.print_source(counting_defector_tree(n))
 
 
 def source_text(name: str, config: GameConfig) -> str:
@@ -64,7 +74,11 @@ def source_text(name: str, config: GameConfig) -> str:
 
 
 def get(name: str, config: GameConfig) -> StrategyProgram:
-    """Compile a builtin for the given config. Unknown names raise."""
+    """Compile a builtin for the given config. Unknown names raise.
+    CountingDefector's tree is compiled as built, with no text in between;
+    the other builtins are parsed from their assets."""
+    if name == "CountingDefector":
+        return dsl.compile(counting_defector_tree(config.N), config)
     return dsl.compile(dsl.parse(source_text(name, config)), config)
 
 

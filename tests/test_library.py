@@ -8,6 +8,7 @@ from enum import Enum
 
 import pytest
 
+from boundedpd import dsl
 from boundedpd.analysis import enumerate_candidates
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, counter_width_for
 from boundedpd.library import (
@@ -15,14 +16,17 @@ from boundedpd.library import (
     UnknownStrategyError,
     catalog,
     counting_defector_source,
+    counting_defector_tree,
     get,
     modes,
     resolve,
+    source_text,
 )
 from boundedpd.match import run_match
 from boundedpd.population import run_population
 from boundedpd.vm import reset, tick
 
+from test_cli import run_cli
 from test_vm import random_program
 
 C, D, W, O = Action.C, Action.D, Action.W, Action.O
@@ -136,6 +140,32 @@ class TestPinnedPrograms:
     def test_search_candidates_are_pinned(self, mode, expected):
         config = GameConfig(N=8, k=2, mode=mode)
         assert program_digest(enumerate_candidates(config, 6)) == expected
+
+
+class TestCountingDefectorTree:
+    """The tree ``get`` compiles is the one its text parses to, and the
+    program is the one the text compiles to."""
+
+    @pytest.mark.parametrize("n", PIN_HORIZONS)
+    def test_the_text_parses_to_the_tree(self, n):
+        assert dsl.parse(counting_defector_source(n)) == counting_defector_tree(n)
+
+    @pytest.mark.parametrize("n", PIN_HORIZONS)
+    def test_get_compiles_what_the_text_compiles_to(self, n):
+        config = GameConfig(N=n, k=2)
+        text = source_text("CountingDefector", config)
+        assert get("CountingDefector", config) == dsl.compile(dsl.parse(text), config)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_horizon_below_three_is_refused(self, n):
+        message = "CountingDefector needs a horizon of at least 3 ticks"
+        for build in (counting_defector_tree, counting_defector_source):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(n)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            get("CountingDefector", GameConfig(N=n, k=2))
+        code, out, err = run_cli(["match", "CountingDefector", "GRIM", "--N", str(n)])
+        assert (code, out, err) == (2, "", f"boundedpd: {message}\n")
 
 
 class TestBehaviorContracts:
