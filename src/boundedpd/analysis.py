@@ -42,14 +42,14 @@ a thinned set of values (``_counter_thresholds``). Sizes are the
 compiler's own (``dsl.rule_size``), so the enumeration yields each
 canonical source once, already within the size bound, and nothing is
 filtered after compiling (a test checks both over a grid of horizons and
-bounds). Each state's rule list is built in one pass, and one
-pairing table lists every first state with the second states it pairs
-with: ``estimate_search_size`` sums the lists' lengths and the enumeration
-walks them; a search builds the table once for both. Candidates are not
-compiled from source: each is its states' rule pieces laid out by
-``dsl.assemble``, the one layout, which ``dsl.compile`` runs too, and a
-piece shared by many candidates is emitted once per compare target. The
-exact candidate count is the only limit on a search. Every
+bounds). Each state's rule list is built in one pass, with only the states
+a declaration keeps, and one pairing table lists every first state with the
+second states it pairs with: ``estimate_search_size`` sums the lists'
+lengths and the enumeration walks them; a search builds the table once for
+both. Candidates are not compiled from source: each is its states' rule
+pieces laid out by ``dsl.assemble``, the one layout, which ``dsl.compile``
+runs too, and a piece shared by many candidates is emitted once per compare
+target. The exact candidate count is the only limit on a search. Every
 candidate is scored in one loop: against a fixed opponent the candidates are
 played ``_TREE_CHUNK`` at a time over the shared play tree, against any other
 model each is one ``evaluate`` call. Ties between equal payoffs go to the
@@ -64,6 +64,15 @@ V falls strictly below the best total found so far holds only programs
 that pay strictly less than the answer, and is dropped with all of them.
 Programs that tie with the answer are never dropped, so the tie still goes
 to the smallest source and the result is that of the unpruned walk.
+
+The search plays candidates that start alike as one machine until they
+diverge. A chunk's candidates with one counter declaration, entry-state first
+rule, entry-state size and program size lay out rule 1 and the entry state's
+epilogue alike: the group ticks one partial program, those instructions with
+a jump past the end in place of every other. No candidate runs off its end,
+so a partial tick that finishes is exactly one that read past rule 1: only
+then does the group split, that tick replayed on each member's own program.
+Until then V drops a group with all its members.
 """
 
 from __future__ import annotations
@@ -73,21 +82,21 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Iterator, NamedTuple, Union
 
 from . import dsl
 from .game import (
-    Action, GameConfig, PayoffTable, counter_width_for, legal_actions,
+    Action, GameConfig, Mode, PayoffTable, counter_width_for, legal_actions,
     payoff_unit, require_valid_table,
 )
 from .library import resolve
 from .match import MatchTrace, seat_move
 from .population import JointStates, _answer_wait, play_pair_tick, run_population
-from .vm import StrategyProgram, VmState, reset
+from .vm import StrategyProgram, VmState, jump, reset, tick
 
-# Read as a module global, not a class attribute, on each node of a walk.
-_W = Action.W
+# Read as module globals, not class attributes, on each node of a walk.
+_C, _D, _W, _OPD = Action.C, Action.D, Action.W, Mode.OPD
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -298,51 +307,64 @@ class _PlayTree:
         return values
 
     def walk(self, programs: list[StrategyProgram], values: dict[_Node, int] | None = None,
-             incumbent: int | None = None) -> list[int | None]:
+             incumbent: int | None = None,
+             groups: list[tuple[StrategyProgram, list[int]]] | None = None) -> list[int | None]:
         """Each program's exact total, from one walk.
 
         A stack entry is a node, the running total of the programs that
-        reached it, and the group of their ``(index, machine)``. Every
-        program in the group ticks its own machine; the group then splits
-        by the action each played, and the opponent's move, payoff and
-        total are worked out once per child.
+        reached it, and its units, ``(program, machine, members)``: each
+        program alone, or ``groups``' ``(partial program, members)`` (see
+        the module docstring). A unit ticks its program once for all its
+        members; the units then split by the action each played, and the
+        opponent's move, payoff and total are worked out once per child. A
+        partial tick that finishes, the move or the peek that answers a
+        waiting opponent, read past rule 1: the group then splits into
+        its members, each replaying that tick on its own program.
 
         Given V (``best_values``), a node whose total plus V falls strictly
         below the incumbent, the best total reached so far or passed in,
-        is dropped with its group, whose totals are None.
+        is dropped with its units, whose totals are None.
         """
         config = self.config
         prune = values is not None
         best = -math.inf if incumbent is None else incumbent
         totals: list[int | None] = [None] * len(programs)
-        start = [(index, reset(program)) for index, program in enumerate(programs)]
-        stack = [(self.root, 0, start)]
+        if groups is None:
+            groups = [(program, [index]) for index, program in enumerate(programs)]
+        stack = [(self.root, 0, [(program, reset(program), group) for program, group in groups])]
+        peeks = config.instantaneous_rematch and config.mode is _OPD
         while stack:
-            node, total, group = stack.pop()
+            node, total, units = stack.pop()
             if prune and total + values[node] < best:
                 continue
             now, _, own, opp, paired = node
             if now == config.N:
-                for index, _ in group:
-                    totals[index] = total
+                for _, _, members in units:
+                    for index in members:
+                        totals[index] = total
                 best = max(best, total)
                 continue
             if not paired:
-                stack.append((self.apart(now + 1, node[1]), total, group))
+                stack.append((self.apart(now + 1, node[1]), total, units))
                 continue
             vm2, a2 = self.opponent_move(node)
             waited = a2 is _W
-            children: dict[Action, list[tuple[int, VmState]]] = {}
-            for index, vm in group:
-                program = programs[index]
+            children: dict[Action, list[tuple[StrategyProgram, VmState, list[int]]]] = {}
+            # A group that reads past rule 1 appends its members, each on
+            # its own program, to the units this loop is still to tick.
+            for program, vm, members in units:
                 vm1, a1 = seat_move(vm, program, opp, own, config)
+                if len(members) > 1 and (vm1.finished or waited and peeks and a1 in (_C, _D)
+                                         and tick(vm1, program, _W, a1, config.k)[0].finished):
+                    units += [(programs[index], vm, [index]) for index in members]
+                    continue
                 if waited:
                     vm1, a1 = _answer_wait(program, vm1, a1, a2, config)
-                children.setdefault(a1, []).append((index, vm1))
+                children.setdefault(a1, []).append((program, vm1, members))
             entries = []
-            for a1, members in children.items():
+            for a1, following in children.items():
                 pay, child = self.child(now + 1, vm2, a2, a1)
-                entries.append((child, total + pay, members))
+                entries.append((child, total + pay, following))
             if prune:
                 # The best bound on top: walked first, it raises the
                 # incumbent soonest.
@@ -601,60 +623,58 @@ _MAX_CANDIDATES = 3_000_000
 _TREE_CHUNK = 1024
 
 
+#: ``_StateCombo.flags``: the state holds a goto, a counter increment, a
+#: counter test; a declared counter is both incremented and tested.
+_GOTO, _INC, _TEST = 1, 2, 4
+_COUNTER_USE = _INC | _TEST
+
+
 class _StateCombo(NamedTuple):
     pieces: tuple[dsl.RulePiece, ...]
     size: int            # compiled size including the state epilogue
-    gotos: bool
-    incs: bool
-    tests_counter: bool
+    flags: int           # _GOTO, _INC and _TEST over its rules
 
 
-def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...],
-                  counter: bool, label: str | None, budget: int) -> list[_StateCombo]:
-    """Rule sequences for the state ``label`` fitting the budget: every
-    one-rule state, then every guarded rule followed by one more
-    (unconditional rules anywhere else would make the rest of the state
-    dead). State s0 may go to s1 and s1 to s0; an unlabeled state is a whole
-    program and has no goto. A rule ahead of another adds its size as a
-    non-last rule to the other's one-rule state, so its followers are the
-    one-rule states that fit the room left, listed once per room in their
-    own order. ``dsl.assemble`` puts the label on the state's first rule."""
+def _state_combos(guards: list[tuple[dsl.Term, ...]], actions: tuple[Action, ...], counter: bool,
+                  label: str | None, budget: int, keep: int = 0) -> list[_StateCombo]:
+    """Rule sequences for the state ``label`` fitting the budget that hold
+    the flags ``keep`` between their rules: every one-rule state, then every
+    guarded rule followed by one more (unconditional rules anywhere else
+    would make the rest of the state dead). State s0 may go to s1 and s1 to
+    s0; an unlabeled state is a whole program and has no goto. A rule ahead
+    of another adds its size as a non-last rule to the other's one-rule
+    state, so its followers are the one-rule states that fit the room left
+    and hold the flags it lacks, listed once per room and lack in their own
+    order. Every rule shares its statements. ``dsl.assemble`` puts the
+    label on the state's first rule."""
     goto_target = {"s0": "s1", "s1": "s0"}.get(label)
+    plays = (None,) + tuple(dsl.Play(play) for play in actions)
+    incs = (None, dsl.Inc("n")) if counter else (None,)
+    gotos = (None, dsl.Goto(goto_target)) if goto_target else (None,)
+    statements = [(tuple(stmt for stmt in (play, inc, goto) if stmt),
+                   (_INC if inc else 0) | (_GOTO if goto else 0))
+                  for play, inc, goto in product(plays, incs, gotos)][1:]  # [0] holds none
     # Each one-rule state with its rule's size ahead of another rule.
     singles: list[tuple[int, _StateCombo]] = []
     for guard in guards:
-        for play in (None,) + actions:
-            for inc in ((False, True) if counter else (False,)):
-                for target in ((None, goto_target) if goto_target else (None,)):
-                    stmts: list[dsl.Stmt] = []
-                    if play is not None:
-                        stmts.append(dsl.Play(play))
-                    if inc:
-                        stmts.append(dsl.Inc("n"))
-                    if target is not None:
-                        stmts.append(dsl.Goto(target))
-                    if not stmts:
-                        continue
-                    piece = dsl.RulePiece(dsl.Rule(None, guard, tuple(stmts)))
-                    singles.append((piece.ahead, _StateCombo(
-                        (piece,), piece.size + dsl.EPILOGUE_SIZE, bool(target), inc,
-                        bool(guard) and guard[0].field == "n",
-                    )))
+        test = _TEST if guard and guard[0].field == "n" else 0
+        for stmts, flags in statements:
+            piece = dsl.RulePiece(dsl.Rule(None, guard, stmts))
+            singles.append((piece.ahead, _StateCombo(
+                (piece,), piece.size + dsl.EPILOGUE_SIZE, flags | test)))
     fitting = [combo for _, combo in singles if combo.size <= budget]
-    combos = list(fitting)
-    followers: dict[int, list[_StateCombo]] = {}
+    combos = [combo for combo in fitting if combo.flags & keep == keep]
+    followers: dict[tuple[int, int], list[_StateCombo]] = {}
     for ahead, first in singles:
         if not first.pieces[0].rule.guard:
             continue
-        room = budget - ahead
-        if room not in followers:
-            followers[room] = [combo for combo in fitting if combo.size <= room]
-        for second in followers[room]:
-            combos.append(_StateCombo(
-                first.pieces + second.pieces, ahead + second.size,
-                first.gotos or second.gotos, first.incs or second.incs,
-                first.tests_counter or second.tests_counter,
-            ))
+        room, lacks = budget - ahead, keep & ~first.flags
+        if (room, lacks) not in followers:
+            followers[room, lacks] = [combo for combo in fitting
+                                      if combo.size <= room and combo.flags & lacks == lacks]
+        for second in followers[room, lacks]:
+            combos.append(_StateCombo(first.pieces + second.pieces, ahead + second.size,
+                                      first.flags | second.flags))
     return combos
 
 
@@ -707,23 +727,20 @@ def _combos_by_counter(config: GameConfig, size_bound: int) -> Iterator[_Counter
     for decls in ((), (dsl.Decl("n", counter_width_for(config.N)),)):
         if decls:
             guards += counter_guards
-        singles = [c for c in _state_combos(guards, actions, bool(decls), None, size_bound)
-                   if not decls or (c.incs and c.tests_counter)]
-        partners: dict[tuple[int, bool, bool], list[_StateCombo]] = {}
+        singles = _state_combos(guards, actions, bool(decls), None, size_bound,
+                                _COUNTER_USE if decls else 0)
+        partners: dict[tuple[int, int], list[_StateCombo]] = {}
         pairs = []
         if size_bound - _MIN_S0_SIZE >= _MIN_STATE_SIZE:
             combos1 = _state_combos(guards, actions, bool(decls), "s1", size_bound - _MIN_S0_SIZE)
             budget0 = size_bound - min(c.size for c in combos1)
-            for combo0 in _state_combos(guards, actions, bool(decls), "s0", budget0):
-                if not combo0.gotos:
-                    continue
-                key = (combo0.size, combo0.incs, combo0.tests_counter)
+            for combo0 in _state_combos(guards, actions, bool(decls), "s0", budget0, _GOTO):
+                key = (combo0.size, combo0.flags)
                 if key not in partners:
                     partners[key] = [
                         combo1 for combo1 in combos1
                         if combo0.size + combo1.size <= size_bound and (not decls or (
-                            (combo0.incs or combo1.incs)
-                            and (combo0.tests_counter or combo1.tests_counter)))
+                            combo0.flags | combo1.flags) & _COUNTER_USE == _COUNTER_USE)
                     ]
                 pairs.append((combo0, partners[key]))
         yield decls, singles, pairs
@@ -773,17 +790,57 @@ def estimate_search_size(config: GameConfig, size_bound: int,
 # Best response and equilibrium checks
 # ---------------------------------------------------------------------------
 
-def _branch_and_bound(tree: _PlayTree, candidates: Iterator[StrategyProgram], ticks: int,
+def _group_keys(space: list[_CounterSpace]) -> Iterator[tuple[dsl.RulePiece, int, int]]:
+    """Each candidate's group, in ``enumerate_candidates``' order: its entry
+    state's first rule piece, which is built per counter declaration, the
+    entry state's size and the program's size."""
+    for _, singles, pairs in space:
+        for combo in singles:
+            yield combo.pieces[0], combo.size, combo.size
+        for combo0, tails in pairs:
+            for combo1 in tails:
+                yield combo0.pieces[0], combo0.size, combo0.size + combo1.size
+
+
+def _partial(program: StrategyProgram, key: tuple[dsl.RulePiece, int, int]) -> StrategyProgram:
+    """The partial program of ``program``'s group ``key``: its entry state's
+    first rule and epilogue, which every member of the group lays out alike,
+    and in place of every other instruction a jump past the end. A group of
+    two or more has a second rule or a goto in rule 1 (a one-rule state
+    without one is a whole program), so rule 1 ends ``piece.ahead`` in."""
+    piece, entry, size = key
+    epilogue = entry - dsl.EPILOGUE_SIZE
+    code, escape = program.instructions, (jump(size),)
+    code = code[:piece.ahead] + escape * (epilogue - piece.ahead) + code[epilogue:entry]
+    return StrategyProgram("partial", code + escape * (size - entry), program.reg_widths)
+
+
+def _branch_and_bound(tree: _PlayTree, candidates: Iterator[StrategyProgram],
+                      keys: Iterator[tuple[dsl.RulePiece, int, int]], ticks: int,
                       unit: int) -> Iterator[tuple[Fraction, StrategyProgram]]:
     """The exact total of every candidate the walk does not prune, walked
     ``_TREE_CHUNK`` at a time over one play tree with one V; the incumbent
     carries across chunks. V is built only when its nodes number no more
     than the ``ticks`` the candidates request, so that it never costs much
-    more than the walk; without it nothing is pruned."""
+    more than the walk; without it nothing is pruned. A chunk's candidates
+    that share a key (``_group_keys``) are one group of the walk, which
+    ticks one partial program for them, built once per search."""
     values = tree.best_values(ticks)
     incumbent = None
+    partials: dict[tuple, StrategyProgram] = {}
     for chunk in iter(lambda: list(islice(candidates, _TREE_CHUNK)), []):
-        for total, candidate in zip(tree.walk(chunk, values, incumbent), chunk):
+        grouped: dict[tuple, list[int]] = {}
+        for index, key in enumerate(islice(keys, len(chunk))):
+            grouped.setdefault(key, []).append(index)
+        groups = []
+        for key, members in grouped.items():
+            program = chunk[members[0]]
+            if len(members) > 1:
+                if key not in partials:
+                    partials[key] = _partial(program, key)
+                program = partials[key]
+            groups.append((program, members))
+        for total, candidate in zip(tree.walk(chunk, values, incumbent, groups), chunk):
             if total is not None:
                 incumbent = total if incumbent is None else max(incumbent, total)
                 yield Fraction(total, unit), candidate
@@ -815,7 +872,10 @@ def best_response(
     ``evaluate_all`` runs, fed the enumeration ``_TREE_CHUNK`` programs at
     a time to bound memory, as a branch and bound (``_branch_and_bound``):
     only candidates that pay strictly less than the answer are dropped, so
-    the answer and its tie-break are those of the unpruned walk. Any other
+    the answer and its tie-break are those of the unpruned walk. Candidates
+    that start alike (see the module docstring) tick one partial program
+    until a tick reads past rule 1 and escapes through a jump past its end;
+    each is still assembled through ``enumerate_candidates``. Any other
     model scores each candidate by its ``evaluate`` mean on ``trials`` and
     ``seed``: a draw model's is exact, a population mix's is the mean of
     ``trials`` runs, so a mix search costs ``searched * trials`` population
@@ -846,7 +906,7 @@ def best_response(
     candidates = enumerate_candidates(config, size_bound, space)
     if isinstance(model, FixedOpponentModel):
         scored = _branch_and_bound(_PlayTree(model.opponent, config, table), candidates,
-                                   estimate * config.N, payoff_unit(table))
+                                   _group_keys(space), estimate * config.N, payoff_unit(table))
     else:
         scored = (
             (model.evaluate(candidate, config, table, trials=trials, seed=seed).mean, candidate)

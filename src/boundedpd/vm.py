@@ -225,9 +225,17 @@ class VmState(NamedTuple):
         return self.pending is not None
 
 
+#: Fresh states by register count: a state is immutable, so machines share them.
+_FRESH: dict[int, VmState] = {}
+
+
 def reset(program: StrategyProgram) -> VmState:
     """Fresh state: entry pc, zeroed registers, nothing pending."""
-    return VmState(pc=0, regs=(0,) * program.register_count)
+    count = len(program.reg_widths)
+    state = _FRESH.get(count)
+    if state is None:
+        state = _FRESH[count] = VmState(pc=0, regs=(0,) * count)
+    return state
 
 
 def validate_program(program: StrategyProgram) -> list[str]:

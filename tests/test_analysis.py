@@ -33,6 +33,7 @@ from boundedpd.library import BUILTIN_NAMES, get, resolve
 from boundedpd.match import run_match, seat_move
 from boundedpd.population import run_population
 from boundedpd.vm import StrategyProgram, emit, halt, reset
+from boundedpd.vm import Opcode
 
 from test_match import retaliator
 from test_vm import random_program
@@ -981,3 +982,91 @@ class TestTheoremFiveAtTheInvariantEdge:
         config = GameConfig(N=6, k=2)
         result = best_response(get("GRIM", config), config, INTRO_TABLE, size_bound=8)
         assert result.payoff <= 6 * INTRO_TABLE.R
+
+
+class TestGroupedWalk:
+    """The search walks each chunk's candidates in groups: a group ticks one
+    partial program, its members' shared entry rule and epilogue, until a
+    tick reads past rule 1, and only then each member's own program."""
+
+    @given(st.sampled_from(_OPPONENT_NAMES), st.integers(3, 9),
+           st.integers(0, len(_REMATCH_SETTINGS) - 1), st.sampled_from([2, 3, 4]),
+           st.sampled_from([5, 7, 8]), st.sampled_from([INTRO_TABLE, SPLIT_TABLE]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_each_grouped_total_is_the_focal_loop_total(self, name, n, setting, k, bound,
+                                                        table, data):
+        # k=2 is below every counter width from N=4 on, so counter compares
+        # suspend; a slice of the enumeration keeps its groups whole but for
+        # its two ends.
+        mode, instantaneous, t = _REMATCH_SETTINGS[setting]
+        config = GameConfig(N=n, mode=mode, t=t, K=1, k=k, instantaneous_rematch=instantaneous)
+        opponent = _catalog_and_test_players(config)[name]
+        space = list(analysis._combos_by_counter(config, bound))
+        start = data.draw(st.integers(0, estimate_search_size(config, bound, space) - 1))
+        stop = start + data.draw(st.integers(1, 300))
+        candidates = list(itertools.islice(enumerate_candidates(config, bound, space), start, stop))
+        keys = itertools.islice(analysis._group_keys(space), start, stop)
+        tree = analysis._PlayTree(opponent, config, table)
+        # With no ticks to spend V is not built, so every total comes back.
+        scored = list(analysis._branch_and_bound(tree, iter(candidates), keys, 0,
+                                                 payoff_unit(table)))
+        assert [candidate for _, candidate in scored] == candidates
+        for total, candidate in scored:
+            assert total == _pool_of_two_total(candidate, opponent, config, table), candidate.source
+
+    @pytest.mark.parametrize("name, config", [
+        ("GRIM", GameConfig(N=5, k=2)),
+        ("AllW", GameConfig(N=4, mode=Mode.OPD, k=2, instantaneous_rematch=True)),
+    ])
+    def test_groups_tick_fewer_machines_for_the_same_totals(self, name, config, monkeypatch):
+        # Against AllW in instantaneous OPD every move meets a wait, so a
+        # group also splits where its peek at the wait reads past rule 1.
+        opponent = get(name, config)
+        candidates = list(enumerate_candidates(config, 7))
+        ticks = []
+
+        def counted(vm, program, opp, own, config):
+            ticks.append(program.name)
+            return seat_move(vm, program, opp, own, config)
+
+        monkeypatch.setattr(analysis, "seat_move", counted)
+        tree = analysis._PlayTree(opponent, config, INTRO_TABLE)
+        keys = analysis._group_keys(analysis._combos_by_counter(config, 7))
+        grouped = [total for total, _ in analysis._branch_and_bound(
+            tree, iter(candidates), keys, 0, payoff_unit(INTRO_TABLE))]
+        partial_ticks, grouped_ticks = ticks.count("partial"), len(ticks)
+        ticks.clear()
+        alone = FixedOpponentModel(opponent).evaluate_all(candidates, config, INTRO_TABLE)
+        assert grouped == alone
+        assert 0 < partial_ticks < grouped_ticks < len(ticks)
+
+    def test_a_group_splits_where_its_peek_reads_past_rule_1(self):
+        # Every member of a group opens with C, or with D, and goes to s1; in
+        # instantaneous OPD the peek at AllW's wait then runs s1, where the
+        # members differ, and a member whose s1 opts out answers with O.
+        config = GameConfig(N=4, mode=Mode.OPD, k=2, instantaneous_rematch=True)
+        opponent = get("AllW", config)
+        space = [(decls, [], [(combo0, tails) for combo0, tails in pairs
+                              if combo0.pieces[0].text in ("always play C goto s1",
+                                                           "always play D goto s1")])
+                 for decls, _, pairs in analysis._combos_by_counter(config, 8)]
+        candidates = list(enumerate_candidates(config, 8, space))
+        tree = analysis._PlayTree(opponent, config, SPLIT_TABLE)
+        scored = list(analysis._branch_and_bound(tree, iter(candidates), analysis._group_keys(space),
+                                                 0, payoff_unit(SPLIT_TABLE)))
+        expected = [_pool_of_two_total(c, opponent, config, SPLIT_TABLE) for c in candidates]
+        assert [total for total, _ in scored] == expected
+        assert len(candidates) > 1 and len(set(expected)) > 1
+
+    @pytest.mark.parametrize("n, mode, bound", [
+        (3, Mode.FTPD, 8), (3, Mode.OPD, 8), (8, Mode.FTPD, 8), (16, Mode.OPD, 7)])
+    def test_no_candidate_jumps_to_or_past_its_end(self, n, mode, bound):
+        # The premise of the escape: a partial program's jump to its end is
+        # the only way a member's tick can finish.
+        for program in enumerate_candidates(GameConfig(N=n, mode=mode, k=2), bound):
+            size = len(program)
+            for ins in program.instructions:
+                if ins.opcode is Opcode.JUMP:
+                    assert 0 <= ins.target < size, program.source
+                elif ins.opcode is Opcode.COMPARE:
+                    assert 0 <= ins.on_false < size, program.source

@@ -551,3 +551,8 @@ def test_run_population_is_the_plain_loop(seed, randoms, n, t, instantaneous, as
     assert trace.rematches == rematches
     assert trace.summaries == summaries
     assert trace_to_csv(trace, config, SPLIT_TABLE).splitlines()[2:] == lines
+
+
+def test_a_bad_count_is_quoted_in_its_message():
+    with pytest.raises(population.PopulationSpecError, match=r"^line 2: bad count 'two'$"):
+        parse_population_spec("1 x GRIM\ntwo x GRIM\n", opd_config(10))

@@ -662,3 +662,44 @@ class TestTransitionTable:
             sizes.append(len(program.transitions))
         assert max(sizes) == limit < config.N
         assert sizes.count(1) > 1  # cleared and refilled
+
+
+class TestBounds:
+    """Each bound of the reference interpreter and the static check, at the
+    first value past it and at the last value inside it."""
+
+    @pytest.mark.parametrize("advance", [interpret, tick])
+    def test_an_increment_of_the_register_count_faults(self, advance):
+        program = StrategyProgram("past-registers", (emit(C), increment(1), halt()),
+                                  reg_widths=(3,))
+        state, action = advance(reset(program), program, None, None, 2)
+        assert action is W
+        assert (state.fault_reason, state.regs, state.pc) == ("register 1 out of range", (0,), 0)
+        inside = StrategyProgram("last-register", (emit(C), increment(0), halt()),
+                                 reg_widths=(3,))
+        assert advance(reset(inside), inside, None, None, 2) == (VmState(3, (1,)), C)
+
+    def test_validation_reports_an_increment_of_the_register_count(self):
+        program = StrategyProgram("past-registers", (increment(0), increment(1), halt()),
+                                  reg_widths=(3,))
+        assert validate_program(program) == ["instruction 1: register 1 out of range"]
+
+    @pytest.mark.parametrize("advance", [interpret, tick])
+    def test_a_resumed_tick_faults_at_exactly_the_step_limit(self, advance):
+        # The 3-bit compare suspends at k=2 and finishes on the next tick,
+        # whose steps count from the instruction after it: emits, then the
+        # HALT at step ``emits + 1``, which the limit allows up to its own
+        # value and no further.
+        def resumed(emits):
+            program = StrategyProgram("long-tick", (
+                compare(Operand.const(4), CmpOp.EQ, Operand.const(4), on_false=0),
+                *[emit(C)] * emits, halt()))
+            state, action = advance(reset(program), program, None, None, 2)
+            assert action is W and state.suspended
+            return advance(state, program, None, None, 2)
+
+        state, action = resumed(MAX_STEPS_PER_TICK - 1)
+        assert action is C and state.fault_reason is None
+        assert (state.pc, state.tick_cost) == (MAX_STEPS_PER_TICK + 1, 1)
+        state, action = resumed(MAX_STEPS_PER_TICK)
+        assert action is W and state.fault_reason == "per-tick step limit exceeded"
