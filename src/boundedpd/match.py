@@ -2,14 +2,16 @@
 
 A pairing's joint state is each player's program, machine and own move on
 the pairing's last tick (None before the first); the kernel maps it to the
-next and holds no state. A tick only moves: ``seat_move`` ticks each
-machine against its own last move and the partner's (so moves are
-simultaneous), through the program's transition table, so a transition
-runs the interpreter once per program: GRIM against GRIM runs it on two
-ticks of a match and looks the rest up. Each engine then pays the action
-pair from its own row of the payoff table's ``outcomes``, one dict read. A
-program fault, including playing O in a mode that forbids it, turns the
-offender into a perpetual waiter.
+next and holds no state. A tick only moves: ``match_step`` ticks both
+machines itself, each against its own last move and the partner's (so
+moves are simultaneous), through the program's transition table, so a
+transition runs the interpreter once per program: GRIM against GRIM runs
+it on two ticks of a match and looks the rest up. Each engine then pays the
+action pair from its own row of the payoff table's ``outcomes``, one dict
+read. A program fault, including playing O in a mode that forbids it,
+turns the offender into a perpetual waiter; ``match_step`` applies that
+mode rule once, after both moves, and only when a seat played O.
+``seat_move`` is the one-seat form that the fixed-opponent play tree uses.
 
 ``match_step`` is a match's tick: from the joint state ``(program1, vm1,
 last1, program2, vm2, last2)`` it returns the next one's ``(vm1, a1, vm2,
@@ -62,18 +64,24 @@ class MatchTrace:
         return (self.total1, self.total2)
 
 
+def _mode_fault(vm: VmState, action: Action, mode: Mode) -> tuple[VmState, Action]:
+    """The mode rule: O is the only action outside a mode's set (FTPD lacks
+    it); playing it there is a program fault: the player waits from here on
+    and this tick's move is already a wait. Any other move passes as it is."""
+    if action is _O and mode is not _OPD:
+        return vm._replace(fault_reason="played O outside OPD mode"), _W
+    return vm, action
+
+
 def seat_move(vm: VmState, program: StrategyProgram, opp: Action | None, own: Action | None,
               config: GameConfig) -> tuple[VmState, Action]:
-    """Tick ``vm`` against ``opp``, the partner's last move, and ``own``, its own.
-
-    O is the only action outside a mode's set (FTPD lacks it); playing it
-    there is a program fault: the player waits from here on and this tick's
-    move is already a wait.
-    """
+    """Tick ``vm`` against ``opp``, the partner's last move, and ``own``, its
+    own, then apply the mode rule (``_mode_fault``). The one-seat form of
+    ``match_step``, for the fixed-opponent play tree, which moves a group's
+    opponent and its programs apart."""
     vm, action = tick(vm, program, opp, own, config.k)
-    if action is _O and config.mode is not _OPD:
-        vm = vm._replace(fault_reason="played O outside OPD mode")
-        action = _W
+    if action is _O:
+        return _mode_fault(vm, action, config.mode)
     return vm, action
 
 
@@ -81,9 +89,17 @@ def match_step(program1: StrategyProgram, vm1: VmState, last1: Action | None,
                program2: StrategyProgram, vm2: VmState, last2: Action | None,
                config: GameConfig) -> tuple[VmState, Action, VmState, Action]:
     """Advance one tick from the joint state; both players observe, then
-    both move. Returns the next joint state's ``(vm1, a1, vm2, a2)``."""
-    vm1, a1 = seat_move(vm1, program1, last2, last1, config)
-    vm2, a2 = seat_move(vm2, program2, last1, last2, config)
+    both move. Returns the next joint state's ``(vm1, a1, vm2, a2)``.
+
+    Both machines tick here. The mode rule (``_mode_fault``) is applied
+    once, after both moves, and only when a seat played O; the order does
+    not matter, as seat 2's tick reads ``last1``, not ``a1``."""
+    k = config.k
+    vm1, a1 = tick(vm1, program1, last2, last1, k)
+    vm2, a2 = tick(vm2, program2, last1, last2, k)
+    if a1 is _O or a2 is _O:
+        vm1, a1 = _mode_fault(vm1, a1, config.mode)
+        vm2, a2 = _mode_fault(vm2, a2, config.mode)
     return vm1, a1, vm2, a2
 
 

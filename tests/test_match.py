@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random as random_module
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from boundedpd.analysis import unprovoked_defection_tick
 from boundedpd.game import Action, GameConfig, INTRO_TABLE, Mode, PayoffTable, payoff
 from boundedpd.library import BUILTIN_NAMES, get
-from boundedpd.match import run_match, trace_to_csv
+from boundedpd import match
+from boundedpd.match import match_step, run_match, seat_move, trace_to_csv
 from boundedpd.vm import (
     CmpOp, Operand, StrategyProgram, compare, emit, halt, jump, reset, tick,
 )
@@ -143,6 +145,85 @@ class TestAgainstTheReference:
             config = GameConfig(N=12, k=k)
             self.assert_same_as_reference(retaliator(), get(name, config), config)
             self.assert_same_as_reference(get(name, config), retaliator(), config)
+
+
+def o_emitters() -> list[StrategyProgram]:
+    """Players that play O, an opt-out in OPD and a fault in FTPD: one on
+    every tick, one on its second tick only."""
+    return [
+        StrategyProgram("opts", (emit(Action.O), halt(), jump(0))),
+        StrategyProgram("opts-second", (
+            emit(C), halt(), emit(Action.O), halt(), emit(D), halt(), jump(4),
+        )),
+    ]
+
+
+class TestMatchStep:
+    """``match_step`` ticks both machines itself and applies the mode rule
+    once, after both moves; ``seat_move`` is the one-seat form."""
+
+    def test_both_seats_fault_on_the_same_tick(self):
+        config = cfg(3)
+        opter1, opter2 = (o_emitters()[0] for _ in range(2))
+        vm1, a1, vm2, a2 = match_step(opter1, reset(opter1), None,
+                                      opter2, reset(opter2), None, config)
+        assert (a1, a2) == (W, W)
+        assert vm1.fault_reason == vm2.fault_reason == "played O outside OPD mode"
+        trace = run_match(opter1, opter2, config, INTRO_TABLE)
+        assert trace.a1 == trace.a2 == [W] * 3
+        assert trace.fault1 == trace.fault2 == "played O outside OPD mode"
+        assert trace.totals == (0, 0)
+
+    @given(st.integers(0, 10**9), st.sampled_from([Mode.FTPD, Mode.OPD]), st.integers(2, 8),
+           st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_match_step_is_two_seat_moves(self, seed, mode, k, ticks):
+        # The last moves are drawn afresh each tick, None included, rather
+        # than taken from the tick before, so any pair of observations
+        # meets any machine state the programs reach.
+        rng = random_module.Random(seed)
+        config = GameConfig(N=ticks, mode=mode, k=k)
+        emitters = o_emitters()
+        pick = lambda: random_program(rng) if rng.randrange(3) else rng.choice(emitters)
+        program1, program2 = pick(), pick()
+        vm1, vm2 = reset(program1), reset(program2)
+        last = lambda: rng.choice((None, C, D, W, Action.O))
+        for _ in range(ticks):
+            last1, last2 = last(), last()
+            stepped = match_step(program1, vm1, last1, program2, vm2, last2, config)
+            seated = (*seat_move(vm1, program1, last2, last1, config),
+                      *seat_move(vm2, program2, last1, last2, config))
+            assert stepped == seated
+            vm1, _, vm2, _ = stepped
+
+
+class TestCallCounts:
+    """A match tick is one ``match_step`` and one ``vm.tick`` per seat: a
+    kernel that drops or adds a call changes these counts."""
+
+    @staticmethod
+    def counted_match(monkeypatch, p1, p2, config):
+        calls = Counter()
+        for name in ("tick", "match_step"):
+            def counted(*args, name=name, original=getattr(match, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(match, name, counted)
+        return run_match(p1, p2, config, INTRO_TABLE), calls
+
+    def test_grim_pair_ticks_each_seat_once_per_tick(self, monkeypatch):
+        config = cfg(300)
+        grim = get("GRIM", config)
+        trace, calls = self.counted_match(monkeypatch, grim, grim, config)
+        assert trace.totals == (300, 300)
+        assert calls == {"tick": 600, "match_step": 300}
+
+    def test_counting_defector_ticks_each_seat_once_per_tick(self, monkeypatch):
+        config = cfg(50)
+        trace, calls = self.counted_match(
+            monkeypatch, get("CountingDefector", config), get("GRIM", config), config)
+        assert len(trace.a1) == 50
+        assert calls == {"tick": 100, "match_step": 50}
 
 
 #: Payoffs over four denominators (2, 3, 6, 4): totals are added over 12.
