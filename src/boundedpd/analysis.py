@@ -204,11 +204,8 @@ class FixedOpponentModel:
     ``evaluate_all`` on one program, so both take the same path."""
 
     opponent: Union[str, StrategyProgram]
-    name: str = ""
 
     def describe(self) -> str:
-        if self.name:
-            return self.name
         label = self.opponent if isinstance(self.opponent, str) else self.opponent.name
         return f"all-{label}"
 
@@ -384,24 +381,25 @@ class DrawModel:
     comparisons are set up.
 
     ``evaluate`` is exact: it carries the probability of every joint state
-    of focal player and partner tick by tick, over one ``JointStates``
-    table per call, the population's, whose programs are the focal one, the
-    cooperative, the hostile and the first draw. ``q`` is taken at its
-    exact value, so a float q brings its full binary expansion in: 0.3 is
-    ``Fraction(5404319552844595, 2**54)``, and each draw widens the masses
-    by 54 bits. OFT at N=2000 takes about 7 times as long with 0.3 as with
-    ``Fraction(3, 10)`` (0.046 s against 0.0064 s on one x86-64 core). The
-    joint states stay at a handful for real strategies, but a program that
-    counts its opt-outs grows them with the horizon (to about N/2), and the
-    exact cost with its square. ``sample`` is the Monte-Carlo estimate over
-    ``run_trial`` games, kept as a reference.
+    of focal player and partner tick by tick, keyed by its number in one
+    ``JointStates`` table per call, the population's, whose programs are
+    the focal one, the cooperative, the hostile and the first draw; a split
+    pair's probability waits for the rematch at its split state's number.
+    ``q`` is taken at its exact value, so a float q brings its full binary
+    expansion in: 0.3 is ``Fraction(5404319552844595, 2**54)``, and each
+    draw widens the masses by 54 bits. OFT at N=2000 takes about 7 times as
+    long with 0.3 as with ``Fraction(3, 10)`` (0.046 s against 0.0064 s on
+    one x86-64 core). The joint states stay at a handful for real
+    strategies, but a program that counts its opt-outs grows them with the
+    horizon (to about N/2), and the exact cost with its square. ``sample``
+    is the Monte-Carlo estimate over ``run_trial`` games, kept as a
+    reference.
     """
 
     q: Fraction | float
     cooperative: Union[str, StrategyProgram] = "GRIM"
     hostile: Union[str, StrategyProgram] = "AllD"
     first_draw: Union[str, StrategyProgram, None] = None
-    name: str = ""
 
     def __post_init__(self) -> None:
         # As given: a float conversion would let 1 + 1e-20 in and 1e-400 not.
@@ -409,7 +407,7 @@ class DrawModel:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
 
     def describe(self) -> str:
-        return self.name or f"draw(q={self.q})"
+        return f"draw(q={self.q})"
 
     def resolved(self, config: GameConfig) -> "DrawModel":
         """This model with its named partners compiled, so that a caller
@@ -432,15 +430,15 @@ class DrawModel:
                  trials: int = 200, seed: int = 0) -> ModelEstimate:
         """The exact mean of ``_play_focal`` over the partner draws.
 
-        Paired mass is keyed by joint-state number, unpaired mass by a
-        per-call number of the focal machine (what the focal seat saw last
-        is forgotten at the next pairing). A joint state is played once,
-        the first time it carries mass, and gives its focal pay, its next
-        state (or a split) and its idle number; an idle number gives the
-        fresh joint states of a draw once. Each tick every paired mass
-        makes its state's move, and at a rematch event the unpaired mass
-        branches into a fresh partner per draw; equal states merge their
-        probabilities, and the tick loop hashes only integers.
+        Every mass is keyed by joint-state number. A joint state is played
+        once, into the table's ``moves``, the first time it carries mass;
+        its move gives the focal pay and the next state. Each tick every
+        paired mass makes its state's move, and a split's mass waits at the
+        split state's number, which holds the focal machine (what the focal
+        seat saw last is forgotten at the next pairing). At a rematch event
+        each waiting mass branches into a fresh partner per draw, numbered
+        once per split state; equal states add their probabilities, and the
+        tick loop hashes only integers.
 
         The arithmetic is in integers. With q = a/b a draw weighs a for the
         cooperative partner and b - a for the hostile one, and every mass
@@ -467,36 +465,20 @@ class DrawModel:
         joint_states = JointStates(programs, config, rows)
         number, moves, states = joint_states.number, joint_states.moves, joint_states.states
         fresh = [reset(p) for p in programs]
-        # ``pairings[i]`` holds a draw's joint states, with their weights,
-        # from the focal machine numbered ``i`` in ``idle_numbers``.
-        idle_numbers: dict[VmState, int] = {}
-        pairings: list[list[tuple[int, int]]] = []
         paired = {number((0, fresh[0], None, j, fresh[j], None)): w for j, w in first}
         idle: dict[int, int] = {}
-        # By joint-state number: (focal payoff over ``unit``, the next
-        # state's number or None on a split, the idle number after a split).
-        steps: list[tuple[int, int | None, int | None] | None] = [None] * len(moves)
+        # ``drawn[s]``: the draws' fresh joint states, with their weights,
+        # from the focal machine of split state ``s``.
+        drawn: dict[int, list[tuple[int, int]]] = {}
         total = 0
         for now in range(1, config.N + 1):
             after: dict[int, int] = {}
             for state, mass in paired.items():
-                step = steps[state]
-                if step is None:
-                    following, a1, a2, split = joint_states.play(state)
-                    rest = None
-                    if split:
-                        vm, following = states[following][1], None
-                        rest = idle_numbers.setdefault(vm, len(pairings))
-                        if rest == len(pairings):
-                            pairings.append([(number((0, vm, None, j, fresh[j], None)), w)
-                                             for j, w in draws])
-                    step = steps[state] = (rows[a1, a2][3], following, rest)
-                    steps += [None] * (len(moves) - len(steps))
-                pay, following, rest = step
+                following, _, _, split, pay = moves[state] or joint_states.play(state)
                 if pay:
                     total += mass * pay
-                if following is None:
-                    idle[rest] = idle.get(rest, 0) + mass
+                if split:
+                    idle[following] = idle.get(following, 0) + mass
                 else:
                     after[following] = after.get(following, 0) + mass
             if idle and config.rematches_at(now):
@@ -504,11 +486,16 @@ class DrawModel:
                     scale *= b
                     total *= b
                     after = {state: mass * b for state, mass in after.items()}
-                # A played pair has a view of its tick, so no carried
-                # state is a fresh pairing.
-                for rest, mass in idle.items():
-                    for state, weight in pairings[rest]:
-                        after[state] = mass * weight
+                # No carried state is fresh (a played pair has a view of its
+                # tick), but split states of one focal machine share theirs.
+                for split_state, mass in idle.items():
+                    pairings = drawn.get(split_state)
+                    if pairings is None:
+                        vm = states[split_state][1]
+                        pairings = drawn[split_state] = [
+                            (number((0, vm, None, j, fresh[j], None)), w) for j, w in draws]
+                    for state, weight in pairings:
+                        after[state] = after.get(state, 0) + mass * weight
                 idle = {}
             paired = after
         return ModelEstimate(self.describe(), Fraction(total, scale * unit), 0.0, 1, exact=True)
@@ -546,11 +533,8 @@ class PopulationMixModel:
     of the roster is fixed. Sampled over seeds (matchings vary)."""
 
     others: tuple[Union[str, StrategyProgram], ...]
-    name: str = ""
 
     def describe(self) -> str:
-        if self.name:
-            return self.name
         labels = [o if isinstance(o, str) else o.name for o in self.others]
         return "mix(" + ",".join(labels) + ")"
 

@@ -192,22 +192,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report = analysis.competitive_ratio(
             program, models, config, table, size_bound=args.size_bound, seed=args.seed,
         )
-        rows.append((n, config, report))
-        if len(horizons) == 1:
-            print(report.to_text(), end="")
-            if args.out is not None:
-                _write(args.out, "report.csv",
-                       config_header(table, config) + "\n" + report.to_csv())
+        rows.append((n, report))
 
-    if len(horizons) > 1:
+    if len(horizons) == 1:
+        csv_name, csv_text = "report.csv", report.to_csv()
+        print(report.to_text(), end="")
+    else:
         lines = ["N,security_level,h,competitive_ratio"]
-        for n, _config, report in rows:
+        for n, report in rows:
             cr = "" if report.competitive_ratio is None else f"{report.competitive_ratio:.6f}"
             lines.append(f"{n},{float(report.security_level):.6f},{float(report.h):.6f},{cr}")
-        sweep_csv = "\n".join(lines) + "\n"
-        print(sweep_csv, end="")
-        if args.out is not None:
-            _write(args.out, "sweep.csv", config_header(table, rows[-1][1]) + "\n" + sweep_csv)
+        csv_name, csv_text = "sweep.csv", "\n".join(lines) + "\n"
+        print(csv_text, end="")
+    if args.out is not None:
+        # The header's digest covers the (last) horizon's config and
+        # program, the models and the size bound.
+        meta = "\n".join([program.source, *(model.describe() for model in models),
+                          f"size_bound={args.size_bound}"])
+        _write(args.out, csv_name, config_header(table, config, meta) + "\n" + csv_text)
     return 0
 
 

@@ -26,16 +26,17 @@ play through the same rule.
 With the config fixed, a pairing's tick is a function of its joint state
 alone: both programs, both machines and both last moves. ``JointStates``
 numbers the joint states as they arise and plays each once, keeping its
-move: the next state's number, both actions and whether the row splits.
-A population and the draw model of :mod:`boundedpd.analysis` each step
-through one such table. ``PopulationState`` keeps the live pairs in order
-of the lower id, each with its state's number, so ``population_step``
-maps the pairs' numbers through the moves. The pairs change only at a
-split and a rematch event, and a player's machine is read back from its
-pair's joint state only when the pair splits. Players of one spec line
-share a program, so their pairings share states: a 100-player roster of
-seven builtins run for 200 ticks plays 436 to 1 039 distinct joint states
-in 9 862 to 10 000 pair ticks.
+move: the next state's number, both actions, whether the row splits and
+seat 1's scaled payoff. A population and the draw model of
+:mod:`boundedpd.analysis` each step through one such table.
+``PopulationState`` keeps the live pairs in order of the lower id, each
+with its state's number, so ``population_step`` maps the pairs' numbers
+through the moves. The pairs change only at a split and a rematch event,
+and a player's machine is read back from its pair's joint state only when
+the pair splits. Players of one spec line share a program, so their
+pairings share states: a 100-player roster of seven builtins run for 200
+ticks plays 436 to 1 039 distinct joint states in 9 862 to 10 000 pair
+ticks.
 
 A population, like a match, keeps what was played and is paid once by
 counting. An ``OpdTrace`` holds one row per pairing tick in five columns
@@ -119,16 +120,18 @@ class JointStates:
     ``states`` lists them in the order they arose and ``numbers`` maps each
     to its place there. With the config and the payoff ``rows`` fixed, a
     pairing's tick is a function of its joint state alone: ``moves[s]`` is
-    what a pairing at state ``s`` plays, ``(next state, a1, a2, split)``, or
-    None until ``play`` fills it, once. A split's next state still holds
-    both machines, which the players keep."""
+    what a pairing at state ``s`` plays, ``(next state, a1, a2, split,
+    pay1)``, or None until ``play`` fills it, once; ``pay1`` is seat 1's
+    payoff from the row, as an integer over the table's ``payoff_unit``.
+    A split's next state still holds both machines, which the players
+    keep."""
 
     programs: list[StrategyProgram]
     config: GameConfig
     rows: dict[tuple[Action, Action], tuple]
     states: list[tuple] = field(default_factory=list)
     numbers: dict[tuple, int] = field(default_factory=dict)
-    moves: list[tuple[int, Action, Action, bool] | None] = field(default_factory=list)
+    moves: list[tuple[int, Action, Action, bool, int] | None] = field(default_factory=list)
 
     def number(self, state: tuple) -> int:
         """The joint state's number, a new one the first time it arises."""
@@ -138,14 +141,15 @@ class JointStates:
             self.moves.append(None)
         return number
 
-    def play(self, number: int) -> tuple[int, Action, Action, bool]:
+    def play(self, number: int) -> tuple[int, Action, Action, bool, int]:
         """Fill in and return the move of state ``number``: one
         ``play_pair_tick`` from it."""
         program1, vm1, last1, program2, vm2, last2 = self.states[number]
         vm1, a1, vm2, a2 = play_pair_tick(self.programs[program1], vm1, last1,
                                           self.programs[program2], vm2, last2, self.config)
         after = self.number((program1, vm1, a1, program2, vm2, a2))
-        move = self.moves[number] = (after, a1, a2, self.rows[a1, a2][2])
+        row = self.rows[a1, a2]
+        move = self.moves[number] = (after, a1, a2, row[2], row[3])
         return move
 
 
@@ -268,7 +272,7 @@ def population_step(state: PopulationState, config: GameConfig, trace: OpdTrace)
                 if moves[number] is None:
                     state.joint_states.play(number)
             played = list(map(moves.__getitem__, joint))
-        after, a1, a2, splits = zip(*played)
+        after, a1, a2, splits, _ = zip(*played)
         trace.tick.extend([state.tick] * len(joint))
         trace.first.extend(state.first)
         trace.second.extend(state.second)

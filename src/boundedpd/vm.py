@@ -182,10 +182,6 @@ class StrategyProgram:
     worst_tick_cost: int | None = None
     source: str | None = None
 
-    @property
-    def register_count(self) -> int:
-        return len(self.reg_widths)
-
     @cached_property
     def transitions(self) -> dict[tuple, tuple[VmState, Action]]:
         """The program's transition table, filled by ``tick``: each
@@ -198,9 +194,9 @@ class StrategyProgram:
 
 
 class Pending(NamedTuple):
-    """A compare caught mid-flight: operand values are latched at start."""
+    """A compare caught mid-flight: operand values are latched at start.
+    The compare sits at the suspended state's ``pc``."""
 
-    index: int
     units_done: int
     width: int
     lhs_value: object
@@ -406,7 +402,7 @@ def interpret(
                     return _fault(state, regs, k - budget, f"bad compare operand at {pc}")
             if width - done > budget:
                 # Not enough budget left this tick: latch and suspend.
-                pending = Pending(pc, done + budget, width, lhs_value, rhs_value)
+                pending = Pending(done + budget, width, lhs_value, rhs_value)
                 return VmState(pc, tuple(regs), pending, None, False, k), _W
             budget -= width - done
             if _evaluate(ins.op, lhs_value, rhs_value):  # type: ignore[arg-type]

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random as random_module
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -450,6 +451,15 @@ class TestEquilibriumCheck:
         best = best_response("OFT", config, INTRO_TABLE, size_bound=6)
         assert (best.source, best.payoff) == ("strategy cand\nalways play C\n", 6)
 
+    def test_verdicts_read_as_text(self):
+        config = GameConfig(N=5, k=2)
+        assert str(equilibrium_check("GRIM", "GRIM", config, INTRO_TABLE, size_bound=5)) == (
+            "Nash within bound (cooperative equilibrium), payoffs 5, 5")
+        assert str(equilibrium_check("AllC", "AllC", config, INTRO_TABLE, size_bound=5)) == (
+            "deviation found for player 1: payoff 10 vs 5")
+        verdict = analysis.EquilibriumVerdict(True, False, (Fraction(-4), Fraction(-4)))
+        assert str(verdict) == "Nash within bound (equilibrium), payoffs -4, -4"
+
 
 class TestFixedOpponentModel:
     @given(st.integers(0, 10**9), st.sampled_from([Mode.FTPD, Mode.OPD]),
@@ -650,6 +660,36 @@ class TestBranchAndBound:
 
 
 class TestDrawModel:
+    def test_one_trial_is_enough_and_none_is_an_error(self):
+        # ``trials`` only keeps the shared signature; the exact mean takes one.
+        config = opd(10)
+        program, model = get("OFT", config), DrawModel(q=Fraction(1, 2))
+        estimate = model.evaluate(program, config, INTRO_TABLE, trials=1)
+        assert estimate == model.evaluate(program, config, INTRO_TABLE)
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            model.evaluate(program, config, INTRO_TABLE, trials=0)
+
+    def test_split_states_reached_twice_before_a_rematch_add_their_mass(self):
+        # The focal counter's 3-bit compare takes two ticks at k=2, so it
+        # plays D every other tick, and the waiter opts out on the tick
+        # after it sees one: the split comes at a tick that depends on the
+        # focal phase. Two draw sequences reach one split state before the
+        # same rematch at t=2, and the mean needs both their masses.
+        config = GameConfig(N=7, mode=Mode.OPD, t=2, k=2)
+        counted = dsl.compile(dsl.parse(
+            "strategy counted\ncounter n: 3 bits\nif n != 6 then play D inc n\n"), config)
+        waiter = dsl.compile(dsl.parse(
+            "strategy waiter\nif opp != W then play O\nalways play W\n"), config)
+        model = DrawModel(q=Fraction(1, 2), cooperative=waiter, hostile="OFT")
+        mean = model.evaluate(counted, config, INTRO_TABLE).mean
+        assert mean == draw_sequence_mean(model, counted, config, INTRO_TABLE) == Fraction(5, 4)
+
+    def test_one_sampled_trial_has_no_standard_error(self):
+        config = opd(10)
+        estimate = DrawModel(q=Fraction(1, 2)).sample(get("OFT", config), config, INTRO_TABLE,
+                                                      trials=1, seed=3)
+        assert (estimate.se, estimate.trials, estimate.exact) == (0.0, 1, False)
+
     def test_estimates_are_pinned(self):
         # sha256 over the sampled (mean, se) on a seeded grid of periods,
         # rematch modes, tables, models and players; recorded before the
@@ -968,7 +1008,8 @@ class TestCompetitiveRatio:
         # come from AllD, where nothing beats waiting (h = 0), not from the
         # first model carrying the shared name, where h = 6.
         config = GameConfig(N=3, k=2)
-        models = [FixedOpponentModel("AllC", name="pal"), FixedOpponentModel("AllD", name="pal")]
+        models = [FixedOpponentModel(replace(get(opponent, config), name="pal"))
+                  for opponent in ("AllC", "AllD")]
         report = competitive_ratio(get("GRIM", config), models, config, INTRO_TABLE,
                                    size_bound=6)
         assert report.security_level == -4

@@ -226,6 +226,49 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", "OFT"])
         assert code == 2 and "population models" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--oft-constant"], "--oft-constant needs --q"),
+        (["OFT", "--gamma", "all-AllD", "--mode", "XYZ"],
+         "unknown mode 'XYZ' (expected FTPD or OPD)"),
+        (["OFT", "--gamma", "AllD"], "unknown population 'AllD'; expected all-<builtin>"),
+        (["OFT", "--gamma", "all-Nope"], "unknown builtin 'Nope' in 'all-Nope'"),
+        (["OFT", "--q", "1/2", "--sweep-N", "3:5:0"], "--sweep-N expects START:STOP:STEP"),
+        (["OFT", "--q", "1/2", "--sweep-N", "5:3:1"], "--sweep-N produced no horizons"),
+    ])
+    def test_usage_errors(self, argv, message):
+        assert run_cli(["analyze", *argv]) == (2, "", f"boundedpd: {message}\n")
+
+    def test_a_positive_delay_sets_a_rematch_period(self):
+        code, out, _ = run_cli(["analyze", "OFT", "--q", "1/2", "--r", "1", "--N", "6",
+                                "--size-bound", "4"])
+        assert code == 0 and "model draw(q=1/2): mean" in out
+
+    #: ``analyze`` arguments that differ from the first in one input each:
+    #: the strategy, the model and the size bound.
+    HEADER_INPUTS = [
+        ["OFT", "--q", "1/2"],
+        ["GRIM", "--q", "1/2"],
+        ["OFT", "--q", "1/3"],
+        ["OFT", "--q", "1/2", "--size-bound", "5"],
+    ]
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep-N", "4:6:2"]], ids=["report", "sweep"])
+    def test_csv_headers_name_their_inputs(self, sweep, tmp_path):
+        name = "sweep.csv" if sweep else "report.csv"
+
+        def written(argv, out_dir):
+            argv = ["analyze", *argv, "--N", "6", *sweep, "--out", str(out_dir)]
+            if "--size-bound" not in argv:
+                argv += ["--size-bound", "4"]
+            assert run_cli(argv)[0] == 0
+            return (out_dir / name).read_bytes()
+
+        blobs = [written(argv, tmp_path / f"run{i}") for i, argv in enumerate(self.HEADER_INPUTS)]
+        headers = [blob.split(b"\n", 1)[0] for blob in blobs]
+        assert all(header.startswith(b"# config_sha256=") for header in headers)
+        assert len(set(headers)) == len(headers)
+        assert written(self.HEADER_INPUTS[0], tmp_path / "again") == blobs[0]
+
 
 class TestOutOfRangeConfig:
     """A config outside the game's ranges is a usage error in every
@@ -307,6 +350,10 @@ class TestListStrategies:
 
 
 class TestFlagSurface:
+    def test_help_exits_zero(self):
+        code, out, _ = run_cli(["--help"])
+        assert code == 0 and out.startswith("usage: boundedpd")
+
     def test_population_k_flag_checks_roster_size(self, tmp_path):
         spec = tmp_path / "pop.txt"
         spec.write_text("2 x GRIM\n")

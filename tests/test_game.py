@@ -202,6 +202,14 @@ class TestValidateTable:
         assert validate_table(bad, Mode.FTPD, regime="theorem7") == [
             "mode == OPD", "P > Q", "Q > Q_hat", "H < 0"]
 
+    def test_theorem6_names_its_mode_and_a_negative_q(self):
+        table = PayoffTable(T=2, R=1, P=-1, S=-2, Q=-2, Q_hat=-3)
+        assert validate_table(table, Mode.FTPD, regime="theorem6") == ["mode == OPD", "Q >= 0"]
+
+    def test_an_unknown_regime_is_an_error(self):
+        with pytest.raises(ValueError, match="unknown regime 'theorem8'"):
+            validate_table(INTRO_TABLE, Mode.OPD, regime="theorem8")
+
 
 def brute_force_dominance(table: PayoffTable, mode: Mode) -> list[Dominance]:
     """Independent oracle: explicit row matrices, no shared code path with
@@ -250,6 +258,9 @@ class TestDominance:
         assert is_dominated(records, O, by=D, strict=False)
         assert not is_dominated(records, O, by=D, strict=True)
 
+    def test_a_pair_with_no_record_is_not_dominated(self):
+        assert not is_dominated([], W, by=D, strict=False)
+
     @given(random_valid_tables())
     def test_agrees_with_brute_force(self, table):
         for mode in (Mode.FTPD, Mode.OPD):
@@ -283,6 +294,11 @@ class TestWidths:
         assert cb_bound_bits(5) == 3
         assert cb_bound_bits(4) == 2
 
+    @pytest.mark.parametrize("width", [counter_width_for, cb_bound_bits])
+    def test_a_horizon_of_zero_is_an_error(self, width):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            width(0)
+
 
 class TestConfig:
     def test_constructor_guards(self):
@@ -292,6 +308,14 @@ class TestConfig:
             GameConfig(N=10, k=1)
         with pytest.raises(ValueError):
             GameConfig(N=10, t=0, mode=Mode.OPD)
+
+    def test_a_pair_count_of_zero_is_an_error(self):
+        with pytest.raises(ValueError, match="pair count K must be at least 1"):
+            GameConfig(N=10, K=0)
+
+    def test_a_mode_given_by_its_name_becomes_the_mode(self):
+        config = GameConfig(N=10, mode="OPD")
+        assert config.mode is Mode.OPD and config == GameConfig(N=10, mode=Mode.OPD)
 
     def test_cb_bound_is_soft(self):
         # Small horizons outside the budget bound still construct; the
@@ -328,3 +352,7 @@ class TestConfig:
             parse_config_text("T=2\nN=50\nmode=OPD\n")
         assert str(info.value) == ("not payoff table keys: N, mode "
                                    "(a table file takes T,R,P,S,H,Q,Q_hat)")
+
+    def test_an_empty_value_names_its_line_and_key(self):
+        with pytest.raises(ConfigError, match="line 2: empty value for 'T'"):
+            parse_config_text("R=1\nT=\n")

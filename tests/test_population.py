@@ -308,6 +308,10 @@ class TestDeterminismAndSpec:
                                   base_dir=tmp_path)
         assert str(err.value) == f"line 2: {bad}:3:23: expected action, got 'Z'"
 
+    def test_a_spec_of_only_comments_is_empty(self):
+        with pytest.raises(ValueError, match="population spec is empty"):
+            parse_population_spec("# no players\n\n   # none here either\n", opd_config(10))
+
     def test_summary_csv_shape(self):
         config = opd_config(4)
         trace = run_population(roster(config, "GRIM", "GRIM"), config, INTRO_TABLE)
@@ -389,7 +393,7 @@ class TestJointStates:
         assert joint_states.number((1, reset(alld), None, 0, reset(oft), None)) != start
         assert joint_states.moves[start] is None
         move = joint_states.play(start)
-        assert joint_states.moves[start] == move and move[1:] == (C, D, False)
+        assert joint_states.moves[start] == move and move[1:] == (C, D, False, -2)
         assert len(calls) == 1
 
         state = PopulationState(joint_states, [0, 1], [reset(oft), reset(alld)],
@@ -401,8 +405,8 @@ class TestJointStates:
         assert len(calls) == 1 and state.joint == [move[0]]
         population.population_step(state, config, trace)
         assert len(calls) == 2
-        after, a1, a2, split = joint_states.moves[move[0]]
-        assert (a1, a2, split) == (O, D, True)
+        after, a1, a2, split, pay1 = joint_states.moves[move[0]]
+        assert (a1, a2, split, pay1) == (O, D, True, 0)
         assert (trace.a1, trace.a2) == ([C, O], [D, D])
         assert state.joint == [] and state.pool == [0, 1]
         program1, vm1, last1, program2, vm2, last2 = joint_states.states[after]

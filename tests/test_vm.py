@@ -379,6 +379,12 @@ class TestNoneComparisons:
             assert action is C, f"opp {op.value} C should be false on the first tick"
 
 
+def test_an_unknown_observation_field_is_an_error():
+    # A compare observes only the two last actions, not a payoff.
+    with pytest.raises(ValueError, match="unknown observation field 'pay'"):
+        Operand.obs("pay")
+
+
 # ---------------------------------------------------------------------------
 # Random-program properties (shared with the acceptance suite)
 # ---------------------------------------------------------------------------
@@ -493,7 +499,7 @@ def test_random_program_traces_are_pinned():
             state, action = tick(state, program, *random_observation(rng), k)
             p = state.pending
             pending = None if p is None else (
-                p.index, p.units_done, p.width, p.lhs_value, p.rhs_value)
+                state.pc, p.units_done, p.width, p.lhs_value, p.rhs_value)
             row = (state.pc, state.regs, pending, state.faulted, state.fault_reason,
                    state.finished, state.tick_cost, state.suspended, action.value)
             digest.update(repr(row).encode())
@@ -562,7 +568,9 @@ def test_interpret_on_a_fixed_corpus_is_pinned():
         for opp, own, k in OBSERVATION_SCRIPT * 2:
             before = state
             state, action = interpret(state, program, opp, own, k)
-            digest.update(repr((state, action.value)).encode())
+            # Recorded when ``Pending`` also held its compare's pc, as ``index``.
+            row = repr((state, action.value)).replace("Pending(", f"Pending(index={state.pc}, ")
+            digest.update(row.encode())
             seen["suspended"] += state.pending is not None
             seen["resumed"] += before.pending is not None
             seen["faulted"] += state.fault_reason is not None and before.fault_reason is None
