@@ -206,9 +206,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(csv_text, end="")
     if args.out is not None:
         # The header's digest covers the (last) horizon's config and
-        # program, the models and the size bound.
+        # program, the models, the size bound and every horizon.
         meta = "\n".join([program.source, *(model.describe() for model in models),
-                          f"size_bound={args.size_bound}"])
+                          f"size_bound={args.size_bound}",
+                          f"horizons={','.join(map(str, horizons))}"])
         _write(args.out, csv_name, config_header(table, config, meta) + "\n" + csv_text)
     return 0
 

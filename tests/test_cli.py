@@ -255,19 +255,23 @@ class TestAnalyze:
     @pytest.mark.parametrize("sweep", [[], ["--sweep-N", "4:6:2"]], ids=["report", "sweep"])
     def test_csv_headers_name_their_inputs(self, sweep, tmp_path):
         name = "sweep.csv" if sweep else "report.csv"
+        inputs = [argv + sweep for argv in self.HEADER_INPUTS]
+        if sweep:
+            # Same last horizon, so the same config: only the horizons differ.
+            inputs.append(["OFT", "--q", "1/2", "--sweep-N", "3:6:3"])
 
         def written(argv, out_dir):
-            argv = ["analyze", *argv, "--N", "6", *sweep, "--out", str(out_dir)]
+            argv = ["analyze", *argv, "--N", "6", "--out", str(out_dir)]
             if "--size-bound" not in argv:
                 argv += ["--size-bound", "4"]
             assert run_cli(argv)[0] == 0
             return (out_dir / name).read_bytes()
 
-        blobs = [written(argv, tmp_path / f"run{i}") for i, argv in enumerate(self.HEADER_INPUTS)]
+        blobs = [written(argv, tmp_path / f"run{i}") for i, argv in enumerate(inputs)]
         headers = [blob.split(b"\n", 1)[0] for blob in blobs]
         assert all(header.startswith(b"# config_sha256=") for header in headers)
         assert len(set(headers)) == len(headers)
-        assert written(self.HEADER_INPUTS[0], tmp_path / "again") == blobs[0]
+        assert written(inputs[0], tmp_path / "again") == blobs[0]
 
 
 class TestOutOfRangeConfig:

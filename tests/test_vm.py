@@ -554,12 +554,14 @@ OBSERVATION_SCRIPT = [
 def test_interpret_on_a_fixed_corpus_is_pinned():
     """Every ``(VmState, Action)`` that ``interpret`` itself returns, not
     ``tick``, over the malformed compares and the edge programs, each played
-    through the observation script twice, hashed. The digest was recorded
-    before the interpreter read its enum members from module constants; the
-    stream holds suspensions, resumes, faults, step-limit faults and
-    finished programs. Random programs are pinned through ``tick``, whose
-    every state comes from ``interpret``, by
-    ``test_random_program_traces_are_pinned``."""
+    through the observation script twice, hashed field by field. The
+    digest is the same on the interpreter from before ``Pending`` lost its
+    ``index`` field (always the suspended state's ``pc``), where the digest
+    of the whole ``repr`` recorded before the interpreter read its enum
+    members from module constants held too. The stream holds suspensions,
+    resumes, faults, step-limit faults and finished programs. Random
+    programs are pinned through ``tick``, whose every state comes from
+    ``interpret``, by ``test_random_program_traces_are_pinned``."""
     import hashlib
     digest = hashlib.sha256()
     seen = {"suspended": 0, "resumed": 0, "faulted": 0, "step-limit": 0, "finished": 0}
@@ -568,9 +570,11 @@ def test_interpret_on_a_fixed_corpus_is_pinned():
         for opp, own, k in OBSERVATION_SCRIPT * 2:
             before = state
             state, action = interpret(state, program, opp, own, k)
-            # Recorded when ``Pending`` also held its compare's pc, as ``index``.
-            row = repr((state, action.value)).replace("Pending(", f"Pending(index={state.pc}, ")
-            digest.update(row.encode())
+            p = state.pending
+            pending = None if p is None else (p.units_done, p.width, p.lhs_value, p.rhs_value)
+            row = (state.pc, state.regs, pending, state.fault_reason, state.finished,
+                   state.tick_cost, action.value)
+            digest.update(repr(row).encode())
             seen["suspended"] += state.pending is not None
             seen["resumed"] += before.pending is not None
             seen["faulted"] += state.fault_reason is not None and before.fault_reason is None
@@ -578,7 +582,7 @@ def test_interpret_on_a_fixed_corpus_is_pinned():
             seen["finished"] += state.finished
     assert min(seen.values()) >= 10, seen
     assert digest.hexdigest() == (
-        "834d769119b4d5e13f4cca59fd0fcca7d03b86455f838a4054c5e075b56cf98b")
+        "c3f2842d164d6e88d3210940b95e0a38d336a5bbba2e6a30ea0487643e7068cc")
 
 
 def test_a_negative_compare_register_faults():

@@ -9,16 +9,19 @@ integer constant moved by one, ``True`` and ``False`` swapped, and an
 ``if`` or ``while`` condition negated. Annotations, default arguments and
 docstrings are left alone.
 
-The mutated module is written into a copy of ``src/`` and ``tests/`` under a
-work directory, never into the tree itself, and each stage of pytest
-arguments runs there in turn with ``-x``. A mutant is killed when a stage
-fails or runs past ``--timeout`` seconds (reported as a timeout), and
-survives when every stage passes. Example, from the repository root::
+The mutated module is written into a copy of ``src/`` and ``tests/`` in a
+temporary directory, removed when the run ends, never into the tree itself.
+Each stage of pytest arguments runs there in turn with ``-x``; every stage
+must pass on the unmutated copy first, or the run stops with exit 1. A
+mutant is killed when a stage fails a test (pytest exit 1), counts as a
+timeout when a stage runs past ``--timeout`` seconds, as an error on any
+other nonzero exit (a collection or usage failure), and survives when every
+stage passes. Example, from the repository root::
 
     python tools/mutate.py src/boundedpd/analysis.py DrawModel.evaluate \\
         --stage "tests/test_population.py tests/test_analysis.py" --timeout 300
 
-Prints one line per mutant and the counts; exits 0.
+Prints one line per mutant and the counts; exits 0 once the mutants have run.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import ast
 import copy
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -154,6 +158,20 @@ def mutants(source: str, names: list[str]) -> list[tuple[int, str, str]]:
     return sorted(found, key=lambda m: (m[0], m[1]))
 
 
+def _stage(stage: str, tree: Path, timeout: float) -> str:
+    """``passed``, ``failed``, ``timeout`` or ``error <exit code>`` for one stage in ``tree``."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               *shlex.split(stage)]
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    try:
+        result = subprocess.run(command, cwd=tree, env=env, timeout=timeout,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    # pytest exits 1 when a test failed; 2 to 5 mean the run itself went wrong.
+    return {0: "passed", 1: "failed"}.get(result.returncode, f"error {result.returncode}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="path of the module under src/, from the repository root")
@@ -162,42 +180,36 @@ def main(argv: list[str] | None = None) -> int:
                         help="pytest arguments of one stage, run in order (repeatable)")
     parser.add_argument("--timeout", type=float, default=300.0,
                         help="seconds a stage may run before the mutant counts as killed")
-    parser.add_argument("--work", default=None, help="work directory (default: a new temporary one)")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
     module = Path(args.module)
     source = (root / module).read_text(encoding="utf-8")
     found = mutants(source, args.targets)
-    work = Path(args.work or tempfile.mkdtemp(prefix="mutate-"))
-    shutil.rmtree(work / "tree", ignore_errors=True)
-    for part in ("src", "tests"):
-        shutil.copytree(root / part, work / "tree" / part,
-                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-    shutil.copy(root / "pyproject.toml", work / "tree" / "pyproject.toml")
-    target = work / "tree" / module
-    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    counts = {"killed": 0, "timeout": 0, "survived": 0}
-    print(f"{len(found)} mutants of {module} in {', '.join(args.targets)}", flush=True)
-    for line, description, mutated in found:
-        target.write_text(mutated, encoding="utf-8")
-        verdict, started = "survived", time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutate-") as work:
+        tree = Path(work)
+        for part in ("src", "tests"):
+            shutil.copytree(root / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(root / "pyproject.toml", tree / "pyproject.toml")
         for stage in args.stage:
-            command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                       *stage.split()]
-            try:
-                result = subprocess.run(command, cwd=work / "tree", env=env, timeout=args.timeout,
-                                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            except subprocess.TimeoutExpired:
-                verdict = "timeout"
-                break
-            if result.returncode != 0:
-                verdict = "killed"
-                break
-        counts[verdict] += 1
-        print(f"{verdict:8} {module}:{line} {description} "
-              f"({time.perf_counter() - started:.1f} s)", flush=True)
-    target.write_text(source, encoding="utf-8")
+            outcome = _stage(stage, tree, args.timeout)
+            if outcome != "passed":
+                print(f"stage {stage!r} is not green on the unmutated tree: {outcome}")
+                return 1
+        counts = {"killed": 0, "timeout": 0, "survived": 0, "error": 0}
+        print(f"{len(found)} mutants of {module} in {', '.join(args.targets)}", flush=True)
+        for line, description, mutated in found:
+            (tree / module).write_text(mutated, encoding="utf-8")
+            verdict, started = "survived", time.perf_counter()
+            for stage in args.stage:
+                outcome = _stage(stage, tree, args.timeout)
+                if outcome != "passed":
+                    verdict = "killed" if outcome == "failed" else outcome
+                    break
+            counts[verdict.split()[0]] += 1
+            print(f"{verdict:8} {module}:{line} {description} "
+                  f"({time.perf_counter() - started:.1f} s)", flush=True)
     print(" ".join(f"{name} {count}" for name, count in counts.items()))
     return 0
 
