@@ -59,6 +59,7 @@ player has not committed a move this tick.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -69,8 +70,9 @@ from .game import Action, bit_width
 #: Action encoding used in registers and compare operands.
 ACTION_CODE = {Action.C: 0, Action.D: 1, Action.W: 2, Action.O: 3}
 
-#: Bookkeeping steps allowed per tick before the program is declared faulty
-#: (guards against zero-cost jump loops in hand-written programs).
+#: Steps allowed per tick, each counted as it runs, before the program is
+#: declared faulty (guards against zero-cost jump loops in hand-written
+#: programs; no compiled tick runs more than its size + 1 steps).
 MAX_STEPS_PER_TICK = 10_000
 
 
@@ -101,10 +103,14 @@ OBS_FIELDS = ("opp", "own")
 # The enum members the hot loops compare against, read as module globals.
 _EMIT, _COMPARE, _INCREMENT, _JUMP, _HALT = (
     Opcode.EMIT, Opcode.COMPARE, Opcode.INCREMENT, Opcode.JUMP, Opcode.HALT)
-_EQ, _NE, _LT, _GE = CmpOp.EQ, CmpOp.NE, CmpOp.LT, CmpOp.GE
 _CONST_INT, _CONST_ACTION, _REG = OperandKind.CONST_INT, OperandKind.CONST_ACTION, OperandKind.REG
 _W = Action.W
 _new_tuple = tuple.__new__
+
+
+#: What each compare operator tests.
+_TESTS = {CmpOp.EQ: operator.eq, CmpOp.NE: operator.ne,
+          CmpOp.LT: operator.lt, CmpOp.GE: operator.ge}
 
 
 class Operand(NamedTuple):
@@ -305,22 +311,6 @@ def _operand_value(
     return None if a is None else ACTION_CODE[a]
 
 
-def _evaluate(op: CmpOp, lhs: object, rhs: object) -> bool:
-    # A comparison touching a missing observation is false whatever the
-    # operator: nothing can be concluded from a move that never happened.
-    if lhs is None or rhs is None:
-        return False
-    if op is _EQ:
-        return lhs == rhs
-    if op is _NE:
-        return lhs != rhs
-    if op is _LT:
-        return lhs < rhs
-    if op is _GE:
-        return lhs >= rhs
-    raise ValueError(f"unknown compare operator {op!r}")
-
-
 def _fault(state: VmState, regs: list[int], cost: int, reason: str) -> tuple[VmState, Action]:
     return VmState(state.pc, tuple(regs), None, reason, False, cost), _W
 
@@ -334,7 +324,8 @@ def interpret(
     ``opp`` and ``own`` are the opponent's and the player's own action on
     the previous tick of the pairing, None before its first tick: all a
     program observes. A suspended compare resumes where it stopped, with
-    the operand values it latched.
+    the operand values it latched; resuming it is not a step. The tick
+    faults past ``MAX_STEPS_PER_TICK`` steps, every step counted.
 
     Deterministic in (state, program, opp, own, k). Never raises for
     program misbehavior: faults are folded into the returned state.
@@ -351,25 +342,11 @@ def interpret(
     pc = state.pc
     size = len(program.instructions)
     resume = state.pending  # its compare sits at pc
-    # Resuming a compare is not a step: the step limit counts from the
-    # instruction after it.
     steps = 0 if resume is None else -1
-    # No compiled tick runs over size + 1 steps. Past that a repeated
-    # (pc, regs, budget) is a loop that never ends (compares spend budget):
-    # skip whole periods and fault at the limit as if every step ran.
-    watch_from = size + 1 if size < MAX_STEPS_PER_TICK else MAX_STEPS_PER_TICK
-    seen: dict[tuple, int] | None = None
     while True:
         steps += 1
-        if steps > watch_from:
-            if steps > MAX_STEPS_PER_TICK:
-                return _fault(state, regs, k - budget, "per-tick step limit exceeded")
-            if seen is None:
-                seen = {}
-            first = seen.setdefault((pc, tuple(regs), budget), steps)
-            if first != steps:
-                period = steps - first
-                steps += (MAX_STEPS_PER_TICK - steps) // period * period
+        if steps > MAX_STEPS_PER_TICK:
+            return _fault(state, regs, k - budget, "per-tick step limit exceeded")
         if pc >= size or pc < 0:
             # Ran past the end: the program is over for good.
             return VmState(pc, tuple(regs), None, None, True, k - budget), emitted or _W
@@ -386,26 +363,26 @@ def interpret(
             continue
 
         if opcode is _COMPARE:
-            if resume is not None:
-                done, width = resume.units_done, resume.width
-                lhs_value, rhs_value = resume.lhs_value, resume.rhs_value
-                resume = None
-            else:
-                done = 0
-                try:
-                    if not isinstance(ins.op, CmpOp):
-                        raise ValueError(f"unknown compare operator {ins.op!r}")
+            try:
+                test = _TESTS[ins.op]
+                if resume is None:
+                    done = 0
                     width = compare_width(ins, program.reg_widths)
                     lhs_value = _operand_value(ins.lhs, regs, opp, own)  # type: ignore[arg-type]
                     rhs_value = _operand_value(ins.rhs, regs, opp, own)  # type: ignore[arg-type]
-                except (AttributeError, IndexError, TypeError, KeyError, ValueError):
-                    return _fault(state, regs, k - budget, f"bad compare operand at {pc}")
+                else:
+                    done, width, lhs_value, rhs_value = resume
+                    resume = None
+            except (AttributeError, IndexError, TypeError, KeyError, ValueError):
+                return _fault(state, regs, k - budget, f"bad compare operand at {pc}")
             if width - done > budget:
                 # Not enough budget left this tick: latch and suspend.
                 pending = Pending(done + budget, width, lhs_value, rhs_value)
                 return VmState(pc, tuple(regs), pending, None, False, k), _W
             budget -= width - done
-            if _evaluate(ins.op, lhs_value, rhs_value):  # type: ignore[arg-type]
+            # A comparison touching a missing observation is false whatever the
+            # operator: nothing can be concluded from a move that never happened.
+            if lhs_value is not None and rhs_value is not None and test(lhs_value, rhs_value):
                 pc += 1
             else:
                 target = ins.on_false

@@ -14,6 +14,7 @@ from boundedpd.vm import (
     Instruction,
     Opcode,
     Operand,
+    Pending,
     StrategyProgram,
     VmState,
     compare,
@@ -247,7 +248,7 @@ class TestFaults:
 
     def test_a_looping_tick_faults_as_if_it_ran_every_step(self):
         # The loop repeats its (pc, regs, budget) every 32 steps; the tick
-        # skips whole periods but faults with the registers of step 10 001:
+        # runs every step and faults with the registers of step 10 001:
         # 5000 increments of a 4-bit counter leave 8.
         program = StrategyProgram("spin", (increment(0), jump(0)), reg_widths=(4,))
         state, action = tick(reset(program), program, None, None, 2)
@@ -342,6 +343,26 @@ class TestFaults:
         state, second = tick(state, program, None, C, 2)
         assert second is W and state.fault_reason == "bad compare operand at 2"
         assert state.tick_cost == 0 and state.pc == 2
+
+    @pytest.mark.parametrize("advance", [interpret, tick])
+    def test_a_resumed_compare_with_an_unknown_operator_faults(self, advance):
+        # Only a hand-built state reaches this: a fresh compare with the
+        # operator's text in place of a CmpOp faults before it can suspend.
+        program = StrategyProgram("resumed-text-operator", (
+            Instruction(Opcode.COMPARE, lhs=Operand.obs("opp"), op="==", rhs=Operand.action(C),
+                        on_false=1),
+            halt()))
+        resumed = VmState(pc=0, pending=Pending(1, 2, 0, 0))
+        state, action = advance(resumed, program, None, None, 2)
+        assert action is W and state.fault_reason == "bad compare operand at 0"
+
+    @pytest.mark.parametrize("advance", [interpret, tick])
+    def test_a_compare_target_fault_charges_the_compare(self, advance):
+        program = StrategyProgram("far-target", (
+            compare(Operand.obs("opp"), CmpOp.EQ, Operand.action(C), on_false=5), halt()))
+        state, action = advance(reset(program), program, None, None, 3)
+        assert action is W and state.fault_reason == "compare target 5 out of range"
+        assert state.tick_cost == 2
 
     def test_budget_below_two_rejected(self):
         program = get("AllC", CFG)
@@ -695,6 +716,19 @@ class TestBounds:
         program = StrategyProgram("past-registers", (increment(0), increment(1), halt()),
                                   reg_widths=(3,))
         assert validate_program(program) == ["instruction 1: register 1 out of range"]
+
+    def test_validation_accepts_a_target_of_the_program_length(self):
+        # A target of the length runs the program off its end, which is legal.
+        def program(target):
+            return StrategyProgram("to-the-end", (
+                compare(Operand.obs("opp"), CmpOp.EQ, Operand.action(C), on_false=target),
+                halt(), jump(target)))
+
+        assert validate_program(program(3)) == []
+        assert validate_program(program(4)) == [
+            "instruction 0: on_false target 4 out of range",
+            "instruction 2: jump target 4 out of range",
+        ]
 
     @pytest.mark.parametrize("advance", [interpret, tick])
     def test_a_resumed_tick_faults_at_exactly_the_step_limit(self, advance):
