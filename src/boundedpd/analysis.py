@@ -48,8 +48,11 @@ second states it pairs with: ``estimate_search_size`` sums the lists'
 lengths and the enumeration walks them; a search builds the table once for
 both. Candidates are not compiled from source: each is its states' rule
 pieces laid out by ``dsl.assemble``, the one layout, which ``dsl.compile``
-runs too, and a piece shared by many candidates is emitted once per compare
-target. The exact candidate count is the only limit on a search. Every
+runs too, from one ``dsl.Layout`` per counter declaration: its register
+widths, counter index and source header are worked out once for all of the
+declaration's candidates, the candidates share their JUMPs, and a piece
+shared by many candidates is emitted once and re-targeted per further
+compare target. The exact candidate count is the only limit on a search. Every
 candidate is scored in one loop: against a fixed opponent the candidates are
 played ``_TREE_CHUNK`` at a time over the shared play tree, against any other
 model each is one ``evaluate`` call. Ties between equal payoffs go to the
@@ -741,21 +744,23 @@ def enumerate_candidates(config: GameConfig, size_bound: int,
 
     Candidates are assembled, not compiled: each is its states' rule pieces
     laid out by ``dsl.assemble``, the one layout, which ``dsl.compile`` runs
-    too, and a piece shared by many candidates is emitted once per compare
-    target. A
-    test checks each candidate against ``dsl.compile`` of its source.
-    ``space`` is the table ``_combos_by_counter`` built for this config and
-    bound, when the caller has it already.
+    too, from one ``dsl.Layout`` per counter declaration. The candidates
+    of one call share their JUMPs, and a piece shared by many candidates is
+    emitted once and re-targeted per further compare target. A test checks
+    each candidate against ``dsl.compile`` of its source. ``space`` is the
+    table ``_combos_by_counter`` built for this config and bound, when the
+    caller has it already.
     """
     if space is None:
         space = _combos_by_counter(config, size_bound)
+    jumps = dsl.Jumps()
     for decls, singles, pairs in space:
+        layout = dsl.Layout("cand", decls, config, jumps)
         for combo in singles:
-            yield dsl.assemble("cand", decls, [(None, combo.pieces)], config)
+            yield dsl.assemble(layout, [(None, combo.pieces)])
         for combo0, tails in pairs:
             for combo1 in tails:
-                yield dsl.assemble("cand", decls, [("s0", combo0.pieces), ("s1", combo1.pieces)],
-                                   config)
+                yield dsl.assemble(layout, [("s0", combo0.pieces), ("s1", combo1.pieces)])
 
 
 def estimate_search_size(config: GameConfig, size_bound: int,

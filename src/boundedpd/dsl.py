@@ -450,17 +450,18 @@ def _parse_stmts(tokens: list[str], i: int, incs: dict[str, Inc]) -> tuple[Stmt,
 # Printing
 # ---------------------------------------------------------------------------
 
-def _source_text(name: str, decls: tuple[Decl, ...], lines: list[str]) -> str:
-    """The canonical text: the header, the declarations, then the rules'
-    ``lines``, each behind ``label: `` when its rule starts a labeled state."""
-    return "\n".join([f"strategy {name}", *[decl.render() for decl in decls], *lines, ""])
+def _header(name: str, decls: tuple[Decl, ...]) -> str:
+    """The canonical text's lines before the rules: ``strategy NAME``, then
+    the declarations. Each rule's line follows, behind ``label: `` when the
+    rule starts a labeled state, and the text ends with a newline."""
+    return "\n".join([f"strategy {name}", *[decl.render() for decl in decls]])
 
 
 def print_source(source: StrategySource) -> str:
     """Canonical rendering; ``parse(print_source(parse(s)))`` equals ``parse(s)``."""
-    return _source_text(source.name, source.decls, [
+    return "\n".join([_header(source.name, source.decls), *[
         f"{rule.label}: {rule.render()}" if rule.label else rule.render()
-        for rule in source.rules])
+        for rule in source.rules], ""])
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +486,39 @@ _HALT = vm.halt()
 _EMITS = {action: vm.emit(action) for action in Action}
 
 
+class Jumps(dict):
+    """JUMP instructions by target, each built on its first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, target: int) -> Instruction:
+        jump = self[target] = vm.jump(target)
+        return jump
+
+
+class Layout:
+    """What ``assemble`` and ``emit_rule`` need of one counter declaration,
+    worked out once for all the programs laid out with it: their ``name``,
+    the ``config`` that resolves ``N``, the ``reg_widths``, the
+    ``counter_index``, the source text's ``header`` and ``jumps``, which
+    the programs share as they share HALT and the EMITs (a fresh table
+    unless one is passed). ``compile`` builds one per call,
+    ``analysis.enumerate_candidates`` one per counter declaration, all of
+    a call with one ``Jumps``.
+    """
+
+    __slots__ = ("name", "config", "reg_widths", "counter_index", "header", "jumps")
+
+    def __init__(self, name: str, decls: tuple[Decl, ...], config: GameConfig,
+                 jumps: Jumps | None = None):
+        self.name = name
+        self.config = config
+        self.reg_widths = tuple([decl.width for decl in decls])
+        self.counter_index = {decl.name: i for i, decl in enumerate(decls)}
+        self.header = _header(name, decls)
+        self.jumps = Jumps() if jumps is None else jumps
+
+
 def rule_size(rule: Rule, last: bool) -> int:
     """Instructions ``rule`` compiles to: a compare per guard term, one per
     play or inc, then HALT and JUMP for a goto (end the tick, resume in the
@@ -497,16 +531,16 @@ def rule_size(rule: Rule, last: bool) -> int:
     return size if last else size + 1
 
 
-def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int], reg_widths: tuple[int, ...],
-              config: GameConfig) -> tuple[tuple[Instruction, ...], int]:
-    """The compares, plays and incs ``rule`` compiles to, each compare
-    jumping to ``on_false`` when it fails, and the rule's compare cost, the
-    sum of its compares' ``vm.compare_width``: the compares come first, one
-    per guard term.
+def emit_rule(rule: Rule, on_false: int, layout: Layout) -> tuple[tuple[Instruction, ...], int]:
+    """The compares, plays and incs ``rule`` compiles to under ``layout``,
+    each compare jumping to ``on_false`` when it fails, and the rule's
+    compare cost, the sum of its compares' ``vm.compare_width``: the
+    compares come first, one per guard term.
 
     The rule's exit (HALT and JUMP for a goto, or a JUMP to the state's
     epilogue) is left to ``assemble``, which knows where the states start.
     """
+    counter_index, reg_widths = layout.counter_index, layout.reg_widths
     instructions: list[Instruction] = []
     cost = 0
     for term in rule.guard:
@@ -514,7 +548,7 @@ def emit_rule(rule: Rule, on_false: int, counter_index: dict[str, int], reg_widt
             lhs = Operand.obs(term.field)
         else:
             lhs = Operand.reg(counter_index[term.field])
-        guard = vm.compare(lhs, term.op, _resolve_value(term.value, config), on_false)
+        guard = vm.compare(lhs, term.op, _resolve_value(term.value, layout.config), on_false)
         cost += vm.compare_width(guard, reg_widths)
         instructions.append(guard)
     for stmt in rule.stmts:
@@ -533,14 +567,16 @@ class RulePiece:
     None, and its rendered line ``text``.
 
     ``emitted`` caches what ``emit_rule`` returns, the compares, plays and
-    incs of the rule but its goto and their compare cost, once per compare
+    incs of the rule but its goto and their compare cost, by compare
     target (one entry for a rule without a guard, which has no compare).
-    Pieces built with one ``bodies`` table share it, and the rendered text
-    before the goto, with every piece of the same guard and statements but
-    a goto, so ``compile`` renders and emits such a body once per call.
-    The cache is valid for one ``(decls, config)`` only: the search builds
-    its pieces per counter declaration of one config, and ``compile``
-    builds fresh pieces and bodies per call.
+    ``emit`` runs ``emit_rule`` for the first target only and re-targets
+    that body's compares for each further one. Pieces built with one
+    ``bodies`` table share it, and the rendered text before the goto, with
+    every piece of the same guard and statements but a goto, so ``compile``
+    renders and emits such a body once per call. The cache is valid for
+    one ``Layout`` only: the search builds its pieces per counter
+    declaration of one config, and ``compile`` builds fresh pieces and
+    bodies per call.
     """
 
     __slots__ = ("rule", "size", "ahead", "goto", "text", "emitted")
@@ -566,37 +602,53 @@ class RulePiece:
         text, self.emitted = body
         self.text = text if self.goto is None else f"{text} goto {self.goto}"
 
+    def emit(self, on_false: int, layout: Layout) -> tuple[tuple[Instruction, ...], int]:
+        """What ``emit_rule`` returns for the rule and ``on_false`` under
+        ``layout``, kept in ``emitted``: the body of an earlier target with
+        its compares, which come first, jumping to ``on_false`` (operands,
+        operators and cost kept), or else the rule emitted."""
+        emitted = self.emitted
+        if emitted:
+            code, cost = next(iter(emitted.values()))
+            compares = len(self.rule.guard)
+            body = tuple([vm.compare(ins.lhs, ins.op, ins.rhs, on_false)  # type: ignore[arg-type]
+                          for ins in code[:compares]]) + code[compares:], cost
+        else:
+            body = emit_rule(self.rule, on_false, layout)
+        emitted[on_false] = body
+        return body
 
-def assemble(name: str, decls: tuple[Decl, ...],
-             states: list[tuple[str | None, Sequence[RulePiece]]],
-             config: GameConfig, diagnostics: list[str] | None = None) -> StrategyProgram:
+
+def assemble(layout: Layout, states: list[tuple[str | None, Sequence[RulePiece]]],
+             diagnostics: list[str] | None = None) -> StrategyProgram:
     """The program whose states are ``states``, each ``(label, pieces)``,
-    laid out in order from instruction 0; the first state is the entry.
+    laid out under ``layout`` in order from instruction 0; the first state
+    is the entry.
 
     This is the one layout. Each rule is its compares, plays and incs, each
     compare jumping on failure to the next rule or, from the last rule, to
     the state's epilogue. A rule with a goto then ends the tick (HALT) and
     jumps to the target state's start; any other rule but the last jumps to
     the epilogue, HALT then a JUMP back to the state's start; the JUMPs to
-    one target are one instruction. The ``worst_tick_cost`` is the largest
-    compare total any single tick can request: the maximum over states of
-    the rules' compare costs, as ``emit_rule`` returns them, summed along a
-    full scan of the state's rules; ``vm.interpret`` charges each compare's
-    width when the compare starts. Unreachable rules (after an unconditional rule in the same
+    one target are one instruction, ``layout.jumps``. The
+    ``worst_tick_cost`` is the largest compare total any single tick can
+    request: the maximum over states of the rules' compare costs, as
+    ``emit_rule`` returns them, summed along a full scan of the state's
+    rules; ``vm.interpret`` charges each compare's width when the compare
+    starts. Unreachable rules (after an unconditional rule in the same
     state) are reported through ``diagnostics`` when a list is supplied.
-    The program carries its canonical source text, which ``decompile``
-    parses back, and is returned once ``vm.validate_program`` finds
-    nothing wrong with it.
+    The program carries its canonical source text, the layout's header
+    and the rules' lines, which ``decompile`` parses back, and is returned
+    once ``vm.validate_program`` finds nothing wrong with it.
     """
-    reg_widths = tuple([decl.width for decl in decls])
-    counter_index: dict[str, int] | None = None  # built on the first body emitted
+    jumps = layout.jumps
     # Fixed sizes first, so every state's start (as the JUMP to it) and
     # epilogue is known up front.
     to_start: dict[str | None, Instruction] = {}
     epilogues: list[int] = []
     at = 0
     for label, pieces in states:
-        to_start[label] = vm.jump(at)
+        to_start[label] = jumps[at]
         for piece in pieces[:-1]:
             at += piece.ahead
         at += pieces[-1].size
@@ -607,7 +659,6 @@ def assemble(name: str, decls: tuple[Decl, ...],
     lines: list[str] = []
     worst = 0
     for (label, pieces), epilogue in zip(states, epilogues):
-        to_epilogue = None
         scan_cost = 0
         fired = False
         last = len(pieces) - 1
@@ -619,33 +670,21 @@ def assemble(name: str, decls: tuple[Decl, ...],
             else:
                 fired = True
                 on_false = -1  # no compare jumps, wherever the rule lands
-            body = piece.emitted.get(on_false)
-            if body is None:
-                if counter_index is None:
-                    counter_index = {decl.name: i for i, decl in enumerate(decls)}
-                body = piece.emitted[on_false] = emit_rule(
-                    piece.rule, on_false, counter_index, reg_widths, config)
-            scan_cost += body[1]
-            instructions += body[0]
+            code, cost = piece.emitted.get(on_false) or piece.emit(on_false, layout)
+            scan_cost += cost
+            instructions += code
             if piece.goto is not None:
                 instructions += (_HALT, to_start[piece.goto])
             elif ri != last:
-                if to_epilogue is None:
-                    to_epilogue = vm.jump(epilogue)
-                instructions.append(to_epilogue)
+                instructions.append(jumps[epilogue])
             lines.append(f"{label}: {piece.text}" if label and not ri else piece.text)
         assert len(instructions) == epilogue, "layout drift between rule sizes and emission"
         instructions += (_HALT, to_start[label])
         if scan_cost > worst:
             worst = scan_cost
 
-    program = StrategyProgram(
-        name=name,
-        instructions=tuple(instructions),
-        reg_widths=reg_widths,
-        worst_tick_cost=worst,
-        source=_source_text(name, decls, lines),
-    )
+    program = StrategyProgram(layout.name, tuple(instructions), layout.reg_widths, worst,
+                              "\n".join([layout.header, *lines, ""]))
     problems = vm.validate_program(program)
     if problems:
         raise DslError("internal compile error: " + "; ".join(problems))
@@ -660,9 +699,10 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
     """Compile a parsed source against a game config: its rules by state,
     one ``RulePiece`` per rule, laid out by ``assemble``, the one layout,
     which the best-response search uses too. The pieces share one table of
-    bodies, so rules alike but for their gotos are rendered and emitted
-    once; nothing is kept between calls. Deterministic; unreachable rules
-    are reported through ``diagnostics`` when a list is supplied.
+    bodies and one ``Layout``, so rules alike but for their gotos are
+    rendered and emitted once; nothing is kept between calls.
+    Deterministic; unreachable rules are reported through ``diagnostics``
+    when a list is supplied.
     """
     states: list[tuple[str | None, list[RulePiece]]] = []
     bodies: dict[tuple, tuple[str, dict]] = {}
@@ -672,7 +712,7 @@ def compile(  # noqa: A001 - deliberate: this is the module's compile entry poin
         if rule.label is not None or not states:
             states.append((rule.label, []))
         states[-1][1].append(RulePiece(rule, bodies))
-    return assemble(source.name, source.decls, states, config, diagnostics)
+    return assemble(Layout(source.name, source.decls, config), states, diagnostics)
 
 # ---------------------------------------------------------------------------
 # Decompilation

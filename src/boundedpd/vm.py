@@ -29,9 +29,10 @@ A compiled program is a finite automaton: a tick is deterministic in
 ``tick``, the one way the engines advance a machine, plays through the
 program's own ``transitions`` table: it looks that key up and calls
 ``interpret`` only on a miss, storing what it returns, so the table holds
-nothing the interpreter did not return. The table lives on the program: an
-equal but distinct program starts empty, and the table is freed with the
-program. It holds one entry per (state, observation pair, budget) played,
+nothing the interpreter did not return. The table is a field of the
+program, built empty with it and left out of its equality, hash and repr:
+an equal but distinct program starts empty, and the table is freed with
+the program. It holds one entry per (state, observation pair, budget) played,
 and at most ``TABLE_ENTRIES_PER_INSTRUCTION`` per instruction: a full
 table is cleared and refills with the transitions played since. So the
 table is at most a fixed multiple of the instruction list: a program that
@@ -60,9 +61,8 @@ player has not committed a move this tick.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from .game import Action, bit_width
@@ -171,15 +171,18 @@ def halt() -> Instruction:
     return Instruction(Opcode.HALT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrategyProgram:
     """A compiled strategy: instructions plus declared register widths.
 
     ``source`` is the canonical source text the compiler laid out, which
     ``dsl.decompile`` parses back; hand-assembled programs leave it None.
-    ``transitions`` is the table ``tick`` plays through; it is not a
-    field, so it takes no part in equality and ``dataclasses.replace``
-    starts a fresh, empty one.
+    ``transitions`` is the table ``tick`` plays through: each ``(state,
+    opp, own, k)`` played since it was last cleared maps to the
+    ``(VmState, Action)`` that ``interpret`` returned for it. It is built
+    empty with the program and is not an argument, and it takes no part in
+    equality, hashing or ``repr``, so ``dataclasses.replace`` starts a
+    fresh, empty one.
     """
 
     name: str
@@ -187,13 +190,8 @@ class StrategyProgram:
     reg_widths: tuple[int, ...] = ()
     worst_tick_cost: int | None = None
     source: str | None = None
-
-    @cached_property
-    def transitions(self) -> dict[tuple, tuple[VmState, Action]]:
-        """The program's transition table, filled by ``tick``: each
-        ``(state, opp, own, k)`` played since it was last cleared maps to
-        the ``(VmState, Action)`` that ``interpret`` returned for it."""
-        return {}
+    transitions: dict[tuple, tuple[VmState, Action]] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -3,20 +3,28 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boundedpd.analysis import enumerate_candidates
 from boundedpd.dsl import (
+    ConstAction,
     ConstInt,
+    Decl,
     DslError,
     Goto,
     HorizonMinus,
+    Inc,
+    Layout,
     Play,
     Rule,
+    RulePiece,
+    Term,
     compile as compile_source,
+    emit_rule,
     parse,
     print_source,
 )
-from boundedpd.game import Action, GameConfig, counter_width_for
+from boundedpd.game import Action, GameConfig, Mode, counter_width_for
 from boundedpd.library import BUILTIN_NAMES, source_text
-from boundedpd.vm import Opcode, reset, tick
+from boundedpd.vm import CmpOp, Opcode, reset, tick
 
 CFG = GameConfig(N=10, k=2)
 
@@ -280,3 +288,94 @@ class TestDecompile:
         from boundedpd.library import get
         text = print_source(decompile(get("CountingDefector", GameConfig(N=5))))
         assert text.splitlines()[-1] == "armed: if n >= N-2 then play D"
+
+
+#: Two counters of different widths, so a register's width and index both
+#: reach the emitted compares.
+LAYOUT_DECLS = (Decl("n", 4), Decl("m", 9))
+
+
+@st.composite
+def layout_rules(draw):
+    """A rule of 0-2 guard terms on ``opp``, ``own`` or a declared counter
+    (values include ``N-k``), with a play, incs and a goto."""
+    def term():
+        field = draw(st.sampled_from(["opp", "own", "n", "m"]))
+        if field in ("opp", "own"):
+            return Term(field, draw(st.sampled_from([CmpOp.EQ, CmpOp.NE])),
+                        ConstAction(draw(st.sampled_from(list(Action)))))
+        value = draw(st.one_of(st.builds(ConstInt, st.integers(0, 600)),
+                               st.builds(HorizonMinus, st.integers(0, CFG.N))))
+        return Term(field, draw(st.sampled_from(list(CmpOp))), value)
+
+    guard = tuple(term() for _ in range(draw(st.integers(0, 2))))
+    stmts = [Inc(name) for name in draw(st.lists(st.sampled_from(["n", "m"]), max_size=2))]
+    if draw(st.booleans()):
+        stmts.insert(draw(st.integers(0, len(stmts))), Play(draw(st.sampled_from(list(Action)))))
+    if not stmts or draw(st.booleans()):
+        stmts.append(Goto("elsewhere"))
+    return Rule(None, guard, tuple(stmts))
+
+
+class TestLayout:
+    """``assemble``'s parts built once: a rule's further compare targets
+    re-target its first body, and one enumeration's JUMPs are shared."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout_rules(), st.lists(st.integers(-1, 40), min_size=2, max_size=4, unique=True))
+    def test_a_retargeted_body_is_the_emitted_one(self, rule, targets):
+        layout = Layout("x", LAYOUT_DECLS, CFG)
+        for first in targets:
+            for then in targets:
+                if then == first:
+                    continue
+                piece = RulePiece(rule)
+                assert piece.emit(first, layout) == emit_rule(rule, first, layout)
+                assert piece.emit(then, layout) == emit_rule(rule, then, layout)
+
+    def test_a_piece_emits_its_rule_once(self, monkeypatch):
+        guard = (Term("m", CmpOp.GE, HorizonMinus(2)),
+                 Term("opp", CmpOp.NE, ConstAction(Action.D)))
+        rule = Rule(None, guard, (Inc("n"), Play(Action.D), Inc("m")))
+        layout = Layout("x", LAYOUT_DECLS, CFG)
+        expected = {target: emit_rule(rule, target, layout) for target in (7, 3, 12)}
+        calls = []
+        monkeypatch.setattr("boundedpd.dsl.emit_rule",
+                            lambda *args: calls.append(args) or emit_rule(*args))
+        piece = RulePiece(rule)
+        assert {target: piece.emit(target, layout) for target in expected} == expected
+        assert len(calls) == 1
+
+    def test_a_later_state_falls_to_its_own_next_rule(self):
+        # s1's first rule is guarded and not last: its failed compare jumps
+        # to s1's second rule, counted from s1's start at 5.
+        text = ("strategy Later\n"
+                "always play C goto s1\n"
+                "s1: if opp == D then play D\n"
+                "always play C\n")
+        program = compile_source(parse(text), CFG)
+        compare = program.instructions[5]
+        assert compare.opcode is Opcode.COMPARE and compare.on_false == 8
+        state, seq = reset(program), []
+        for opp in (None, Action.C, Action.D, Action.C):
+            state, action = tick(state, program, opp, None, 2)
+            seq.append(action.value)
+        assert "".join(seq) == "CCDC"
+
+    def test_a_program_failing_validation_is_an_internal_error(self, monkeypatch):
+        # No compiled program fails vm.validate_program; were one to, the
+        # error would name each problem.
+        monkeypatch.setattr("boundedpd.vm.validate_program", lambda program: ["one", "two"])
+        with pytest.raises(DslError, match="^1:1: internal compile error: one; two$"):
+            compile_source(parse("strategy x\nalways play C\n"), CFG)
+
+    @pytest.mark.parametrize("mode", [Mode.FTPD, Mode.OPD])
+    def test_one_enumeration_shares_its_jumps(self, mode):
+        jumps: dict[int, object] = {}
+        count = 0
+        for program in enumerate_candidates(GameConfig(N=8, mode=mode, k=2), 7):
+            for ins in program.instructions:
+                if ins.opcode is Opcode.JUMP:
+                    assert jumps.setdefault(ins.target, ins) is ins
+                    count += 1
+        assert count > len(jumps) > 1

@@ -296,6 +296,15 @@ class TestTransitionTable:
         assert trace.totals == (10**4, 10**4)
         assert len(grim.transitions) <= 4
 
+    def test_a_played_table_takes_no_part_in_equality_hash_or_repr(self):
+        config = cfg(50)
+        played, fresh = get("GRIM", config), get("GRIM", config)
+        run_match(played, played, config, INTRO_TABLE)
+        assert played is not fresh and played.transitions and fresh.transitions == {}
+        assert played == fresh and hash(played) == hash(fresh)
+        assert repr(played) == repr(fresh) and "transitions" not in repr(played)
+        assert dataclasses.replace(played).transitions == {}
+
 
 class TestFractionalTotals:
     @pytest.mark.parametrize("n", [12, 200])
